@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exactlin import QMatrix, SparseSolver
 from .ratio import ONE, Q, ZERO, q_parse, q_str
@@ -145,9 +145,11 @@ class StructureAlgebra:
     def find_identity(self) -> "AlgebraElement | None":
         """Solve x * b_j = b_j for all j exactly; None if no solution.
 
-        Equations are fed into a sparse incremental solver until full rank,
-        then the candidate is verified against every basis vector, so the
-        result is the unique identity whenever one is returned.
+        The integer equations are fed into a sparse incremental solver until
+        it reaches full rank.  A subset of the equations then already has a
+        unique solution, so any identity must equal it; the candidate is
+        checked against every basis vector, so it is returned only if it is
+        the identity.
         """
         solver = SparseSolver(self.dim)
         for j in range(self.dim):
@@ -182,10 +184,13 @@ class StructureAlgebra:
         linearly independent.  The triple-product check is exhaustive over
         the spanning set, with value-level memoization of products.
         """
-        span = _SpanReducer([e.coeffs for e in elements])
-        if span.dependency is not None:
-            raise ValueError(
-                f"elements are linearly dependent: {span.dependency}")
+        span = SparseSolver(self.dim)
+        for idx, e in enumerate(elements):
+            span.add_equation(e.coeffs, 0)
+            if span.rank <= idx:
+                raise ValueError(
+                    f"elements are linearly dependent: vector #{idx} lies "
+                    "in the span of its predecessors")
         n = len(elements)
         memo: dict[tuple, "AlgebraElement"] = {}
 
@@ -232,54 +237,12 @@ class StructureAlgebra:
     def from_json(cls, data: dict) -> "StructureAlgebra":
         table = {(i, j): {int(k): q_parse(v) for k, v in terms}
                  for i, j, terms in data["products"]}
-        form = {(i, j): q_parse(data["gram"][i][j])
-                for i in range(len(data["basis"]))
-                for j in range(i, len(data["basis"]))}
+        # keep only the non-zero entries: the form defaults to 0.  Every
+        # entry but the literal "0", which to_json writes, is parsed.
+        n = len(data["basis"])
+        form = {(i, j): v for i in range(n) for j in range(i, n)
+                if (e := data["gram"][i][j]) != "0" and (v := q_parse(e))}
         return cls(data["basis"], table, form)
-
-
-class _SpanReducer:
-    """Exact row space of sparse vectors with membership queries."""
-
-    def __init__(self, vectors: Iterable[Sparse]):
-        self.pivots: dict[int, Sparse] = {}
-        self.dependency = None
-        for idx, v in enumerate(vectors):
-            if not self._insert(v):
-                self.dependency = f"vector #{idx} lies in the span of its predecessors"
-                return
-
-    def _reduce(self, v: Sparse) -> Sparse:
-        v = dict(v)
-        for c in sorted(set(v) & set(self.pivots)):
-            if c not in v:
-                continue
-            f = v[c]
-            for pc, pv in self.pivots[c].items():
-                v[pc] = v.get(pc, ZERO) - f * pv
-                if v[pc] == 0:
-                    del v[pc]
-        return v
-
-    def _insert(self, v: Sparse) -> bool:
-        v = self._reduce(v)
-        if not v:
-            return False
-        pc = min(v)
-        inv = ONE / v[pc]
-        v = {c: x * inv for c, x in v.items()}
-        for oc, ov in self.pivots.items():
-            if pc in ov:
-                f = ov[pc]
-                for c, x in v.items():
-                    ov[c] = ov.get(c, ZERO) - f * x
-                    if ov[c] == 0:
-                        del ov[c]
-        self.pivots[pc] = v
-        return True
-
-    def contains(self, v: Sparse) -> bool:
-        return not self._reduce(v)
 
 
 class AlgebraElement:

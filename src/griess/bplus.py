@@ -154,10 +154,24 @@ class PhiMap:
         return bp.alg.element(coeffs)
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
-        out = self.codomain.alg.zero()
-        for i, c in a.coeffs.items():
-            out = out + self.image_of_basis(i).scale(c)
-        return out
+        """c t(alpha) + d u(alpha) maps to (c + d)/2 alpha^2 + (d - c) x_alpha;
+        the images are summed per root, in integer numerators."""
+        bp, N = self.codomain, self.codomain.rs.N
+        nums, den = a._integer_coeffs()
+        sums, diffs = {}, {}  # per root: numerators of c + d and d - c
+        for i, c in nums.items():
+            r = i % N
+            sums[r] = sums.get(r, 0) + c
+            diffs[r] = diffs.get(r, 0) + (c if i >= N else -c)
+        out: dict = {}
+        for r, c in sums.items():
+            if c:
+                for k, v in bp._sq[r].items():
+                    out[k] = out.get(k, 0) + c * v.numerator
+        coeffs = {k: Q(v, 2 * den) for k, v in out.items() if v}
+        coeffs.update((bp.num_sym + r, Q(v, den))
+                      for r, v in diffs.items() if v)
+        return AlgebraElement(bp.alg, coeffs)
 
     def matrix(self) -> QMatrix:
         """Columns are the images of the domain basis."""

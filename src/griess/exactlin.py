@@ -2,13 +2,15 @@
 
 QMatrix is a dense matrix of rationals with exact rank / kernel / solve.
 Two independent elimination routines are provided (plain rational Gauss and
-fraction-free Bareiss) so ranks can be cross-checked.  F2Matrix packs rows
-as bitmasks.
+fraction-free Bareiss) so ranks can be cross-checked.  SparseSolver is an
+incremental fraction-free sparse eliminator for large systems and spans.
+F2Matrix packs rows as bitmasks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import math
+from typing import Iterable, Sequence
 
 from .ratio import ONE, Q, ZERO
 
@@ -82,9 +84,7 @@ class QMatrix:
         # Clear denominators row by row; scaling rows does not change rank.
         m = [[0] * self.cols for _ in range(self.rows)]
         for i, row in enumerate(self.entries):
-            d = 1
-            for x in row:
-                d = d * x.denominator // _gcd(d, x.denominator)
+            d = math.lcm(*(x.denominator for x in row))
             m[i] = [int(x * d) for x in row]
         rank = 0
         prev = 1
@@ -133,70 +133,93 @@ class QMatrix:
         return x
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 class SparseSolver:
-    """Incremental sparse exact elimination for large linear systems.
+    """Incremental fraction-free sparse elimination over the rationals.
 
-    Equations are sparse dicts col -> coefficient plus a rhs.  Rows are kept
-    reduced against each other, so feeding can stop as soon as the rank
-    reaches the number of unknowns.
+    Equations are sparse dicts col -> coefficient plus a rhs; rational
+    equations are scaled to integers by the lcm of their denominators on
+    entry.  Each pivot row is a primitive integer dict with an integer rhs
+    and a positive entry in its pivot column, its smallest column.  Pivot
+    rows are kept mutually reduced, so one pass over the pivot columns of an
+    incoming row reduces it, by cross-multiplication (Bareiss, Math. Comp.
+    1968).  Rationals are built only by solution().  With rhs 0 the solver
+    is the row space of the vectors fed to it, with membership by contains().
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.pivot_rows: dict[int, tuple[dict, object]] = {}
+        self.pivot_rows: dict[int, tuple[dict, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
+    def _reduce(self, row: dict, rhs) -> tuple[dict, int]:
+        """The integer equation row = rhs, scaled and reduced."""
+        den = math.lcm(rhs.denominator,
+                       *(v.denominator for v in row.values() if v))
+        row = {c: v.numerator * (den // v.denominator)
+               for c, v in row.items() if v}
+        rhs = rhs.numerator * (den // rhs.denominator)
+        for c in [c for c in row if c in self.pivot_rows]:
+            row, rhs = _eliminate(row, rhs, c, *self.pivot_rows[c])
+        return row, rhs
+
     def add_equation(self, row: dict, rhs) -> bool:
         """Reduce and insert one equation.  Returns False on inconsistency."""
-        row = {c: Q(v) for c, v in row.items() if v != 0}
-        rhs = Q(rhs)
-        # Pivot rows are mutually reduced, so each reduction introduces only
-        # non-pivot columns and a single pass suffices.
-        for c in sorted(set(row) & set(self.pivot_rows)):
-            if c not in row:
-                continue
-            prow, prhs = self.pivot_rows[c]
-            f = row[c]
-            for pc, pv in prow.items():
-                row[pc] = row.get(pc, ZERO) - f * pv
-                if row[pc] == 0:
-                    del row[pc]
-            rhs -= f * prhs
-        row = {c: v for c, v in row.items() if v != 0}
+        row, rhs = self._reduce(row, rhs)
         if not row:
             return rhs == 0
         pc = min(row)
-        inv = ONE / row[pc]
-        row = {c: v * inv for c, v in row.items()}
-        rhs *= inv
-        for oc, (orow, orhs) in list(self.pivot_rows.items()):
+        row, rhs = _primitive(row, rhs, pc)
+        for oc, (orow, orhs) in self.pivot_rows.items():
             if pc in orow:
-                f = orow[pc]
-                for c, v in row.items():
-                    orow[c] = orow.get(c, ZERO) - f * v
-                    if orow[c] == 0:
-                        del orow[c]
-                self.pivot_rows[oc] = (orow, orhs - f * rhs)
+                self.pivot_rows[oc] = _primitive(
+                    *_eliminate(orow, orhs, pc, row, rhs), oc)
         self.pivot_rows[pc] = (row, rhs)
         return True
+
+    def contains(self, row: dict) -> bool:
+        """True iff the vector lies in the span of the rows fed so far."""
+        return not self._reduce(row, 0)[0]
 
     def solution(self) -> list | None:
         """The unique solution if rank == n, else None."""
         if self.rank != self.n:
             return None
         x = [ZERO] * self.n
-        for c, (_, rhs) in self.pivot_rows.items():
-            x[c] = rhs
+        for c, (row, rhs) in self.pivot_rows.items():
+            x[c] = Q(rhs, row[c])
         return x
+
+
+def _eliminate(row: dict, rhs: int, c: int, prow: dict,
+               prhs: int) -> tuple[dict, int]:
+    """(p/g) row - (f/g) prow with p = prow[c] > 0, f = row[c] and
+    g = gcd(p, f), so column c drops out; consumes row."""
+    p, f = prow[c], row.pop(c)
+    g = math.gcd(p, f)
+    if g != p:
+        s = p // g
+        row = {k: v * s for k, v in row.items()}
+        rhs *= s
+    f //= g
+    for k, v in prow.items():
+        if k != c:
+            x = row.get(k, 0) - f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+    return row, rhs - f * prhs
+
+
+def _primitive(row: dict, rhs: int, pc: int) -> tuple[dict, int]:
+    """The equation divided by the gcd of its entries, with row[pc] > 0."""
+    g = math.gcd(rhs, *row.values())
+    if row[pc] < 0:
+        g = -g
+    return {k: v // g for k, v in row.items()}, rhs // g
 
 
 class F2Matrix:

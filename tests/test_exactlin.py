@@ -2,6 +2,7 @@ from griess.exactlin import F2Matrix, QMatrix, SparseSolver, f2_row_space_member
 from griess.ratio import Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 class TestQMatrix:
@@ -83,6 +84,67 @@ class TestSparseSolver:
         solver.add_equation({1: 3}, 6)
         assert solver.rank == 2
         assert solver.solution() == [1, 2]
+
+
+rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def sparse_systems(draw):
+    """(n, [(row, rhs)]): random sparse rational rows, stored zeros included,
+    mixed with combinations of earlier rows whose rhs is sometimes shifted,
+    i.e. redundant and inconsistent equations."""
+    n = draw(st.integers(1, 5))
+    eqs = []
+    for _ in range(draw(st.integers(1, 8))):
+        if eqs and draw(st.booleans()):
+            (r1, b1), (r2, b2) = (draw(st.sampled_from(eqs)),
+                                  draw(st.sampled_from(eqs)))
+            a, b = draw(rationals), draw(rationals)
+            row = {c: a * r1.get(c, 0) + b * r2.get(c, 0)
+                   for c in r1.keys() | r2.keys()}
+            rhs = a * b1 + b * b2 + draw(st.sampled_from([0, 0, 1]))
+        else:
+            row = draw(st.dictionaries(st.integers(0, n - 1), rationals,
+                                       max_size=n))
+            rhs = draw(rationals)
+        eqs.append((row, rhs))
+    return n, eqs
+
+
+def dense(n, rows):
+    return QMatrix([[row.get(c, 0) for c in range(n)] for row in rows])
+
+
+class TestSparseSolverDifferential:
+    """SparseSolver against dense rational elimination on QMatrix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_systems())
+    def test_rank_consistency_solution(self, system):
+        n, eqs = system
+        solver = SparseSolver(n)
+        consistent = all([solver.add_equation(row, rhs) for row, rhs in eqs])
+        m = dense(n, [row for row, _ in eqs])
+        dense_x = m.solve([rhs for _, rhs in eqs])
+        assert solver.rank == m.rank()
+        assert consistent == (dense_x is not None)
+        if consistent:
+            assert solver.solution() == (dense_x if solver.rank == n else None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_systems())
+    def test_span_membership(self, system):
+        n, eqs = system
+        vectors = [row for row, _ in eqs[:-1]]
+        candidate = eqs[-1][0]
+        solver = SparseSolver(n)
+        for v in vectors:
+            solver.add_equation(v, 0)
+        rank = dense(n, vectors).rank() if vectors else 0
+        assert solver.rank == rank
+        assert solver.contains(candidate) == (
+            dense(n, vectors + [candidate]).rank() == rank)
 
 
 class TestF2Matrix:

@@ -1,5 +1,6 @@
 """Differential tests: the compiled integer kernels behind element products
-and forms against the plain bilinear expansion over basis pairs."""
+and forms against the plain bilinear expansion over basis pairs, and the
+map of Theorem 3.1 against the sum of its scaled basis images."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from griess.algebra import StructureAlgebra
 from griess.ratio import Q, q_parse, q_str
 
-from conftest import algebra_A, algebra_T, bplus
+from conftest import algebra_A, algebra_T, bplus, phi
 
 SPECS = ("A1", "A2", "A3", "D4", "A1^2", "A2+A1")
 KINDS = {"A": lambda spec: algebra_A(spec).alg,
@@ -45,6 +46,18 @@ def test_root_algebras_match_expansion(kind, data):
     x, y = data.draw(elements(alg)), data.draw(elements(alg))
     assert (x * y).coeffs == expand_product(x, y, alg.basis_product)
     assert x.form(y) == expand_form(x, y, alg.basis_form)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_phi_apply_matches_sum_of_basis_images(data):
+    p = phi(data.draw(st.sampled_from(SPECS)))
+    x = data.draw(elements(p.domain.alg))
+    expected = {}
+    for i, c in x.coeffs.items():
+        for k, v in p.image_of_basis(i).coeffs.items():
+            expected[k] = expected.get(k, 0) + c * v
+    assert p.apply(x).coeffs == {k: v for k, v in expected.items() if v != 0}
 
 
 @st.composite
