@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals and over GF(2).
 
-QMatrix is a dense matrix of rationals with exact rank / kernel / solve.
-Two independent elimination routines are provided (plain rational Gauss and
-fraction-free Bareiss) so ranks can be cross-checked.  SparseSolver is an
-incremental fraction-free sparse eliminator for large systems and spans.
-F2Matrix packs rows as bitmasks.
+SparseSolver, incremental, sparse and fraction-free, is the one eliminator
+over the rationals: QMatrix, a dense rational matrix, feeds it its rows for
+rref / rank / kernel / solve.  rank_bareiss, a dense fraction-free Bareiss
+elimination, is the independent cross-check of rank.  Over GF(2) rows are
+bitmasks; f2_rref and f2_span serve F2Matrix and the Lagrangian count.
 """
 
 from __future__ import annotations
@@ -53,31 +53,31 @@ class QMatrix:
     def transpose(self) -> "QMatrix":
         return QMatrix(list(zip(*self.entries))) if self.rows else QMatrix([])
 
+    def _eliminated(self, rhs: Sequence = ()) -> "SparseSolver | None":
+        """The rows, with rhs if given, fed to a SparseSolver; None when
+        M x = rhs is inconsistent."""
+        solver = SparseSolver(self.cols)
+        for row, b in zip(self.entries, rhs or [ZERO] * self.rows):
+            if not solver.add_equation(
+                    {j: v for j, v in enumerate(row) if v}, Q(b)):
+                return None
+        return solver
+
     def rref(self) -> tuple[list[list], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot column indices)."""
-        m = [list(r) for r in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        return m, pivots
+        """Reduced row echelon form; returns (rows, pivot column indices).
+
+        The solver's pivot rows are mutually reduced with their pivot in
+        their smallest column, so each divided by its pivot is a row of the
+        RREF; zero rows fill up to the row count."""
+        pivots = sorted(self._eliminated().pivot_rows.items())
+        m = [[Q(row[j], row[pc]) if j in row else ZERO
+              for j in range(self.cols)] for pc, (row, _) in pivots]
+        m += [[ZERO] * self.cols for _ in range(self.rows - len(m))]
+        return m, [pc for pc, _ in pivots]
 
     def rank(self) -> int:
-        """Exact rank via rational Gaussian elimination."""
-        return len(self.rref()[1])
+        """Exact rank via fraction-free sparse elimination."""
+        return self._eliminated().rank
 
     def rank_bareiss(self) -> int:
         """Exact rank via fraction-free Bareiss elimination (cross-check)."""
@@ -108,28 +108,28 @@ class QMatrix:
 
     def kernel_basis(self) -> list[list]:
         """Basis of the right null space; each v satisfies M v = 0 exactly."""
-        m, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        pivots = self._eliminated().pivot_rows
         basis = []
-        for fc in free:
+        for fc in (c for c in range(self.cols) if c not in pivots):
             v = [ZERO] * self.cols
             v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
+            for pc, (row, _) in pivots.items():
+                if fc in row:
+                    v[pc] = Q(-row[fc], row[pc])
             basis.append(v)
         return basis
 
     def solve(self, rhs: Sequence) -> list | None:
-        """One exact solution of M x = rhs, or None if inconsistent."""
+        """One exact solution of M x = rhs, or None if inconsistent; the
+        free variables are 0."""
         if len(rhs) != self.rows:
             raise ValueError("dimension mismatch")
-        aug = QMatrix([list(r) + [Q(b)] for r, b in zip(self.entries, rhs)])
-        m, pivots = aug.rref()
-        if self.cols in pivots:
+        solver = self._eliminated(rhs)
+        if solver is None:
             return None
         x = [ZERO] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = m[r][self.cols]
+        for pc, (row, b) in solver.pivot_rows.items():
+            x[pc] = Q(b, row[pc])
         return x
 
 
@@ -240,20 +240,7 @@ class F2Matrix:
 
     def rref_bits(self) -> list[int]:
         """Reduced rows with distinct leading bits, highest bit first."""
-        basis: list[int] = []
-        for b in self.bits:
-            for p in basis:
-                b = min(b, b ^ p)
-            if b:
-                basis.append(b)
-                basis.sort(reverse=True)
-        # Back-substitute so each pivot occurs in exactly one row.
-        for i, p in enumerate(basis):
-            hi = p.bit_length() - 1
-            for j in range(len(basis)):
-                if j != i and (basis[j] >> hi) & 1:
-                    basis[j] ^= p
-        return sorted(basis, reverse=True)
+        return list(f2_rref(self.bits))
 
     def rank(self) -> int:
         return len(self.rref_bits())
@@ -262,13 +249,32 @@ class F2Matrix:
         """All 2^rank vectors of the row space.  Guarded against blow-up."""
         if self.rows > 24:
             raise ValueError("row space enumeration limited to 24 rows")
-        basis = self.rref_bits()
-        for mask in range(1 << len(basis)):
-            v = 0
-            for i, b in enumerate(basis):
-                if (mask >> i) & 1:
-                    v ^= b
-            yield v
+        yield from f2_span(f2_rref(self.bits))
+
+
+def f2_rref(rows: Iterable[int]) -> tuple[int, ...]:
+    """Reduced row echelon form over GF(2) of bitmask rows: the non-zero
+    rows, highest leading bit first, each leading bit set in one row only.
+    min(x, x ^ p) clears the leading bit of p from x: x ^ p < x iff x has
+    that bit set."""
+    basis: list[int] = []
+    for r in rows:
+        for p in basis:
+            r = min(r, r ^ p)
+        if r:
+            basis = [min(p, p ^ r) for p in basis]
+            basis.append(r)
+            basis.sort(reverse=True)
+    return tuple(basis)
+
+
+def f2_span(basis: Sequence[int]) -> list[int]:
+    """All sums of subsets of basis; entry i sums basis[j] over the bits j
+    of i, so the list has 2^len(basis) entries."""
+    out = [0]
+    for b in basis:
+        out += [x ^ b for x in out]
+    return out
 
 
 def f2_row_space_members(m: F2Matrix) -> list[int]:

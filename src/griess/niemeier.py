@@ -15,13 +15,14 @@ from importlib import resources
 
 from .algebra import DecompositionReport
 from .bplus import build_bplus, build_phi
-from .exactlin import QMatrix
+from .exactlin import f2_rref, f2_span
 from .ratio import Q, ZERO, q_parse, q_str
 from .rootalgebra import build_A, coset_chain_decompose, delta, \
     generalized_chain_decompose
 from .rootsys import RootSystem, build, parse_spec
 
 CO1_ORDER = 2**21 * 3**9 * 5**4 * 7**2 * 11 * 13 * 23
+BRUTE_FORCE_MAX_DIM = 10
 
 
 @dataclass(frozen=True)
@@ -187,53 +188,36 @@ def lagrangian_extension_count(n: int) -> int:
 def brute_force_lagrangians(space: F2QuadSpace) -> int:
     """Count maximal totally isotropic subspaces by exhaustive extension.
 
-    Subspaces are canonicalized by reduced row echelon form; every vector
-    of every subspace is re-checked to be singular along the way.
+    q is evaluated once per vector, from its definition, into a table, and
+    the polar form is read from it as q(u+v) - q(u) - q(v).  Subspaces are
+    canonicalized by reduced row echelon form.  A subspace is extended by
+    one candidate per coset v + span: the coset's reduced representative,
+    the v with none of the subspace's leading bits.  Every vector of each
+    distinct extension is re-checked to be singular, once.
     """
-    if space.dim > 10:
-        raise ValueError("brute force limited to dimension 10")
-    m = space.witt_index
-    nvec = 1 << space.dim
-    singular = [v for v in range(1, nvec) if space.q(v) == 0]
+    if space.dim > BRUTE_FORCE_MAX_DIM:
+        raise ValueError(
+            f"brute force limited to dimension {BRUTE_FORCE_MAX_DIM}")
+    q = [space.q(v) for v in range(1 << space.dim)]
+    singular = [v for v in range(1, len(q)) if q[v] == 0]
     level: set[tuple[int, ...]] = {()}
-    for _ in range(m):
+    for _ in range(space.witt_index):
         nxt: set[tuple[int, ...]] = set()
         for basis in level:
-            members = _span(basis)
+            leading = sum(1 << (p.bit_length() - 1) for p in basis)
             for v in singular:
-                if v in members:
+                if v & leading:
                     continue
-                if any(space.b(v, w) for w in basis):
+                if any(q[v ^ w] ^ q[v] ^ q[w] for w in basis):
                     continue
-                nb = _rref_bits(basis + (v,))
-                if any(space.q(x) for x in _span(nb)):
+                nb = f2_rref(basis + (v,))
+                if nb in nxt:
+                    continue
+                if any(q[x] for x in f2_span(nb)):
                     raise AssertionError("non-singular vector in extension")
                 nxt.add(nb)
         level = nxt
     return len(level)
-
-
-def _span(basis: tuple[int, ...]) -> set[int]:
-    out = {0}
-    for b in basis:
-        out |= {x ^ b for x in out}
-    return out
-
-
-def _rref_bits(rows: tuple[int, ...]) -> tuple[int, ...]:
-    basis: list[int] = []
-    for r in rows:
-        for p in basis:
-            r = min(r, r ^ p)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-    for i, p in enumerate(basis):
-        hi = p.bit_length() - 1
-        for j in range(len(basis)):
-            if j != i and (basis[j] >> hi) & 1:
-                basis[j] ^= p
-    return tuple(sorted(basis, reverse=True))
 
 
 # -- table consistency -----------------------------------------------------

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 from .bplus import build_bplus, build_phi, verify_theorem_3_1
 from .exactlin import QMatrix
-from .niemeier import (catalog, catalog_entry, F2QuadSpace,
-                       brute_force_lagrangians, lagrangian_extension_count,
-                       lemma_4_2_subalgebra, table1_consistency,
-                       table2_consistency)
+from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
+                       F2QuadSpace, brute_force_lagrangians,
+                       lagrangian_extension_count, lemma_4_2_subalgebra,
+                       table1_consistency, table2_consistency)
 from .ratio import Q, ZERO, q_str
 from .rootalgebra import (build_A, build_T, coset_chain_decompose, delta,
                           epsilon, _sub_positive_roots)
@@ -66,6 +66,12 @@ def check_size(rs: RootSystem, force: bool):
         raise ValueError(
             f"system has 2N = {2 * rs.N} > {SIZE_GUARD} basis vectors; "
             "pass --force to run anyway")
+
+
+def check_max_dim(max_dim: int):
+    if max_dim > BRUTE_FORCE_MAX_DIM:
+        raise ValueError(f"max dimension {max_dim} > {BRUTE_FORCE_MAX_DIM}, "
+                         "the limit of the GF(2) brute force")
 
 
 def _all_type_a(rs: RootSystem) -> bool:
@@ -272,8 +278,8 @@ def verify_cor_3_2(spec: str) -> VerifyReport:
     ra = build_A(rs)
     phi = build_phi(ra, build_bplus(rs))
     mat = phi.matrix()
-    rank = mat.rank()
     if _all_type_a(rs):
+        rank = mat.rank()
         rep.add(f"bijective: rank {rank} = 2N = dim target",
                 rank == 2 * rs.N == phi.codomain.dim,
                 f"rank {rank}, 2N {2 * rs.N}, dim {phi.codomain.dim}")
@@ -315,6 +321,7 @@ def verify_lemma_4_2(spec: str,
 @_timed
 def verify_formula_4_1(max_dim: int = 8) -> VerifyReport:
     """Brute-force Lagrangian counts against the product formula."""
+    check_max_dim(max_dim)
     rep = VerifyReport("formula4.1")
     rep.add("empty product convention: count(0) = 1",
             lagrangian_extension_count(0) == 1)
@@ -370,6 +377,7 @@ def run_target(target: str, spec: str | None = None, *,
     if target == "table2":
         return [verify_table_2()]
     if target == "all":
+        check_max_dim(max_dim)
         reports = []
         specs = [spec] if spec else list(DEFAULT_SPECS)
         for s in specs:

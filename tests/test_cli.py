@@ -122,3 +122,17 @@ class TestVerify:
 
     def test_type_a_target_on_d4(self, capsys):
         assert run(["verify", "eq2.5", "--spec", "D4"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "formula4.1", "--max-dim", "12"],
+        ["verify", "all", "--max-dim", "12"],
+        ["verify", "all", "--spec", "A1", "--max-dim", "12"]])
+    def test_max_dim_guard_runs_first(self, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("work started before the size guard")
+        monkeypatch.setattr("griess.verify.brute_force_lagrangians", never)
+        monkeypatch.setattr("griess.verify.build", never)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1

@@ -116,8 +116,106 @@ def dense(n, rows):
     return QMatrix([[row.get(c, 0) for c in range(n)] for row in rows])
 
 
+# -- reference: plain rational Gauss-Jordan on dense rows -------------------
+
+def gauss_jordan(entries, cols):
+    """(RREF rows, pivot columns) of a dense rational matrix, zero rows
+    kept at the bottom; the textbook loop, in Fraction arithmetic."""
+    m = [[Q(x) for x in r] for r in entries]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def ref_rank(m):
+    return len(gauss_jordan(m.entries, m.cols)[1])
+
+
+def ref_kernel_basis(m):
+    rows, pivots = gauss_jordan(m.entries, m.cols)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Q(0)] * m.cols
+        v[fc] = Q(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_solve(m, rhs):
+    rows, pivots = gauss_jordan(
+        [list(r) + [Q(b)] for r, b in zip(m.entries, rhs)], m.cols + 1)
+    if m.cols in pivots:
+        return None
+    x = [Q(0)] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][m.cols]
+    return x
+
+
+@st.composite
+def dense_matrices(draw):
+    """(QMatrix, rhs): random rational rows, mostly zeros, with zero rows
+    and combinations of earlier rows mixed in, often more rows than
+    columns; rhs is sometimes consistent by construction."""
+    cols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Q(0)), rationals)
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero":
+            row, b = [Q(0)] * cols, draw(st.sampled_from([Q(0), Q(1)]))
+        elif kind == "combination" and rows:
+            i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            a, c = draw(rationals), draw(rationals)
+            row = [a * x + c * y for x, y in zip(rows[i], rows[j])]
+            b = a * rhs[i] + c * rhs[j] + draw(st.sampled_from([0, 0, 1]))
+        else:
+            row = draw(st.lists(entry, min_size=cols, max_size=cols))
+            b = draw(rationals)
+        rows.append(row)
+        rhs.append(b)
+    return QMatrix(rows), rhs
+
+
+class TestQMatrixDifferential:
+    """QMatrix elimination against the plain Gauss-Jordan reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_matrices())
+    def test_rref(self, case):
+        m, _ = case
+        assert m.rref() == gauss_jordan(m.entries, m.cols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_matrices())
+    def test_rank_kernel_solve(self, case):
+        m, rhs = case
+        assert m.rank() == ref_rank(m) == m.rank_bareiss()
+        assert m.kernel_basis() == ref_kernel_basis(m)
+        assert m.solve(rhs) == ref_solve(m, rhs)
+        t = m.transpose()
+        assert t.rank() == ref_rank(t) == t.rank_bareiss()
+
+
 class TestSparseSolverDifferential:
-    """SparseSolver against dense rational elimination on QMatrix."""
+    """SparseSolver against the plain Gauss-Jordan reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_systems())
@@ -126,8 +224,8 @@ class TestSparseSolverDifferential:
         solver = SparseSolver(n)
         consistent = all([solver.add_equation(row, rhs) for row, rhs in eqs])
         m = dense(n, [row for row, _ in eqs])
-        dense_x = m.solve([rhs for _, rhs in eqs])
-        assert solver.rank == m.rank()
+        dense_x = ref_solve(m, [rhs for _, rhs in eqs])
+        assert solver.rank == ref_rank(m)
         assert consistent == (dense_x is not None)
         if consistent:
             assert solver.solution() == (dense_x if solver.rank == n else None)
@@ -141,10 +239,10 @@ class TestSparseSolverDifferential:
         solver = SparseSolver(n)
         for v in vectors:
             solver.add_equation(v, 0)
-        rank = dense(n, vectors).rank() if vectors else 0
+        rank = ref_rank(dense(n, vectors)) if vectors else 0
         assert solver.rank == rank
         assert solver.contains(candidate) == (
-            dense(n, vectors + [candidate]).rank() == rank)
+            ref_rank(dense(n, vectors + [candidate])) == rank)
 
 
 class TestF2Matrix:

@@ -101,6 +101,17 @@ class TestLagrangians:
         with pytest.raises(ValueError):
             brute_force_lagrangians(F2QuadSpace(12))
 
+    def test_recheck_catches_a_non_quadratic_q(self):
+        # q = 1 exactly on weight-3 vectors: every pair of basis vectors of
+        # span(0001, 0010, 0100) passes the polar test, yet 0111 is
+        # non-singular, so only the re-check of the extension can see it.
+        class WeightThree(F2QuadSpace):
+            def q(self, v):
+                return int(bin(v).count("1") == 3)
+
+        with pytest.raises(AssertionError, match="non-singular"):
+            brute_force_lagrangians(WeightThree(6))
+
 
 class TestTables:
     def test_table1_passes(self):
