@@ -1,19 +1,21 @@
 """Finite-dimensional commutative (non-associative) algebras over Q.
 
 A StructureAlgebra is a labeled basis together with sparse rational
-structure constants and a symmetric bilinear form.  Products and form
-values of basis pairs may be supplied as explicit tables or as callables.
+structure constants and a symmetric bilinear form, each given by rows: row
+i lists only the j with b_i * b_j != 0 (resp. <b_i, b_j> != 0).  A row
+source is a callable i -> {j: value}, or a table keyed by (i, j) with
+i <= j, which is grouped into rows once.
 
-Either way they are compiled, lazily and one basis vector at a time, into
-neighbour lists: for each i, the j with b_i * b_j != 0 (resp. <b_i, b_j>
-!= 0) and the integer numerators of their values over one denominator per
-list.  Element products and forms scale their operands to integers and
-walk the neighbour lists of the sparser operand, so exact rationals are
-built only for the output coefficients.
+Rows are compiled lazily, one basis vector at a time, into neighbour
+lists: the integer numerators of the row's values over one denominator.
+Element products and forms scale their operands to integers and walk the
+neighbour lists of the sparser operand, so exact rationals are built only
+for the output coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -26,7 +28,7 @@ Sparse = dict  # index -> rational, no zero values stored
 
 def _encode_product(p: Sparse):
     """(((k, numerator), ...), denominator) of a basis product, or None."""
-    p = {k: v for k, v in p.items() if v != 0}
+    p = {k: v for k, v in p.items() if v}
     if not p:
         return None
     den = math.lcm(*(v.denominator for v in p.values()))
@@ -36,33 +38,43 @@ def _encode_product(p: Sparse):
 
 def _encode_form(v):
     """(numerator, denominator) of a form value, or None when it is 0."""
-    v = Q(v)
     return (v.numerator, v.denominator) if v else None
 
 
 def _q_str(num: int, den: int) -> str:
-    """q_str of num/den."""
-    return str(num) if den == 1 else q_str(Q(num, den))
+    """q_str of num/den, for den > 0."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _row_source(table: Mapping, dim: int) -> Callable[[int], dict]:
+    """Rows of a symmetric table keyed by (i, j) with i <= j."""
+    rows: list[dict] = [{} for _ in range(dim)]
+    for (i, j), v in table.items():
+        rows[i][j] = rows[j][i] = v
+    return rows.__getitem__
 
 
 class StructureAlgebra:
-    """Commutative algebra given by basis products b_i * b_j and a form."""
+    """Commutative algebra given by rows of basis products and of a form.
+
+    product(i) -> {j: {k: value}} gives b_i * b_j = sum_k value b_k and
+    form(i) -> {j: value} gives <b_i, b_j>, over the j where they are not
+    zero (listed zeros are dropped); values are ints or rationals.  Either
+    may instead be a Mapping keyed by (i, j) with i <= j.  Each row is read
+    once, when an element first needs it.
+    """
 
     def __init__(self, basis_labels: Sequence[str],
-                 product: Callable[[int, int], Sparse] | Mapping,
-                 form: Callable[[int, int], object] | Mapping):
+                 product: Callable[[int], Mapping] | Mapping,
+                 form: Callable[[int], Mapping] | Mapping):
         self.basis_labels = list(basis_labels)
         self.dim = len(self.basis_labels)
-        if not callable(product):
-            table = {k: dict(v) for k, v in product.items()}
-            product = lambda i, j: table.get((i, j), {})  # noqa: E731
-        if not callable(form):
-            gram = dict(form)
-            form = lambda i, j: gram.get((i, j), ZERO)  # noqa: E731
-        self._product_fn = product
-        self._form_fn = form
+        self._product_fn = (product if callable(product)
+                            else _row_source(product, self.dim))
+        self._form_fn = form if callable(form) else _row_source(form, self.dim)
         # Row i: None until compiled, then (den, {j: entry}) over the j with
-        # a non-zero entry; see _compile.
+        # a non-zero entry, sorted by j; see _compile.
         self._product_rows: list = [None] * self.dim
         self._form_rows: list = [None] * self.dim
         self._gram: QMatrix | None = None
@@ -71,26 +83,26 @@ class StructureAlgebra:
 
     def _compile(self, rows: list, i: int, source: Callable,
                  encode: Callable, rescale: Callable) -> tuple:
-        """Compile row i of a symmetric table from its source callable.
+        """Compile row i of a symmetric table from its source row.
 
         An entry already held by a compiled row j is taken from there
-        instead of being evaluated again, and shared when the denominators
-        agree, so each unordered pair is evaluated at most once.
+        instead of being encoded again, and shared when the denominators
+        agree, so each unordered pair is encoded at most once.
         """
-        raw = {}
-        for j, other in enumerate(rows):
-            if other is not None:
-                e = other[1].get(i)
-                if e is not None:
-                    raw[j] = (e, other[0])
+        raw = []
+        src = source(i)
+        for j in sorted(src):
+            other = rows[j]
+            if other is None:
+                e = encode(src[j])
             else:
-                v = source(i, j) if i <= j else source(j, i)
-                e = encode(v) if v else None
-                if e is not None:
-                    raw[j] = e
-        den = math.lcm(*{d for _, d in raw.values()})
+                e = other[1].get(i)
+                e = None if e is None else (e, other[0])
+            if e is not None:
+                raw.append((j, e))
+        den = math.lcm(*{d for _, (_, d) in raw})
         row = rows[i] = (den, {j: e if d == den else rescale(e, den // d)
-                               for j, (e, d) in raw.items()})
+                               for j, (e, d) in raw})
         return row
 
     def _product_row(self, i: int) -> tuple:
@@ -235,13 +247,15 @@ class StructureAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "StructureAlgebra":
-        table = {(i, j): {int(k): q_parse(v) for k, v in terms}
+        # few distinct strings occur, so each is parsed once
+        parse = functools.cache(q_parse)
+        table = {(i, j): {int(k): parse(v) for k, v in terms}
                  for i, j, terms in data["products"]}
         # keep only the non-zero entries: the form defaults to 0.  Every
         # entry but the literal "0", which to_json writes, is parsed.
         n = len(data["basis"])
         form = {(i, j): v for i in range(n) for j in range(i, n)
-                if (e := data["gram"][i][j]) != "0" and (v := q_parse(e))}
+                if (e := data["gram"][i][j]) != "0" and (v := parse(e))}
         return cls(data["basis"], table, form)
 
 

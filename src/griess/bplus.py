@@ -22,12 +22,13 @@ radical of the form on the root algebra otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .algebra import AlgebraElement, StructureAlgebra
 from .exactlin import QMatrix
 from .ratio import ONE, Q, ZERO
 from .rootalgebra import RootAlgebra
-from .rootsys import RootSystem, dot
+from .rootsys import RootSystem, doubled
 
 HALF = Q(1, 2)
 
@@ -55,71 +56,59 @@ class BPlusAlgebra:
 
 
 def build_bplus(rs: RootSystem) -> BPlusAlgebra:
-    l = rs.l
+    l, N = rs.l, rs.N
     sym_pairs = [(a, b) for a in range(l) for b in range(a, l)]
     sym_index = {p: i for i, p in enumerate(sym_pairs)}
     ns = len(sym_pairs)
-    N = rs.N
+    idx = [[sym_index[min(a, b), max(a, b)] for b in range(l)]
+           for a in range(l)]
 
-    # Gram matrix of the simple roots (integer entries, roots have norm 2).
-    S = [[dot(rs.simple_roots[a], rs.simple_roots[b]) for b in range(l)]
-         for a in range(l)]
-    # (simple root a, positive root r)
-    P = [[sum(S[a][b] * rs.simple_coeffs[r][b] for b in range(l))
-          for r in range(N)] for a in range(l)]
-
-    # alpha^2 of each positive root, expanded over the symmetric pairs
-    squares: list[dict] = []
-    for r in range(N):
-        c = rs.simple_coeffs[r]
-        sq: dict = {}
+    # Cartan matrix of the simple roots, from the doubled coordinates
+    simple = [doubled(a) for a in rs.simple_roots]
+    S = [[sum(map(mul, x, y)) // 4 for y in simple] for x in simple]
+    near = [[c for c in range(l) if S[a][c]] for a in range(l)]
+    # P[a] = {r: (alpha_a, r)} over the positive roots r where it is not 0
+    P: list[dict] = [{} for _ in range(l)]
+    squares: list[dict] = []  # alpha^2 of each positive root over S^2
+    for r, c in enumerate(rs.simple_coeffs):
+        supp = [b for b in range(l) if c[b]]
         for a in range(l):
-            if c[a] == 0:
-                continue
-            for b in range(a, l):
-                if c[b] == 0:
-                    continue
-                v = Q(c[a] * c[b] * (1 if a == b else 2))
-                sq[sym_index[(a, b)]] = v
-        squares.append(sq)
+            if p := sum(S[a][b] * c[b] for b in supp):
+                P[a][r] = p
+        squares.append({idx[a][b]: c[a] * c[b] * (1 if a == b else 2)
+                        for a in supp for b in supp if a <= b})
 
-    def add(out: dict, idx: int, v):
-        if v != 0:
-            out[idx] = out.get(idx, ZERO) + v
-            if out[idx] == 0:
-                del out[idx]
+    def product(i: int) -> dict:
+        if i >= ns:
+            r = i - ns
+            row = {ns + s: {ns + g: 1} for s, g in rs.neighbours[r]}
+            row[i] = {k: 2 * v for k, v in squares[r].items()}
+            pairings = [(a, Pa[r]) for a, Pa in enumerate(P) if r in Pa]
+            row.update((idx[a][b], {i: 2 * p * q})
+                       for a, p in pairings for b, q in pairings if a <= b)
+            return row
+        a, b = sym_pairs[i]
+        # (ab)(cd) = (a,c)bd + (a,d)bc + (b,c)ad + (b,d)ac, collected per cd
+        # from the c that are a, b or a Cartan neighbour of one.  A square cc
+        # stands for both orderings of (c, d), so it takes its term twice.
+        row = {}
+        for x, y in ((a, b), (b, a)):
+            for c in near[x]:
+                for d in range(l):
+                    terms = row.setdefault(idx[c][d], {})
+                    k = idx[y][d]
+                    terms[k] = terms.get(k, 0) + S[x][c] * (1 + (c == d))
+        pa, pb = P[a], P[b]
+        row.update((ns + r, {ns + r: 2 * pa[r] * pb[r]})
+                   for r in pa.keys() & pb.keys())
+        return row
 
-    def product(i: int, j: int) -> dict:
-        out: dict = {}
-        if i < ns and j < ns:
-            a, b = sym_pairs[i]
-            c, d = sym_pairs[j]
-            for (p, q, w) in ((b, d, S[a][c]), (b, c, S[a][d]),
-                              (a, d, S[b][c]), (a, c, S[b][d])):
-                if w != 0:
-                    add(out, sym_index[(p, q) if p <= q else (q, p)], Q(w))
-        elif i < ns <= j:
-            a, b = sym_pairs[i]
-            r = j - ns
-            w = 2 * P[a][r] * P[b][r]
-            add(out, j, Q(w))
-        else:
-            r, s = i - ns, j - ns
-            if r == s:
-                for k, v in squares[r].items():
-                    add(out, k, 2 * v)
-            elif rs.rel[r][s] == 1:
-                add(out, ns + rs.gamma[(r, s)], ONE)
-        return out
-
-    def form(i: int, j: int):
-        if i < ns and j < ns:
-            a, b = sym_pairs[i]
-            c, d = sym_pairs[j]
-            return Q(S[a][c] * S[b][d] + S[a][d] * S[b][c])
-        if i >= ns and j >= ns:
-            return Q(2) if i == j else ZERO
-        return ZERO
+    def form(i: int) -> dict:
+        if i >= ns:
+            return {i: 2}
+        a, b = sym_pairs[i]
+        return {idx[c][d]: S[a][c] * S[b][d] + S[a][d] * S[b][c]
+                for c in near[a] for d in near[b]}
 
     labels = ([f"s({a},{b})" for a, b in sym_pairs]
               + [f"x({r})" for r in range(N)])
@@ -167,7 +156,7 @@ class PhiMap:
         for r, c in sums.items():
             if c:
                 for k, v in bp._sq[r].items():
-                    out[k] = out.get(k, 0) + c * v.numerator
+                    out[k] = out.get(k, 0) + c * v
         coeffs = {k: Q(v, 2 * den) for k, v in out.items() if v}
         coeffs.update((bp.num_sym + r, Q(v, den))
                       for r, v in diffs.items() if v)

@@ -33,8 +33,8 @@ def _emit(args, payload: dict, text: str):
 
 
 def _cmd_roots(args) -> int:
+    check_size(args.spec, args.force)
     rs = build(args.spec)
-    check_size(rs, args.force)
     payload = {
         "spec": rs.spec_string(),
         "components": [str(c) for c in rs.components],
@@ -55,8 +55,8 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_algebra(args) -> int:
+    check_size(args.spec, args.force)
     rs = build(args.spec)
-    check_size(rs, args.force)
     if args.kind == "A":
         alg = build_A(rs).alg
     elif args.kind == "T":
@@ -73,8 +73,8 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_bplus(args) -> int:
+    check_size(args.spec, args.force)
     rs = build(args.spec)
-    check_size(rs, args.force)
     bp = build_bplus(rs)
     if args.dump_json or args.json:
         print(json.dumps(bp.alg.to_json()))
@@ -85,8 +85,8 @@ def _cmd_bplus(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    check_size(args.spec, args.force)
     rs = build(args.spec)
-    check_size(rs, args.force)
     ra = build_A(rs)
     if args.chain:
         rep = generalized_chain_decompose(ra, _parse_chain(args.chain))

@@ -4,7 +4,7 @@ SparseSolver, incremental, sparse and fraction-free, is the one eliminator
 over the rationals: QMatrix, a dense rational matrix, feeds it its rows for
 rref / rank / kernel / solve.  rank_bareiss, a dense fraction-free Bareiss
 elimination, is the independent cross-check of rank.  Over GF(2) rows are
-bitmasks; f2_rref and f2_span serve F2Matrix and the Lagrangian count.
+bitmasks; f2_rref and f2_span serve the Lagrangian count.
 """
 
 from __future__ import annotations
@@ -222,36 +222,6 @@ def _primitive(row: dict, rhs: int, pc: int) -> tuple[dict, int]:
     return {k: v // g for k, v in row.items()}, rhs // g
 
 
-class F2Matrix:
-    """Matrix over GF(2); each row stored as a bitmask (bit j = column j)."""
-
-    __slots__ = ("rows", "cols", "bits")
-
-    def __init__(self, cols: int, rows_bits: Iterable[int]):
-        object.__setattr__(self, "cols", cols)
-        bits = tuple(int(b) for b in rows_bits)
-        if any(b >> cols for b in bits):
-            raise ValueError("row exceeds column count")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "rows", len(bits))
-
-    def __setattr__(self, *a):
-        raise AttributeError("F2Matrix is immutable")
-
-    def rref_bits(self) -> list[int]:
-        """Reduced rows with distinct leading bits, highest bit first."""
-        return list(f2_rref(self.bits))
-
-    def rank(self) -> int:
-        return len(self.rref_bits())
-
-    def row_space_members(self) -> Iterable[int]:
-        """All 2^rank vectors of the row space.  Guarded against blow-up."""
-        if self.rows > 24:
-            raise ValueError("row space enumeration limited to 24 rows")
-        yield from f2_span(f2_rref(self.bits))
-
-
 def f2_rref(rows: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon form over GF(2) of bitmask rows: the non-zero
     rows, highest leading bit first, each leading bit set in one row only.
@@ -275,7 +245,3 @@ def f2_span(basis: Sequence[int]) -> list[int]:
     for b in basis:
         out += [x ^ b for x in out]
     return out
-
-
-def f2_row_space_members(m: F2Matrix) -> list[int]:
-    return list(m.row_space_members())

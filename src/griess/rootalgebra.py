@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, DecompositionReport, StructureAlgebra
-from .ratio import ONE, Q, ZERO
-from .rootsys import RootSystem, SimpleType, build
+from .ratio import Q
+from .rootsys import RootSystem
 
 HALF = Q(1, 2)
 
@@ -43,45 +43,31 @@ class RootAlgebra:
 
 
 def _make_algebra(rs: RootSystem, t_only: bool) -> StructureAlgebra:
-    N = rs.N
-    rel = rs.rel
-    gamma = rs.gamma
+    """A(Phi), or its t-span T(Phi), with rows read from the neighbour
+    lists: basis t-block 0..N-1, then u-block N..2N-1."""
+    N, nbrs = rs.N, rs.neighbours
 
-    # basis index: t-block 0..N-1, then u-block N..2N-1
-    def split(i: int) -> tuple[bool, int]:
-        return (i < N, i if i < N else i - N)
+    def product(i: int) -> dict:
+        r, u = i % N, N if i >= N else 0
+        row = {i: {i: 8}}
+        for s, g in nbrs[r]:
+            # t*t and u*u close on t(gamma), mixed pairs on u(gamma)
+            row[s] = {i: 1, s: 1, g + u: -1}
+            if not t_only:
+                row[s + N] = {i: 1, s + N: 1, g + N - u: -1}
+        return row
 
-    def product(i: int, j: int) -> dict:
-        ti, ri = split(i)
-        tj, rj = split(j)
-        if ri == rj:
-            if ti == tj:
-                return {i: Q(8)}
-            return {}  # t(a)*u(a) falls under the orthogonal-or-equal rule
-        if rel[ri][rj] == 2:
-            return {}
-        g = gamma[(ri, rj)]
-        if ti == tj:
-            # t*t closes on t(gamma); u*u also closes on t(gamma)
-            return {i: ONE, j: ONE, g: -ONE}
-        # mixed: the third-root term carries the letter u
-        return {i: ONE, j: ONE, (g + N): -ONE}
+    def form(i: int) -> dict:
+        row = {i: 4}
+        for s, _ in nbrs[i % N]:
+            row[s] = HALF
+            if not t_only:
+                row[s + N] = HALF
+        return row
 
-    def form(i: int, j: int):
-        ti, ri = split(i)
-        tj, rj = split(j)
-        if ri == rj:
-            return Q(4) if ti == tj else ZERO
-        return HALF if rel[ri][rj] == 1 else ZERO
-
-    if t_only:
-        labels = [f"t({i})" for i in range(N)]
-
-        def t_product(i, j):
-            return product(i, j)
-
-        return StructureAlgebra(labels, t_product, form)
-    labels = ([f"t({i})" for i in range(N)] + [f"u({i})" for i in range(N)])
+    labels = [f"t({i})" for i in range(N)]
+    if not t_only:
+        labels += [f"u({i})" for i in range(N)]
     return StructureAlgebra(labels, product, form)
 
 
@@ -149,21 +135,20 @@ def _sub_t_identity(ra: RootAlgebra, root_indices: list[int]) -> AlgebraElement:
     if not root_indices:
         return ra.alg.zero()
     pos = {r: k for k, r in enumerate(root_indices)}
-    rs = ra.rs
+    nbrs = ra.rs.neighbours
 
-    def product(i, j):
-        ri, rj = root_indices[i], root_indices[j]
-        if ri == rj:
-            return {i: Q(8)}
-        if rs.rel[ri][rj] == 2:
-            return {}
-        g = rs.gamma[(ri, rj)]
-        if g not in pos:
-            raise ValueError("simple-root subset does not define a closed sub-system")
-        return {i: ONE, j: ONE, pos[g]: -ONE}
+    def product(k: int) -> dict:
+        row = {k: {k: 8}}
+        for s, g in nbrs[root_indices[k]]:
+            if s in pos:
+                if g not in pos:
+                    raise ValueError("simple-root subset does not define a "
+                                     "closed sub-system")
+                row[pos[s]] = {k: 1, pos[s]: 1, pos[g]: -1}
+        return row
 
     sub = StructureAlgebra([str(r) for r in root_indices], product,
-                           lambda i, j: ZERO)
+                           lambda k: {})
     ident = sub.find_identity()
     if ident is None:
         raise ValueError("sub-system t-span has no identity")

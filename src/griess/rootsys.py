@@ -133,7 +133,7 @@ def _simple_roots_E8() -> list[Root]:
     return [a1, a2] + rest
 
 
-def _doubled(r: Root) -> tuple[int, ...]:
+def doubled(r: Root) -> tuple[int, ...]:
     """2r, which has integer coordinates in every model (E8 included)."""
     return tuple(int(2 * c) for c in r)
 
@@ -148,8 +148,8 @@ def _positive_with_coeffs(simple: list[Root], roots: list[Root],
     root, so a search from the simple roots that adds one simple root at a
     time reaches each positive root, with its integer coefficients.
     """
-    known = {_doubled(r): r for r in roots}
-    steps = [_doubled(a) for a in simple]
+    known = {doubled(r): r for r in roots}
+    steps = [doubled(a) for a in simple]
     found = {a: tuple(int(k == m) for m in range(len(steps)))
              for k, a in enumerate(steps)}
     frontier = list(found)
@@ -237,9 +237,11 @@ class RootSystem:
         n = self.N
         self.rel = [bytearray(n) for _ in range(n)]  # 0 same, 1 ~, 2 perp
         self.gamma: dict[tuple[int, int], int] = {}
+        # per root i: [(j, gamma(i, j))] over its Delta_1, sorted by j
+        self.neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         # Doubled coordinates are integers (the E8 half-integers included),
         # so dot products and root sums need no rational arithmetic.
-        roots = [_doubled(r) for r in self.positive_roots]
+        roots = [doubled(r) for r in self.positive_roots]
         index = {}  # +-2r -> index of the positive root r
         for i, r in enumerate(roots):
             index[r] = index[tuple(-c for c in r)] = i
@@ -257,6 +259,8 @@ class RootSystem:
                 g = index.get(tuple(map(op, ri, rj)))
                 assert g is not None, "triple closure violated"
                 self.gamma[(i, j)] = self.gamma[(j, i)] = g
+                self.neighbours[i].append((j, g))
+                self.neighbours[j].append((i, g))
 
     def _check_invariants(self):
         for i, r in enumerate(self.positive_roots):
@@ -268,8 +272,7 @@ class RootSystem:
                 raise AssertionError("2N = lh violated")
             h = comp.coxeter
             for i in sl:
-                deg = sum(1 for j in sl if self.rel[i][j] == 1)
-                if deg != 2 * h - 4:
+                if len(self.neighbours[i]) != 2 * h - 4:
                     raise AssertionError("|Delta_1| = 2h-4 violated")
 
     # -- queries -----------------------------------------------------------

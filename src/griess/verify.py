@@ -20,7 +20,7 @@ from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
 from .ratio import Q, ZERO, q_str
 from .rootalgebra import (build_A, build_T, coset_chain_decompose, delta,
                           epsilon, _sub_positive_roots)
-from .rootsys import RootSystem, build
+from .rootsys import SimpleType, build, parse_spec
 
 TARGETS = ("lemma2.1", "prop2.2", "lemma2.3", "lemma2.4", "eq2.5",
            "lemma2.5", "lemma2.6", "thm2.7", "thm3.1", "cor3.2",
@@ -61,10 +61,17 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def check_size(rs: RootSystem, force: bool):
-    if 2 * rs.N > SIZE_GUARD and not force:
+def _two_n(spec: str) -> int:
+    """2N = sum of l h over the components, without building the roots."""
+    return 2 * sum(c.num_positive for c in parse_spec(spec))
+
+
+def check_size(spec: str, force: bool):
+    """Refuse a spec with 2N beyond the guard, before anything is built."""
+    two_n = _two_n(spec)
+    if two_n > SIZE_GUARD and not force:
         raise ValueError(
-            f"system has 2N = {2 * rs.N} > {SIZE_GUARD} basis vectors; "
+            f"system has 2N = {two_n} > {SIZE_GUARD} basis vectors; "
             "pass --force to run anyway")
 
 
@@ -74,8 +81,8 @@ def check_max_dim(max_dim: int):
                          "the limit of the GF(2) brute force")
 
 
-def _all_type_a(rs: RootSystem) -> bool:
-    return all(c.family == "A" for c in rs.components)
+def _all_type_a(components: list[SimpleType]) -> bool:
+    return all(c.family == "A" for c in components)
 
 
 def _timed(fn):
@@ -157,7 +164,7 @@ def verify_eq_2_5(spec: str) -> VerifyReport:
     """c(delta - epsilon) = 2l/(l+3) per type-A component."""
     rep = VerifyReport(f"eq2.5 [{spec}]")
     rs = build(spec)
-    if not _all_type_a(rs):
+    if not _all_type_a(rs.components):
         raise ValueError("eq2.5 applies to type-A systems only")
     ra = build_A(rs)
     c = (delta(ra) - epsilon(ra)).central_charge()
@@ -184,7 +191,7 @@ def verify_lemma_2_5(spec: str) -> VerifyReport:
     """<eps - eps', eps'> = 0 along each type-A sub-system chain."""
     rep = VerifyReport(f"lemma2.5 [{spec}]")
     rs = build(spec)
-    if not _all_type_a(rs):
+    if not _all_type_a(rs.components):
         raise ValueError("lemma2.5 applies to type-A systems only")
     ra = build_A(rs)
     for ci, comp in enumerate(rs.components):
@@ -208,7 +215,7 @@ def verify_lemma_2_6(spec: str) -> VerifyReport:
     """c(eps - eps') = 1 - 6/((i+2)(i+3)) along each type-A chain."""
     rep = VerifyReport(f"lemma2.6 [{spec}]")
     rs = build(spec)
-    if not _all_type_a(rs):
+    if not _all_type_a(rs.components):
         raise ValueError("lemma2.6 applies to type-A systems only")
     ra = build_A(rs)
     for ci, comp in enumerate(rs.components):
@@ -230,7 +237,7 @@ def verify_thm_2_7(spec: str) -> VerifyReport:
     """Full chain decomposition: clauses (i)-(iii), charges, associativity."""
     rep = VerifyReport(f"thm2.7 [{spec}]")
     rs = build(spec)
-    if not _all_type_a(rs):
+    if not _all_type_a(rs.components):
         raise ValueError("thm2.7 applies to type-A systems only")
     ra = build_A(rs)
     try:
@@ -278,7 +285,7 @@ def verify_cor_3_2(spec: str) -> VerifyReport:
     ra = build_A(rs)
     phi = build_phi(ra, build_bplus(rs))
     mat = phi.matrix()
-    if _all_type_a(rs):
+    if _all_type_a(rs.components):
         rank = mat.rank()
         rep.add(f"bijective: rank {rank} = 2N = dim target",
                 rank == 2 * rs.N == phi.codomain.dim,
@@ -351,15 +358,16 @@ def verify_table_2() -> VerifyReport:
 
 def targets_for_spec(spec: str) -> list[str]:
     """Verification targets applicable to one root-system spec."""
-    rs = build(spec)
+    comps = parse_spec(spec)
     out = ["lemma2.1", "prop2.2", "lemma2.3", "lemma2.4"]
-    if _all_type_a(rs):
+    if _all_type_a(comps):
         out += ["eq2.5", "lemma2.5", "lemma2.6", "thm2.7"]
     # The basis-pair homomorphism check is quadratic in 2N with dense
     # products; keep it to systems where it stays under a few seconds.
-    if 2 * rs.N <= 160:
+    if _two_n(spec) <= 160:
         out += ["thm3.1", "cor3.2"]
-    if rs.l == 24 and any(e.name == spec for e in catalog()):
+    if sum(c.rank for c in comps) == 24 and any(e.name == spec
+                                                for e in catalog()):
         out.append("lemma4.2")
     return out
 
@@ -381,7 +389,7 @@ def run_target(target: str, spec: str | None = None, *,
         reports = []
         specs = [spec] if spec else list(DEFAULT_SPECS)
         for s in specs:
-            check_size(build(s), force)
+            check_size(s, force)
             for t in targets_for_spec(s):
                 reports.extend(run_target(t, s, force=force, chains=chains))
         reports += [verify_formula_4_1(max_dim), verify_table_1(),
@@ -389,7 +397,7 @@ def run_target(target: str, spec: str | None = None, *,
         return reports
     if spec is None:
         raise ValueError(f"target {target} needs a root-system spec")
-    check_size(build(spec), force)
+    check_size(spec, force)
     fn = {
         "lemma2.1": verify_lemma_2_1, "prop2.2": verify_prop_2_2,
         "lemma2.3": verify_lemma_2_3, "lemma2.4": verify_lemma_2_4,

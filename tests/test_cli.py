@@ -3,6 +3,7 @@ import json
 import pytest
 
 from griess.cli import run
+from griess.rootsys import RootSystem
 
 
 def run_captured(capsys, argv):
@@ -30,6 +31,16 @@ class TestRoots:
     def test_size_guard(self):
         assert run(["roots", "A40"]) == 2
         assert run(["roots", "A40", "--force"]) == 0
+
+    @pytest.mark.parametrize("command",
+                             ["roots", "algebra", "bplus", "decompose"])
+    def test_size_guard_runs_before_build(self, capsys, monkeypatch,
+                                          command):
+        def never(*args):
+            raise AssertionError("roots built before the size guard")
+        monkeypatch.setattr("griess.cli.build", never)
+        assert run([command, "A40"]) == 2
+        assert "2N = 1640" in capsys.readouterr().err
 
 
 class TestAlgebraDump:
@@ -113,6 +124,18 @@ class TestVerify:
         second = json.loads(second)
         first["reports"][0]["elapsed"] = second["reports"][0]["elapsed"] = 0
         assert first == second
+
+    @pytest.mark.parametrize("target", ["lemma2.1", "thm3.1"])
+    def test_one_build_per_target(self, capsys, monkeypatch, target):
+        init, builds = RootSystem.__init__, []
+
+        def counted(rs, components):
+            builds.append(components)
+            init(rs, components)
+        monkeypatch.setattr(RootSystem, "__init__", counted)
+        assert run(["verify", target, "--spec", "A2"]) == 0
+        capsys.readouterr()
+        assert len(builds) == 1
 
     def test_unknown_target(self):
         assert run(["verify", "lemma9.9"]) == 2

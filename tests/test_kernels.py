@@ -1,14 +1,21 @@
-"""Differential tests: the compiled integer kernels behind element products
-and forms against the plain bilinear expansion over basis pairs, and the
-map of Theorem 3.1 against the sum of its scaled basis images."""
+"""Differential tests: the compiled basis tables of A, T and B+ against
+the per-pair rules of the paper, the compiled integer kernels behind
+element products and forms against the plain bilinear expansion over basis
+pairs, and the map of Theorem 3.1 against the sum of its scaled basis
+images."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from griess.algebra import StructureAlgebra
+from griess.bplus import build_bplus
 from griess.ratio import Q, q_parse, q_str
+from griess.rootalgebra import build_A, build_T
+from griess.rootsys import build, dot
 
-from conftest import algebra_A, algebra_T, bplus, phi
+from conftest import algebra_A, algebra_T, bplus, phi, system
 
 SPECS = ("A1", "A2", "A3", "D4", "A1^2", "A2+A1")
 KINDS = {"A": lambda spec: algebra_A(spec).alg,
@@ -17,6 +24,119 @@ KINDS = {"A": lambda spec: algebra_A(spec).alg,
 
 rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 12))
 nonzero = rationals.filter(lambda q: q != 0)
+
+
+# -- reference rules, one basis pair at a time -----------------------------
+
+def root_algebra_rules(rs):
+    """A(Phi) on t(0..N-1), u(N..2N-1): squares scale by 8, t(a) u(a) = 0,
+    orthogonal roots multiply to 0, and a non-orthogonal pair closes on its
+    third root g: t t and u u on -t(g), t u on -u(g).  The form is 4 on equal
+    letters of a root, 1/2 on any letters of non-orthogonal roots, else 0.
+    T(Phi) is the t-block."""
+    N = rs.N
+
+    def product(i, j):
+        (ti, ri), (tj, rj) = (i < N, i % N), (j < N, j % N)
+        if ri == rj:
+            return {i: 8} if ti == tj else {}
+        if rs.rel[ri][rj] == 2:
+            return {}
+        g = rs.gamma[(ri, rj)]
+        return {i: 1, j: 1, (g if ti == tj else g + N): -1}
+
+    def form(i, j):
+        (ti, ri), (tj, rj) = (i < N, i % N), (j < N, j % N)
+        if ri == rj:
+            return 4 if ti == tj else 0
+        return Q(1, 2) if rs.rel[ri][rj] == 1 else 0
+
+    return product, form
+
+
+def bplus_rules(rs):
+    """B+ on the products ab (a <= b) of simple roots, then x_r:
+    (ab)(cd) = (a,c)bd + (a,d)bc + (b,c)ad + (b,d)ac, (ab)x_r =
+    2(a,r)(b,r) x_r, x_r x_s = 0 / x_g / 2 r^2 (orthogonal / closing on g /
+    equal); <ab,cd> = (a,c)(b,d) + (a,d)(b,c), <ab,x_r> = 0,
+    <x_r,x_s> = 2 [r = s]."""
+    l = rs.l
+    pairs = [(a, b) for a in range(l) for b in range(a, l)]
+    ns = len(pairs)
+    S = [[dot(x, y) for y in rs.simple_roots] for x in rs.simple_roots]
+    P = [[sum(S[a][b] * c[b] for b in range(l)) for c in rs.simple_coeffs]
+         for a in range(l)]
+
+    def sym(a, b):
+        return pairs.index((min(a, b), max(a, b)))
+
+    def collect(terms):
+        out = {}
+        for k, v in terms:
+            out[k] = out.get(k, 0) + v
+        return {k: v for k, v in out.items() if v}
+
+    def product(i, j):
+        if i < ns and j < ns:
+            (a, b), (c, d) = pairs[i], pairs[j]
+            return collect([(sym(b, d), S[a][c]), (sym(b, c), S[a][d]),
+                            (sym(a, d), S[b][c]), (sym(a, c), S[b][d])])
+        if i >= ns and j >= ns:
+            r, s = i - ns, j - ns
+            if r == s:  # 2 r^2 with r = sum of c_a alpha_a
+                c = rs.simple_coeffs[r]
+                return collect([(sym(a, b), 2 * c[a] * c[b])
+                                for a in range(l) for b in range(l)])
+            return {} if rs.rel[r][s] == 2 else {ns + rs.gamma[(r, s)]: 1}
+        (a, b), x = pairs[min(i, j)], max(i, j)
+        return collect([(x, 2 * P[a][x - ns] * P[b][x - ns])])
+
+    def form(i, j):
+        if i < ns and j < ns:
+            (a, b), (c, d) = pairs[i], pairs[j]
+            return S[a][c] * S[b][d] + S[a][d] * S[b][c]
+        return 2 if i == j >= ns else 0
+
+    return product, form
+
+
+RULES = {"A": root_algebra_rules, "T": root_algebra_rules, "B+": bplus_rules}
+
+
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("spec", ["A1", "A3", "D4", "E6", "A2+A1"])
+def test_basis_tables_match_the_rules(kind, spec):
+    alg = KINDS[kind](spec)
+    product, form = RULES[kind](system(spec))
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert alg.basis_product(i, j) == product(i, j), (i, j)
+            assert alg.basis_form(i, j) == form(i, j), (i, j)
+
+
+@pytest.mark.parametrize("make", [build_A, build_T, build_bplus],
+                         ids=["A", "T", "B+"])
+def test_each_row_source_is_read_once(make, monkeypatch):
+    calls = Counter()
+
+    def counted(name, source):
+        def row(i):
+            calls[name] += 1
+            return source(i)
+        return row
+
+    class Counted(StructureAlgebra):
+        def __init__(self, labels, product, form):
+            super().__init__(labels, counted("product", product),
+                             counted("form", form))
+
+    for module in ("rootalgebra", "bplus"):
+        monkeypatch.setattr(f"griess.{module}.StructureAlgebra", Counted)
+    alg = make(build("D4")).alg
+    x = alg.element([1] * alg.dim)
+    alg.to_json()  # compiles every row of both tables
+    alg.find_identity(), x * x, x.form(x)  # each reads every row again
+    assert calls == {"product": alg.dim, "form": alg.dim}
 
 
 def elements(alg):
