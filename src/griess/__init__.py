@@ -1,10 +1,7 @@
 """Exact-arithmetic algebras of simply-laced root systems, the weight-2
 lattice algebra they map onto, and the rank-24 lattice counting layer."""
 
-from .algebra import (AlgebraElement, DecompositionReport, StructureAlgebra,
-                      are_orthogonal, central_charge, find_identity,
-                      is_associative_span, is_idempotent, multiply,
-                      radical_dimension)
+from .algebra import AlgebraElement, DecompositionReport, StructureAlgebra
 from .bplus import (BPlusAlgebra, PhiMap, build_bplus, build_phi,
                     verify_theorem_3_1)
 from .niemeier import (F2QuadSpace, NiemeierEntry, Table2Row,

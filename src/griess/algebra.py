@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactlin import QMatrix, SparseSolver
 from .ratio import ONE, Q, ZERO, q_parse, q_str
@@ -154,6 +154,48 @@ class StructureAlgebra:
     def basis_element(self, i: int) -> "AlgebraElement":
         return AlgebraElement(self, {i: ONE})
 
+    def first_unfixed_basis(self, x: "AlgebraElement",
+                            indices: Iterable[int] | None = None):
+        """The first j in indices (default: all) with x * b_j != b_j, or
+        None; each j reads its compiled row once, in integer numerators."""
+        xs, xd = x._integer_coeffs()
+        for j in range(self.dim) if indices is None else indices:
+            den, nbrs = self._product_row(j)
+            out: dict = {}
+            for i in nbrs.keys() & xs.keys():
+                c = xs[i]
+                for k, v in nbrs[i]:
+                    out[k] = out.get(k, 0) + c * v
+            # x * b_j = sum_k out[k] / (den * xd) b_k
+            if {k: v for k, v in out.items() if v} != {j: den * xd}:
+                return j
+        return None
+
+    def neighbours(self, i: int) -> set:
+        """The j with b_i * b_j != 0 or <b_i, b_j> != 0."""
+        return self._product_row(i)[1].keys() | self._form_row(i)[1].keys()
+
+    def form_matrix(self, elements: Sequence["AlgebraElement"]) -> list[list]:
+        """<e_i, e_j> for every pair of the elements, from one Gram-vector
+        product G e_j per element and integer dot products."""
+        scaled = [e._integer_coeffs() for e in elements]
+        gram = []  # G e_j = g / den
+        for xs, xd in scaled:
+            rows = [(c, self._form_row(b)) for b, c in xs.items()]
+            den = math.lcm(*(d for _, (d, _) in rows))
+            g: dict = {}
+            for c, (d, nbrs) in rows:
+                c *= den // d
+                for a, v in nbrs.items():
+                    g[a] = g.get(a, 0) + c * v
+            gram.append((g, den * xd))
+        out = [[ZERO] * len(elements) for _ in elements]
+        for j, (g, gd) in enumerate(gram):
+            for i, (xs, xd) in enumerate(scaled[:j + 1]):
+                out[i][j] = out[j][i] = Q(
+                    sum(xs[a] * g[a] for a in xs.keys() & g.keys()), xd * gd)
+        return out
+
     def find_identity(self) -> "AlgebraElement | None":
         """Solve x * b_j = b_j for all j exactly; None if no solution.
 
@@ -183,50 +225,62 @@ class StructureAlgebra:
         if x is None:
             return None
         cand = self.element(x)
-        for j in range(self.dim):
-            if cand * self.basis_element(j) != self.basis_element(j):
-                return None
-        return cand
+        return cand if self.first_unfixed_basis(cand) is None else None
 
     def is_associative_span(self, elements: Sequence["AlgebraElement"],
                             ) -> bool:
         """True iff the span of the elements is closed and associative.
 
         Raises ValueError (reporting a dependency) if the elements are not
-        linearly independent.  The triple-product check is exhaustive over
-        the spanning set, with value-level memoization of products.
+        linearly independent: each is fed to a SparseSolver with a tag
+        column of its own, and is dependent when its pivot lands in a tag
+        column.  A vector reduced against that solver carries its
+        coordinates over the elements in the tag columns.  By commutativity
+        the n(n+1)/2 products e_i e_j, i <= j, give the structure constants
+        C_ij^m: none for 0, a dict lookup for a product equal to an element,
+        else the reduction, whose residual outside the tag columns means the
+        span is not closed.  Coordinates are unique, so (e_i e_j) e_k =
+        e_i (e_j e_k) iff sum_m C_ij^m C_mk = sum_m C_jk^m C_im.  Both sides
+        vanish unless C_ij or C_jk has a term, and the triple (k, j, i)
+        states the same equation, so the triples with C_jk != 0 cover all.
         """
-        span = SparseSolver(self.dim)
+        dim, n = self.dim, len(elements)
+        span = SparseSolver(dim + n)
         for idx, e in enumerate(elements):
-            span.add_equation(e.coeffs, 0)
-            if span.rank <= idx:
+            span.add_equation({**e.coeffs, dim + idx: ONE}, 0)
+            if max(span.pivot_rows) >= dim:
                 raise ValueError(
                     f"elements are linearly dependent: vector #{idx} lies "
                     "in the span of its predecessors")
-        n = len(elements)
-        memo: dict[tuple, "AlgebraElement"] = {}
-
-        def mul(a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
-            # elements cache their hash, so a lookup does not rehash the
-            # coefficients; the product is commutative, so either order is
-            # a correct key
-            key = (a, b) if hash(a) <= hash(b) else (b, a)
-            r = memo.get(key)
-            if r is None:
-                r = a * b
-                memo[key] = r
-            return r
-
-        prods = [[mul(elements[i], elements[j]) for j in range(n)]
-                 for i in range(n)]
+        index = {e: m for m, e in enumerate(elements)}
+        C = [[{}] * n for _ in range(n)]  # C[i][j] = {m: C_ij^m}
         for i in range(n):
-            for j in range(n):
-                if not span.contains(prods[i][j].coeffs):
-                    return False
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if mul(prods[i][j], elements[k]) != mul(elements[i], prods[j][k]):
+            for j in range(i, n):
+                p = elements[i] * elements[j]
+                if p.is_zero():
+                    continue
+                if p in index:
+                    c = {index[p]: ONE}
+                else:
+                    row, s = span.reduce(p.coeffs)
+                    if min(row) < dim:
+                        return False
+                    c = {k - dim: Q(-v, s) for k, v in row.items()}
+                C[i][j] = C[j][i] = c
+
+        def times(c: dict, k: int) -> dict:
+            """sum_m c[m] C_mk."""
+            out: dict = {}
+            for m, x in c.items():
+                for q, y in C[m][k].items():
+                    out[q] = out.get(q, 0) + x * y
+            return {q: v for q, v in out.items() if v}
+
+        for j in range(n):
+            nz = [k for k in range(n) if C[j][k]]
+            for i in range(n):
+                for k in nz:
+                    if times(C[i][j], k) != times(C[j][k], i):
                         return False
         return True
 
@@ -372,36 +426,6 @@ class AlgebraElement:
                           for i, c in sorted(self.coeffs.items())[:6])
         more = "" if len(self.coeffs) <= 6 else f", ... ({len(self.coeffs)} terms)"
         return f"<{terms or '0'}{more}>"
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
-def central_charge(a: AlgebraElement):
-    return a.central_charge()
-
-
-def find_identity(alg: StructureAlgebra) -> AlgebraElement | None:
-    return alg.find_identity()
-
-
-def is_idempotent(a: AlgebraElement) -> bool:
-    return a.is_idempotent()
-
-
-def are_orthogonal(a: AlgebraElement, b: AlgebraElement) -> bool:
-    """Exact test: a*b = 0 and <a,b> = 0."""
-    return (a * b).is_zero() and a.form(b) == 0
-
-
-def is_associative_span(alg: StructureAlgebra,
-                        elements: Sequence[AlgebraElement]) -> bool:
-    return alg.is_associative_span(elements)
-
-
-def radical_dimension(alg: StructureAlgebra) -> int:
-    return alg.radical_dimension()
 
 
 @dataclass

@@ -143,7 +143,7 @@ class SparseSolver:
     rows are kept mutually reduced, so one pass over the pivot columns of an
     incoming row reduces it, by cross-multiplication (Bareiss, Math. Comp.
     1968).  Rationals are built only by solution().  With rhs 0 the solver
-    is the row space of the vectors fed to it, with membership by contains().
+    is the row space of the vectors fed to it, reducing others by reduce().
     """
 
     def __init__(self, n: int):
@@ -179,9 +179,12 @@ class SparseSolver:
         self.pivot_rows[pc] = (row, rhs)
         return True
 
-    def contains(self, row: dict) -> bool:
-        """True iff the vector lies in the span of the rows fed so far."""
-        return not self._reduce(row, 0)[0]
+    def reduce(self, row: dict) -> tuple[dict, int]:
+        """For a solver fed rhs 0 only: (r, s), where s > 0 is an integer
+        and r = s * row minus a combination of the pivot rows, with no
+        entry in a pivot column.  r is empty iff the vector lies in the
+        span of the rows fed so far."""
+        return self._reduce(row, 1)
 
     def solution(self) -> list | None:
         """The unique solution if rank == n, else None."""

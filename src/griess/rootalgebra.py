@@ -15,6 +15,7 @@ series values 1 - 6/((i+2)(i+3)) plus the parafermion value 2l/(l+3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .algebra import AlgebraElement, DecompositionReport, StructureAlgebra
 from .ratio import Q
@@ -81,18 +82,38 @@ def build_T(rs: RootSystem) -> RootAlgebra:
     return RootAlgebra(rs, _make_algebra(rs, t_only=True), t_only=True)
 
 
-def delta(ra: RootAlgebra) -> AlgebraElement:
-    """Closed-form identity of A(Phi): coefficient 1/(4h) on every t and u."""
-    if ra.t_only:
+def _closed_identity(ra: RootAlgebra, simple: Iterable[int],
+                     with_u: bool = False) -> AlgebraElement:
+    """Closed-form identity of the t-span of the sub-system on the simple
+    roots: 1/(2h+4) on each t(alpha) of each connected component of its
+    diagram, h = 2|Phi+|/rank; with_u, that of the algebra, 1/(4h) on each
+    t(alpha) and u(alpha).  A root's support is connected, and each edge
+    a - b is the root a + b, so merging supports finds the components."""
+    if with_u and ra.t_only:
         raise ValueError("delta lives in the full algebra, not T(Phi)")
     rs = ra.rs
+    parts: list[tuple[frozenset, list]] = []  # (simple roots, positive roots)
+    for r in _sub_positive_roots(rs, frozenset(simple)):
+        s = rs.supports[r]
+        hit = [p for p in parts if p[0] & s]
+        parts = [p for p in parts if not p[0] & s]
+        parts.append((s.union(*(p[0] for p in hit)),
+                      [r] + [x for p in hit for x in p[1]]))
     coeffs = {}
-    for ci, sl in enumerate(rs.component_root_slices):
-        c = Q(1, 4 * rs.h_per_component[ci])
-        for i in sl:
-            coeffs[i] = c
-            coeffs[rs.N + i] = c
+    for s, roots in parts:
+        # 1/(4h) = rank/(8|Phi+|) and 1/(2h+4) = rank/(4(|Phi+| + rank))
+        c = (Q(len(s), 8 * len(roots)) if with_u
+             else Q(len(s), 4 * (len(roots) + len(s))))
+        for r in roots:
+            coeffs[r] = c
+            if with_u:
+                coeffs[rs.N + r] = c
     return ra.alg.element(coeffs)
+
+
+def delta(ra: RootAlgebra) -> AlgebraElement:
+    """Closed-form identity of A(Phi): coefficient 1/(4h) on every t and u."""
+    return _closed_identity(ra, range(ra.rs.l), with_u=True)
 
 
 def epsilon(ra: RootAlgebra) -> AlgebraElement:
@@ -102,134 +123,104 @@ def epsilon(ra: RootAlgebra) -> AlgebraElement:
     unique normalization making this an identity of the t-span (it coincides
     with 1/(4h) only for h=2).
     """
-    rs = ra.rs
-    coeffs = {}
-    for ci, sl in enumerate(rs.component_root_slices):
-        c = Q(1, 2 * rs.h_per_component[ci] + 4)
-        for i in sl:
-            coeffs[i] = c
-    return ra.alg.element(coeffs)
-
-
-def _component_delta(ra: RootAlgebra, ci: int) -> AlgebraElement:
-    rs = ra.rs
-    c = Q(1, 4 * rs.h_per_component[ci])
-    coeffs = {}
-    for i in rs.component_root_slices[ci]:
-        coeffs[i] = c
-        coeffs[rs.N + i] = c
-    return ra.alg.element(coeffs)
+    return _closed_identity(ra, range(ra.rs.l))
 
 
 def _sub_positive_roots(rs: RootSystem, simple_indices: frozenset) -> list[int]:
     """Positive roots supported on the given global simple-root indices."""
-    out = []
-    for i, coeffs in enumerate(rs.simple_coeffs):
-        if all(c == 0 or k in simple_indices for k, c in enumerate(coeffs)):
-            out.append(i)
-    return out
+    return [r for r, s in enumerate(rs.supports) if s <= simple_indices]
 
 
-def _sub_t_identity(ra: RootAlgebra, root_indices: list[int]) -> AlgebraElement:
-    """Identity of the t-span of a closed sub-root-system, by exact solve."""
-    if not root_indices:
-        return ra.alg.zero()
-    pos = {r: k for k, r in enumerate(root_indices)}
-    nbrs = ra.rs.neighbours
+def _chain_decompose(ra: RootAlgebra, blocks: list, desc: str,
+                     ) -> DecompositionReport:
+    """Idempotents along nested chains, checked by identity certificates.
 
-    def product(k: int) -> dict:
-        row = {k: {k: 8}}
-        for s, g in nbrs[root_indices[k]]:
-            if s in pos:
-                if g not in pos:
-                    raise ValueError("simple-root subset does not define a "
-                                     "closed sub-system")
-                row[pos[s]] = {k: 1, pos[s]: 1, pos[g]: -1}
-        return row
+    A block is (simple-root sets S_1 c ... c S_m, its identity delta_c),
+    with basis B = supp delta_c.  With eps_k the closed-form identity of
+    T(Phi_k), Phi_k the positive roots on S_k, and eps_0 = 0, it yields
+    e_k = eps_k - eps_(k-1) and the tail delta_c - eps_m, zeros left out.
+    pairwise_products checks (a) eps_k t(alpha) = t(alpha) for alpha in
+    Phi_k, eps_k in span B; (b) delta_c b = b for b in B; (c) no product or
+    form row leaves its block, and blocks are disjoint.  pairwise_form
+    checks (c) and <e_i, e_j> = 0 inside a block, from one Gram-vector
+    product per idempotent; sum_to_identity that the e sum to delta.
 
-    sub = StructureAlgebra([str(r) for r in root_indices], product,
-                           lambda k: {})
-    ident = sub.find_identity()
-    if ident is None:
-        raise ValueError("sub-system t-span has no identity")
-    return ra.alg.element({root_indices[k]: c for k, c in ident.coeffs.items()})
-
-
-def _verify_decomposition(ra: RootAlgebra, idems: list[AlgebraElement],
-                          total: AlgebraElement) -> dict:
-    checks = {}
-    s = ra.alg.zero()
+    Why e_i e_j = [i = j] e_i: Phi_k is closed, so T(Phi_k) is a
+    subalgebra, with identity eps_k by (a).  Identities are unique, so
+    eps_k^2 = eps_k and eps_j eps_k = eps_j for j <= k, as T(Phi_j) c
+    T(Phi_k); by (b) this holds with eps_(m+1) = delta_c.  For j < k,
+    e_j e_k = eps_j - eps_j - eps_(j-1) + eps_(j-1) = 0 and
+    e_k^2 = eps_k - 2 eps_(k-1) + eps_(k-1) = e_k; by (c) elements of
+    different blocks multiply and pair to 0.  Each check reads one sparse
+    row per basis vector instead of one dense product per pair.
+    """
+    alg = ra.alg
+    idems, charges = [], []
+    products = forms = True
+    seen: set = set()
+    for chain, top in blocks:
+        block = top.coeffs.keys()
+        closed = (all(alg.neighbours(b) <= block for b in block)
+                  and not seen & block)
+        seen |= block
+        products &= closed and alg.first_unfixed_basis(top, block) is None
+        forms &= closed
+        prev, mine = alg.zero(), []
+        for s in chain:
+            eps = _closed_identity(ra, s)
+            roots = _sub_positive_roots(ra.rs, s)
+            products &= (eps.coeffs.keys() <= block
+                         and alg.first_unfixed_basis(eps, roots) is None)
+            mine.append(eps - prev)
+            prev = eps
+        mine = [e for e in mine + [top - prev] if not e.is_zero()]
+        gram = alg.form_matrix(mine)
+        forms &= all(gram[i][j] == 0 for i in range(len(mine))
+                     for j in range(i))
+        idems += mine
+        charges += [8 * gram[i][i] for i in range(len(mine))]
+    total = alg.zero()
     for e in idems:
-        s = s + e
-    checks["sum_to_identity"] = (s == total)
-    ok_idem = all(e.is_idempotent() for e in idems)
-    ok_prod = all((idems[i] * idems[j]).is_zero()
-                  for i in range(len(idems)) for j in range(i + 1, len(idems)))
-    checks["pairwise_products"] = ok_idem and ok_prod
-    checks["pairwise_form"] = all(
-        idems[i].form(idems[j]) == 0
-        for i in range(len(idems)) for j in range(i + 1, len(idems)))
-    return checks
+        total = total + e
+    return DecompositionReport(idems, charges, desc, {
+        "sum_to_identity": total == delta(ra),
+        "pairwise_products": products, "pairwise_form": forms})
 
 
 def coset_chain_decompose(ra: RootAlgebra) -> DecompositionReport:
     """Decompose the identity along the canonical type-A chains.
 
-    Per component of rank l this yields l+1 idempotents: the telescoping
+    Per component of rank l, one block of l+1 idempotents: the telescoping
     differences of the t-span identities of the nested sub-systems on the
     first i simple roots, plus the final complement inside the component
     identity.  Charges are asserted against the discrete-series and
     parafermion closed forms.
     """
-    if ra.t_only:
-        raise ValueError("decomposition runs in the full algebra")
     rs = ra.rs
     if any(c.family != "A" for c in rs.components):
         raise ValueError("coset chain decomposition requires all components of type A")
-    idems: list[AlgebraElement] = []
-    charges = []
-    descs = []
-    for ci, comp in enumerate(rs.components):
+    blocks, expected, descs = [], [], []
+    for sl, comp in zip(rs.component_simple_slices, rs.components):
         l = comp.rank
-        simple_sl = rs.component_simple_slices[ci]
-        prev = ra.alg.zero()
-        for i in range(1, l + 1):
-            sub = _sub_positive_roots(
-                rs, frozenset(list(simple_sl)[:i]))
-            # chain sub-system A_i has Coxeter number i+1; its t-span
-            # identity has coefficient 1/(2h+4) = 1/(2i+6)
-            eps_i = ra.alg.element({r: Q(1, 2 * i + 6) for r in sub})
-            e = eps_i - prev
-            c = e.central_charge()
-            expected = 1 - Q(6, (i + 2) * (i + 3))
-            if c != expected:
-                raise AssertionError(
-                    f"chain charge mismatch at step {i}: {c} != {expected}")
-            idems.append(e)
-            charges.append(c)
-            prev = eps_i
-        tail = _component_delta(ra, ci) - prev
-        c = tail.central_charge()
-        if c != Q(2 * l, l + 3):
-            raise AssertionError(f"parafermion charge mismatch: {c}")
-        idems.append(tail)
-        charges.append(c)
+        blocks.append(([frozenset(sl[:i]) for i in range(1, l + 1)],
+                       _closed_identity(ra, sl, with_u=True)))
+        expected += [1 - Q(6, (i + 2) * (i + 3)) for i in range(1, l + 1)]
+        expected.append(Q(2 * l, l + 3))
         descs.append(f"{comp}: A_1 c ... c A_{l} chain + complement")
-    checks = _verify_decomposition(ra, idems, delta(ra))
-    if not all(checks.values()):
-        raise AssertionError(f"decomposition checks failed: {checks}")
-    return DecompositionReport(idems, charges, "; ".join(descs), checks)
+    dec = _chain_decompose(ra, blocks, "; ".join(descs))
+    for k, (c, want) in enumerate(zip(dec.charges, expected)):
+        if c != want:
+            raise AssertionError(
+                f"charge mismatch at idempotent {k}: {c} != {want}")
+    if not all(dec.checks.values()):
+        raise AssertionError(f"decomposition checks failed: {dec.checks}")
+    return dec
 
 
 def generalized_chain_decompose(ra: RootAlgebra,
                                 chain: list[list[int]]) -> DecompositionReport:
-    """Decompose along a user-supplied nested chain of simple-root subsets.
-
-    Orthogonality and idempotency are verified exactly; charges are
-    reported but not asserted against any closed form.
-    """
-    if ra.t_only:
-        raise ValueError("decomposition runs in the full algebra")
+    """Decompose along a user-supplied nested chain of simple-root subsets,
+    one block with identity delta; charges are reported, not asserted."""
     rs = ra.rs
     sets = [frozenset(s) for s in chain]
     for a, b in zip(sets, sets[1:]):
@@ -237,24 +228,10 @@ def generalized_chain_decompose(ra: RootAlgebra,
             raise ValueError("chain subsets must be nested")
     if any(i < 0 or i >= rs.l for s in sets for i in s):
         raise ValueError("simple-root index out of range")
-    idems = []
-    prev = ra.alg.zero()
-    for s in sets:
-        if not s:
-            continue
-        eps_s = _sub_t_identity(ra, _sub_positive_roots(rs, s))
-        e = eps_s - prev
-        if not e.is_zero():
-            idems.append(e)
-        prev = eps_s
-    tail = delta(ra) - prev
-    if not tail.is_zero():
-        idems.append(tail)
-    checks = _verify_decomposition(ra, idems, delta(ra))
-    if not (checks["sum_to_identity"] and checks["pairwise_products"]
-            and checks["pairwise_form"]):
-        raise AssertionError(f"generalized chain failed exact checks: {checks}")
-    charges = [e.central_charge() for e in idems]
     desc = "chain " + " c ".join("{" + ",".join(map(str, sorted(s))) + "}"
                                  for s in sets)
-    return DecompositionReport(idems, charges, desc, checks)
+    dec = _chain_decompose(ra, [(sets, delta(ra))], desc)
+    if not all(dec.checks.values()):
+        raise AssertionError(
+            f"generalized chain failed exact checks: {dec.checks}")
+    return dec

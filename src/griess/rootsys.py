@@ -12,6 +12,7 @@ coefficient vector in the simple-root basis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -228,20 +229,20 @@ class RootSystem:
                               for t in self.simple_coeffs]
         self.N = len(self.positive_roots)
         self._index = {r: i for i, r in enumerate(self.positive_roots)}
-        self._build_relations()
-        self._check_invariants()
+        # Doubled coordinates are integers (the E8 half-integers included),
+        # so norms, dot products and root sums need no rational arithmetic.
+        roots = [doubled(r) for r in self.positive_roots]
+        self._check_invariants(roots)
+        self._build_relations(roots)
 
     # -- relations ---------------------------------------------------------
 
-    def _build_relations(self):
+    def _build_relations(self, roots: list[tuple[int, ...]]):
         n = self.N
         self.rel = [bytearray(n) for _ in range(n)]  # 0 same, 1 ~, 2 perp
         self.gamma: dict[tuple[int, int], int] = {}
         # per root i: [(j, gamma(i, j))] over its Delta_1, sorted by j
         self.neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        # Doubled coordinates are integers (the E8 half-integers included),
-        # so dot products and root sums need no rational arithmetic.
-        roots = [doubled(r) for r in self.positive_roots]
         index = {}  # +-2r -> index of the positive root r
         for i, r in enumerate(roots):
             index[r] = index[tuple(-c for c in r)] = i
@@ -262,18 +263,19 @@ class RootSystem:
                 self.neighbours[i].append((j, g))
                 self.neighbours[j].append((i, g))
 
-    def _check_invariants(self):
-        for i, r in enumerate(self.positive_roots):
-            if dot(r, r) != 2:
-                raise AssertionError("root of squared length != 2")
-        for ci, comp in enumerate(self.components):
-            sl = self.component_root_slices[ci]
+    def _check_invariants(self, roots: list[tuple[int, ...]]):
+        """Construction invariants; |Delta_1| = 2h-4 is a verify clause."""
+        if any(sum(c * c for c in r) != 8 for r in roots):  # (2r, 2r) = 8
+            raise AssertionError("root of squared length != 2")
+        for sl, comp in zip(self.component_root_slices, self.components):
             if 2 * len(sl) != comp.rank * comp.coxeter:
                 raise AssertionError("2N = lh violated")
-            h = comp.coxeter
-            for i in sl:
-                if len(self.neighbours[i]) != 2 * h - 4:
-                    raise AssertionError("|Delta_1| = 2h-4 violated")
+
+    @functools.cached_property
+    def supports(self) -> list[frozenset]:
+        """Per positive root: the simple roots with a non-zero coefficient."""
+        return [frozenset(k for k, c in enumerate(co) if c)
+                for co in self.simple_coeffs]
 
     # -- queries -----------------------------------------------------------
 

@@ -19,7 +19,7 @@ from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
                        table1_consistency, table2_consistency)
 from .ratio import Q, ZERO, q_str
 from .rootalgebra import (build_A, build_T, coset_chain_decompose, delta,
-                          epsilon, _sub_positive_roots)
+                          epsilon, _closed_identity)
 from .rootsys import SimpleType, build, parse_spec
 
 TARGETS = ("lemma2.1", "prop2.2", "lemma2.3", "lemma2.4", "eq2.5",
@@ -96,18 +96,16 @@ def _timed(fn):
 
 @_timed
 def verify_lemma_2_1(spec: str) -> VerifyReport:
-    """|Delta_1(alpha)| = 2h - 4 for every positive root."""
+    """|Delta_1(alpha)| = 2h - 4 for every positive root, read from the
+    neighbour lists of the root system."""
     rep = VerifyReport(f"lemma2.1 [{spec}]")
     rs = build(spec)
     for ci, comp in enumerate(rs.components):
         h = comp.coxeter
         sl = rs.component_root_slices[ci]
-        bad = None
-        for i in sl:
-            deg = sum(1 for j in sl if rs.rel[i][j] == 1)
-            if deg != 2 * h - 4:
-                bad = f"root {i}: |Delta_1| = {deg} != {2 * h - 4}"
-                break
+        bad = next((f"root {i}: |Delta_1| = {len(rs.neighbours[i])} != "
+                    f"{2 * h - 4}" for i in sl
+                    if len(rs.neighbours[i]) != 2 * h - 4), None)
         rep.add(f"component {comp}: |Delta_1(alpha)| = 2h-4 = {2 * h - 4} "
                 f"for all {len(sl)} roots", bad is None, bad)
     return rep
@@ -123,9 +121,7 @@ def verify_prop_2_2(spec: str) -> VerifyReport:
     rep.add("the algebra has an identity (exact solve)", solved is not None)
     rep.add("closed form 1/(4h) equals the solved identity", d == solved,
             None if d == solved else f"delta {d!r} vs solver {solved!r}")
-    bad = next((j for j in range(ra.dim)
-                if d * ra.alg.basis_element(j) != ra.alg.basis_element(j)),
-               None)
+    bad = ra.alg.first_unfixed_basis(d)
     rep.add("delta acts as identity on every basis vector", bad is None,
             None if bad is None else f"basis index {bad}")
     return rep
@@ -177,13 +173,8 @@ def verify_eq_2_5(spec: str) -> VerifyReport:
 
 def _chain_epsilons(ra, ci) -> list:
     """Per nested A_i sub-system of the component: its t-span identity."""
-    rs = ra.rs
-    simple = list(rs.component_simple_slices[ci])
-    out = [ra.alg.zero()]
-    for i in range(1, len(simple) + 1):
-        sub = _sub_positive_roots(rs, frozenset(simple[:i]))
-        out.append(ra.alg.element({r: Q(1, 2 * i + 6) for r in sub}))
-    return out
+    simple = ra.rs.component_simple_slices[ci]
+    return [_closed_identity(ra, simple[:i]) for i in range(len(simple) + 1)]
 
 
 @_timed

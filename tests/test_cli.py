@@ -3,7 +3,8 @@ import json
 import pytest
 
 from griess.cli import run
-from griess.rootsys import RootSystem
+from griess.rootsys import RootSystem, build
+from griess.verify import verify_lemma_2_1
 
 
 def run_captured(capsys, argv):
@@ -105,6 +106,14 @@ class TestVerify:
             capsys, ["verify", "lemma2.1", "--spec", "D4"])
         assert code == 0
         assert "2h-4 = 8" in out
+
+    def test_lemma21_names_a_root_with_a_wrong_degree(self, monkeypatch):
+        rs = build("A3")
+        rs.neighbours[2].pop()
+        monkeypatch.setattr("griess.verify.build", lambda spec: rs)
+        rep = verify_lemma_2_1("A3")
+        assert not rep.passed
+        assert rep.clauses[0][2] == "root 2: |Delta_1| = 3 != 4"
 
     def test_all_a1(self, capsys):
         assert run(["verify", "all", "--spec", "A1"]) == 0

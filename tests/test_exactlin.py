@@ -241,8 +241,14 @@ class TestSparseSolverDifferential:
             solver.add_equation(v, 0)
         rank = ref_rank(dense(n, vectors)) if vectors else 0
         assert solver.rank == rank
-        assert solver.contains(candidate) == (
+        residual, scale = solver.reduce(candidate)
+        assert (not residual) == (
             ref_rank(dense(n, vectors + [candidate])) == rank)
+        # the residual is scale * candidate minus a vector of the span
+        assert scale > 0 and not set(residual) & set(solver.pivot_rows)
+        diff = {c: scale * candidate.get(c, 0) - residual.get(c, 0)
+                for c in set(candidate) | set(residual)}
+        assert ref_rank(dense(n, vectors + [diff])) == rank
 
 
 class TestF2Matrix:

@@ -1,18 +1,24 @@
 """Differential tests: the compiled basis tables of A, T and B+ against
 the per-pair rules of the paper, the compiled integer kernels behind
 element products and forms against the plain bilinear expansion over basis
-pairs, and the map of Theorem 3.1 against the sum of its scaled basis
-images."""
+pairs, the map of Theorem 3.1 against the sum of its scaled basis images,
+the associativity check on structure constants against the triple products
+of elements, and the identity certificates of the chain decomposition
+against the pairwise products and forms of its idempotents."""
 
+import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from griess import rootalgebra
 from griess.algebra import StructureAlgebra
 from griess.bplus import build_bplus
+from griess.exactlin import QMatrix, SparseSolver
 from griess.ratio import Q, q_parse, q_str
-from griess.rootalgebra import build_A, build_T
+from griess.rootalgebra import (build_A, build_T, coset_chain_decompose,
+                                delta, generalized_chain_decompose)
 from griess.rootsys import build, dot
 
 from conftest import algebra_A, algebra_T, bplus, phi, system
@@ -217,3 +223,208 @@ def test_json_algebra_matches_its_table(data, table):
     assert (x * y).coeffs == expand_product(x, y, basis_product)
     assert x.form(y) == expand_form(x, y, basis_form)
     assert alg.to_json() == table
+
+
+# -- associativity of a span: structure constants against element triples ---
+
+def direct_associative_span(alg, elements):
+    """The definition: independence and closure by exact ranks, then
+    (e_i e_j) e_k = e_i (e_j e_k) on every triple of element products."""
+    def rank(vectors):
+        return QMatrix([[v.coeffs.get(c, 0) for c in range(alg.dim)]
+                        for v in vectors]).rank()
+
+    for idx in range(len(elements)):
+        if rank(elements[:idx + 1]) <= idx:
+            raise ValueError(
+                f"elements are linearly dependent: vector #{idx} lies "
+                "in the span of its predecessors")
+    n = len(elements)
+    prods = [[a * b for b in elements] for a in elements]
+    if any(rank(elements + [p]) > n for row in prods for p in row):
+        return False
+    return all(prods[i][j] * elements[k] == elements[i] * prods[j][k]
+               for i, j, k in itertools.product(range(n), repeat=3))
+
+
+def same_verdict(alg, elements):
+    """The verdict of both checks, which must agree; a ValueError counts
+    as its text."""
+    def outcome(check):
+        try:
+            return check()
+        except ValueError as exc:
+            return str(exc)
+    verdict = outcome(lambda: alg.is_associative_span(elements))
+    assert verdict == outcome(lambda: direct_associative_span(alg, elements))
+    return verdict
+
+
+def chain_images(spec):
+    p = phi(spec)
+    return p.codomain.alg, [p.apply(e) for e in
+                            coset_chain_decompose(p.domain).idempotents]
+
+
+@st.composite
+def span_inputs(draw):
+    """(algebra, elements): a random table with basis subsets (the whole
+    basis often), random combinations or duplicates, or B+ images of type-A
+    chain idempotents, some dropped and a basis vector sometimes added."""
+    kind = draw(st.sampled_from(["basis", "combination", "images"]))
+    if kind == "images":
+        alg, images = chain_images(draw(st.sampled_from(["A1", "A2", "A3",
+                                                         "A4"])))
+        keep = draw(st.lists(st.sampled_from(images), min_size=1,
+                             unique_by=lambda e: e.key()))
+        if draw(st.booleans()):
+            keep.append(alg.basis_element(draw(st.integers(0, alg.dim - 1))))
+        return alg, keep
+    alg = StructureAlgebra.from_json(draw(json_tables()))
+    if kind == "basis":
+        idx = draw(st.one_of(st.just(list(range(alg.dim))),
+                             st.lists(st.integers(0, alg.dim - 1),
+                                      min_size=1, max_size=alg.dim)))
+        return alg, [alg.basis_element(i) for i in idx]
+    xs = draw(st.lists(elements(alg), min_size=1, max_size=3))
+    return alg, xs + draw(st.lists(st.sampled_from(xs), max_size=1))
+
+
+@given(span_inputs())
+@settings(max_examples=120, deadline=None)
+def test_associative_span_matches_direct(inputs):
+    same_verdict(*inputs)
+
+
+def truncated_polynomials():
+    """Q[x]/(x^3) on 1, x, x^2: commutative and associative."""
+    return StructureAlgebra(
+        ["1", "x", "x2"],
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 1): {2: 1}},
+        {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+
+
+@pytest.mark.parametrize("make,expected", [
+    # products such as (1+x)x = x + x^2 are neither 0 nor an element
+    (lambda: (truncated_polynomials(), [{0: 1, 1: 1}, {1: 1}, {2: 1}]), True),
+    # closed, but t t products of A(A2) are not associative
+    (lambda: (algebra_A("A2").alg, [{i: 1} for i in range(6)]), False)])
+def test_associative_span_coordinate_path(make, expected, monkeypatch):
+    alg, coeffs = make()
+    reduced = Counter()
+    reduce = SparseSolver.reduce
+
+    def counted(solver, row):
+        reduced["calls"] += 1
+        return reduce(solver, row)
+    monkeypatch.setattr(SparseSolver, "reduce", counted)
+    assert same_verdict(alg, [alg.element(c) for c in coeffs]) is expected
+    assert reduced["calls"] > 0
+
+
+def test_associative_span_one_sided_triple():
+    """x x = z, z y = w and x y = 0: (x x) y = w but x (x y) = 0, a triple
+    where only the left side has a term."""
+    alg = StructureAlgebra(["x", "y", "z", "w"],
+                           {(0, 0): {2: 1}, (1, 2): {3: 1}}, {})
+    assert same_verdict(alg, [alg.basis_element(i) for i in range(4)]) is False
+
+
+def test_first_unfixed_basis_sees_every_term():
+    """(1+x) 1 = 1 + x has coefficient 1 on 1 but is not 1; 1 + x fixes
+    x^2 only."""
+    alg = truncated_polynomials()
+    one, one_plus_x = alg.element({0: 1}), alg.element({0: 1, 1: 1})
+    assert alg.first_unfixed_basis(one) is None
+    assert alg.first_unfixed_basis(one_plus_x) == 0
+    assert alg.first_unfixed_basis(one_plus_x, [2]) is None
+    assert alg.first_unfixed_basis(alg.zero(), [2]) == 2
+
+
+# -- chain decomposition: identity certificates against direct checks --------
+
+def direct_decomposition_checks(ra, idems, total):
+    """Every idempotent squared and every pair multiplied and paired."""
+    s = ra.alg.zero()
+    for e in idems:
+        s = s + e
+    pairs = list(itertools.combinations(idems, 2))
+    return {"sum_to_identity": s == total,
+            "pairwise_products": (all(e.is_idempotent() for e in idems)
+                                  and all((a * b).is_zero()
+                                          for a, b in pairs)),
+            "pairwise_form": all(a.form(b) == 0 for a, b in pairs)}
+
+
+def solved_t_identity(ra, roots):
+    """Identity of the t-span of a closed sub-system, by the exact solve."""
+    pos = {r: k for k, r in enumerate(roots)}
+
+    def product(k):
+        row = {k: {k: 8}}
+        for s, g in ra.rs.neighbours[roots[k]]:
+            if s in pos:
+                row[pos[s]] = {k: 1, pos[s]: 1, pos[g]: -1}
+        return row
+
+    sub = StructureAlgebra([str(r) for r in roots], product, lambda k: {})
+    ident = sub.find_identity()
+    return ra.alg.element({roots[k]: c for k, c in ident.coeffs.items()})
+
+
+CHAINS = [("D4", [[0], [0, 1], [0, 1, 2, 3]]),
+          ("D5", [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4]]),
+          ("E6", [[0], [0, 2], [0, 2, 3], [0, 2, 3, 4], [0, 2, 3, 4, 5],
+                  list(range(6))]),
+          # sets with two components: {0, 2} in D4, {0, 5} in E6
+          ("D4", [[0, 2], [0, 2, 3], [0, 1, 2, 3]]),
+          ("E6", [[0, 5], [0, 1, 5], [0, 1, 2, 4, 5], list(range(6))])]
+# a type-A spec without a chain runs the coset chains
+CASES = [(spec, None) for spec in ("A1", "A2", "A3", "A4", "A5", "A6")]
+CASES += CHAINS
+
+
+def case_id(case):
+    spec, chain = case
+    return spec if chain is None else f"{spec}:{chain[0]}"
+
+
+@pytest.mark.parametrize("spec,chain", CASES, ids=map(case_id, CASES))
+def test_certificates_match_direct_checks(spec, chain):
+    ra = algebra_A(spec)
+    dec = (coset_chain_decompose(ra) if chain is None
+           else generalized_chain_decompose(ra, chain))
+    assert dec.checks == direct_decomposition_checks(
+        ra, dec.idempotents, delta(ra))
+    assert all(dec.checks.values())
+
+
+@pytest.mark.parametrize("spec,chain", CHAINS, ids=map(case_id, CHAINS))
+def test_closed_form_epsilon_equals_solved(spec, chain):
+    ra = algebra_A(spec)
+    for s in chain:
+        roots = rootalgebra._sub_positive_roots(ra.rs, frozenset(s))
+        assert (rootalgebra._closed_identity(ra, s)
+                == solved_t_identity(ra, roots)), s
+
+
+@pytest.mark.parametrize("spec,chain", CASES, ids=map(case_id, CASES))
+def test_broken_epsilon_fails_both_checks(spec, chain, monkeypatch):
+    ra = algebra_A(spec)
+    chain = [frozenset(s) for s in chain
+             or [range(i) for i in range(1, ra.rs.l + 1)]]
+    broken_step = chain[len(chain) // 2]
+    closed = rootalgebra._closed_identity
+
+    def broken(ra, simple, with_u=False):
+        e = closed(ra, simple, with_u)
+        if frozenset(simple) != broken_step or with_u:
+            return e
+        coeffs = dict(e.coeffs)
+        coeffs[min(coeffs)] += Q(1, 7)  # one coefficient changed
+        return ra.alg.element(coeffs)
+    monkeypatch.setattr(rootalgebra, "_closed_identity", broken)
+    dec = rootalgebra._chain_decompose(ra, [(chain, delta(ra))], "")
+    assert dec.checks == direct_decomposition_checks(
+        ra, dec.idempotents, delta(ra))
+    assert not dec.checks["pairwise_products"]
