@@ -27,18 +27,17 @@ Sparse = dict  # index -> rational, no zero values stored
 
 
 def _encode_product(p: Sparse):
-    """(((k, numerator), ...), denominator) of a basis product, or None."""
-    p = {k: v for k, v in p.items() if v}
+    """(((k, numerator), ...) sorted by k, denominator) of a basis product,
+    or None; a product of ints is kept as it is, over denominator 1."""
+    if 0 in p.values():
+        p = {k: v for k, v in p.items() if v}
     if not p:
         return None
+    if set(map(type, p.values())) <= {int}:
+        return tuple(sorted(p.items())), 1
     den = math.lcm(*(v.denominator for v in p.values()))
-    return tuple((k, v.numerator * (den // v.denominator))
-                 for k, v in p.items()), den
-
-
-def _encode_form(v):
-    """(numerator, denominator) of a form value, or None when it is 0."""
-    return (v.numerator, v.denominator) if v else None
+    return tuple(sorted((k, v.numerator * (den // v.denominator))
+                        for k, v in p.items())), den
 
 
 def _q_str(num: int, den: int) -> str:
@@ -114,7 +113,8 @@ class StructureAlgebra:
     def _form_row(self, i: int) -> tuple:
         """(den, {j: numerator}): <b_i, b_j> = numerator/den."""
         return self._form_rows[i] or self._compile(
-            self._form_rows, i, self._form_fn, _encode_form,
+            self._form_rows, i, self._form_fn,
+            lambda v: (v.numerator, v.denominator) if v else None,
             lambda e, f: e * f)
 
     # -- basis-level access ------------------------------------------------
@@ -167,7 +167,7 @@ class StructureAlgebra:
                 for k, v in nbrs[i]:
                     out[k] = out.get(k, 0) + c * v
             # x * b_j = sum_k out[k] / (den * xd) b_k
-            if {k: v for k, v in out.items() if v} != {j: den * xd}:
+            if out.pop(j, 0) != den * xd or any(out.values()):
                 return j
         return None
 
@@ -199,28 +199,50 @@ class StructureAlgebra:
     def find_identity(self) -> "AlgebraElement | None":
         """Solve x * b_j = b_j for all j exactly; None if no solution.
 
-        The integer equations are fed into a sparse incremental solver until
-        it reaches full rank.  A subset of the equations then already has a
-        unique solution, so any identity must equal it; the candidate is
-        checked against every basis vector, so it is returned only if it is
-        the identity.
+        Coefficient k of x * b_j gives one integer equation.  Most with
+        k != j read c (x_a - x_b) = 0 (in A(Phi), a_alpha = a_gamma for the
+        third root gamma); one is fed to a sparse solver only when it joins
+        two trees of a union-find over the basis, as otherwise it is the sum
+        of fed ones along the tree path: it can neither raise the rank nor
+        be inconsistent.  The rest (the diagonal k = j, rhs den, too) are
+        held in order and fed until the rank is dim: after the pass, or once
+        the forest is one tree, when rank dim ends the pass early.  An
+        identity is unique if it exists, so rank < dim means none.  A check
+        over every b_j certifies the candidate whatever was skipped; no
+        closed form seeds the solve, which cross-checks delta and epsilon.
         """
         solver = SparseSolver(self.dim)
+        tree = [[a] for a in range(self.dim)]  # a's tree, as its members
+        held: list = []
         for j in range(self.dim):
             # x * b_j = b_j, scaled by the row denominator: integer equations
             den, nbrs = self._product_row(j)
-            cols: dict[int, Sparse] = {}
+            cols: dict[int, list] = {}
             for i, terms in nbrs.items():
                 for k, v in terms:
-                    cols.setdefault(k, {})[i] = v
+                    cols.setdefault(k, []).append((i, v))
             if j not in cols:
                 # b_j never occurs in any product x*b_j: no identity exists.
                 return None
-            for k, row in cols.items():
-                if not solver.add_equation(row, den if k == j else 0):
-                    return None
-            if solver.rank == self.dim:
-                break
+            for k, c in cols.items():
+                if len(c) == 2 and k != j and c[0][1] == -c[1][1]:
+                    ta, tb = tree[c[0][0]], tree[c[1][0]]
+                    if ta is not tb:
+                        if len(ta) > len(tb):
+                            ta, tb = tb, ta
+                        for a in ta:
+                            tree[a] = tb
+                        tb += ta
+                        solver.add_equation({c[0][0]: 1, c[1][0]: -1}, 0)
+                else:
+                    held.append((dict(c), den if k == j else 0))
+            if len(tree[0]) == self.dim or j == self.dim - 1:
+                if not all(solver.rank == self.dim or solver.add_equation(*e)
+                           for e in held):
+                    return None  # inconsistent
+                if solver.rank == self.dim:
+                    break
+                held = []
         x = solver.solution()
         if x is None:
             return None
@@ -287,22 +309,27 @@ class StructureAlgebra:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        # few distinct values occur, so each is formatted once
+        fmt = functools.cache(_q_str)
         products, gram = [], []
         for i in range(self.dim):
             den, nbrs = self._product_row(i)
             products.extend(
-                [i, j, [[k, _q_str(v, den)] for k, v in sorted(terms)]]
+                [i, j, [[k, fmt(v, den)] for k, v in terms]]
                 for j, terms in nbrs.items() if j >= i)
             den, nbrs = self._form_row(i)
-            gram.append([_q_str(nbrs[j], den) if j in nbrs else "0"
-                         for j in range(self.dim)])
+            gram.append(row := ["0"] * self.dim)
+            for j, v in nbrs.items():
+                row[j] = fmt(v, den)
         return {"basis": list(self.basis_labels), "products": products,
                 "gram": gram}
 
     @classmethod
     def from_json(cls, data: dict) -> "StructureAlgebra":
-        # few distinct strings occur, so each is parsed once
-        parse = functools.cache(q_parse)
+        # few distinct strings occur, so each is parsed once; integral ones
+        # to ints, which compile without rationals
+        parse = functools.cache(
+            lambda s: int(s) if s.lstrip("-").isdigit() else q_parse(s))
         table = {(i, j): {int(k): parse(v) for k, v in terms}
                  for i, j, terms in data["products"]}
         # keep only the non-zero entries: the form defaults to 0.  Every

@@ -2,9 +2,8 @@
 
 SparseSolver, incremental, sparse and fraction-free, is the one eliminator
 over the rationals: QMatrix, a dense rational matrix, feeds it its rows for
-rref / rank / kernel / solve.  rank_bareiss, a dense fraction-free Bareiss
-elimination, is the independent cross-check of rank.  Over GF(2) rows are
-bitmasks; f2_rref and f2_span serve the Lagrangian count.
+rref / rank / kernel / solve.  Over GF(2) rows are bitmasks; f2_rref and
+f2_span serve the Lagrangian count.
 """
 
 from __future__ import annotations
@@ -78,33 +77,6 @@ class QMatrix:
     def rank(self) -> int:
         """Exact rank via fraction-free sparse elimination."""
         return self._eliminated().rank
-
-    def rank_bareiss(self) -> int:
-        """Exact rank via fraction-free Bareiss elimination (cross-check)."""
-        # Clear denominators row by row; scaling rows does not change rank.
-        m = [[0] * self.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.entries):
-            d = math.lcm(*(x.denominator for x in row))
-            m[i] = [int(x * d) for x in row]
-        rank = 0
-        prev = 1
-        rows, cols = len(m), self.cols
-        r = 0
-        for c in range(cols):
-            pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            for i in range(r + 1, rows):
-                for j in range(c + 1, cols):
-                    m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-                m[i][c] = 0
-            prev = m[r][c]
-            rank += 1
-            r += 1
-            if r == rows:
-                break
-        return rank
 
     def kernel_basis(self) -> list[list]:
         """Basis of the right null space; each v satisfies M v = 0 exactly."""

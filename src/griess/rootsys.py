@@ -305,12 +305,6 @@ class RootSystem:
             raise ValueError("roots are equal or orthogonal")
         return self.positive_roots[self.gamma[(i, j)]]
 
-    def subsystem_chain(self) -> list["RootSystem"]:
-        """For a simple type-A system: the nested chain A_1 c A_2 c ... c A_l."""
-        if len(self.components) != 1 or self.components[0].family != "A":
-            raise ValueError("subsystem chain requires a simple type-A system")
-        return [RootSystem([SimpleType("A", i)]) for i in range(1, self.l + 1)]
-
     def spec_string(self) -> str:
         parts = []
         for t, group in itertools.groupby(self.components):
@@ -325,16 +319,22 @@ class RootSystem:
 _COMP_RE = re.compile(r"^([ADE])(\d+)(?:[\^*](\d+))?$")
 
 
-def parse_spec(spec: str) -> list[SimpleType]:
-    """Parse a component spec like "A2", "D4", "A1^24" or "A2*12+E6"."""
+def spec_parts(spec: str) -> list[tuple[SimpleType, int]]:
+    """(simple type, multiplicity) per part of a spec, with no part
+    expanded, so a huge multiplicity costs nothing."""
     out = []
     for part in spec.replace(" ", "").split("+"):
         m = _COMP_RE.match(part)
         if not m:
             raise ValueError(f"cannot parse root system spec {part!r}")
-        fam, rank, mult = m.group(1), int(m.group(2)), int(m.group(3) or 1)
-        out.extend([SimpleType(fam, rank)] * mult)
+        out.append((SimpleType(m.group(1), int(m.group(2))),
+                    int(m.group(3) or 1)))
     return out
+
+
+def parse_spec(spec: str) -> list[SimpleType]:
+    """Parse a component spec like "A2", "D4", "A1^24" or "A2*12+E6"."""
+    return [t for t, mult in spec_parts(spec) for _ in range(mult)]
 
 
 def build(components: list[SimpleType] | str) -> RootSystem:

@@ -20,7 +20,7 @@ from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
 from .ratio import Q, ZERO, q_str
 from .rootalgebra import (build_A, build_T, coset_chain_decompose, delta,
                           epsilon, _closed_identity)
-from .rootsys import SimpleType, build, parse_spec
+from .rootsys import SimpleType, build, parse_spec, spec_parts
 
 TARGETS = ("lemma2.1", "prop2.2", "lemma2.3", "lemma2.4", "eq2.5",
            "lemma2.5", "lemma2.6", "thm2.7", "thm3.1", "cor3.2",
@@ -62,8 +62,8 @@ class VerifyReport:
 
 
 def _two_n(spec: str) -> int:
-    """2N = sum of l h over the components, without building the roots."""
-    return 2 * sum(c.num_positive for c in parse_spec(spec))
+    """2N = sum of l h over the components, building and listing none."""
+    return 2 * sum(t.num_positive * mult for t, mult in spec_parts(spec))
 
 
 def check_size(spec: str, force: bool):

@@ -43,6 +43,23 @@ class TestRoots:
         assert run([command, "A40"]) == 2
         assert "2N = 1640" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,two_n", [
+        (["roots", "A1^100000"], 200000),
+        (["verify", "lemma2.1", "--spec", "A1^100000"], 200000),
+        (["verify", "all", "--spec", "A2+A1^100000"], 200006)])
+    def test_size_guard_lists_no_components(self, capsys, monkeypatch, argv,
+                                            two_n):
+        def never(*args):
+            raise AssertionError("components listed before the size guard")
+        for module in ("rootsys", "verify"):
+            monkeypatch.setattr(f"griess.{module}.parse_spec", never)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: system has 2N = {two_n} > 1600 basis vectors; "
+            "pass --force to run anyway"]
+
 
 class TestAlgebraDump:
     @pytest.mark.parametrize("kind,dim", [("A", 6), ("T", 3), ("bplus", 6)])

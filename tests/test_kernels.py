@@ -3,10 +3,14 @@ the per-pair rules of the paper, the compiled integer kernels behind
 element products and forms against the plain bilinear expansion over basis
 pairs, the map of Theorem 3.1 against the sum of its scaled basis images,
 the associativity check on structure constants against the triple products
-of elements, and the identity certificates of the chain decomposition
-against the pairwise products and forms of its idempotents."""
+of elements, the identity solve against one dense solve of the whole
+system, the JSON form against recorded bytes and its own reading, and the
+identity certificates of the chain decomposition against the pairwise
+products and forms of its idempotents."""
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -223,6 +227,170 @@ def test_json_algebra_matches_its_table(data, table):
     assert (x * y).coeffs == expand_product(x, y, basis_product)
     assert x.form(y) == expand_form(x, y, basis_form)
     assert alg.to_json() == table
+
+
+# sha256 of json.dumps(to_json()), recorded from the encoder that built a
+# rational per entry, so the integer path must reproduce its bytes
+GOLDEN_JSON = {
+    ("A", "A3"):
+        "4588e9b273c6757d225a3f28ee2fe40730a397706726e51c289ffa14ffef97a5",
+    ("T", "D4"):
+        "787e0fd7064ccbab98df49357f576c7e489b4477c2c4d32b7b034654754afa1a",
+    ("B+", "A2"):
+        "349cfbb9193b9292e226a3088410105ff56411c76c7614101b7f8c48b846ed19",
+    ("A", "A1^3"):
+        "8526a4a0e808bb9feef606a395314d5f787b49d2298a19230c0d5e03bb9e3809",
+}
+
+
+@pytest.mark.parametrize("kind,spec", sorted(GOLDEN_JSON))
+def test_to_json_matches_golden_bytes(kind, spec):
+    table = KINDS[kind](spec).to_json()
+    digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
+    assert digest == GOLDEN_JSON[kind, spec]
+
+
+def test_from_json_mixes_ints_and_rationals():
+    """Integral strings, negative ones included, and rationals in one
+    table: products, forms and the round trip follow the JSON itself."""
+    table = {"basis": ["a", "b", "c"],
+             "products": [[0, 0, [[0, "3"], [2, "-2"]]],
+                          [0, 1, [[1, "1/2"]]],
+                          [1, 2, [[0, "-7/3"], [2, "3"]]],
+                          [2, 2, [[1, "-2"]]]],
+             "gram": [["3", "0", "-7/3"], ["0", "1/2", "-2"],
+                      ["-7/3", "-2", "0"]]}
+    alg = StructureAlgebra.from_json(table)
+    prods = {(i, j): {k: q_parse(v) for k, v in terms}
+             for i, j, terms in table["products"]}
+    for i in range(3):
+        for j in range(3):
+            assert alg.basis_product(i, j) == prods.get((min(i, j),
+                                                         max(i, j)), {})
+            assert alg.basis_form(i, j) == q_parse(table["gram"][i][j])
+    x, y = alg.element({0: Q(1, 2), 1: -3}), alg.element({1: 2, 2: Q(5, 7)})
+    assert (x * y).coeffs == expand_product(
+        x, y, lambda i, j: prods.get((min(i, j), max(i, j)), {}))
+    assert x.form(y) == expand_form(
+        x, y, lambda i, j: q_parse(table["gram"][i][j]))
+    assert alg.to_json() == table
+    # integral strings are read as ints, which compile without rationals
+    assert {type(v) for v in alg._product_fn(0)[0].values()} == {int}
+
+
+# -- the identity solve against the full dense system -------------------------
+
+def reference_identity(alg):
+    """Solve x * b_j = b_j for every j and every coefficient k at once with
+    QMatrix.solve; None unless the solution is unique and fixes every basis
+    vector."""
+    dim = alg.dim
+    prods = [[alg.basis_product(i, j) for i in range(dim)]
+             for j in range(dim)]
+    rows = [[prods[j][i].get(k, 0) for i in range(dim)]
+            for j in range(dim) for k in range(dim)]
+    rhs = [int(j == k) for j in range(dim) for k in range(dim)]
+    m = QMatrix(rows)
+    x = m.solve(rhs)
+    if x is None or m.rank() < dim:
+        return None
+    e = alg.element(x)
+    fixed = all(e * alg.basis_element(j) == alg.basis_element(j)
+                for j in range(dim))
+    return e if fixed else None
+
+
+IDENTITY_SPECS = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "A1^3")
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("spec", IDENTITY_SPECS)
+def test_find_identity_matches_dense_solve(kind, spec):
+    alg = KINDS[kind](spec)
+    assert alg.find_identity() == reference_identity(alg)
+
+
+@st.composite
+def unital_tables(draw):
+    """A json_tables() algebra with a unit u adjoined (u u = u, u b = b),
+    written in the basis f_a = b_a + c_a u, f_u = u + sum_a d_a b_a for
+    random rationals c, d: its identity has non-integer coefficients."""
+    base = StructureAlgebra.from_json(draw(json_tables()))
+    n = base.dim
+    c = draw(st.lists(rationals, min_size=n, max_size=n))
+    d = draw(st.lists(rationals, min_size=n, max_size=n))
+    if sum(x * y for x, y in zip(c, d)) == 1:  # keep the change invertible
+        d = [Q(0)] * n
+    # new basis vectors in old coordinates b_0..b_{n-1}, u = b_n
+    new = [{a: Q(1), n: c[a]} for a in range(n)]
+    new.append({**{a: d[a] for a in range(n)}, n: Q(1)})
+    change = QMatrix([[v.get(i, 0) for v in new] for i in range(n + 1)])
+
+    def old_product(i, j):
+        if i == n or j == n:
+            return {j if i == n else i: Q(1)}
+        return base.basis_product(i, j)
+
+    def in_new_basis(v):
+        return change.solve([v.get(i, 0) for i in range(n + 1)])
+
+    table = {}
+    for a in range(n + 1):
+        for b in range(a, n + 1):
+            out = {}
+            for i, x in new[a].items():
+                for j, y in new[b].items():
+                    for k, z in old_product(i, j).items():
+                        out[k] = out.get(k, 0) + x * y * z
+            coords = in_new_basis(out)
+            table[a, b] = {k: v for k, v in enumerate(coords) if v}
+    return StructureAlgebra([f"f{a}" for a in range(n + 1)], table, {})
+
+
+@given(table=json_tables())
+@settings(max_examples=80, deadline=None)
+def test_find_identity_matches_dense_solve_on_tables(table):
+    alg = StructureAlgebra.from_json(table)
+    assert alg.find_identity() == reference_identity(alg)
+
+
+@given(alg=unital_tables())
+@settings(max_examples=60, deadline=None)
+def test_find_identity_finds_an_adjoined_unit(alg):
+    ident = alg.find_identity()
+    assert ident is not None and ident == reference_identity(alg)
+
+
+def test_find_identity_needs_a_held_equation(monkeypatch):
+    """In Q[x]/(x^3) the forest is empty and the diagonal equations give
+    only a_1 = 1: full rank needs a held equation with k != j, such as the
+    coefficient a_x = 0 of x in y * 1 = 1."""
+    fed = []
+    add = SparseSolver.add_equation
+
+    def recorded(solver, row, rhs):
+        fed.append((dict(row), rhs))
+        return add(solver, row, rhs)
+    monkeypatch.setattr(SparseSolver, "add_equation", recorded)
+    alg = truncated_polynomials()
+    assert alg.find_identity() == alg.basis_element(0)
+    assert alg.find_identity() == reference_identity(alg)
+    assert ({1: 1}, 0) in fed
+
+
+@pytest.mark.parametrize("spec", ["A5", "D5"])
+def test_find_identity_feeds_few_equations(spec, monkeypatch):
+    """The spanning forest keeps the solver to at most 2 dim equations."""
+    calls = Counter()
+    add = SparseSolver.add_equation
+
+    def counted(solver, row, rhs):
+        calls["equations"] += 1
+        return add(solver, row, rhs)
+    monkeypatch.setattr(SparseSolver, "add_equation", counted)
+    ra = build_A(build(spec))
+    assert ra.alg.find_identity() == delta(ra)
+    assert 0 < calls["equations"] <= 2 * ra.dim
 
 
 # -- associativity of a span: structure constants against element triples ---
