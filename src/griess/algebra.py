@@ -157,19 +157,43 @@ class StructureAlgebra:
     def first_unfixed_basis(self, x: "AlgebraElement",
                             indices: Iterable[int] | None = None):
         """The first j in indices (default: all) with x * b_j != b_j, or
-        None; each j reads its compiled row once, in integer numerators."""
+        None; each product walks the compiled row of b_j, in integer
+        numerators."""
         xs, xd = x._integer_coeffs()
         for j in range(self.dim) if indices is None else indices:
-            den, nbrs = self._product_row(j)
-            out: dict = {}
-            for i in nbrs.keys() & xs.keys():
-                c = xs[i]
-                for k, v in nbrs[i]:
-                    out[k] = out.get(k, 0) + c * v
+            out, den = self.bilinear({j: 1}, xs)
             # x * b_j = sum_k out[k] / (den * xd) b_k
             if out.pop(j, 0) != den * xd or any(out.values()):
                 return j
         return None
+
+    def bilinear(self, x: Mapping, y: Mapping, form: bool = False) -> tuple:
+        """x * y, or <x, y> if form, of integer coefficient dicts.
+
+        Returns (numerators, den) with the exact value numerators / den:
+        for the product a dict {k: numerator} that may hold zeros, for the
+        form an int.  Walks the compiled rows of the sparser operand, which
+        is valid by commutativity, with each row's numerators rescaled to
+        the lcm of the row denominators.
+        """
+        if len(x) > len(y):
+            x, y = y, x
+        rows = [(c, self._form_row(j) if form else self._product_row(j))
+                for j, c in x.items()]
+        den = math.lcm(*(d for _, (d, _) in rows))
+        if form:
+            return sum(c * (den // d)
+                       * sum(nbrs[i] * y[i] for i in nbrs.keys() & y.keys())
+                       for c, (d, nbrs) in rows), den
+        out: dict = {}
+        get = out.get
+        for c, (d, nbrs) in rows:
+            c *= den // d
+            for i in nbrs.keys() & y.keys():
+                ci = c * y[i]
+                for k, v in nbrs[i]:
+                    out[k] = get(k, 0) + ci * v
+        return out, den
 
     def neighbours(self, i: int) -> set:
         """The j with b_i * b_j != 0 or <b_i, b_j> != 0."""
@@ -399,40 +423,20 @@ class AlgebraElement:
             return self.algebra.zero()
         return AlgebraElement(self.algebra, {i: c * s for i, c in self.coeffs.items()})
 
-    def _operands(self, other: "AlgebraElement", row: Callable):
-        """The sparser operand's compiled rows and the other's numerators.
-
-        Returns ([(c_j, neighbours of j)], {i: y_i}, den): c_j and y_i are
-        integer numerators, c_j rescaled to the lcm of the row
-        denominators, and the exact result is the integer sum over den.
-        Walking the rows of one operand only is valid by commutativity.
-        """
-        self._check(other)
-        a, b = ((self, other) if len(self.coeffs) <= len(other.coeffs)
-                else (other, self))
-        (xa, da), (xb, db) = a._integer_coeffs(), b._integer_coeffs()
-        rows = [(c, row(j)) for j, c in xa.items()]
-        den = math.lcm(*(d for _, (d, _) in rows))
-        return ([(c * (den // d), nbrs) for c, (d, nbrs) in rows], xb,
-                den * da * db)
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Bilinear extension of the structure constants."""
-        rows, y, den = self._operands(other, self.algebra._product_row)
-        out: dict = {}
-        get = out.get
-        for c, nbrs in rows:
-            for i in nbrs.keys() & y.keys():
-                ci = c * y[i]
-                for k, v in nbrs[i]:
-                    out[k] = get(k, 0) + ci * v
+        out, den = self._bilinear(other, form=False)
         return AlgebraElement(self.algebra, {k: Q(v, den)
                                              for k, v in out.items() if v})
 
     def form(self, other: "AlgebraElement"):
-        rows, y, den = self._operands(other, self.algebra._form_row)
-        return Q(sum(c * sum(nbrs[i] * y[i] for i in nbrs.keys() & y.keys())
-                     for c, nbrs in rows), den)
+        return Q(*self._bilinear(other, form=True))
+
+    def _bilinear(self, other: "AlgebraElement", form: bool) -> tuple:
+        self._check(other)
+        (x, dx), (y, dy) = self._integer_coeffs(), other._integer_coeffs()
+        out, den = self.algebra.bilinear(x, y, form)
+        return out, den * dx * dy
 
     def central_charge(self):
         """Eight times the squared norm of the element."""

@@ -21,16 +21,15 @@ radical of the form on the root algebra otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 
 from .algebra import AlgebraElement, StructureAlgebra
-from .exactlin import QMatrix
-from .ratio import ONE, Q, ZERO
+from .exactlin import QMatrix, SparseSolver
+from .ratio import Q, ZERO
 from .rootalgebra import RootAlgebra
 from .rootsys import RootSystem, doubled
-
-HALF = Q(1, 2)
 
 
 @dataclass
@@ -44,15 +43,6 @@ class BPlusAlgebra:
     @property
     def dim(self) -> int:
         return self.alg.dim
-
-    def x(self, root_index: int) -> AlgebraElement:
-        return self.alg.basis_element(self.num_sym + root_index)
-
-    def root_square(self, root_index: int) -> AlgebraElement:
-        return self.alg.element(self._root_square_coeffs(root_index))
-
-    def _root_square_coeffs(self, root_index: int) -> dict:
-        return dict(self._sq[root_index])
 
 
 def build_bplus(rs: RootSystem) -> BPlusAlgebra:
@@ -133,21 +123,12 @@ class PhiMap:
         if self.domain.t_only:
             raise ValueError("the map is defined on the full algebra")
 
-    def image_of_basis(self, i: int) -> AlgebraElement:
-        bp = self.codomain
-        N = bp.rs.N
-        r = i if i < N else i - N
-        sign = -ONE if i < N else ONE
-        coeffs = {k: HALF * v for k, v in bp._root_square_coeffs(r).items()}
-        coeffs[bp.num_sym + r] = coeffs.get(bp.num_sym + r, ZERO) + sign
-        return bp.alg.element(coeffs)
-
-    def apply(self, a: AlgebraElement) -> AlgebraElement:
-        """c t(alpha) + d u(alpha) maps to (c + d)/2 alpha^2 + (d - c) x_alpha;
-        the images are summed per root, in integer numerators."""
+    def image(self, nums: dict) -> dict:
+        """2 phi(sum_i n_i b_i) in integer numerators over the basis of B+,
+        for integer n_i: c t(alpha) + d u(alpha) maps to (c + d) alpha^2 +
+        2 (d - c) x_alpha, summed per root so each alpha^2 is added once."""
         bp, N = self.codomain, self.codomain.rs.N
-        nums, den = a._integer_coeffs()
-        sums, diffs = {}, {}  # per root: numerators of c + d and d - c
+        sums, diffs = {}, {}  # per root: c + d and d - c
         for i, c in nums.items():
             r = i % N
             sums[r] = sums.get(r, 0) + c
@@ -157,19 +138,27 @@ class PhiMap:
             if c:
                 for k, v in bp._sq[r].items():
                     out[k] = out.get(k, 0) + c * v
-        coeffs = {k: Q(v, 2 * den) for k, v in out.items() if v}
-        coeffs.update((bp.num_sym + r, Q(v, den))
-                      for r, v in diffs.items() if v)
-        return AlgebraElement(bp.alg, coeffs)
+        out = {k: v for k, v in out.items() if v}
+        out.update((bp.num_sym + r, 2 * v) for r, v in diffs.items() if v)
+        return out
+
+    def apply(self, a: AlgebraElement) -> AlgebraElement:
+        nums, den = a._integer_coeffs()
+        return AlgebraElement(self.codomain.alg, {
+            k: Q(v, 2 * den) for k, v in self.image(nums).items()})
+
+    def rank(self) -> int:
+        """Exact rank, from the 2N integer image rows 2 phi(b_i)."""
+        solver = SparseSolver(self.codomain.dim)
+        for i in range(self.domain.dim):
+            solver.add_equation(self.image({i: 1}), 0)
+        return solver.rank
 
     def matrix(self) -> QMatrix:
         """Columns are the images of the domain basis."""
-        cols = []
-        for i in range(self.domain.dim):
-            img = self.image_of_basis(i)
-            cols.append([img.coeffs.get(k, ZERO)
-                         for k in range(self.codomain.dim)])
-        return QMatrix(list(zip(*cols)))
+        cols = [self.image({i: 1}) for i in range(self.domain.dim)]
+        return QMatrix([[Q(c[k], 2) if k in c else ZERO for c in cols]
+                        for k in range(self.codomain.dim)])
 
     def kernel_basis(self) -> list[list]:
         return self.matrix().kernel_basis()
@@ -193,25 +182,69 @@ class Theorem31Report:
 
 
 def verify_theorem_3_1(phi: PhiMap) -> Theorem31Report:
-    """Check, over all basis pairs, that the map is a surjective isometric
-    algebra homomorphism; report the kernel dimension."""
-    ra, bp = phi.domain, phi.codomain
-    n = ra.dim
-    images = [phi.image_of_basis(i) for i in range(n)]
+    """Check, over all basis pairs i <= j, that phi(b_i) phi(b_j) =
+    phi(b_i b_j) and <phi(b_i), phi(b_j)> = <b_i, b_j>, and that the map is
+    onto; report the kernel dimension.
+
+    With P_r = 2 phi(t_r + u_r) and M_r = 2 phi(u_r - t_r), 4 phi(t_r) =
+    P_r - M_r and 4 phi(u_r) = P_r + M_r.  For roots r <= s the products
+    and forms of the images of t_r, u_r, t_s, u_s are therefore signed sums
+    of those of P_r P_s, P_r M_s, M_r P_s and M_r M_s, each computed once
+    per root pair in integer numerators.  The other side is read from the
+    compiled rows of the domain, its product mapped by phi.image, and the
+    two are compared by cross-multiplying the denominators.  The first
+    failure is the first in the order of the pairs (i, j), a product
+    mismatch before a form mismatch at the same pair.
+    """
+    ra, B = phi.domain, phi.codomain.alg
+    A, N = ra.alg, ra.rs.N
+    n = A.dim
+    parts = [(phi.image({r: 1, N + r: 1}), phi.image({r: -1, N + r: 1}))
+             for r in range(N)]
     hom = iso = True
+    first = (n, n, 0)  # (i, j, 0 for a product or 1 for a form mismatch)
+    for r in range(N):
+        pr, mr = parts[r]
+        for s in range(r, N):
+            ps, ms = parts[s]
+            pairs = [(a, b) for a in (pr, mr) for b in (ps, ms)]
+            prods = [B.bilinear(a, b) for a, b in pairs]
+            forms = [B.bilinear(a, b, True) for a, b in pairs]
+            # phi(b_i) phi(b_j) = sum of the signed prods over 16 pden
+            pden = math.lcm(*(d for _, d in prods))
+            prods = [p if d == pden else {k: v * (pden // d)
+                                           for k, v in p.items()}
+                     for p, d in prods]
+            fden = math.lcm(*(d for _, d in forms))
+            forms = [f * (fden // d) for f, d in forms]
+            for sr, ss in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+                if r == s and sr > ss:
+                    continue  # the pair (t_r, u_r) is checked once
+                i, j = sorted((r if sr < 0 else N + r, s if ss < 0 else N + s))
+                signs = (1, ss, sr, sr * ss)
+                got = dict(prods[0])
+                for sign, p in zip(signs[1:], prods[1:]):
+                    for k, v in p.items():
+                        got[k] = got.get(k, 0) + sign * v
+                # phi(b_i b_j) = want / (2 aden)
+                aden, row = A._product_row(i)
+                want = phi.image(dict(row.get(j, ())))
+                if any(v * aden != 8 * pden * want.pop(k, 0)
+                       for k, v in got.items() if v) or want:
+                    hom = False
+                    first = min(first, (i, j, 0))
+                aden, row = A._form_row(i)
+                if (sum(map(mul, signs, forms)) * aden
+                        != 16 * fden * row.get(j, 0)):
+                    iso = False
+                    first = min(first, (i, j, 1))
     failure = None
-    for i in range(n):
-        for j in range(i, n):
-            lhs = phi.apply(ra.alg.basis_element(i) * ra.alg.basis_element(j))
-            rhs = images[i] * images[j]
-            if lhs != rhs:
-                hom = False
-                failure = failure or f"product mismatch at basis pair ({i},{j})"
-            if images[i].form(images[j]) != ra.alg.basis_form(i, j):
-                iso = False
-                failure = failure or f"form mismatch at basis pair ({i},{j})"
-    rank = phi.matrix().rank()
-    surj = (rank == bp.dim)
+    if first[0] < n:
+        i, j, kind = first
+        what = ("product", "form")[kind]
+        failure = f"{what} mismatch at basis pair ({i},{j})"
+    rank = phi.rank()
+    surj = (rank == phi.codomain.dim)
     if not surj:
-        failure = failure or f"rank {rank} < dim {bp.dim}"
+        failure = failure or f"rank {rank} < dim {phi.codomain.dim}"
     return Theorem31Report(hom, iso, surj, n - rank, failure)

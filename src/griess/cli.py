@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bplus import build_bplus, build_phi, verify_theorem_3_1
+from .bplus import build_bplus, build_phi
 from .niemeier import catalog, catalog_entry, lemma_4_2_subalgebra
 from .ratio import q_str
 from .rootalgebra import (build_A, build_T, coset_chain_decompose,

@@ -275,14 +275,13 @@ def verify_cor_3_2(spec: str) -> VerifyReport:
     rs = build(spec)
     ra = build_A(rs)
     phi = build_phi(ra, build_bplus(rs))
-    mat = phi.matrix()
     if _all_type_a(rs.components):
-        rank = mat.rank()
+        rank = phi.rank()
         rep.add(f"bijective: rank {rank} = 2N = dim target",
                 rank == 2 * rs.N == phi.codomain.dim,
                 f"rank {rank}, 2N {2 * rs.N}, dim {phi.codomain.dim}")
         return rep
-    kernel = mat.kernel_basis()
+    kernel = phi.kernel_basis()
     radical = ra.alg.gram_matrix().kernel_basis()
     rep.add(f"kernel dimension {len(kernel)} equals radical dimension",
             len(kernel) == len(radical), f"radical dim {len(radical)}")

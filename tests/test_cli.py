@@ -163,6 +163,28 @@ class TestVerify:
         capsys.readouterr()
         assert len(builds) == 1
 
+    # The benchmark's verify_small counts these clauses as known failures
+    # by parsing their counterexamples: phi on a direct sum is not onto
+    # B+, whose S^2(H) holds the cross terms of the components.
+    @pytest.mark.parametrize("target,clauses", [
+        ("thm3.1", [
+            ("algebra homomorphism on all basis pairs", True, None),
+            ("isometry on all basis pairs", True, None),
+            ("surjective (exact rank equals target dimension)", False,
+             "rank 48 < dim 324"),
+            ("kernel dimension = 2N - dim = -276", False, "0")]),
+        ("cor3.2", [
+            ("bijective: rank 48 = 2N = dim target", False,
+             "rank 48, 2N 48, dim 324")])])
+    def test_known_phi_failures_on_a1_24(self, capsys, target, clauses):
+        code, out = run_captured(
+            capsys, ["verify", target, "--spec", "A1^24", "--json"])
+        assert code == 1
+        [report] = json.loads(out)["reports"]
+        assert report["target"] == f"{target} [A1^24]"
+        assert [(c["description"], c["passed"], c["counterexample"])
+                for c in report["clauses"]] == clauses
+
     def test_unknown_target(self):
         assert run(["verify", "lemma9.9"]) == 2
 

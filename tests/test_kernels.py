@@ -6,7 +6,9 @@ the associativity check on structure constants against the triple products
 of elements, the identity solve against one dense solve of the whole
 system, the JSON form against recorded bytes and its own reading, and the
 identity certificates of the chain decomposition against the pairwise
-products and forms of its idempotents."""
+products and forms of its idempotents.  The check of Theorem 3.1, on
+products shared per root pair, is compared with the per-pair products of
+the images, also on broken inputs."""
 
 import hashlib
 import itertools
@@ -18,11 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from griess import rootalgebra
 from griess.algebra import StructureAlgebra
-from griess.bplus import build_bplus
+from griess.bplus import (BPlusAlgebra, PhiMap, Theorem31Report, build_bplus,
+                          verify_theorem_3_1)
 from griess.exactlin import QMatrix, SparseSolver
 from griess.ratio import Q, q_parse, q_str
-from griess.rootalgebra import (build_A, build_T, coset_chain_decompose,
-                                delta, generalized_chain_decompose)
+from griess.rootalgebra import (RootAlgebra, build_A, build_T,
+                                coset_chain_decompose, delta,
+                                generalized_chain_decompose)
 from griess.rootsys import build, dot
 
 from conftest import algebra_A, algebra_T, bplus, phi, system
@@ -178,6 +182,16 @@ def test_root_algebras_match_expansion(kind, data):
     assert x.form(y) == expand_form(x, y, alg.basis_form)
 
 
+def image_of_basis(p, i):
+    """phi(t(alpha)) = alpha^2/2 - x_alpha, phi(u(alpha)) = alpha^2/2 +
+    x_alpha, in rationals."""
+    bp, N = p.codomain, p.codomain.rs.N
+    r = i % N
+    coeffs = {k: Q(v, 2) for k, v in bp._sq[r].items()}
+    coeffs[bp.num_sym + r] = -1 if i < N else 1
+    return bp.alg.element(coeffs)
+
+
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_phi_apply_matches_sum_of_basis_images(data):
@@ -185,7 +199,7 @@ def test_phi_apply_matches_sum_of_basis_images(data):
     x = data.draw(elements(p.domain.alg))
     expected = {}
     for i, c in x.coeffs.items():
-        for k, v in p.image_of_basis(i).coeffs.items():
+        for k, v in image_of_basis(p, i).coeffs.items():
             expected[k] = expected.get(k, 0) + c * v
     assert p.apply(x).coeffs == {k: v for k, v in expected.items() if v != 0}
 
@@ -596,3 +610,136 @@ def test_broken_epsilon_fails_both_checks(spec, chain, monkeypatch):
     assert dec.checks == direct_decomposition_checks(
         ra, dec.idempotents, delta(ra))
     assert not dec.checks["pairwise_products"]
+
+
+# -- Theorem 3.1: shared root-pair products against per-pair images ----------
+
+def direct_theorem_3_1(p):
+    """Every basis pair i <= j: phi applied to b_i b_j against the product
+    of the rational images, their form against <b_i, b_j>; the rank of the
+    dense matrix of images."""
+    ra, bp = p.domain, p.codomain
+    n = ra.dim
+    images = [image_of_basis(p, i) for i in range(n)]
+    hom = iso = True
+    failure = None
+    for i in range(n):
+        for j in range(i, n):
+            lhs = p.apply(ra.alg.basis_element(i) * ra.alg.basis_element(j))
+            rhs = images[i] * images[j]
+            if lhs != rhs:
+                hom = False
+                failure = failure or f"product mismatch at basis pair ({i},{j})"
+            if images[i].form(images[j]) != ra.alg.basis_form(i, j):
+                iso = False
+                failure = failure or f"form mismatch at basis pair ({i},{j})"
+    rank = p.matrix().rank()
+    surj = (rank == bp.dim)
+    if not surj:
+        failure = failure or f"rank {rank} < dim {bp.dim}"
+    return Theorem31Report(hom, iso, surj, n - rank, failure)
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "A6", "D4",
+                                  "D5", "E6", "A2+A1", "A1^3"])
+def test_theorem_3_1_matches_direct(spec):
+    p = phi(spec)
+    rep = verify_theorem_3_1(p)
+    assert rep == direct_theorem_3_1(p)
+    assert rep.homomorphism and rep.isometry
+
+
+def with_changed_entry(source, i, j, change):
+    """A row source with entry j of row i, and i of row j, changed; change
+    gets None for an entry the source leaves out."""
+    def row(k):
+        out = dict(source(k))
+        if k in (i, j):
+            other = j if k == i else i
+            out[other] = change(out.get(other))
+        return out
+    return row
+
+
+def plus_one(entry):
+    """A form entry plus 1."""
+    return (entry or 0) + 1
+
+
+def plus_basis(k):
+    """A product entry plus b_k."""
+    return lambda terms: {**(terms or {}), k: (terms or {}).get(k, 0) + 1}
+
+
+def changed_domain(spec, changes):
+    """phi on spec with A's entries changed: (what, i, j) adds 1 to the
+    form at (i, j), or b_i to the product b_i b_j."""
+    rs = system(spec)
+    alg = build_A(rs).alg
+    product, form = alg._product_fn, alg._form_fn
+    for what, i, j in changes:
+        if what == "form":
+            form = with_changed_entry(form, i, j, plus_one)
+        else:
+            product = with_changed_entry(product, i, j, plus_basis(i))
+    ra = RootAlgebra(rs, StructureAlgebra(alg.basis_labels, product, form),
+                     False)
+    return PhiMap(ra, bplus(spec))
+
+
+def broken_phi(spec, what):
+    """phi on spec with one input changed, on freshly compiled algebras."""
+    rs = system(spec)
+    bp = build_bplus(rs)
+    if what == "A form":  # <t(0), t(s)> for a root s next to root 0
+        return changed_domain(spec, [("form", 0, rs.neighbours[0][0][0])])
+    if what == "B+ product":
+        # s(0,0) s(0,1): one S^2 S^2 structure constant, both orderings
+        i, j = bp.sym_index[0, 0], bp.sym_index[0, 1]
+        alg = StructureAlgebra(
+            bp.alg.basis_labels,
+            with_changed_entry(bp.alg._product_fn, i, j,
+                               plus_basis(min(bp.alg.basis_product(i, j)))),
+            bp.alg._form_fn)
+        bp = BPlusAlgebra(rs, alg, bp.sym_index, bp.num_sym, bp._sq)
+    else:  # "alpha^2": one coefficient of the last root's square
+        sq = [dict(q) for q in bp._sq]
+        sq[-1][min(sq[-1])] += 1
+        bp = BPlusAlgebra(rs, bp.alg, bp.sym_index, bp.num_sym, sq)
+    return PhiMap(build_A(rs), bp)
+
+
+@pytest.mark.parametrize("what", ["B+ product", "alpha^2", "A form"])
+@pytest.mark.parametrize("spec", ["A3", "D4"])
+def test_broken_inputs_fail_like_direct(spec, what):
+    rep = verify_theorem_3_1(broken_phi(spec, what))
+    assert not rep.passed
+    assert rep == direct_theorem_3_1(broken_phi(spec, what))
+
+
+@pytest.mark.parametrize("what", ["product", "form"])
+def test_each_basis_pair_is_compared(what):
+    """On A2 a change of A's entry at any pair i <= j fails at that pair;
+    root pairs r <= s cover the pairs (t_s, u_r) and the pairs on one root
+    too."""
+    n = algebra_A("A2").dim
+    for i in range(n):
+        for j in range(i, n):
+            rep = verify_theorem_3_1(changed_domain("A2", [(what, i, j)]))
+            assert rep.first_failure == (
+                f"{what} mismatch at basis pair ({i},{j})")
+
+
+# On A2 (N = 3) the pair (2, 3) = (t_2, u_0) belongs to the root pair
+# (0, 2), which the check visits before (1, 1).
+@pytest.mark.parametrize("changes,first", [
+    ([("form", 2, 3), ("form", 1, 1)], "form mismatch at basis pair (1,1)"),
+    ([("product", 2, 3), ("product", 1, 1)],
+     "product mismatch at basis pair (1,1)"),
+    ([("product", 2, 3), ("form", 1, 1)], "form mismatch at basis pair (1,1)"),
+    ([("form", 1, 1), ("product", 1, 1)],
+     "product mismatch at basis pair (1,1)")])
+def test_first_failure_in_pair_order(changes, first):
+    rep = verify_theorem_3_1(changed_domain("A2", changes))
+    assert rep.first_failure == first
+    assert rep == direct_theorem_3_1(changed_domain("A2", changes))
