@@ -136,10 +136,6 @@ class StructureAlgebra:
                   for j in range(self.dim)] for den, nbrs in rows])
         return self._gram
 
-    def radical_dimension(self) -> int:
-        """dim minus the exact rank of the Gram matrix."""
-        return self.dim - self.gram_matrix().rank()
-
     # -- elements ----------------------------------------------------------
 
     def element(self, coeffs: Mapping | Sequence) -> "AlgebraElement":
@@ -166,6 +162,12 @@ class StructureAlgebra:
             if out.pop(j, 0) != den * xd or any(out.values()):
                 return j
         return None
+
+    def operand(self, nums: dict) -> dict:
+        """The integer coefficient dict of an element as it is kept for
+        bilinear (AlgebraElement._integer_coeffs); a subclass may return a
+        dict that also caches what its products need."""
+        return nums
 
     def bilinear(self, x: Mapping, y: Mapping, form: bool = False) -> tuple:
         """x * y, or <x, y> if form, of integer coefficient dicts.
@@ -385,8 +387,9 @@ class AlgebraElement:
         """({i: numerator}, den) with coefficient i = numerator / den."""
         if self._scaled is None:
             den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-            self._scaled = ({i: c.numerator * (den // c.denominator)
-                             for i, c in self.coeffs.items()}, den)
+            self._scaled = (self.algebra.operand(
+                {i: c.numerator * (den // c.denominator)
+                 for i, c in self.coeffs.items()}), den)
         return self._scaled
 
     def __eq__(self, other):

@@ -13,6 +13,21 @@ squares, which is the unique symmetric bilinear extension:
     <ab,cd>    = (a,c)(b,d) + (a,d)(b,c)
     <ab,x_r>   = 0,  <x_r,x_s> = 2 [r=s]
 
+Element products run on a matrix form of these rules.  The S^2 part
+sum_{a<=b} c_ab a_a a_b of an element is the symmetric integer matrix X'
+with X'_aa = 2 c_aa and X'_ab = X'_ba = c_ab, and with S the Cartan matrix
+the first rule reads
+
+    X'.Y' = X'SY' + Y'SX',  so  coef s(b,b) = (X'SY')_bb  and
+                                coef s(b,d) = (X'SY' + Y'SX')_bd, b < d.
+
+S has at most four non-zeros per row, so X'S costs O(|X| deg).  The
+second rule gives x_r the coefficient q_X(r) = p_r^T X' p_r, a quadratic
+form in the pairings p_r = ((alpha_a, r))_a, which have at most four
+non-zeros in type A, and x_r x_s reads the root relations.  The basis rows
+above remain the row source of the algebra's tables (basis_product,
+to_json); forms are read from them.
+
 The linear map from the root algebra sends t(alpha) to alpha^2/2 - x_alpha
 and u(alpha) to alpha^2/2 + x_alpha; it is a surjective isometric algebra
 homomorphism, bijective exactly in type A, with kernel equal to the
@@ -22,7 +37,9 @@ radical of the form on the root algebra otherwise.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul
 
 from .algebra import AlgebraElement, StructureAlgebra
@@ -30,6 +47,146 @@ from .exactlin import QMatrix, SparseSolver
 from .ratio import Q, ZERO
 from .rootalgebra import RootAlgebra
 from .rootsys import RootSystem, doubled
+
+
+def _sym_pairs(l: int) -> tuple[list, list]:
+    """The pairs (a, b), a <= b, indexing the S^2 basis in order, and the
+    index of s(a, b) by a and b in either order."""
+    pairs = [(a, b) for a in range(l) for b in range(a, l)]
+    idx = [[0] * l for _ in range(l)]
+    for k, (a, b) in enumerate(pairs):
+        idx[a][b] = idx[b][a] = k
+    return pairs, idx
+
+
+class _Operand(dict):
+    """Integer coefficients of a B+ element, holding the parts the kernel
+    reads once it first multiplies them: the x block as {r: coef} and as a
+    list over all roots, the rows a of X' and of X'S that are not zero, the
+    columns where X'S is not zero, and q_X per root as needed."""
+
+    __slots__ = ("xs", "xl", "rows", "srows", "cols", "q")
+
+    def __init__(self, nums):
+        super().__init__(nums)
+        self.xs = None
+
+
+class BPlusStructure(StructureAlgebra):
+    """The StructureAlgebra of B+, whose products of elements run on the
+    structure (module docstring) instead of the compiled basis rows.
+
+    The kernel reads the root system's simple-root coefficients and
+    relation lists, the Cartan matrix S, per positive root r the pairings
+    (a, (alpha_a, r)) that are not zero, and alpha_r^2 over the S^2 basis
+    (squares).  Forms, basis_product and to_json read the rows of the row
+    sources.
+    """
+
+    def __init__(self, basis_labels, product, form, rs, cartan, pairings,
+                 squares):
+        super().__init__(basis_labels, product, form)
+        l = self._l = len(cartan)
+        self._pair, self._idx = _sym_pairs(l)
+        self.ns = len(self._pair)
+        self._near = [[(c, v) for c, v in enumerate(row) if v]
+                      for row in cartan]
+        self._pcol = pairings
+        self._coeffs = rs.simple_coeffs
+        self._nbrs = rs.neighbours
+        self._sq = squares
+
+    def operand(self, nums: dict) -> _Operand:
+        return _Operand(nums)
+
+    def _parts(self, x: dict) -> _Operand:
+        """x as an _Operand with its kernel parts, filled on first use."""
+        if type(x) is not _Operand:
+            x = _Operand(x)
+        elif x.xs is not None:
+            return x
+        ns, l, pair = self.ns, self._l, self._pair
+        xs, rows = {}, {}
+        xl = [0] * len(self._nbrs)
+        for k, v in x.items():
+            if k >= ns:
+                xs[k - ns] = xl[k - ns] = v
+                continue
+            a, b = pair[k]
+            if a == b:
+                rows.setdefault(a, [0] * l)[a] = 2 * v
+            else:
+                rows.setdefault(a, [0] * l)[b] = v
+                rows.setdefault(b, [0] * l)[a] = v
+        srows = {}
+        for b, row in rows.items():
+            out = srows[b] = [0] * l
+            for a, v in enumerate(row):
+                if v:
+                    for c, s in self._near[a]:
+                        out[c] += v * s
+        x.cols = {c for row in srows.values() for c in compress(range(l), row)}
+        x.xs, x.xl, x.rows, x.srows, x.q = xs, xl, rows, srows, {}
+        return x
+
+    def _q(self, x: _Operand, r: int) -> int:
+        """q_X(r) = p_r^T X' p_r, memoized on x, where (X' p_r)_a is row a
+        of X'S dotted with r's simple-root coefficients."""
+        v = x.q.get(r)
+        if v is None:
+            srows, c = x.srows, self._coeffs[r]
+            v = 0
+            for a, p in self._pcol[r]:
+                row = srows.get(a)
+                if row is not None:
+                    v += p * sum(map(mul, row, c))
+            x.q[r] = v
+        return v
+
+    def bilinear(self, x, y, form: bool = False) -> tuple:
+        """x * y from the structure, over denominator 1; forms from the rows
+        (StructureAlgebra.bilinear)."""
+        if form:
+            return super().bilinear(x, y, True)
+        x, y = self._parts(x), self._parts(y)
+        ns, dim = self.ns, self.dim
+        # a list over the basis for dense operands, which is faster to
+        # index; a dict for sparse ones, which is cheaper to create and read
+        dense = len(x) + len(y) > dim // 2
+        acc = [0] * dim if dense else defaultdict(int)
+        # S^2 S^2: M = X'SY' adds M_bd to s(b, d) for every b, d, so s(b, d)
+        # gets M_bd + M_db; M = 0 unless a column of X'S meets a row of Y'
+        if not x.cols.isdisjoint(y.rows):
+            yrows = y.rows.items()
+            for b, sb in x.srows.items():
+                ib = self._idx[b]
+                for d, yd in yrows:
+                    if v := sum(map(mul, sb, yd)):
+                        acc[ib[d]] += v
+        # S^2 x_r: q_X(r) y_r + q_Y(r) x_r
+        for u, v in ((x, y), (y, x)):
+            if u.rows:
+                for r, c in v.xs.items():
+                    if q := self._q(u, r):
+                        acc[ns + r] += q * c
+        # x_r x_s: x_g on neighbours, 2 r^2 on equal roots; the sparser
+        # x block is walked, the other read from its list
+        xs, yl = (x.xs, y.xl) if len(x.xs) <= len(y.xs) else (y.xs, x.xl)
+        if xs:
+            nbrs, sq = self._nbrs, self._sq
+            xacc = [0] * len(yl)
+            for r, c in xs.items():
+                if w := yl[r]:
+                    w *= 2 * c
+                    for k, v in sq[r].items():
+                        acc[k] += w * v
+                for s, g in nbrs[r]:
+                    xacc[g] += c * yl[s]
+            for g in compress(range(len(xacc)), xacc):
+                acc[ns + g] += xacc[g]
+        if dense:
+            acc = {k: acc[k] for k in compress(range(dim), acc)}
+        return acc, 1
 
 
 @dataclass
@@ -47,24 +204,28 @@ class BPlusAlgebra:
 
 def build_bplus(rs: RootSystem) -> BPlusAlgebra:
     l, N = rs.l, rs.N
-    sym_pairs = [(a, b) for a in range(l) for b in range(a, l)]
+    sym_pairs, idx = _sym_pairs(l)
     sym_index = {p: i for i, p in enumerate(sym_pairs)}
     ns = len(sym_pairs)
-    idx = [[sym_index[min(a, b), max(a, b)] for b in range(l)]
-           for a in range(l)]
 
     # Cartan matrix of the simple roots, from the doubled coordinates
     simple = [doubled(a) for a in rs.simple_roots]
     S = [[sum(map(mul, x, y)) // 4 for y in simple] for x in simple]
     near = [[c for c in range(l) if S[a][c]] for a in range(l)]
-    # P[a] = {r: (alpha_a, r)} over the positive roots r where it is not 0
+    # P[a] = {r: (alpha_a, r)} over the positive roots r where it is not 0,
+    # and per root r the (a, (alpha_a, r)) that are not 0
     P: list[dict] = [{} for _ in range(l)]
+    pcol: list[list] = []
     squares: list[dict] = []  # alpha^2 of each positive root over S^2
     for r, c in enumerate(rs.simple_coeffs):
         supp = [b for b in range(l) if c[b]]
-        for a in range(l):
-            if p := sum(S[a][b] * c[b] for b in supp):
-                P[a][r] = p
+        pr: dict = {}  # (alpha_a, r) = sum_b S[a][b] c_b, over a near supp
+        for b in supp:
+            for a in near[b]:
+                pr[a] = pr.get(a, 0) + S[a][b] * c[b]
+        pcol.append(col := sorted((a, p) for a, p in pr.items() if p))
+        for a, p in col:
+            P[a][r] = p
         squares.append({idx[a][b]: c[a] * c[b] * (1 if a == b else 2)
                         for a in supp for b in supp if a <= b})
 
@@ -73,9 +234,8 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
             r = i - ns
             row = {ns + s: {ns + g: 1} for s, g in rs.neighbours[r]}
             row[i] = {k: 2 * v for k, v in squares[r].items()}
-            pairings = [(a, Pa[r]) for a, Pa in enumerate(P) if r in Pa]
             row.update((idx[a][b], {i: 2 * p * q})
-                       for a, p in pairings for b, q in pairings if a <= b)
+                       for a, p in pcol[r] for b, q in pcol[r] if a <= b)
             return row
         a, b = sym_pairs[i]
         # (ab)(cd) = (a,c)bd + (a,d)bc + (b,c)ad + (b,d)ac, collected per cd
@@ -102,7 +262,7 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
 
     labels = ([f"s({a},{b})" for a, b in sym_pairs]
               + [f"x({r})" for r in range(N)])
-    alg = StructureAlgebra(labels, product, form)
+    alg = BPlusStructure(labels, product, form, rs, S, pcol, squares)
     bp = BPlusAlgebra(rs, alg, sym_index, ns, squares)
     expected = l * (l + 1) // 2 + N
     if alg.dim != expected:
@@ -190,7 +350,8 @@ def verify_theorem_3_1(phi: PhiMap) -> Theorem31Report:
     P_r - M_r and 4 phi(u_r) = P_r + M_r.  For roots r <= s the products
     and forms of the images of t_r, u_r, t_s, u_s are therefore signed sums
     of those of P_r P_s, P_r M_s, M_r P_s and M_r M_s, each computed once
-    per root pair in integer numerators.  The other side is read from the
+    per root pair in integer numerators, the products by B+'s kernel on
+    operands kept per root (B.operand).  The other side is read from the
     compiled rows of the domain, its product mapped by phi.image, and the
     two are compared by cross-multiplying the denominators.  The first
     failure is the first in the order of the pairs (i, j), a product
@@ -199,8 +360,8 @@ def verify_theorem_3_1(phi: PhiMap) -> Theorem31Report:
     ra, B = phi.domain, phi.codomain.alg
     A, N = ra.alg, ra.rs.N
     n = A.dim
-    parts = [(phi.image({r: 1, N + r: 1}), phi.image({r: -1, N + r: 1}))
-             for r in range(N)]
+    parts = [(B.operand(phi.image({r: 1, N + r: 1})),
+              B.operand(phi.image({r: -1, N + r: 1}))) for r in range(N)]
     hom = iso = True
     first = (n, n, 0)  # (i, j, 0 for a product or 1 for a form mismatch)
     for r in range(N):

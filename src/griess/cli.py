@@ -123,10 +123,33 @@ def _cmd_niemeier(args) -> int:
     return 0
 
 
+def _verify_chain(target: str, spec: str | None, text: str) -> dict:
+    """--chain of verify, for component 0 of a lemma4.2 entry of type D
+    or E, checked against the catalog before anything is built."""
+    if target != "lemma4.2":
+        raise ValueError(f"--chain applies to lemma4.2 only, not {target}")
+    if spec is None:
+        raise ValueError("target lemma4.2 needs a root-system spec")
+    try:
+        comps = catalog_entry(spec).components
+    except KeyError:
+        raise ValueError(f"{spec!r} is not a catalog entry name") from None
+    if not comps or comps[0].family == "A":
+        raise ValueError(f"--chain names component 0 of {spec}, which is "
+                         "not of type D or E")
+    chain = _parse_chain(text)
+    bad = [i for i in chain[-1] if not 0 <= i < comps[0].rank]
+    if bad:
+        raise ValueError(f"--chain index {bad[0]} is outside the simple "
+                         f"roots 0..{comps[0].rank - 1} of component 0 "
+                         f"({comps[0]})")
+    return {0: chain}
+
+
 def _cmd_verify(args) -> int:
     chains = None
     if args.chain:
-        chains = {0: _parse_chain(args.chain)}
+        chains = _verify_chain(args.target, args.spec, args.chain)
     reports = run_target(args.target, args.spec, max_dim=args.max_dim,
                          force=args.force, chains=chains)
     ok = all(r.passed for r in reports)

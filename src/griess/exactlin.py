@@ -36,22 +36,6 @@ class QMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
-
-    def mul_vector(self, v: Sequence) -> list:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum((r[j] * v[j] for j in range(self.cols)), ZERO) for r in self.entries]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self.entries))) if self.rows else QMatrix([])
-
     def _eliminated(self, rhs: Sequence = ()) -> "SparseSolver | None":
         """The rows, with rhs if given, fed to a SparseSolver; None when
         M x = rhs is inconsistent."""

@@ -288,23 +288,6 @@ class RootSystem:
     def inner(self, i: int, j: int):
         return dot(self.positive_roots[i], self.positive_roots[j])
 
-    def delta_partition(self, alpha: Root) -> tuple[list[Root], list[Root], list[Root]]:
-        """Split the positive roots into ({alpha}, non-orthogonal, orthogonal)."""
-        i = self.index_of(alpha)
-        d0, d1, d2 = [], [], []
-        for j, r in enumerate(self.positive_roots):
-            (d0 if j == i else d1 if self.rel[i][j] == 1 else d2).append(r)
-        return d0, d1, d2
-
-    def triple(self, alpha: Root, beta: Root) -> Root:
-        """The unique positive root completing a non-orthogonal pair."""
-        i, j = self.index_of(alpha), self.index_of(beta)
-        if self.component_of[i] != self.component_of[j]:
-            raise ValueError("roots lie in different components")
-        if self.rel[i][j] != 1:
-            raise ValueError("roots are equal or orthogonal")
-        return self.positive_roots[self.gamma[(i, j)]]
-
     def spec_string(self) -> str:
         parts = []
         for t, group in itertools.groupby(self.components):

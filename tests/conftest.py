@@ -34,6 +34,17 @@ def phi(spec: str):
     return build_phi(algebra_A(spec), bplus(spec))
 
 
+def mul_vector(m, v) -> list:
+    """The product of a QMatrix with a vector, by the definition."""
+    assert len(v) == m.cols
+    return [sum(r[j] * v[j] for j in range(m.cols)) for r in m.entries]
+
+
+def radical_dimension(alg) -> int:
+    """dim minus the exact rank of the Gram matrix."""
+    return alg.dim - alg.gram_matrix().rank()
+
+
 @pytest.fixture
 def builders():
     return system, algebra_A, algebra_T, bplus, phi

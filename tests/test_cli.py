@@ -191,6 +191,21 @@ class TestVerify:
     def test_spec_required(self, capsys):
         assert run(["verify", "thm2.7"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "lemma4.2", "--spec", "A24", "--chain", "0,99"],
+        ["verify", "thm2.7", "--spec", "A3", "--chain", "7"],
+        ["verify", "lemma4.2", "--spec", "D4^6", "--chain", "0,4"]])
+    def test_chain_refused_before_build(self, capsys, monkeypatch, argv):
+        """--chain is read only by lemma4.2, for a component 0 of type D
+        or E and indices among its simple roots."""
+        def never(*args):
+            raise AssertionError("roots built before --chain was checked")
+        monkeypatch.setattr("griess.rootsys.RootSystem.__init__", never)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_type_a_target_on_d4(self, capsys):
         assert run(["verify", "eq2.5", "--spec", "D4"]) == 2
 

@@ -6,13 +6,20 @@ from griess.ratio import Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import mul_vector
+
+
+def transpose(m: QMatrix) -> QMatrix:
+    return QMatrix(list(zip(*m.entries)))
+
 
 class TestQMatrix:
     def test_rank_of_identity(self):
-        assert QMatrix.identity(5).rank() == 5
+        assert QMatrix([[int(i == j) for j in range(5)]
+                        for i in range(5)]).rank() == 5
 
     def test_rank_of_zero(self):
-        assert QMatrix.zero(3, 4).rank() == 0
+        assert QMatrix([[0] * 4 for _ in range(3)]).rank() == 0
 
     def test_rank_with_dependent_row(self):
         m = QMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
@@ -27,13 +34,13 @@ class TestQMatrix:
         m = QMatrix([[1, 2, 3], [4, 5, 6]])
         basis = m.kernel_basis()
         assert len(basis) == 1
-        assert m.mul_vector(basis[0]) == [0, 0]
+        assert mul_vector(m, basis[0]) == [0, 0]
 
     def test_solve_unique(self):
         m = QMatrix([[2, 0], [1, 3]])
         x = m.solve([4, 8])
         assert x is not None
-        assert m.mul_vector(x) == [4, 8]
+        assert mul_vector(m, x) == [4, 8]
 
     def test_solve_inconsistent(self):
         m = QMatrix([[1, 1], [1, 1]])
@@ -42,11 +49,11 @@ class TestQMatrix:
     def test_solve_underdetermined_picks_a_solution(self):
         m = QMatrix([[1, 1, 1]])
         x = m.solve([3])
-        assert m.mul_vector(x) == [3]
+        assert mul_vector(m, x) == [3]
 
     def test_transpose_rank_invariant(self):
         m = QMatrix([[1, 2], [3, 4], [5, 6]])
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transpose(m).rank()
 
     def test_immutable(self):
         m = QMatrix([[1]])
@@ -242,7 +249,7 @@ class TestQMatrixDifferential:
         assert m.rank() == ref_rank(m) == rank_bareiss(m)
         assert m.kernel_basis() == ref_kernel_basis(m)
         assert m.solve(rhs) == ref_solve(m, rhs)
-        t = m.transpose()
+        t = transpose(m)
         assert t.rank() == ref_rank(t) == rank_bareiss(t)
 
 

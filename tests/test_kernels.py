@@ -8,11 +8,14 @@ system, the JSON form against recorded bytes and its own reading, and the
 identity certificates of the chain decomposition against the pairwise
 products and forms of its idempotents.  The check of Theorem 3.1, on
 products shared per root pair, is compared with the per-pair products of
-the images, also on broken inputs."""
+the images, also on broken inputs.  B+'s element products, which run on
+the S^2(H) kernel, are compared with its compiled rows on basis pairs,
+dense elements and chain images."""
 
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -20,9 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from griess import rootalgebra
 from griess.algebra import StructureAlgebra
-from griess.bplus import (BPlusAlgebra, PhiMap, Theorem31Report, build_bplus,
-                          verify_theorem_3_1)
+from griess.bplus import (BPlusAlgebra, BPlusStructure, PhiMap,
+                          Theorem31Report, build_bplus, verify_theorem_3_1)
 from griess.exactlin import QMatrix, SparseSolver
+from griess.niemeier import catalog_entry
 from griess.ratio import Q, q_parse, q_str
 from griess.rootalgebra import (RootAlgebra, build_A, build_T,
                                 coset_chain_decompose, delta,
@@ -139,13 +143,13 @@ def test_each_row_source_is_read_once(make, monkeypatch):
             return source(i)
         return row
 
-    class Counted(StructureAlgebra):
-        def __init__(self, labels, product, form):
-            super().__init__(labels, counted("product", product),
-                             counted("form", form))
+    init = StructureAlgebra.__init__
 
-    for module in ("rootalgebra", "bplus"):
-        monkeypatch.setattr(f"griess.{module}.StructureAlgebra", Counted)
+    def counted_init(alg, labels, product, form):
+        init(alg, labels, counted("product", product), counted("form", form))
+
+    # patched on the base class, so B+'s subclass is counted too
+    monkeypatch.setattr(StructureAlgebra, "__init__", counted_init)
     alg = make(build("D4")).alg
     x = alg.element([1] * alg.dim)
     alg.to_json()  # compiles every row of both tables
@@ -693,6 +697,16 @@ def broken_phi(spec, what):
     bp = build_bplus(rs)
     if what == "A form":  # <t(0), t(s)> for a root s next to root 0
         return changed_domain(spec, [("form", 0, rs.neighbours[0][0][0])])
+    if what == "kernel Cartan":
+        # (alpha_0, alpha_1) + 1 in the Cartan matrix the kernel reads; the
+        # rows, forms, pairings and squares are those of the true B+
+        S = [[int(dot(a, b)) for b in rs.simple_roots]
+             for a in rs.simple_roots]
+        S[0][1] += 1
+        alg = BPlusStructure(bp.alg.basis_labels, bp.alg._product_fn,
+                             bp.alg._form_fn, rs, S, bp.alg._pcol, bp._sq)
+        return PhiMap(build_A(rs), BPlusAlgebra(rs, alg, bp.sym_index,
+                                                bp.num_sym, bp._sq))
     if what == "B+ product":
         # s(0,0) s(0,1): one S^2 S^2 structure constant, both orderings
         i, j = bp.sym_index[0, 0], bp.sym_index[0, 1]
@@ -709,12 +723,28 @@ def broken_phi(spec, what):
     return PhiMap(build_A(rs), bp)
 
 
-@pytest.mark.parametrize("what", ["B+ product", "alpha^2", "A form"])
+@pytest.mark.parametrize("what", ["B+ product", "kernel Cartan", "alpha^2",
+                                  "A form"])
 @pytest.mark.parametrize("spec", ["A3", "D4"])
 def test_broken_inputs_fail_like_direct(spec, what):
+    """"B+ product" changes only the row source of a plain
+    StructureAlgebra; "kernel Cartan" changes only what B+'s product kernel
+    reads."""
     rep = verify_theorem_3_1(broken_phi(spec, what))
     assert not rep.passed
     assert rep == direct_theorem_3_1(broken_phi(spec, what))
+
+
+def test_broken_kernel_fails_theorem_and_span():
+    p = broken_phi("A3", "kernel Cartan")
+    assert not verify_theorem_3_1(p).homomorphism
+    images = [p.apply(e)
+              for e in coset_chain_decompose(p.domain).idempotents]
+    assert p.codomain.alg.is_associative_span(images) is False
+    # the same images on the true B+ span an associative subalgebra
+    alg, true_images = chain_images("A3")
+    assert [e.coeffs for e in images] == [e.coeffs for e in true_images]
+    assert alg.is_associative_span(true_images) is True
 
 
 @pytest.mark.parametrize("what", ["product", "form"])
@@ -743,3 +773,47 @@ def test_first_failure_in_pair_order(changes, first):
     rep = verify_theorem_3_1(changed_domain("A2", changes))
     assert rep.first_failure == first
     assert rep == direct_theorem_3_1(changed_domain("A2", changes))
+
+
+# -- B+ element products: the S^2(H) kernel against the compiled rows -------
+
+def rows_product(x, y):
+    """x * y of two B+ elements, walked over the compiled basis rows."""
+    (xs, dx), (ys, dy) = x._integer_coeffs(), y._integer_coeffs()
+    out, den = StructureAlgebra.bilinear(x.algebra, xs, ys)
+    return {k: Q(v, den * dx * dy) for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "D4", "D5",
+                                  "E6", "A2+A1", "A1^3"])
+def test_kernel_matches_rows_on_basis_pairs(spec):
+    alg = bplus(spec).alg
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            got = alg.basis_element(i) * alg.basis_element(j)
+            assert got.coeffs == alg.basis_product(i, j), (i, j)
+
+
+@pytest.mark.parametrize("spec", ["A6", "D5", "E6"])
+def test_kernel_matches_rows_on_dense_elements(spec):
+    alg = bplus(spec).alg
+    rng = random.Random(spec)
+
+    def dense():
+        return alg.element({i: v for i in range(alg.dim)
+                            if (v := rng.randint(-9, 9))})
+    for _ in range(10):
+        x, y = dense(), dense()
+        assert (x * y).coeffs == rows_product(x, y)
+        assert (x * x).coeffs == rows_product(x, x)
+
+
+@pytest.mark.parametrize("name", ["A3^8", "A6^4"])
+def test_kernel_matches_rows_on_chain_images(name):
+    rs = catalog_entry(name).root_system()
+    p = PhiMap(build_A(rs), build_bplus(rs))
+    images = [p.apply(e)
+              for e in coset_chain_decompose(p.domain).idempotents]
+    for i, x in enumerate(images):
+        for y in images[i:]:
+            assert (x * y).coeffs == rows_product(x, y)

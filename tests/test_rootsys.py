@@ -52,32 +52,35 @@ class TestGeometry:
                 assert dot(r, rs.positive_roots[j]) in (-1, 0, 1)
 
     def test_delta_partition_covers(self):
+        """rel sorts the positive roots into {alpha} (0), the roots
+        non-orthogonal to alpha (1) and those orthogonal to it (2)."""
         rs = system("D4")
-        for alpha in rs.positive_roots:
-            d0, d1, d2 = rs.delta_partition(alpha)
-            assert len(d0) == 1 and d0[0] == alpha
-            assert len(d0) + len(d1) + len(d2) == rs.N
+        for i, alpha in enumerate(rs.positive_roots):
+            assert [j for j in range(rs.N) if rs.rel[i][j] == 0] == [i]
+            for j, beta in enumerate(rs.positive_roots):
+                assert rs.rel[i][j] == (0 if i == j else
+                                        1 if dot(alpha, beta) else 2)
 
     @pytest.mark.parametrize("spec", ["A2", "A4", "D4", "E6"])
     def test_delta1_size(self, spec):
         rs = system(spec)
         h = rs.components[0].coxeter
-        for alpha in rs.positive_roots:
-            assert len(rs.delta_partition(alpha)[1]) == 2 * h - 4
+        for i in range(rs.N):
+            assert list(rs.rel[i]).count(1) == 2 * h - 4
 
     def test_triple_symmetric(self):
         rs = system("A2")
-        a, b = rs.positive_roots[0], rs.positive_roots[1]
-        g = rs.triple(a, b)
-        assert rs.triple(b, a) == g
+        g = rs.gamma[(0, 1)]
+        assert rs.gamma[(1, 0)] == g
         # any two of the three determine the remaining one
-        assert rs.triple(a, g) == b
-        assert rs.triple(b, g) == a
+        assert rs.gamma[(0, g)] == 1
+        assert rs.gamma[(1, g)] == 0
 
     def test_triple_rejects_orthogonal(self):
+        """Only non-orthogonal pairs have a third root."""
         rs = system("A1^2")
-        with pytest.raises(ValueError):
-            rs.triple(rs.positive_roots[0], rs.positive_roots[1])
+        assert rs.rel[0][1] == 2 and (0, 1) not in rs.gamma
+        assert rs.neighbours == [[], []]
 
 
 class TestChain:
