@@ -2,21 +2,40 @@
 
 A StructureAlgebra is a labeled basis together with sparse rational
 structure constants and a symmetric bilinear form, each given by rows: row
-i lists only the j with b_i * b_j != 0 (resp. <b_i, b_j> != 0).  A row
-source is a callable i -> {j: value}, or a table keyed by (i, j) with
-i <= j, which is grouped into rows once.
+i lists only the j with b_i * b_j != 0 (resp. <b_i, b_j> != 0).
 
-Rows are compiled lazily, one basis vector at a time, into neighbour
-lists: the integer numerators of the row's values over one denominator.
+A row holds integer numerators over one denominator, the one format from
+construction to JSON.  A row source is a callable giving row i as
+
+    product(i) -> (den, {j: ((k, num), ...)}),  b_i b_j = sum_k num/den b_k
+    form(i)    -> (den, {j: num}),              <b_i, b_j> = num/den
+
+with den > 0, j and k increasing and no zero numerators.  The algebras of
+the paper write their rows in this form directly: the structure constants
+8, 1 and -1 over 1, the form values 4 and 1/2 over 2.  encode_rows turns
+rules given as dicts of ints or rationals, or a table keyed by (i, j),
+into row sources.  Each row is read once, when an element first needs it,
+and keeps its entry for j from row j if that was read first over the same
+denominator, so the two rows of a pair share one entry.
+
 Element products and forms scale their operands to integers and walk the
-neighbour lists of the sparser operand, so exact rationals are built only
-for the output coefficients.
+rows of the sparser operand, so exact rationals are built only for the
+output coefficients.
+
+to_json and from_json pause the cyclic garbage collector.  They allocate a
+few containers per basis product, none of them in a reference cycle, and
+each collection those allocations trigger walks the growing JSON lists and
+rows again, for nothing: 5 full collections in one round trip of A(E8^2).
+The caller's collector state is restored on return and on an exception.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -40,82 +59,224 @@ def _encode_product(p: Sparse):
                         for k, v in p.items())), den
 
 
+def _scaled(terms: tuple, f: int) -> tuple:
+    """A product entry with its numerators times f."""
+    return terms if f == 1 else tuple((k, v * f) for k, v in terms)
+
+
+def _encode_value(v):
+    """(numerator, denominator) of a form value, or None for 0."""
+    return (v.numerator, v.denominator) if v else None
+
+
+def _encoded(source: Callable | Mapping, dim: int, encode: Callable,
+             rescale: Callable) -> Callable:
+    """The row source of dict rows, each entry encoded and rescaled to the
+    lcm of the row's denominators."""
+    if not callable(source):
+        # a symmetric table keyed by (i, j) with i <= j, grouped into rows
+        rows: list[dict] = [{} for _ in range(dim)]
+        for (i, j), v in source.items():
+            rows[i][j] = rows[j][i] = v
+        source = rows.__getitem__
+
+    def row(i: int) -> tuple:
+        src = source(i)
+        raw = [(j, e) for j in sorted(src)
+               if (e := encode(src[j])) is not None]
+        den = math.lcm(*(d for _, (_, d) in raw))
+        return den, {j: e if d == den else rescale(e, den // d)
+                     for j, (e, d) in raw}
+    return row
+
+
+def encode_rows(product: Callable | Mapping, form: Callable | Mapping,
+                dim: int) -> tuple[Callable, Callable]:
+    """Row sources (module docstring) of rules given as dicts.
+
+    product(i) -> {j: {k: value}} gives b_i * b_j = sum_k value b_k and
+    form(i) -> {j: value} gives <b_i, b_j>; values are ints or rationals,
+    and zeros, listed or not, are left out.  Either may instead be a
+    Mapping keyed by (i, j) with i <= j.
+    """
+    return (_encoded(product, dim, _encode_product, _scaled),
+            _encoded(form, dim, _encode_value, operator.mul))
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Run without the cyclic garbage collector, then restore the caller's
+    setting (module docstring)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _q_str(num: int, den: int) -> str:
     """q_str of num/den, for den > 0."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _row_source(table: Mapping, dim: int) -> Callable[[int], dict]:
-    """Rows of a symmetric table keyed by (i, j) with i <= j."""
-    rows: list[dict] = [{} for _ in range(dim)]
-    for (i, j), v in table.items():
-        rows[i][j] = rows[j][i] = v
-    return rows.__getitem__
+def _json_value(s: str) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of a coefficient string of
+    to_json, "p" or "p/q"."""
+    if s.lstrip("-").isdigit():
+        return int(s), 1
+    v = q_parse(s)
+    return int(v.numerator), int(v.denominator)
+
+
+def _json_entry(terms: list, value: Callable) -> tuple:
+    """([(k, numerator), ...] over increasing k, den) of the non-zero terms
+    [k, string] of a product in any order, den the lcm of theirs."""
+    vals = {}
+    for k, s in terms:
+        if k in vals:
+            raise ValueError(f"b_{k} has two terms")
+        if (p := value(s))[0]:
+            vals[k] = p
+    den = math.lcm(*{d for _, d in vals.values()})
+    return [(k, num * (den // d)) for k, (num, d) in sorted(vals.items())], den
+
+
+def _json_product_rows(products: list, n: int, value: Callable) -> list:
+    """The product rows (den, {j: entry}) of the "products" of a to_json
+    table; see StructureAlgebra.from_json."""
+    shared: dict = {}  # (k, string) -> the term (k, num) over den 1
+    rows: list[dict] = [{} for _ in range(n)]
+    dens = [1] * n  # per row: the lcm of its entries' denominators
+    over = {}  # (i, j), i <= j -> den, for the entries over den > 1
+    ordered, last = True, (0, -1)
+    for e, (i, j, terms) in enumerate(products):
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"products[{e}]: basis pair ({i}, {j}) is "
+                             f"outside the basis 0..{n - 1}")
+        if i > j:
+            i, j = j, i
+        if j in rows[i]:
+            raise ValueError(f"products[{e}]: basis pair ({i}, {j}) is "
+                             "listed twice")
+        ordered = ordered and last < (i, j)
+        last = (i, j)
+        # as to_json writes them: integers on increasing k, none zero
+        t, k0 = [], -1
+        for k, s in terms:
+            term = shared.get((k, s))
+            if term is None:
+                num, d = value(s)
+                if num and d == 1:
+                    term = shared[k, s] = (k, num)
+            if term is None or k <= k0:
+                try:
+                    t, d = _json_entry(terms, value)
+                except ValueError as exc:
+                    raise ValueError(f"products[{e}]: {exc}") from None
+                break
+            t.append(term)
+            k0 = k
+        else:
+            d = 1
+        if not t:
+            continue
+        if not (0 <= t[0][0] and t[-1][0] < n):
+            bad = next(k for k, _ in t if not 0 <= k < n)
+            raise ValueError(f"products[{e}]: term on b_{bad}, outside the "
+                             f"basis 0..{n - 1}")
+        rows[i][j] = rows[j][i] = tuple(t)
+        if d != 1:
+            over[i, j] = d
+            dens[i] = math.lcm(dens[i], d)
+            dens[j] = math.lcm(dens[j], d)
+    # rescale each entry to its rows' denominators, shared while they agree
+    for i, row in enumerate(rows if over else ()):
+        for j, t in row.items():
+            if j >= i:
+                d = over.get((i, j), 1)
+                row[j] = ti = _scaled(t, dens[i] // d)
+                rows[j][i] = (ti if dens[j] == dens[i]
+                              else _scaled(t, dens[j] // d))
+    if not ordered:
+        rows = [dict(sorted(row.items())) for row in rows]
+    return list(zip(dens, rows))
+
+
+def _json_form_rows(gram: list, n: int, value: Callable) -> list:
+    """The form rows (den, {j: num}) of the upper triangle of the "gram" of
+    a to_json table."""
+    if len(gram) != n:
+        raise ValueError(f"gram has {len(gram)} rows, not {n}")
+    rows: list[dict] = [{} for _ in range(n)]
+    for i, grow in enumerate(gram):
+        if len(grow) != n:
+            raise ValueError(f"gram[{i}] has {len(grow)} entries, not {n}")
+        # j < i comes from gram[j], so each row is in j order
+        for j in [j for j, s in enumerate(grow[i:], i) if s != "0"]:
+            rows[i][j] = rows[j][i] = grow[j]
+    out = []
+    for row in rows:
+        # numerators over the row's lcm, zeros other than "0" left out
+        parsed = {s: value(s) for s in set(row.values())}
+        den = math.lcm(*(d for _, d in parsed.values()))
+        num = {s: v * (den // d) for s, (v, d) in parsed.items()}
+        out.append((den, {j: v for j, s in row.items() if (v := num[s])}))
+    return out
 
 
 class StructureAlgebra:
     """Commutative algebra given by rows of basis products and of a form.
 
-    product(i) -> {j: {k: value}} gives b_i * b_j = sum_k value b_k and
-    form(i) -> {j: value} gives <b_i, b_j>, over the j where they are not
-    zero (listed zeros are dropped); values are ints or rationals.  Either
-    may instead be a Mapping keyed by (i, j) with i <= j.  Each row is read
-    once, when an element first needs it.
+    product and form are row sources (module docstring); either may instead
+    be a Mapping keyed by (i, j) with i <= j, of {k: value} for the product
+    and of values for the form, read through encode_rows.
     """
 
     def __init__(self, basis_labels: Sequence[str],
-                 product: Callable[[int], Mapping] | Mapping,
-                 form: Callable[[int], Mapping] | Mapping):
+                 product: Callable[[int], tuple] | Mapping,
+                 form: Callable[[int], tuple] | Mapping):
         self.basis_labels = list(basis_labels)
         self.dim = len(self.basis_labels)
-        self._product_fn = (product if callable(product)
-                            else _row_source(product, self.dim))
-        self._form_fn = form if callable(form) else _row_source(form, self.dim)
-        # Row i: None until compiled, then (den, {j: entry}) over the j with
-        # a non-zero entry, sorted by j; see _compile.
+        encoded = encode_rows(product, form, self.dim)
+        self._product_fn = product if callable(product) else encoded[0]
+        self._form_fn = form if callable(form) else encoded[1]
+        # Row i: None until read, then its (den, {j: entry}); see _compile.
         self._product_rows: list = [None] * self.dim
         self._form_rows: list = [None] * self.dim
         self._gram: QMatrix | None = None
 
-    # -- compiled neighbour lists -------------------------------------------
+    # -- rows ----------------------------------------------------------------
 
-    def _compile(self, rows: list, i: int, source: Callable,
-                 encode: Callable, rescale: Callable) -> tuple:
-        """Compile row i of a symmetric table from its source row.
-
-        An entry already held by a compiled row j is taken from there
-        instead of being encoded again, and shared when the denominators
-        agree, so each unordered pair is encoded at most once.
-        """
-        raw = []
-        src = source(i)
-        for j in sorted(src):
+    def _compile(self, i: int) -> tuple:
+        """Read product row i from its source, taking each entry that a row
+        j read before over the same denominator holds for i, so the two
+        rows of a pair share one entry.  The source's dict becomes the
+        row."""
+        rows = self._product_rows
+        den, nbrs = self._product_fn(i)
+        for j in nbrs:
             other = rows[j]
-            if other is None:
-                e = encode(src[j])
-            else:
+            if other is not None and other[0] == den:
                 e = other[1].get(i)
-                e = None if e is None else (e, other[0])
-            if e is not None:
-                raw.append((j, e))
-        den = math.lcm(*{d for _, (_, d) in raw})
-        row = rows[i] = (den, {j: e if d == den else rescale(e, den // d)
-                               for j, (e, d) in raw})
+                if e is not None:
+                    nbrs[j] = e
+        row = rows[i] = (den, nbrs)
         return row
 
     def _product_row(self, i: int) -> tuple:
         """(den, {j: ((k, numerator), ...)}): b_i * b_j = sum_k num/den b_k."""
-        return self._product_rows[i] or self._compile(
-            self._product_rows, i, self._product_fn, _encode_product,
-            lambda e, f: tuple((k, v * f) for k, v in e))
+        return self._product_rows[i] or self._compile(i)
 
     def _form_row(self, i: int) -> tuple:
-        """(den, {j: numerator}): <b_i, b_j> = numerator/den."""
-        return self._form_rows[i] or self._compile(
-            self._form_rows, i, self._form_fn,
-            lambda v: (v.numerator, v.denominator) if v else None,
-            lambda e, f: e * f)
+        """(den, {j: numerator}): <b_i, b_j> = numerator/den; an int entry
+        gains nothing from being shared."""
+        row = self._form_rows[i]
+        if row is None:
+            row = self._form_rows[i] = self._form_fn(i)
+        return row
 
     # -- basis-level access ------------------------------------------------
 
@@ -334,6 +495,7 @@ class StructureAlgebra:
 
     # -- serialization -----------------------------------------------------
 
+    @_gc_paused()
     def to_json(self) -> dict:
         # few distinct values occur, so each is formatted once
         fmt = functools.cache(_q_str)
@@ -351,19 +513,25 @@ class StructureAlgebra:
                 "gram": gram}
 
     @classmethod
+    @_gc_paused()
     def from_json(cls, data: dict) -> "StructureAlgebra":
-        # few distinct strings occur, so each is parsed once; integral ones
-        # to ints, which compile without rationals
-        parse = functools.cache(
-            lambda s: int(s) if s.lstrip("-").isdigit() else q_parse(s))
-        table = {(i, j): {int(k): parse(v) for k, v in terms}
-                 for i, j, terms in data["products"]}
-        # keep only the non-zero entries: the form defaults to 0.  Every
-        # entry but the literal "0", which to_json writes, is parsed.
+        """The algebra of a to_json table, its rows built here in full.
+
+        Each distinct coefficient string is parsed once, the entry of each
+        listed pair is built once and shared by both its rows, and each term
+        (k, num) over denominator 1 by every entry that has it.  Pairs may
+        come in any order and either way round, and terms in any order,
+        zeros included.  Raises ValueError, naming the entry, for an index
+        outside the basis, a pair or term listed twice, or a gram that is
+        not dim x dim; only the upper triangle of gram is read.
+        """
         n = len(data["basis"])
-        form = {(i, j): v for i in range(n) for j in range(i, n)
-                if (e := data["gram"][i][j]) != "0" and (v := parse(e))}
-        return cls(data["basis"], table, form)
+        value = functools.cache(_json_value)
+        products = _json_product_rows(data["products"], n, value)
+        forms = _json_form_rows(data["gram"], n, value)
+        alg = cls(data["basis"], products.__getitem__, forms.__getitem__)
+        alg._product_rows, alg._form_rows = products, forms
+        return alg
 
 
 class AlgebraElement:

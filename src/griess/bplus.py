@@ -25,8 +25,8 @@ S has at most four non-zeros per row, so X'S costs O(|X| deg).  The
 second rule gives x_r the coefficient q_X(r) = p_r^T X' p_r, a quadratic
 form in the pairings p_r = ((alpha_a, r))_a, which have at most four
 non-zeros in type A, and x_r x_s reads the root relations.  The basis rows
-above remain the row source of the algebra's tables (basis_product,
-to_json); forms are read from them.
+above, as dicts of ints read through encode_rows, remain the row source of
+the algebra's tables (basis_product, to_json); forms are read from them.
 
 The linear map from the root algebra sends t(alpha) to alpha^2/2 - x_alpha
 and u(alpha) to alpha^2/2 + x_alpha; it is a surjective isometric algebra
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import mul
 
-from .algebra import AlgebraElement, StructureAlgebra
+from .algebra import AlgebraElement, StructureAlgebra, encode_rows
 from .exactlin import QMatrix, SparseSolver
 from .ratio import Q, ZERO
 from .rootalgebra import RootAlgebra
@@ -262,7 +262,8 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
 
     labels = ([f"s({a},{b})" for a, b in sym_pairs]
               + [f"x({r})" for r in range(N)])
-    alg = BPlusStructure(labels, product, form, rs, S, pcol, squares)
+    alg = BPlusStructure(labels, *encode_rows(product, form, len(labels)),
+                         rs, S, pcol, squares)
     bp = BPlusAlgebra(rs, alg, sym_index, ns, squares)
     expected = l * (l + 1) // 2 + N
     if alg.dim != expected:

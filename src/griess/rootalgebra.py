@@ -21,9 +21,6 @@ from .algebra import AlgebraElement, DecompositionReport, StructureAlgebra
 from .ratio import Q
 from .rootsys import RootSystem
 
-HALF = Q(1, 2)
-
-
 @dataclass
 class RootAlgebra:
     rs: RootSystem
@@ -45,26 +42,40 @@ class RootAlgebra:
 
 def _make_algebra(rs: RootSystem, t_only: bool) -> StructureAlgebra:
     """A(Phi), or its t-span T(Phi), with rows read from the neighbour
-    lists: basis t-block 0..N-1, then u-block N..2N-1."""
+    lists: basis t-block 0..N-1, then u-block N..2N-1.  Products are over
+    denominator 1 and the form over 2, so 1/2 is the numerator 1."""
     N, nbrs = rs.N, rs.neighbours
+    dim = N if t_only else 2 * N
+    # the terms (k, 1) and (k, -1), shared by every entry that has them
+    plus, minus = [(k, 1) for k in range(dim)], [(k, -1) for k in range(dim)]
 
-    def product(i: int) -> dict:
+    def closing(a: int, b: int, g: int) -> tuple:
+        """The entry b_a + b_b - b_g, its terms in k order."""
+        if a > b:
+            a, b = b, a
+        if g > b:
+            return plus[a], plus[b], minus[g]
+        if g > a:
+            return plus[a], minus[g], plus[b]
+        return minus[g], plus[a], plus[b]
+
+    def product(i: int) -> tuple:
         r, u = i % N, N if i >= N else 0
-        row = {i: {i: 8}}
+        row = {i: ((i, 8),)}
         for s, g in nbrs[r]:
             # t*t and u*u close on t(gamma), mixed pairs on u(gamma)
-            row[s] = {i: 1, s: 1, g + u: -1}
+            row[s] = closing(i, s, g + u)
             if not t_only:
-                row[s + N] = {i: 1, s + N: 1, g + N - u: -1}
-        return row
+                row[s + N] = closing(i, s + N, g + N - u)
+        return 1, dict(sorted(row.items()))
 
-    def form(i: int) -> dict:
-        row = {i: 4}
+    def form(i: int) -> tuple:
+        row = {i: 8}
         for s, _ in nbrs[i % N]:
-            row[s] = HALF
+            row[s] = 1
             if not t_only:
-                row[s + N] = HALF
-        return row
+                row[s + N] = 1
+        return 2, dict(sorted(row.items()))
 
     labels = [f"t({i})" for i in range(N)]
     if not t_only:

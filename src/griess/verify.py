@@ -76,6 +76,9 @@ def check_size(spec: str, force: bool):
 
 
 def check_max_dim(max_dim: int):
+    """Refuse a max dimension the GF(2) brute force cannot take."""
+    if max_dim < 0:
+        raise ValueError(f"max dimension {max_dim} is negative")
     if max_dim > BRUTE_FORCE_MAX_DIM:
         raise ValueError(f"max dimension {max_dim} > {BRUTE_FORCE_MAX_DIM}, "
                          "the limit of the GF(2) brute force")

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from griess.algebra import StructureAlgebra
@@ -110,6 +112,57 @@ class TestSerialization:
         data = alg.to_json()
         assert data["products"] == [[0, 0, [[0, "1/3"]]]]
         assert data["gram"] == [["7/2"]]
+
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda d: d["products"].append([1, 1, [[5, "1"]]]),
+         r"products\[2\]: term on b_5, outside the basis 0..1"),
+        (lambda d: d["products"].append([0, 2, [[0, "1"]]]),
+         r"products\[2\]: basis pair \(0, 2\) is outside the basis 0..1"),
+        (lambda d: d["products"].append([-1, 0, [[0, "1"]]]),
+         r"products\[2\]: basis pair \(-1, 0\) is outside"),
+        (lambda d: d["gram"][1].pop(),
+         r"gram\[1\] has 1 entries, not 2"),
+        (lambda d: d["gram"].pop(), r"gram has 1 rows, not 2"),
+        (lambda d: d["products"].append([1, 0, [[1, "1"]]]),
+         r"products\[2\]: basis pair \(0, 1\) is listed twice"),
+        (lambda d: d["products"].append([1, 1, [[1, "1"], [1, "2"]]]),
+         r"products\[2\]: b_1 has two terms")])
+    def test_malformed_tables_name_the_entry(self, change, message):
+        data = nonassociative_example().to_json()
+        change(data)
+        with pytest.raises(ValueError, match=message):
+            StructureAlgebra.from_json(data)
+
+    def test_term_outside_a_one_vector_basis(self):
+        data = {"basis": ["a"], "products": [[0, 0, [[5, "1"]]]],
+                "gram": [["1"]]}
+        with pytest.raises(ValueError, match=r"products\[0\]: term on b_5"):
+            StructureAlgebra.from_json(data)
+
+
+class TestCollectorPause:
+    """to_json and from_json leave the cyclic collector as they found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            data = two_dim_split().to_json()
+            assert gc.isenabled() is enabled
+            StructureAlgebra.from_json(data)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_state_restored_on_error(self):
+        assert gc.isenabled()
+        data = two_dim_split().to_json()
+        data["products"].append([0, 0, [[5, "1"]]])
+        with pytest.raises(ValueError):
+            StructureAlgebra.from_json(data)
+        assert gc.isenabled()
 
 
 class TestRadical:

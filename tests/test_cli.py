@@ -211,6 +211,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "formula4.1", "--max-dim", "12"],
+        ["verify", "formula4.1", "--max-dim", "-3"],
+        ["verify", "all", "--max-dim", "-1"],
         ["verify", "all", "--max-dim", "12"],
         ["verify", "all", "--spec", "A1", "--max-dim", "12"]])
     def test_max_dim_guard_runs_first(self, capsys, monkeypatch, argv):

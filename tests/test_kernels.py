@@ -1,5 +1,8 @@
-"""Differential tests: the compiled basis tables of A, T and B+ against
-the per-pair rules of the paper, the compiled integer kernels behind
+"""Differential tests: the integer rows that the builders of A, T and B+
+give against the encoding of the paper's rules, as per-pair rules and as
+dict rows, their basis tables against the per-pair rules, from_json on
+tables written in any order against the Mapping path, the integer kernels
+behind
 element products and forms against the plain bilinear expansion over basis
 pairs, the map of Theorem 3.1 against the sum of its scaled basis images,
 the associativity check on structure constants against the triple products
@@ -12,6 +15,7 @@ the images, also on broken inputs.  B+'s element products, which run on
 the S^2(H) kernel, are compared with its compiled rows on basis pairs,
 dense elements and chain images."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -22,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from griess import rootalgebra
-from griess.algebra import StructureAlgebra
+from griess.algebra import StructureAlgebra, encode_rows
 from griess.bplus import (BPlusAlgebra, BPlusStructure, PhiMap,
                           Theorem31Report, build_bplus, verify_theorem_3_1)
 from griess.exactlin import QMatrix, SparseSolver
@@ -119,6 +123,85 @@ def bplus_rules(rs):
 
 
 RULES = {"A": root_algebra_rules, "T": root_algebra_rules, "B+": bplus_rules}
+
+
+def root_algebra_rows(rs, t_only):
+    """The paper's rules as dict rows over the neighbour lists, row i
+    {j: {k: value}} and {j: value}: t(a) t(a) = 8 t(a), t t and u u close
+    on -t(g), mixed pairs on -u(g); the form is 4 on the diagonal and 1/2
+    on non-orthogonal roots."""
+    N, nbrs = rs.N, rs.neighbours
+
+    def product(i):
+        r, u = i % N, N if i >= N else 0
+        row = {i: {i: 8}}
+        for s, g in nbrs[r]:
+            row[s] = {i: 1, s: 1, g + u: -1}
+            if not t_only:
+                row[s + N] = {i: 1, s + N: 1, g + N - u: -1}
+        return row
+
+    def form(i):
+        row = {i: 4}
+        for s, _ in nbrs[i % N]:
+            row[s] = Q(1, 2)
+            if not t_only:
+                row[s + N] = Q(1, 2)
+        return row
+
+    return product, form
+
+
+def rule_rows(rules, dim):
+    """Dict rows of per-pair rules: row i over the j with a non-zero
+    value."""
+    product, form = rules
+
+    def product_row(i):
+        return {j: p for j in range(dim) if (p := product(i, j))}
+
+    def form_row(i):
+        return {j: v for j in range(dim) if (v := form(i, j))}
+    return product_row, form_row
+
+
+def encoding(row, den):
+    """A dict row over den: (den, {j: entry}) in j order, a product entry
+    the terms (k, numerator) in k order, a form entry the numerator."""
+    def num(v):
+        assert (v * den).denominator == 1
+        return int(v * den)
+
+    return den, {j: (num(v) if not isinstance(v, dict) else
+                     tuple((k, num(c)) for k, c in sorted(v.items()) if c))
+                 for j, v in sorted(row.items())}
+
+
+# the denominators of (product, form) rows: A and T write the form value
+# 1/2 as the numerator 1 over 2
+ROW_DENS = {"A": (1, 2), "T": (1, 2), "B+": (1, 1)}
+
+
+@pytest.mark.parametrize("kind", sorted(RULES))
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "D4", "D5",
+                                  "E6", "A2+A1", "A1^3"])
+def test_rows_equal_their_encoding(kind, spec):
+    """Every row the builder's sources give, in j order, is the encoding of
+    the paper's dict rules; for A and T both the per-pair rules and the
+    dict rows over the neighbour lists."""
+    rs = system(spec)
+    alg = KINDS[kind](spec)
+    refs = [rule_rows(RULES[kind](rs), alg.dim)]
+    if kind != "B+":
+        refs.append(root_algebra_rows(rs, kind == "T"))
+    pden, fden = ROW_DENS[kind]
+    for i in range(alg.dim):
+        got_p, got_f = alg._product_fn(i), alg._form_fn(i)
+        assert list(got_p[1]) == sorted(got_p[1])
+        assert list(got_f[1]) == sorted(got_f[1])
+        for product, form in refs:
+            assert got_p == encoding(product(i), pden), i
+            assert got_f == encoding(form(i), fden), i
 
 
 @pytest.mark.parametrize("kind", sorted(RULES))
@@ -247,6 +330,53 @@ def test_json_algebra_matches_its_table(data, table):
     assert alg.to_json() == table
 
 
+@st.composite
+def scrambled(draw, table):
+    """table written another way: pairs in any order and either way round,
+    terms in any order, with zero terms added."""
+    dim = len(table["basis"])
+    products = []
+    for i, j, terms in table["products"]:
+        free = [k for k in range(dim) if k not in {k for k, _ in terms}]
+        zeros = (draw(st.lists(st.sampled_from(free), unique=True)) if free
+                 else [])
+        terms = draw(st.permutations(terms + [[k, "0"] for k in zeros]))
+        products.append([j, i, terms] if draw(st.booleans()) else
+                        [i, j, terms])
+    return {**table, "products": draw(st.permutations(products))}
+
+
+@given(data=st.data(), table=json_tables())
+@settings(max_examples=80, deadline=None)
+def test_from_json_matches_the_mapping_path(data, table):
+    """from_json on a non-canonical table (mixed denominators from
+    json_tables) builds the rows that StructureAlgebra builds from the
+    same table as Mappings keyed by (i, j), i <= j."""
+    alg = StructureAlgebra.from_json(data.draw(scrambled(table)))
+    dim = len(table["basis"])
+    ref = StructureAlgebra(
+        table["basis"],
+        {(i, j): {k: q_parse(v) for k, v in terms}
+         for i, j, terms in table["products"]},
+        {(i, j): q_parse(table["gram"][i][j])
+         for i in range(dim) for j in range(i, dim)})
+    for i in range(dim):
+        assert alg._product_row(i) == ref._product_row(i)
+        assert list(alg._product_row(i)[1]) == list(ref._product_row(i)[1])
+        assert alg._form_row(i) == ref._form_row(i)
+    assert alg.to_json() == ref.to_json() == table
+
+
+@pytest.mark.parametrize("kind,spec", [("A", "D4"), ("B+", "A3")])
+def test_from_json_shares_each_pair_entry(kind, spec):
+    """On a table over one denominator, the rows of a pair hold one entry
+    object."""
+    alg = StructureAlgebra.from_json(KINDS[kind](spec).to_json())
+    for i in range(alg.dim):
+        for j, e in alg._product_row(i)[1].items():
+            assert alg._product_row(j)[1][i] is e
+
+
 # sha256 of json.dumps(to_json()), recorded from the encoder that built a
 # rational per entry, so the integer path must reproduce its bytes
 GOLDEN_JSON = {
@@ -292,8 +422,15 @@ def test_from_json_mixes_ints_and_rationals():
     assert x.form(y) == expand_form(
         x, y, lambda i, j: q_parse(table["gram"][i][j]))
     assert alg.to_json() == table
-    # integral strings are read as ints, which compile without rationals
-    assert {type(v) for v in alg._product_fn(0)[0].values()} == {int}
+    # integer numerators over each row's lcm: 2, 6 and 3
+    assert [alg._product_row(i) for i in range(3)] == [
+        (2, {0: ((0, 6), (2, -4)), 1: ((1, 1),)}),
+        (6, {0: ((1, 3),), 2: ((0, -14), (2, 18))}),
+        (3, {1: ((0, -7), (2, 9)), 2: ((1, -6),)})]
+    assert [alg._form_row(i) for i in range(3)] == [
+        (3, {0: 9, 2: -7}), (2, {1: 1, 2: -4}), (3, {0: -7, 1: -6})]
+    assert {type(v) for i in range(3) for e in alg._product_row(i)[1].values()
+            for _, v in e} == {int}
 
 
 # -- the identity solve against the full dense system -------------------------
@@ -553,7 +690,8 @@ def solved_t_identity(ra, roots):
                 row[pos[s]] = {k: 1, pos[s]: 1, pos[g]: -1}
         return row
 
-    sub = StructureAlgebra([str(r) for r in roots], product, lambda k: {})
+    sub = StructureAlgebra([str(r) for r in roots],
+                           *encode_rows(product, {}, len(roots)))
     ident = sub.find_identity()
     return ra.alg.element({roots[k]: c for k, c in ident.coeffs.items()})
 
@@ -653,6 +791,16 @@ def test_theorem_3_1_matches_direct(spec):
     assert rep.homomorphism and rep.isometry
 
 
+def as_dicts(source):
+    """A row source read back as dict rows of rationals, {j: {k: value}}
+    for a product, {j: value} for a form."""
+    def row(i):
+        den, nbrs = source(i)
+        return {j: ({k: Q(v, den) for k, v in e} if isinstance(e, tuple)
+                    else Q(e, den)) for j, e in nbrs.items()}
+    return row
+
+
 def with_changed_entry(source, i, j, change):
     """A row source with entry j of row i, and i of row j, changed; change
     gets None for an entry the source leaves out."""
@@ -680,14 +828,14 @@ def changed_domain(spec, changes):
     form at (i, j), or b_i to the product b_i b_j."""
     rs = system(spec)
     alg = build_A(rs).alg
-    product, form = alg._product_fn, alg._form_fn
+    product, form = as_dicts(alg._product_fn), as_dicts(alg._form_fn)
     for what, i, j in changes:
         if what == "form":
             form = with_changed_entry(form, i, j, plus_one)
         else:
             product = with_changed_entry(product, i, j, plus_basis(i))
-    ra = RootAlgebra(rs, StructureAlgebra(alg.basis_labels, product, form),
-                     False)
+    ra = RootAlgebra(rs, StructureAlgebra(
+        alg.basis_labels, *encode_rows(product, form, alg.dim)), False)
     return PhiMap(ra, bplus(spec))
 
 
@@ -710,11 +858,12 @@ def broken_phi(spec, what):
     if what == "B+ product":
         # s(0,0) s(0,1): one S^2 S^2 structure constant, both orderings
         i, j = bp.sym_index[0, 0], bp.sym_index[0, 1]
-        alg = StructureAlgebra(
-            bp.alg.basis_labels,
-            with_changed_entry(bp.alg._product_fn, i, j,
-                               plus_basis(min(bp.alg.basis_product(i, j)))),
-            bp.alg._form_fn)
+        product = with_changed_entry(
+            as_dicts(bp.alg._product_fn), i, j,
+            plus_basis(min(bp.alg.basis_product(i, j))))
+        alg = StructureAlgebra(bp.alg.basis_labels,
+                               encode_rows(product, {}, bp.dim)[0],
+                               bp.alg._form_fn)
         bp = BPlusAlgebra(rs, alg, bp.sym_index, bp.num_sym, bp._sq)
     else:  # "alpha^2": one coefficient of the last root's square
         sq = [dict(q) for q in bp._sq]
