@@ -206,25 +206,50 @@ def _json_product_rows(products: list, n: int, value: Callable) -> list:
 
 
 def _json_form_rows(gram: list, n: int, value: Callable) -> list:
-    """The form rows (den, {j: num}) of the upper triangle of the "gram" of
-    a to_json table."""
+    """The form rows (den, {j: num}) of the "gram" of a to_json table, which
+    must be symmetric."""
     if len(gram) != n:
         raise ValueError(f"gram has {len(gram)} rows, not {n}")
-    rows: list[dict] = [{} for _ in range(n)]
     for i, grow in enumerate(gram):
         if len(grow) != n:
             raise ValueError(f"gram[{i}] has {len(grow)} entries, not {n}")
-        # j < i comes from gram[j], so each row is in j order
-        for j in [j for j, s in enumerate(grow[i:], i) if s != "0"]:
-            rows[i][j] = rows[j][i] = grow[j]
+    # per row i, the k < i with gram[k][i] != "0", in k order, and those
+    # gram[k][i]; gram is symmetric when each row repeats them below its
+    # diagonal and, by its count of "0", has no other entry there
+    lower: list[list] = [[] for _ in range(n)]
+    mirror: list[list] = [[] for _ in range(n)]
+    symmetric = True
     out = []
-    for row in rows:
+    for i, grow in enumerate(gram):
+        upper = [j for j, s in enumerate(grow[i + 1:], i + 1) if s != "0"]
+        for j in upper:
+            lower[j].append(i)
+            mirror[j].append(grow[j])
+        cols = lower[i] + [i] + upper if grow[i] != "0" else lower[i] + upper
+        vals = [grow[j] for j in cols]
+        if (vals[:len(mirror[i])] != mirror[i]
+                or n - grow.count("0") != len(cols)):
+            symmetric = False
         # numerators over the row's lcm, zeros other than "0" left out
-        parsed = {s: value(s) for s in set(row.values())}
+        parsed = {s: value(s) for s in set(vals)}
         den = math.lcm(*(d for _, d in parsed.values()))
         num = {s: v * (den // d) for s, (v, d) in parsed.items()}
-        out.append((den, {j: v for j, s in row.items() if (v := num[s])}))
+        nums = map(num.__getitem__, vals)
+        out.append((den, dict(zip(cols, nums)) if all(num.values())
+                    else {j: v for j, v in zip(cols, nums) if v}))
+    if not symmetric:
+        _check_symmetric(gram, value)
     return out
+
+
+def _check_symmetric(gram: list, value: Callable):
+    """Raise ValueError at the first entry of gram whose value differs from
+    that of its mirror."""
+    for i, grow in enumerate(gram):
+        for j in range(i + 1, len(gram)):
+            if value(gram[j][i]) != value(grow[j]):
+                raise ValueError(f"gram[{j}][{i}] is {gram[j][i]}, "
+                                 f"gram[{i}][{j}] is {grow[j]}")
 
 
 class StructureAlgebra:
@@ -523,7 +548,7 @@ class StructureAlgebra:
         come in any order and either way round, and terms in any order,
         zeros included.  Raises ValueError, naming the entry, for an index
         outside the basis, a pair or term listed twice, or a gram that is
-        not dim x dim; only the upper triangle of gram is read.
+        not dim x dim or not symmetric.
         """
         n = len(data["basis"])
         value = functools.cache(_json_value)

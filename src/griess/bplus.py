@@ -46,7 +46,7 @@ from .algebra import AlgebraElement, StructureAlgebra, encode_rows
 from .exactlin import QMatrix, SparseSolver
 from .ratio import Q, ZERO
 from .rootalgebra import RootAlgebra
-from .rootsys import RootSystem, doubled
+from .rootsys import RootSystem
 
 
 def _sym_pairs(l: int) -> tuple[list, list]:
@@ -209,7 +209,7 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
     ns = len(sym_pairs)
 
     # Cartan matrix of the simple roots, from the doubled coordinates
-    simple = [doubled(a) for a in rs.simple_roots]
+    simple = rs.doubled_simple_roots
     S = [[sum(map(mul, x, y)) // 4 for y in simple] for x in simple]
     near = [[c for c in range(l) if S[a][c]] for a in range(l)]
     # P[a] = {r: (alpha_a, r)} over the positive roots r where it is not 0,

@@ -22,7 +22,10 @@ from .verify import check_size, run_target, TARGETS
 def _parse_chain(text: str) -> list[list[int]]:
     """A growing chain given as simple-root indices: "0,1,2" means the
     nested subsets {0} c {0,1} c {0,1,2}."""
-    indices = [int(t) for t in text.split(",") if t != ""]
+    items = text.split(",")
+    if "" in items:
+        raise ValueError(f"--chain {text!r} has an empty index")
+    indices = [int(t) for t in items]
     if len(set(indices)) != len(indices):
         raise ValueError("chain indices must be distinct")
     return [indices[:i] for i in range(1, len(indices) + 1)]
@@ -86,10 +89,11 @@ def _cmd_bplus(args) -> int:
 
 def _cmd_decompose(args) -> int:
     check_size(args.spec, args.force)
+    chain = None if args.chain is None else _parse_chain(args.chain)
     rs = build(args.spec)
     ra = build_A(rs)
-    if args.chain:
-        rep = generalized_chain_decompose(ra, _parse_chain(args.chain))
+    if chain is not None:
+        rep = generalized_chain_decompose(ra, chain)
     else:
         rep = coset_chain_decompose(ra)
     payload = rep.to_json()
@@ -148,7 +152,7 @@ def _verify_chain(target: str, spec: str | None, text: str) -> dict:
 
 def _cmd_verify(args) -> int:
     chains = None
-    if args.chain:
+    if args.chain is not None:
         chains = _verify_chain(args.target, args.spec, args.chain)
     reports = run_target(args.target, args.spec, max_dim=args.max_dim,
                          force=args.force, chains=chains)

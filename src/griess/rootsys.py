@@ -1,10 +1,12 @@
 """Simply-laced root systems (A, D, E) and their direct sums.
 
-Coordinate models: A_l lives in Q^(l+1) with roots e_i - e_j; D_l in Q^l
-with roots +-e_i +- e_j; E_8 uses the even coordinate model (half-integer
-coordinates kept as exact rationals); E_7 and E_6 are the sub-systems of
-E_8 spanned by the first 7 / 6 Bourbaki simple roots.  Components of a
-direct sum occupy orthogonal ambient blocks.
+Coordinates are doubled: a root r is stored as the integer tuple 2r, which
+covers the half-integer coordinates of E_8 too, so a build does no rational
+arithmetic.  Coordinate models: A_l lives in Z^(l+1) with roots e_i - e_j;
+D_l in Z^l with roots +-e_i +- e_j; E_8 uses the even coordinate model; E_7
+and E_6 are the sub-systems of E_8 spanned by the first 7 / 6 Bourbaki
+simple roots.  Components of a direct sum occupy orthogonal ambient blocks.
+positive_roots and simple_roots are lazy rational views, r = (2r) / 2.
 
 Positive roots are ordered component-major, then lexicographically by
 coefficient vector in the simple-root basis.
@@ -18,12 +20,16 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .ratio import Q, ZERO
-
-Root = tuple  # tuple of rationals in the ambient space
+from .ratio import Q
 
 COXETER = {"A": lambda l: l + 1, "D": lambda l: 2 * l - 2,
            "E": lambda l: {6: 12, 7: 18, 8: 30}[l]}
+
+# 2 alpha for the Bourbaki simple roots of E_8 in the even coordinate model
+_E8_SIMPLE = ((1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0),
+              (-2, 2, 0, 0, 0, 0, 0, 0), (0, -2, 2, 0, 0, 0, 0, 0),
+              (0, 0, -2, 2, 0, 0, 0, 0), (0, 0, 0, -2, 2, 0, 0, 0),
+              (0, 0, 0, 0, -2, 2, 0, 0), (0, 0, 0, 0, 0, -2, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -55,213 +61,158 @@ class SimpleType:
         return f"{self.family}{self.rank}"
 
 
-def dot(x: Root, y: Root):
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(x, y)), ZERO)
-
-
-def _e(n: int, i: int, c=1) -> list:
-    v = [ZERO] * n
-    v[i] = Q(c)
-    return v
-
-
-def _simple_roots_A(l: int) -> list[Root]:
-    n = l + 1
-    return [tuple(Q(a) - Q(b) for a, b in zip(_e(n, i), _e(n, i + 1)))
-            for i in range(l)]
-
-
-def _positive_roots_A(l: int) -> list[Root]:
-    n = l + 1
+def _simple_roots(t: SimpleType) -> list[tuple[int, ...]]:
+    """2 alpha for the simple roots of t in its own coordinates:
+    e_i - e_(i+1), and e_(l-2) + e_(l-1) last for D_l."""
+    l = t.rank
+    if t.family == "E":
+        return list(_E8_SIMPLE[:l])
+    n, chain = (l + 1, l) if t.family == "A" else (l, l - 1)
     out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _e(n, i)
-            v[j] = Q(-1)
-            out.append(tuple(v))
-    return out
-
-
-def _simple_roots_D(l: int) -> list[Root]:
-    out = []
-    for i in range(l - 1):
-        v = _e(l, i)
-        v[i + 1] = Q(-1)
+    for i in range(chain):
+        v = [0] * n
+        v[i], v[i + 1] = 2, -2
         out.append(tuple(v))
-    v = _e(l, l - 2)
-    v[l - 1] = Q(1)
-    out.append(tuple(v))
+    if t.family == "D":
+        out.append((0,) * (l - 2) + (2, 2))
     return out
 
 
-def _positive_roots_D(l: int) -> list[Root]:
-    out = []
-    for i in range(l):
-        for j in range(i + 1, l):
-            for sj in (-1, 1):
-                v = _e(l, i)
-                v[j] = Q(sj)
-                out.append(tuple(v))
-    return out
+def _positive_with_coeffs(simple: list[tuple[int, ...]],
+                          ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(coefficients over simple, 2r) for each positive root of the system
+    that the simple roots generate, sorted by coefficient vector.
 
-
-def _all_roots_E8() -> list[Root]:
-    roots = set()
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (-1, 1):
-                for sj in (-1, 1):
-                    v = [ZERO] * 8
-                    v[i], v[j] = Q(si), Q(sj)
-                    roots.add(tuple(v))
-    for signs in itertools.product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.add(tuple(Q(s, 2) for s in signs))
-    return sorted(roots)
-
-
-def _simple_roots_E8() -> list[Root]:
-    # Bourbaki labeling in the even coordinate model.
-    a1 = tuple(Q(c, 2) for c in (1, -1, -1, -1, -1, -1, -1, 1))
-    a2 = tuple(Q(c) for c in (1, 1, 0, 0, 0, 0, 0, 0))
-    rest = []
-    for i in range(3, 9):
-        v = _e(8, i - 2)
-        v[i - 3] = Q(-1)
-        rest.append(tuple(v))
-    return [a1, a2] + rest
-
-
-def doubled(r: Root) -> tuple[int, ...]:
-    """2r, which has integer coordinates in every model (E8 included)."""
-    return tuple(int(2 * c) for c in r)
-
-
-def _positive_with_coeffs(simple: list[Root], roots: list[Root],
-                          ) -> list[tuple[tuple[int, ...], Root]]:
-    """(coefficients over simple, root) for each positive root of the
-    sub-system that the simple roots generate inside roots, sorted by
-    coefficient vector.
-
-    Every positive root of height > 1 is a positive root plus a simple
-    root, so a search from the simple roots that adds one simple root at a
-    time reaches each positive root, with its integer coefficients.
+    A positive root r of height > 1 has a simple root a with (r, a) = 1, and
+    r - a is a positive root with (r - a, a) = -1.  Conversely, for a
+    positive root r and a simple root a with (r, a) = -1, r + a is the
+    reflection of r in a, a positive root.  So a search from the simple
+    roots that adds a simple root a to r wherever (r, a) = -1 reaches every
+    positive root and no other vector, with its integer coefficients; the
+    inner products with the simple roots are carried along.
     """
-    known = {doubled(r): r for r in roots}
-    steps = [doubled(a) for a in simple]
-    found = {a: tuple(int(k == m) for m in range(len(steps)))
-             for k, a in enumerate(steps)}
-    frontier = list(found)
+    l = len(simple)
+    cartan = [tuple(sum(map(operator.mul, a, b)) // 4 for b in simple)
+              for a in simple]
+    found = {}
+    frontier = []
+    for k, a in enumerate(simple):
+        found[a] = c = tuple(int(k == m) for m in range(l))
+        frontier.append((a, c, cartan[k]))
     while frontier:
         nxt = []
-        for r in frontier:
-            c = found[r]
-            for k, a in enumerate(steps):
-                s = tuple(map(operator.add, r, a))
-                if s in known and s not in found:
-                    found[s] = c[:k] + (c[k] + 1,) + c[k + 1:]
-                    nxt.append(s)
+        for r, c, p in frontier:  # p[k] = (r, alpha_k)
+            for k in range(l):
+                if p[k] == -1:
+                    s = tuple(map(operator.add, r, simple[k]))
+                    if s not in found:
+                        found[s] = cs = c[:k] + (c[k] + 1,) + c[k + 1:]
+                        nxt.append((s, cs, tuple(map(operator.add, p,
+                                                     cartan[k]))))
         frontier = nxt
-    return sorted((c, known[r]) for r, c in found.items())
+    return sorted((c, r) for r, c in found.items())
+
+
+def _neighbours(roots: list[tuple[int, ...]]) -> list[list[tuple[int, int]]]:
+    """Per root i, [(j, gamma)] over the roots j not orthogonal to it, in j
+    order, where r_gamma = +-(r_i -+ r_j) is the third root of the pair.
+
+    Two roots meet only on coordinates where both are non-zero, so the inner
+    products are summed per coordinate over the roots non-zero there, and a
+    pair whose supports do not meet costs nothing.  The third root is looked
+    up by key(v) = sum of v_c 9^c, which is linear and one-to-one on vectors
+    with entries in -4..4, as 2r_i -+ 2r_j has: its key is key_i -+ key_j.
+    """
+    power = [9 ** c for c in range(len(roots[0]))]
+    keys = []
+    index = {}  # key(+-2r) -> index of the positive root r
+    meets = [[] for _ in power]  # coordinate -> [(root, value)], by root
+    support = []  # per root: (coordinate, value, position after it in meets)
+    for i, r in enumerate(roots):
+        s = []
+        for c, v in enumerate(r):
+            if v:
+                meets[c].append((i, v))
+                s.append((c, v, len(meets[c])))
+        support.append(s)
+        keys.append(k := sum(v * power[c] for c, v, _ in s))
+        index[k] = index[-k] = i
+    out: list[list[tuple[int, int]]] = [[] for _ in roots]
+    for i, ki in enumerate(keys):
+        dots: dict[int, int] = {}  # j > i -> 4 (r_i, r_j)
+        for c, v, after in support[i]:
+            for j, w in itertools.islice(meets[c], after, None):
+                dots[j] = dots.get(j, 0) + v * w
+        for j in sorted(dots):
+            if d := dots[j]:
+                # (r_i, r_j) = +-1 makes r_i -+ r_j a root
+                g = index.get(ki - keys[j] if d > 0 else ki + keys[j])
+                if g is None:
+                    raise AssertionError("triple closure violated")
+                out[i].append((j, g))
+                out[j].append((i, g))
+    return out
+
+
+def _component(t: SimpleType) -> tuple:
+    """(2 alpha per simple root, (coefficients, 2r) per positive root,
+    neighbour lists) of one simple type in its own coordinates."""
+    simple = _simple_roots(t)
+    decorated = _positive_with_coeffs(simple)
+    return simple, decorated, _neighbours([r for _, r in decorated])
 
 
 class RootSystem:
-    """A (semi)simple simply-laced root system with canonical indexing."""
+    """A (semi)simple simply-laced root system with canonical indexing.
+
+    doubled_roots[i] is 2 r_i for the i-th positive root and
+    doubled_simple_roots[a] is 2 alpha_a, both as integer tuples in the
+    ambient space.  neighbours[i] lists (j, gamma) over Delta_1(r_i) in j
+    order, where r_gamma = +-(r_i -+ r_j).
+    """
 
     def __init__(self, components: list[SimpleType]):
         if not components:
             raise ValueError("at least one component required")
         self.components = list(components)
-        self.positive_roots: list[Root] = []
-        self.simple_roots: list[Root] = []
         self.h_per_component = [c.coxeter for c in components]
+        self.l = sum(c.rank for c in components)
+        self.doubled_roots: list[tuple[int, ...]] = []
+        self.doubled_simple_roots: list[tuple[int, ...]] = []
         # per positive root: component index and coefficient vector over the
         # global simple-root list (integers; zero outside the component)
         self.component_of: list[int] = []
         self.simple_coeffs: list[tuple[int, ...]] = []
+        self.neighbours: list[list[tuple[int, int]]] = []
         self.component_root_slices: list[range] = []
         self.component_simple_slices: list[range] = []
 
-        ambients = []
+        # each distinct type is built once, in its own coordinates
+        local = {comp: _component(comp) for comp in set(components)}
+        dim = sum(len(local[comp][0][0]) for comp in components)
+        offset = simple_offset = root_offset = 0
         for ci, comp in enumerate(components):
-            if comp.family == "A":
-                simple = _simple_roots_A(comp.rank)
-                roots = _positive_roots_A(comp.rank)
-            elif comp.family == "D":
-                simple = _simple_roots_D(comp.rank)
-                roots = _positive_roots_D(comp.rank)
-            else:
-                simple = _simple_roots_E8()[:comp.rank]
-                roots = _all_roots_E8()
-            decorated = _positive_with_coeffs(simple, roots)
-            ambients.append((ci, simple, decorated))
-
-        dims = [len(simple[0]) for _, simple, _ in ambients]
-        total_dim = sum(dims)
-        offset = 0
-        simple_offset = 0
-        root_offset = 0
-        for (ci, simple, decorated), d in zip(ambients, dims):
-            def embed(r):
-                return tuple([ZERO] * offset + list(r)
-                             + [ZERO] * (total_dim - offset - d))
-
-            comp_rank = len(simple)
+            simple, decorated, nbrs = local[comp]
+            d, rank, n = len(simple[0]), len(simple), len(decorated)
+            pad, tail = (0,) * offset, (0,) * (dim - offset - d)
+            cpad, ctail = (0,) * simple_offset, (0,) * (
+                self.l - simple_offset - rank)
             self.component_simple_slices.append(
-                range(simple_offset, simple_offset + comp_rank))
-            self.simple_roots.extend(embed(r) for r in simple)
+                range(simple_offset, simple_offset + rank))
+            self.doubled_simple_roots += [pad + a + tail for a in simple]
             self.component_root_slices.append(
-                range(root_offset, root_offset + len(decorated)))
+                range(root_offset, root_offset + n))
             for coeffs, r in decorated:
-                full = ([0] * simple_offset + list(coeffs)
-                        + [0] * 0)  # padded below
-                self.positive_roots.append(embed(r))
-                self.component_of.append(ci)
-                self.simple_coeffs.append(tuple(full))
+                self.doubled_roots.append(pad + r + tail)
+                self.simple_coeffs.append(cpad + coeffs + ctail)
+            self.component_of += [ci] * n
+            self.neighbours += [[(j + root_offset, g + root_offset)
+                                 for j, g in row] for row in nbrs]
             offset += d
-            simple_offset += comp_rank
-            root_offset += len(decorated)
-        self.l = sum(c.rank for c in components)
-        # right-pad coefficient vectors to the global rank
-        self.simple_coeffs = [t + (0,) * (self.l - len(t))
-                              for t in self.simple_coeffs]
-        self.N = len(self.positive_roots)
-        self._index = {r: i for i, r in enumerate(self.positive_roots)}
-        # Doubled coordinates are integers (the E8 half-integers included),
-        # so norms, dot products and root sums need no rational arithmetic.
-        roots = [doubled(r) for r in self.positive_roots]
-        self._check_invariants(roots)
-        self._build_relations(roots)
-
-    # -- relations ---------------------------------------------------------
-
-    def _build_relations(self, roots: list[tuple[int, ...]]):
-        n = self.N
-        self.rel = [bytearray(n) for _ in range(n)]  # 0 same, 1 ~, 2 perp
-        self.gamma: dict[tuple[int, int], int] = {}
-        # per root i: [(j, gamma(i, j))] over its Delta_1, sorted by j
-        self.neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        index = {}  # +-2r -> index of the positive root r
-        for i, r in enumerate(roots):
-            index[r] = index[tuple(-c for c in r)] = i
-        for i in range(n):
-            ri, rel_i = roots[i], self.rel[i]
-            for j in range(i + 1, n):
-                rj = roots[j]
-                d = sum(map(operator.mul, ri, rj))  # 4 (r_i, r_j)
-                if d == 0:
-                    rel_i[j] = self.rel[j][i] = 2
-                    continue
-                rel_i[j] = self.rel[j][i] = 1
-                # (r_i, r_j) = +-1 makes r_i -+ r_j a root
-                op = operator.sub if d > 0 else operator.add
-                g = index.get(tuple(map(op, ri, rj)))
-                assert g is not None, "triple closure violated"
-                self.gamma[(i, j)] = self.gamma[(j, i)] = g
-                self.neighbours[i].append((j, g))
-                self.neighbours[j].append((i, g))
+            simple_offset += rank
+            root_offset += n
+        self.N = len(self.doubled_roots)
+        self._check_invariants(self.doubled_roots)
 
     def _check_invariants(self, roots: list[tuple[int, ...]]):
         """Construction invariants; |Delta_1| = 2h-4 is a verify clause."""
@@ -277,16 +228,17 @@ class RootSystem:
         return [frozenset(k for k, c in enumerate(co) if c)
                 for co in self.simple_coeffs]
 
+    @functools.cached_property
+    def positive_roots(self) -> list[tuple]:
+        """The positive roots as rational coordinates."""
+        return _halved(self.doubled_roots)
+
+    @functools.cached_property
+    def simple_roots(self) -> list[tuple]:
+        """The simple roots as rational coordinates."""
+        return _halved(self.doubled_simple_roots)
+
     # -- queries -----------------------------------------------------------
-
-    def index_of(self, alpha: Root) -> int:
-        try:
-            return self._index[tuple(alpha)]
-        except KeyError:
-            raise ValueError("not a positive root of this system") from None
-
-    def inner(self, i: int, j: int):
-        return dot(self.positive_roots[i], self.positive_roots[j])
 
     def spec_string(self) -> str:
         parts = []
@@ -297,6 +249,11 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.spec_string()}, N={self.N})"
+
+
+def _halved(vectors: list[tuple[int, ...]]) -> list[tuple]:
+    half = {c: Q(c, 2) for c in range(-2, 3)}
+    return [tuple(half[c] for c in v) for v in vectors]
 
 
 _COMP_RE = re.compile(r"^([ADE])(\d+)(?:[\^*](\d+))?$")

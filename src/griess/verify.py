@@ -62,8 +62,16 @@ class VerifyReport:
 
 
 def _two_n(spec: str) -> int:
-    """2N = sum of l h over the components, building and listing none."""
-    return 2 * sum(t.num_positive * mult for t, mult in spec_parts(spec))
+    """2N = sum of l h over the components, building and listing none.  A
+    catalog name that is no spec, such as A5^4D4, counts its entry's."""
+    try:
+        parts = spec_parts(spec)
+    except ValueError as exc:
+        entry = next((e for e in catalog() if e.name == spec), None)
+        if entry is None or entry.is_leech:
+            raise exc
+        parts = [(t, 1) for t in entry.components]
+    return 2 * sum(t.num_positive * mult for t, mult in parts)
 
 
 def check_size(spec: str, force: bool):

@@ -1,12 +1,15 @@
-"""Shared cached builders so expensive systems are constructed once."""
+"""Shared cached builders so expensive systems are constructed once, and
+a reference root system built from rational coordinates by definition."""
 
+import itertools
 from functools import lru_cache
 
 import pytest
 
 from griess.bplus import build_bplus, build_phi
+from griess.ratio import Q, ZERO
 from griess.rootalgebra import build_A, build_T
-from griess.rootsys import build
+from griess.rootsys import build, parse_spec
 
 
 @lru_cache(maxsize=None)
@@ -32,6 +35,115 @@ def bplus(spec: str):
 @lru_cache(maxsize=None)
 def phi(spec: str):
     return build_phi(algebra_A(spec), bplus(spec))
+
+
+def dot(x: tuple, y: tuple):
+    """The inner product of two rational coordinate vectors."""
+    if len(x) != len(y):
+        raise ValueError("dimension mismatch")
+    return sum((a * b for a, b in zip(x, y)), ZERO)
+
+
+def _e(n: int, *entries) -> tuple:
+    """The vector of Q^n with the given (position, value) entries."""
+    v = [ZERO] * n
+    for i, c in entries:
+        v[i] = Q(c)
+    return tuple(v)
+
+
+@lru_cache(maxsize=None)
+def _reference_roots(t) -> tuple[list, set]:
+    """(simple roots, all roots) of one simple type in its rational
+    coordinate model: A_l as e_i - e_j in Q^(l+1), D_l as +-e_i +- e_j in
+    Q^l, E_8 as those of D_8 and the (+-1/2)^8 with an even number of minus
+    signs; E_7 and E_6 take the first 7 / 6 Bourbaki simple roots of E_8."""
+    l = t.rank
+    if t.family == "A":
+        n = l + 1
+        simple = [_e(n, (i, 1), (i + 1, -1)) for i in range(l)]
+        return simple, {_e(n, (i, 1), (j, -1))
+                        for i in range(n) for j in range(n) if i != j}
+    n = l if t.family == "D" else 8
+    roots = {_e(n, (i, si), (j, sj)) for i in range(n) for j in range(i + 1, n)
+             for si in (-1, 1) for sj in (-1, 1)}
+    if t.family == "D":
+        simple = [_e(n, (i, 1), (i + 1, -1)) for i in range(l - 1)]
+        return simple + [_e(n, (l - 2, 1), (l - 1, 1))], roots
+    roots |= {tuple(Q(s, 2) for s in signs)
+              for signs in itertools.product((1, -1), repeat=8)
+              if signs.count(-1) % 2 == 0}
+    simple = [tuple(Q(c, 2) for c in (1, -1, -1, -1, -1, -1, -1, 1)),
+              _e(8, (0, 1), (1, 1))]
+    simple += [_e(8, (i - 2, 1), (i - 3, -1)) for i in range(3, 9)]
+    return simple[:l], roots
+
+
+class ReferenceSystem:
+    """A root system built from rational coordinates by definition: the
+    positive roots are the roots reached from the simple roots by adding one
+    simple root at a time, and every pair of positive roots is compared by a
+    plain dot product.  rel[i][j] is 0 for i = j, 1 for non-orthogonal and 2
+    for orthogonal roots; gamma[(i, j)] is the positive root +-(r_i -+ r_j)
+    of a non-orthogonal pair; neighbours lists (j, gamma) per root in j
+    order."""
+
+    def __init__(self, spec: str):
+        blocks = [_reference_roots(t) for t in parse_spec(spec)]
+        dim = sum(len(simple[0]) for simple, _ in blocks)
+        l = sum(len(simple) for simple, _ in blocks)
+        self.positive_roots, self.simple_roots, self.simple_coeffs = [], [], []
+        offset = simple_offset = 0
+        for simple, roots in blocks:
+            d, rank = len(simple[0]), len(simple)
+
+            def embed(r):
+                return (ZERO,) * offset + r + (ZERO,) * (dim - offset - d)
+
+            found = {a: tuple(int(k == m) for m in range(rank))
+                     for k, a in enumerate(simple)}
+            frontier = list(found)
+            while frontier:
+                nxt = []
+                for r in frontier:
+                    for k, a in enumerate(simple):
+                        s = tuple(x + y for x, y in zip(r, a))
+                        if s in roots and s not in found:
+                            c = found[r]
+                            found[s] = c[:k] + (c[k] + 1,) + c[k + 1:]
+                            nxt.append(s)
+                frontier = nxt
+            for c, r in sorted((c, r) for r, c in found.items()):
+                self.positive_roots.append(embed(r))
+                self.simple_coeffs.append(
+                    (0,) * simple_offset + c
+                    + (0,) * (l - simple_offset - rank))
+            self.simple_roots += [embed(a) for a in simple]
+            offset += d
+            simple_offset += rank
+        roots = self.positive_roots
+        n = len(roots)
+        index = {r: i for i, r in enumerate(roots)}
+        index.update({tuple(-c for c in r): i for i, r in enumerate(roots)})
+        self.rel = [[0] * n for _ in range(n)]
+        self.gamma = {}
+        self.neighbours = [[] for _ in range(n)]
+        support = [[(c, a) for c, a in enumerate(r) if a] for r in roots]
+        for i, j in itertools.combinations(range(n), 2):
+            # the dot product over the non-zero coordinates of r_i
+            d = sum(a * roots[j][c] for c, a in support[i])
+            self.rel[i][j] = self.rel[j][i] = 1 if d else 2
+            if d:
+                pair = zip(roots[i], roots[j])
+                g = index[tuple(a - b if d > 0 else a + b for a, b in pair)]
+                self.gamma[(i, j)] = self.gamma[(j, i)] = g
+        for (i, j), g in sorted(self.gamma.items()):
+            self.neighbours[i].append((j, g))
+
+
+@lru_cache(maxsize=None)
+def reference(spec: str) -> ReferenceSystem:
+    return ReferenceSystem(spec)
 
 
 def mul_vector(m, v) -> list:

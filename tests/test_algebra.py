@@ -29,6 +29,11 @@ def nonassociative_example():
         {(0, 0): Q(1), (0, 1): Q(0), (1, 1): Q(1)})
 
 
+def set_gram(data: dict, entries: dict):
+    for (i, j), s in entries.items():
+        data["gram"][i][j] = s
+
+
 class TestElements:
     def test_arithmetic(self):
         alg = two_dim_split()
@@ -127,12 +132,25 @@ class TestSerialization:
         (lambda d: d["products"].append([1, 0, [[1, "1"]]]),
          r"products\[2\]: basis pair \(0, 1\) is listed twice"),
         (lambda d: d["products"].append([1, 1, [[1, "1"], [1, "2"]]]),
-         r"products\[2\]: b_1 has two terms")])
+         r"products\[2\]: b_1 has two terms"),
+        (lambda d: set_gram(d, {(0, 1): "1", (1, 0): "5"}),
+         r"gram\[1\]\[0\] is 5, gram\[0\]\[1\] is 1"),
+        (lambda d: set_gram(d, {(1, 0): "1/2"}),
+         r"gram\[1\]\[0\] is 1/2, gram\[0\]\[1\] is 0"),
+        (lambda d: set_gram(d, {(0, 1): "-3"}),
+         r"gram\[1\]\[0\] is 0, gram\[0\]\[1\] is -3")])
     def test_malformed_tables_name_the_entry(self, change, message):
         data = nonassociative_example().to_json()
         change(data)
         with pytest.raises(ValueError, match=message):
             StructureAlgebra.from_json(data)
+
+    def test_gram_mirrors_may_differ_in_spelling(self):
+        data = nonassociative_example().to_json()
+        set_gram(data, {(0, 1): "2/4", (1, 0): "1/2", (1, 1): "0/3"})
+        alg = StructureAlgebra.from_json(data)
+        assert alg.basis_form(0, 1) == alg.basis_form(1, 0) == Q(1, 2)
+        assert alg.basis_form(1, 1) == 0
 
     def test_term_outside_a_one_vector_basis(self):
         data = {"basis": ["a"], "products": [[0, 0, [[5, "1"]]]],

@@ -5,7 +5,7 @@ from griess.exactlin import QMatrix
 from griess.ratio import Q
 
 from conftest import (algebra_A, algebra_T, bplus, mul_vector, phi,
-                      radical_dimension, system)
+                      radical_dimension, reference, system)
 
 
 def x(bp, r):
@@ -30,7 +30,7 @@ class TestConstruction:
 
     def test_x_products(self):
         bp = bplus("A2")
-        rs = bp.rs
+        rs = reference("A2")
         # equal: x_r x_r = 2 r^2; non-orthogonal: closes on x_gamma
         assert x(bp, 0) * x(bp, 0) == root_square(bp, 0).scale(2)
         g = rs.gamma[(0, 1)]

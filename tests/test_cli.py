@@ -3,8 +3,9 @@ import json
 import pytest
 
 from griess.cli import run
+from griess.niemeier import catalog
 from griess.rootsys import RootSystem, build
-from griess.verify import verify_lemma_2_1
+from griess.verify import _two_n, check_size, verify_lemma_2_1
 
 
 def run_captured(capsys, argv):
@@ -61,6 +62,24 @@ class TestRoots:
             "pass --force to run anyway"]
 
 
+    def test_size_guard_reads_catalog_names(self):
+        """A catalog name such as A5^4D4 is no spec; the guard takes its 2N
+        from the entry."""
+        entries = [e for e in catalog() if not e.is_leech]
+        assert len(entries) == 23
+        for e in entries:
+            assert _two_n(e.name) == sum(t.rank * t.coxeter
+                                         for t in e.components)
+            check_size(e.name, force=False)
+
+    def test_mixed_catalog_name_gets_a_report(self, capsys):
+        code, out = run_captured(
+            capsys, ["verify", "lemma4.2", "--spec", "A5^4D4", "--json"])
+        assert code in (0, 1)
+        [report] = json.loads(out)["reports"]
+        assert report["target"] == "lemma4.2 [A5^4D4]"
+
+
 class TestAlgebraDump:
     @pytest.mark.parametrize("kind,dim", [("A", 6), ("T", 3), ("bplus", 6)])
     def test_schema(self, capsys, kind, dim):
@@ -94,6 +113,18 @@ class TestDecompose:
 
     def test_bad_chain(self):
         assert run(["decompose", "A2", "--chain", "0,0"]) == 2
+
+    @pytest.mark.parametrize("chain", ["0,,1", "0,1,", ""])
+    def test_empty_chain_index_refused_before_build(self, capsys,
+                                                    monkeypatch, chain):
+        def never(*args):
+            raise AssertionError("roots built before --chain was read")
+        monkeypatch.setattr("griess.cli.build", never)
+        assert run(["decompose", "A3", "--chain", chain]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: --chain {chain!r} has an empty index"]
 
 
 class TestNiemeier:
@@ -194,7 +225,8 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         ["verify", "lemma4.2", "--spec", "A24", "--chain", "0,99"],
         ["verify", "thm2.7", "--spec", "A3", "--chain", "7"],
-        ["verify", "lemma4.2", "--spec", "D4^6", "--chain", "0,4"]])
+        ["verify", "lemma4.2", "--spec", "D4^6", "--chain", "0,4"],
+        ["verify", "lemma4.2", "--spec", "D4^6", "--chain", ""]])
     def test_chain_refused_before_build(self, capsys, monkeypatch, argv):
         """--chain is read only by lemma4.2, for a component 0 of type D
         or E and indices among its simple roots."""

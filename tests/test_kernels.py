@@ -35,9 +35,9 @@ from griess.ratio import Q, q_parse, q_str
 from griess.rootalgebra import (RootAlgebra, build_A, build_T,
                                 coset_chain_decompose, delta,
                                 generalized_chain_decompose)
-from griess.rootsys import build, dot
+from griess.rootsys import build
 
-from conftest import algebra_A, algebra_T, bplus, phi, system
+from conftest import algebra_A, algebra_T, bplus, dot, phi, reference, system
 
 SPECS = ("A1", "A2", "A3", "D4", "A1^2", "A2+A1")
 KINDS = {"A": lambda spec: algebra_A(spec).alg,
@@ -56,22 +56,22 @@ def root_algebra_rules(rs):
     third root g: t t and u u on -t(g), t u on -u(g).  The form is 4 on equal
     letters of a root, 1/2 on any letters of non-orthogonal roots, else 0.
     T(Phi) is the t-block."""
-    N = rs.N
+    N, ref = rs.N, reference(rs.spec_string())
 
     def product(i, j):
         (ti, ri), (tj, rj) = (i < N, i % N), (j < N, j % N)
         if ri == rj:
             return {i: 8} if ti == tj else {}
-        if rs.rel[ri][rj] == 2:
+        if ref.rel[ri][rj] == 2:
             return {}
-        g = rs.gamma[(ri, rj)]
+        g = ref.gamma[(ri, rj)]
         return {i: 1, j: 1, (g if ti == tj else g + N): -1}
 
     def form(i, j):
         (ti, ri), (tj, rj) = (i < N, i % N), (j < N, j % N)
         if ri == rj:
             return 4 if ti == tj else 0
-        return Q(1, 2) if rs.rel[ri][rj] == 1 else 0
+        return Q(1, 2) if ref.rel[ri][rj] == 1 else 0
 
     return product, form
 
@@ -82,7 +82,7 @@ def bplus_rules(rs):
     2(a,r)(b,r) x_r, x_r x_s = 0 / x_g / 2 r^2 (orthogonal / closing on g /
     equal); <ab,cd> = (a,c)(b,d) + (a,d)(b,c), <ab,x_r> = 0,
     <x_r,x_s> = 2 [r = s]."""
-    l = rs.l
+    l, ref = rs.l, reference(rs.spec_string())
     pairs = [(a, b) for a in range(l) for b in range(a, l)]
     ns = len(pairs)
     S = [[dot(x, y) for y in rs.simple_roots] for x in rs.simple_roots]
@@ -109,7 +109,7 @@ def bplus_rules(rs):
                 c = rs.simple_coeffs[r]
                 return collect([(sym(a, b), 2 * c[a] * c[b])
                                 for a in range(l) for b in range(l)])
-            return {} if rs.rel[r][s] == 2 else {ns + rs.gamma[(r, s)]: 1}
+            return {} if ref.rel[r][s] == 2 else {ns + ref.gamma[(r, s)]: 1}
         (a, b), x = pairs[min(i, j)], max(i, j)
         return collect([(x, 2 * P[a][x - ns] * P[b][x - ns])])
 

@@ -4,7 +4,7 @@ from griess.ratio import Q
 from griess.rootalgebra import (coset_chain_decompose, delta, epsilon,
                                 generalized_chain_decompose)
 
-from conftest import algebra_A, algebra_T
+from conftest import algebra_A, algebra_T, reference
 
 
 class TestStructureConstants:
@@ -18,7 +18,7 @@ class TestStructureConstants:
 
     def test_a2_triple_closure(self):
         ra = algebra_A("A2")
-        rs = ra.rs
+        rs = reference("A2")
         i, j = 0, 1
         assert rs.rel[i][j] == 1
         g = rs.gamma[(i, j)]

@@ -1,8 +1,9 @@
 import pytest
 
-from griess.rootsys import SimpleType, build, dot, parse_spec
+from griess import rootsys
+from griess.rootsys import SimpleType, build, parse_spec
 
-from conftest import system
+from conftest import dot, reference, system
 
 
 class TestParseSpec:
@@ -35,11 +36,11 @@ class TestCounts:
         assert 2 * rs.N == sum(c.rank * c.coxeter for c in rs.components)
 
     def test_semisimple_blocks(self):
-        rs = system("A1+A2")
+        rs, ref = system("A1+A2"), reference("A1+A2")
         assert rs.l == 3 and rs.N == 4
         for i in rs.component_root_slices[0]:
             for j in rs.component_root_slices[1]:
-                assert rs.rel[i][j] == 2
+                assert ref.rel[i][j] == 2
 
 
 class TestGeometry:
@@ -54,22 +55,23 @@ class TestGeometry:
     def test_delta_partition_covers(self):
         """rel sorts the positive roots into {alpha} (0), the roots
         non-orthogonal to alpha (1) and those orthogonal to it (2)."""
-        rs = system("D4")
+        rs = reference("D4")
+        N = len(rs.positive_roots)
         for i, alpha in enumerate(rs.positive_roots):
-            assert [j for j in range(rs.N) if rs.rel[i][j] == 0] == [i]
+            assert [j for j in range(N) if rs.rel[i][j] == 0] == [i]
             for j, beta in enumerate(rs.positive_roots):
                 assert rs.rel[i][j] == (0 if i == j else
                                         1 if dot(alpha, beta) else 2)
 
     @pytest.mark.parametrize("spec", ["A2", "A4", "D4", "E6"])
     def test_delta1_size(self, spec):
-        rs = system(spec)
+        rs, ref = system(spec), reference(spec)
         h = rs.components[0].coxeter
         for i in range(rs.N):
-            assert list(rs.rel[i]).count(1) == 2 * h - 4
+            assert list(ref.rel[i]).count(1) == 2 * h - 4
 
     def test_triple_symmetric(self):
-        rs = system("A2")
+        rs = reference("A2")
         g = rs.gamma[(0, 1)]
         assert rs.gamma[(1, 0)] == g
         # any two of the three determine the remaining one
@@ -78,8 +80,8 @@ class TestGeometry:
 
     def test_triple_rejects_orthogonal(self):
         """Only non-orthogonal pairs have a third root."""
-        rs = system("A1^2")
-        assert rs.rel[0][1] == 2 and (0, 1) not in rs.gamma
+        rs, ref = system("A1^2"), reference("A1^2")
+        assert ref.rel[0][1] == 2 and (0, 1) not in ref.gamma
         assert rs.neighbours == [[], []]
 
 
@@ -109,3 +111,34 @@ def test_e7_e6_are_e8_subsystems():
         rs = system(spec)
         assert rs.N == n
         assert all(r in e8 for r in rs.positive_roots)
+
+
+DIFFERENTIAL_SPECS = ([f"A{l}" for l in range(1, 7)]
+                      + [f"D{l}" for l in range(4, 8)]
+                      + ["E6", "E7", "E8", "A2+A1", "A1^24", "A5^4+D4",
+                         "A11+D7+E6", "D10+E7^2"])
+
+
+class TestAgainstReference:
+    """The build on doubled integer coordinates, with neighbours found
+    through shared coordinates, against rational coordinates compared by
+    plain dot products over all pairs."""
+
+    @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+    def test_build_matches_reference(self, spec):
+        rs, ref = build(spec), reference(spec)
+        assert rs.positive_roots == ref.positive_roots
+        assert rs.simple_roots == ref.simple_roots
+        assert rs.simple_coeffs == ref.simple_coeffs
+        assert rs.neighbours == ref.neighbours
+        assert rs.doubled_roots == [tuple(int(2 * c) for c in r)
+                                    for r in ref.positive_roots]
+
+    @pytest.mark.parametrize("spec", ["E8^2", "A5^4+D4"])
+    def test_build_creates_no_rational(self, spec, monkeypatch):
+        def no_rationals(*args):
+            raise AssertionError("the build made a rational")
+        monkeypatch.setattr(rootsys, "Q", no_rationals)
+        rs = build(spec)
+        with pytest.raises(AssertionError, match="made a rational"):
+            rs.positive_roots
