@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the rank-24 catalog with exact counts, build the associative
-subalgebra for every type-A entry, and summarize both table checks."""
+subalgebra for every root-lattice entry with the charges of each
+component's chain, and summarize both table checks."""
 
 import time
 
@@ -13,15 +14,19 @@ for e in catalog():
     print(f"{e.name:10s} {e.k:2d} {e.coxeter or 0:3d} {e.count:24d}  "
           f"{q_str(e.mass)}")
 
-print("\nassociative subalgebras (type-A entries):")
+print("\nassociative subalgebras:")
 for e in catalog():
-    if e.is_leech or any(c.family != "A" for c in e.components):
+    if e.is_leech:
         continue
     t0 = time.perf_counter()
     rep = lemma_4_2_subalgebra(e)
     print(f"  {e.name:8s} dimension {rep.checks['dimension']:3d} = 24+{e.k:<2d}"
           f"  associative={rep.checks['associative']}"
           f"  ({time.perf_counter() - t0:.1f}s)")
+    charges = iter(rep.charges)
+    for comp in e.components:
+        block = ", ".join(q_str(next(charges)) for _ in range(comp.rank + 1))
+        print(f"    {comp}: {block}")
 
 for con in (table1_consistency(), table2_consistency()):
     n_ok = sum(1 for _, ok, _ in con.clauses if ok)

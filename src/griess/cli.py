@@ -92,10 +92,8 @@ def _cmd_decompose(args) -> int:
     chain = None if args.chain is None else _parse_chain(args.chain)
     rs = build(args.spec)
     ra = build_A(rs)
-    if chain is not None:
-        rep = generalized_chain_decompose(ra, chain)
-    else:
-        rep = coset_chain_decompose(ra)
+    rep = (coset_chain_decompose(ra) if chain is None
+           else generalized_chain_decompose(ra, chain))
     payload = rep.to_json()
     text = "\n".join(
         [f"decomposition of the identity of A({rs.spec_string()}):",
@@ -124,38 +122,13 @@ def _cmd_niemeier(args) -> int:
          f"{rep.checks['dimension']} = 24 + {entry.k}",
          f"  charges  {', '.join(q_str(c) for c in rep.charges)}"])
     _emit(args, payload, text)
-    return 0
-
-
-def _verify_chain(target: str, spec: str | None, text: str) -> dict:
-    """--chain of verify, for component 0 of a lemma4.2 entry of type D
-    or E, checked against the catalog before anything is built."""
-    if target != "lemma4.2":
-        raise ValueError(f"--chain applies to lemma4.2 only, not {target}")
-    if spec is None:
-        raise ValueError("target lemma4.2 needs a root-system spec")
-    try:
-        comps = catalog_entry(spec).components
-    except KeyError:
-        raise ValueError(f"{spec!r} is not a catalog entry name") from None
-    if not comps or comps[0].family == "A":
-        raise ValueError(f"--chain names component 0 of {spec}, which is "
-                         "not of type D or E")
-    chain = _parse_chain(text)
-    bad = [i for i in chain[-1] if not 0 <= i < comps[0].rank]
-    if bad:
-        raise ValueError(f"--chain index {bad[0]} is outside the simple "
-                         f"roots 0..{comps[0].rank - 1} of component 0 "
-                         f"({comps[0]})")
-    return {0: chain}
+    ok = rep.checks["associative"] and rep.checks["dimension"] == 24 + entry.k
+    return 0 if ok else 1
 
 
 def _cmd_verify(args) -> int:
-    chains = None
-    if args.chain is not None:
-        chains = _verify_chain(args.target, args.spec, args.chain)
     reports = run_target(args.target, args.spec, max_dim=args.max_dim,
-                         force=args.force, chains=chains)
+                         force=args.force)
     ok = all(r.passed for r in reports)
     if args.json:
         print(json.dumps({"passed": ok,
@@ -222,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target", choices=TARGETS)
     sp.add_argument("--spec", default=None)
     sp.add_argument("--max-dim", type=int, default=8)
-    sp.add_argument("--chain", default=None)
     common(sp)
     sp.set_defaults(fn=_cmd_verify)
     return p

@@ -8,6 +8,7 @@ does.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -18,8 +19,8 @@ from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
                        lagrangian_extension_count, lemma_4_2_subalgebra,
                        table1_consistency, table2_consistency)
 from .ratio import Q, ZERO, q_str
-from .rootalgebra import (build_A, build_T, coset_chain_decompose, delta,
-                          epsilon, _closed_identity)
+from .rootalgebra import (build_A, build_T, coset_chain_decompose,
+                          default_chains, delta, epsilon, _closed_identity)
 from .rootsys import SimpleType, build, parse_spec, spec_parts
 
 TARGETS = ("lemma2.1", "prop2.2", "lemma2.3", "lemma2.4", "eq2.5",
@@ -61,17 +62,22 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+@functools.cache
+def _catalog_specs() -> dict:
+    return {e.name: "+".join(map(str, e.components))
+            for e in catalog() if not e.is_leech}
+
+
+def resolve(spec: str) -> str:
+    """The spec of a non-Leech catalog name, such as A5^4+D4 for A5^4D4,
+    which is no spec; any other string is taken as a spec."""
+    return _catalog_specs().get(spec, spec)
+
+
 def _two_n(spec: str) -> int:
-    """2N = sum of l h over the components, building and listing none.  A
-    catalog name that is no spec, such as A5^4D4, counts its entry's."""
-    try:
-        parts = spec_parts(spec)
-    except ValueError as exc:
-        entry = next((e for e in catalog() if e.name == spec), None)
-        if entry is None or entry.is_leech:
-            raise exc
-        parts = [(t, 1) for t in entry.components]
-    return 2 * sum(t.num_positive * mult for t, mult in parts)
+    """2N = sum of l h over the components, building and listing none."""
+    return 2 * sum(t.num_positive * mult
+                   for t, mult in spec_parts(resolve(spec)))
 
 
 def check_size(spec: str, force: bool):
@@ -110,7 +116,7 @@ def verify_lemma_2_1(spec: str) -> VerifyReport:
     """|Delta_1(alpha)| = 2h - 4 for every positive root, read from the
     neighbour lists of the root system."""
     rep = VerifyReport(f"lemma2.1 [{spec}]")
-    rs = build(spec)
+    rs = build(resolve(spec))
     for ci, comp in enumerate(rs.components):
         h = comp.coxeter
         sl = rs.component_root_slices[ci]
@@ -126,7 +132,7 @@ def verify_lemma_2_1(spec: str) -> VerifyReport:
 def verify_prop_2_2(spec: str) -> VerifyReport:
     """The closed-form delta is the identity found by the exact solver."""
     rep = VerifyReport(f"prop2.2 [{spec}]")
-    ra = build_A(build(spec))
+    ra = build_A(build(resolve(spec)))
     d = delta(ra)
     solved = ra.alg.find_identity()
     rep.add("the algebra has an identity (exact solve)", solved is not None)
@@ -142,7 +148,7 @@ def verify_prop_2_2(spec: str) -> VerifyReport:
 def verify_lemma_2_3(spec: str) -> VerifyReport:
     """The closed-form epsilon is the identity of the t-span."""
     rep = VerifyReport(f"lemma2.3 [{spec}]")
-    rt = build_T(build(spec))
+    rt = build_T(build(resolve(spec)))
     e = epsilon(rt)
     solved = rt.alg.find_identity()
     rep.add("the t-span has an identity (exact solve)", solved is not None)
@@ -155,7 +161,7 @@ def verify_lemma_2_3(spec: str) -> VerifyReport:
 def verify_lemma_2_4(spec: str) -> VerifyReport:
     """c(delta) = l and c(epsilon) = lh/(h+2), summed over components."""
     rep = VerifyReport(f"lemma2.4 [{spec}]")
-    rs = build(spec)
+    rs = build(resolve(spec))
     cd = delta(build_A(rs)).central_charge()
     rep.add(f"c(delta) = l = {rs.l}", cd == rs.l, q_str(cd))
     ce = epsilon(build_T(rs)).central_charge()
@@ -170,7 +176,7 @@ def verify_lemma_2_4(spec: str) -> VerifyReport:
 def verify_eq_2_5(spec: str) -> VerifyReport:
     """c(delta - epsilon) = 2l/(l+3) per type-A component."""
     rep = VerifyReport(f"eq2.5 [{spec}]")
-    rs = build(spec)
+    rs = build(resolve(spec))
     if not _all_type_a(rs.components):
         raise ValueError("eq2.5 applies to type-A systems only")
     ra = build_A(rs)
@@ -182,24 +188,55 @@ def verify_eq_2_5(spec: str) -> VerifyReport:
     return rep
 
 
-def _chain_epsilons(ra, ci) -> list:
-    """Per nested A_i sub-system of the component: its t-span identity."""
-    simple = ra.rs.component_simple_slices[ci]
-    return [_closed_identity(ra, simple[:i]) for i in range(len(simple) + 1)]
+def closed_charges(comp: SimpleType) -> list:
+    """The charges of the l+1 idempotents of one component's default chain
+    (rootalgebra.default_chains), in chain order: 1 - 6/((i+2)(i+3)) at
+    step i of the A_(l-1) path (Lemma 2.6); for D and E, the whole component
+    adds c(epsilon) of it less that of A_(l-1), lh/(h+2) - l(l-1)/(l+2)
+    (Lemma 2.4); the tail delta - epsilon has 2l/(h+2)."""
+    l, h = comp.rank, comp.coxeter
+    path = l if comp.family == "A" else l - 1
+    out = [1 - Q(6, (i + 2) * (i + 3)) for i in range(1, path + 1)]
+    if comp.family != "A":
+        out.append(Q(l * h, h + 2) - Q(l * (l - 1), l + 2))
+    return out + [Q(2 * l, h + 2)]
+
+
+def _add_charges_clause(rep: VerifyReport, components: list, elements: list,
+                        charges: list):
+    """One clause: the charges of the default chains' idempotents equal
+    their closed forms; a failure names the first idempotent that differs,
+    its component and its step."""
+    want = [(c, f"component {ci} {comp}, step {step}")
+            for ci, comp in enumerate(components)
+            for step, c in enumerate(closed_charges(comp), 1)]
+    k = next((k for k, (c, (w, _)) in enumerate(zip(charges, want))
+              if c != w), None)
+    bad = None
+    if len(charges) != len(want):
+        bad = f"{len(charges)} idempotents, expected {len(want)}"
+    elif k is not None:
+        (w, where), zero = want[k], elements[k].is_zero()
+        bad = (f"idempotent {k} ({where}){' is zero' if zero else ''}: "
+               f"charge {q_str(charges[k])} != {q_str(w)}")
+    rep.add(f"charges match the closed forms "
+            f"({', '.join(q_str(c) for c in charges[:6])}"
+            f"{', ...' if len(charges) > 6 else ''})", bad is None, bad)
 
 
 @_timed
 def verify_lemma_2_5(spec: str) -> VerifyReport:
     """<eps - eps', eps'> = 0 along each type-A sub-system chain."""
     rep = VerifyReport(f"lemma2.5 [{spec}]")
-    rs = build(spec)
+    rs = build(resolve(spec))
     if not _all_type_a(rs.components):
         raise ValueError("lemma2.5 applies to type-A systems only")
     ra = build_A(rs)
-    for ci, comp in enumerate(rs.components):
-        eps = _chain_epsilons(ra, ci)
+    for ci, (comp, chain) in enumerate(zip(rs.components,
+                                           default_chains(rs))):
+        eps = [_closed_identity(ra, s) for s in [(), *chain]]
         bad = None
-        for i in range(1, comp.rank + 1):
+        for i in range(1, len(eps)):
             v = (eps[i] - eps[i - 1]).form(eps[i - 1])
             if v != 0:
                 bad = f"step {i}: pairing {q_str(v)}"
@@ -216,16 +253,16 @@ def verify_lemma_2_5(spec: str) -> VerifyReport:
 def verify_lemma_2_6(spec: str) -> VerifyReport:
     """c(eps - eps') = 1 - 6/((i+2)(i+3)) along each type-A chain."""
     rep = VerifyReport(f"lemma2.6 [{spec}]")
-    rs = build(spec)
+    rs = build(resolve(spec))
     if not _all_type_a(rs.components):
         raise ValueError("lemma2.6 applies to type-A systems only")
     ra = build_A(rs)
-    for ci, comp in enumerate(rs.components):
-        eps = _chain_epsilons(ra, ci)
+    for ci, (comp, chain) in enumerate(zip(rs.components,
+                                           default_chains(rs))):
+        eps = [_closed_identity(ra, s) for s in [(), *chain]]
         bad = None
-        for i in range(1, comp.rank + 1):
+        for i, expected in enumerate(closed_charges(comp)[:-1], 1):
             c = (eps[i] - eps[i - 1]).central_charge()
-            expected = 1 - Q(6, (i + 2) * (i + 3))
             if c != expected:
                 bad = f"step {i}: {q_str(c)} != {q_str(expected)}"
                 break
@@ -238,18 +275,12 @@ def verify_lemma_2_6(spec: str) -> VerifyReport:
 def verify_thm_2_7(spec: str) -> VerifyReport:
     """Full chain decomposition: clauses (i)-(iii), charges, associativity."""
     rep = VerifyReport(f"thm2.7 [{spec}]")
-    rs = build(spec)
+    rs = build(resolve(spec))
     if not _all_type_a(rs.components):
         raise ValueError("thm2.7 applies to type-A systems only")
     ra = build_A(rs)
-    try:
-        dec = coset_chain_decompose(ra)
-    except AssertionError as exc:
-        rep.add("chain decomposition with asserted charges", False, str(exc))
-        return rep
-    rep.add(f"charges match the closed forms "
-            f"({', '.join(q_str(c) for c in dec.charges[:6])}"
-            f"{', ...' if len(dec.charges) > 6 else ''})", True)
+    dec = coset_chain_decompose(ra)
+    _add_charges_clause(rep, rs.components, dec.idempotents, dec.charges)
     for name in ("sum_to_identity", "pairwise_products", "pairwise_form"):
         rep.add(name.replace("_", " "), dec.checks[name])
     assoc = ra.alg.is_associative_span(dec.idempotents)
@@ -265,7 +296,7 @@ def verify_thm_2_7(spec: str) -> VerifyReport:
 def verify_thm_3_1(spec: str) -> VerifyReport:
     """The map onto the weight-2 algebra: homomorphism, isometry, onto."""
     rep = VerifyReport(f"thm3.1 [{spec}]")
-    rs = build(spec)
+    rs = build(resolve(spec))
     phi = build_phi(build_A(rs), build_bplus(rs))
     r = verify_theorem_3_1(phi)
     rep.add("algebra homomorphism on all basis pairs", r.homomorphism,
@@ -283,7 +314,7 @@ def verify_thm_3_1(spec: str) -> VerifyReport:
 def verify_cor_3_2(spec: str) -> VerifyReport:
     """Type A: bijective.  Otherwise: kernel = radical of the source form."""
     rep = VerifyReport(f"cor3.2 [{spec}]")
-    rs = build(spec)
+    rs = build(resolve(spec))
     ra = build_A(rs)
     phi = build_phi(ra, build_bplus(rs))
     if _all_type_a(rs.components):
@@ -306,21 +337,17 @@ def verify_cor_3_2(spec: str) -> VerifyReport:
 
 
 @_timed
-def verify_lemma_4_2(spec: str,
-                     chains: dict | None = None) -> VerifyReport:
+def verify_lemma_4_2(spec: str) -> VerifyReport:
     """Associative subalgebra of dimension 24+k for a rank-24 entry."""
     rep = VerifyReport(f"lemma4.2 [{spec}]")
-    try:
-        entry = catalog_entry(spec)
-    except KeyError:
-        raise ValueError(f"{spec!r} is not a catalog entry name") from None
-    try:
-        sub = lemma_4_2_subalgebra(entry, chains)
-    except (AssertionError, ValueError) as exc:
-        rep.add("subalgebra construction", False, str(exc))
-        return rep
-    rep.add(f"dimension 24 + k = {24 + entry.k}",
-            sub.checks["dimension"] == 24 + entry.k)
+    if spec not in _catalog_specs():
+        raise ValueError(f"{spec!r} is not a catalog entry name")
+    entry = catalog_entry(spec)
+    sub = lemma_4_2_subalgebra(entry)
+    dim = sub.checks["dimension"]
+    rep.add(f"dimension 24 + k = {24 + entry.k}", dim == 24 + entry.k,
+            f"{dim} idempotents")
+    _add_charges_clause(rep, entry.components, sub.idempotents, sub.charges)
     rep.add("span is associative (exhaustive triples)",
             sub.checks["associative"])
     return rep
@@ -359,7 +386,7 @@ def verify_table_2() -> VerifyReport:
 
 def targets_for_spec(spec: str) -> list[str]:
     """Verification targets applicable to one root-system spec."""
-    comps = parse_spec(spec)
+    comps = parse_spec(resolve(spec))
     out = ["lemma2.1", "prop2.2", "lemma2.3", "lemma2.4"]
     if _all_type_a(comps):
         out += ["eq2.5", "lemma2.5", "lemma2.6", "thm2.7"]
@@ -367,15 +394,13 @@ def targets_for_spec(spec: str) -> list[str]:
     # products; keep it to systems where it stays under a few seconds.
     if _two_n(spec) <= 160:
         out += ["thm3.1", "cor3.2"]
-    if sum(c.rank for c in comps) == 24 and any(e.name == spec
-                                                for e in catalog()):
+    if spec in _catalog_specs():
         out.append("lemma4.2")
     return out
 
 
 def run_target(target: str, spec: str | None = None, *,
-               max_dim: int = 8, force: bool = False,
-               chains: dict | None = None) -> list[VerifyReport]:
+               max_dim: int = 8, force: bool = False) -> list[VerifyReport]:
     """Dispatch one named target; 'all' expands to the applicable set."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {TARGETS}")
@@ -392,7 +417,7 @@ def run_target(target: str, spec: str | None = None, *,
         for s in specs:
             check_size(s, force)
             for t in targets_for_spec(s):
-                reports.extend(run_target(t, s, force=force, chains=chains))
+                reports.extend(run_target(t, s, force=force))
         reports += [verify_formula_4_1(max_dim), verify_table_1(),
                     verify_table_2()]
         return reports
@@ -405,7 +430,6 @@ def run_target(target: str, spec: str | None = None, *,
         "eq2.5": verify_eq_2_5, "lemma2.5": verify_lemma_2_5,
         "lemma2.6": verify_lemma_2_6, "thm2.7": verify_thm_2_7,
         "thm3.1": verify_thm_3_1, "cor3.2": verify_cor_3_2,
-    }.get(target)
-    if fn is not None:
-        return [fn(spec)]
-    return [verify_lemma_4_2(spec, chains)]
+        "lemma4.2": verify_lemma_4_2,
+    }[target]
+    return [fn(spec)]

@@ -70,7 +70,8 @@ def test_criterion_04_chain_decomposition():
     ok = dec2.charges == [Q(1, 2), Q(7, 10), Q(4, 5)]
     t0 = time.perf_counter()
     ra = algebra_A("A24")
-    dec = coset_chain_decompose(ra)  # asserts (i)-(iii) and the charges
+    dec = coset_chain_decompose(ra)
+    ok = ok and all(dec.checks.values())  # clauses (i)-(iii)
     expected = [1 - Q(6, (i + 2) * (i + 3)) for i in range(1, 25)] + [Q(16, 9)]
     ok = ok and dec.charges == expected
     ok = ok and dec.charges[23] == Q(116, 117)

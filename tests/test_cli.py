@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from griess import verify
+from griess.bplus import PhiMap
 from griess.cli import run
 from griess.niemeier import catalog
 from griess.rootsys import RootSystem, build
@@ -72,6 +74,23 @@ class TestRoots:
                                          for t in e.components)
             check_size(e.name, force=False)
 
+    def test_mixed_catalog_name_resolves_for_every_target(self, capsys):
+        code, out = run_captured(
+            capsys, ["verify", "lemma2.1", "--spec", "A5^4D4"])
+        assert code == 0
+        assert "component D4" in out
+        code, out = run_captured(
+            capsys, ["verify", "all", "--spec", "A5^4D4", "--json"])
+        assert code == 1
+        failed = [(r["target"], c["description"])
+                  for r in json.loads(out)["reports"]
+                  for c in r["clauses"] if not c["passed"]]
+        # phi is not onto B+ of a direct sum (ROADMAP item 1, Bug 1)
+        assert failed == [
+            ("thm3.1 [A5^4D4]",
+             "surjective (exact rank equals target dimension)"),
+            ("thm3.1 [A5^4D4]", "kernel dimension = 2N - dim = -228")]
+
     def test_mixed_catalog_name_gets_a_report(self, capsys):
         code, out = run_captured(
             capsys, ["verify", "lemma4.2", "--spec", "A5^4D4", "--json"])
@@ -111,6 +130,14 @@ class TestDecompose:
         assert code == 0
         assert len(json.loads(out)["charges"]) == 5
 
+    @pytest.mark.parametrize("spec,l", [("D4", 4), ("E8", 8)])
+    def test_d_and_e_default_chains(self, capsys, spec, l):
+        code, out = run_captured(capsys, ["decompose", spec, "--json"])
+        data = json.loads(out)
+        assert code == 0
+        assert len(data["charges"]) == l + 1
+        assert all(data["checks"].values())
+
     def test_bad_chain(self):
         assert run(["decompose", "A2", "--chain", "0,0"]) == 2
 
@@ -141,6 +168,19 @@ class TestNiemeier:
 
     def test_sub_unknown(self):
         assert run(["niemeier", "sub", "B2"]) == 2
+
+    def test_sub_d4_6(self, capsys):
+        code, out = run_captured(capsys, ["niemeier", "sub", "D4^6"])
+        assert code == 0
+        charges = out.splitlines()[1].split(None, 1)[1].split(", ")
+        assert charges == ["1/2", "7/10", "4/5", "1", "1"] * 6
+
+    def test_sub_exits_1_on_a_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "griess.algebra.StructureAlgebra.is_associative_span",
+            lambda alg, elements: False)
+        code, _ = run_captured(capsys, ["niemeier", "sub", "A2^12"])
+        assert code == 1
 
 
 class TestVerify:
@@ -228,15 +268,55 @@ class TestVerify:
         ["verify", "lemma4.2", "--spec", "D4^6", "--chain", "0,4"],
         ["verify", "lemma4.2", "--spec", "D4^6", "--chain", ""]])
     def test_chain_refused_before_build(self, capsys, monkeypatch, argv):
-        """--chain is read only by lemma4.2, for a component 0 of type D
-        or E and indices among its simple roots."""
+        """verify takes no --chain: every component has its default chain."""
         def never(*args):
-            raise AssertionError("roots built before --chain was checked")
+            raise AssertionError("roots built before --chain was refused")
         monkeypatch.setattr("griess.rootsys.RootSystem.__init__", never)
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.strip().splitlines()[-1].startswith(
+            "griess: error: unrecognized arguments: --chain")
+
+    @pytest.mark.parametrize("replace,failed", [
+        (lambda images: images[-1].algebra.zero(),
+         ("charges match the closed forms",
+          "idempotent 9 (component 1 D4, step 5) is zero: charge 0 != 1")),
+        (lambda images: images[-2], ("span is associative", None))],
+        ids=["zero", "dependent"])
+    def test_bad_image_fails_one_clause(self, capsys, monkeypatch, replace,
+                                        failed):
+        """A zero image fails the charges clause, which names it, its
+        component and its step; a copy of the image before it (same charge)
+        fails the span clause; nothing raises."""
+        apply, images = PhiMap.apply, []
+
+        def patched(phi, a):
+            images.append(apply(phi, a))
+            return replace(images) if len(images) == 10 else images[-1]
+        monkeypatch.setattr(PhiMap, "apply", patched)
+        code, out = run_captured(
+            capsys, ["verify", "lemma4.2", "--spec", "D4^6", "--json"])
+        assert code == 1
+        [report] = json.loads(out)["reports"]
+        assert [(c["description"].split(" (")[0], c["counterexample"])
+                for c in report["clauses"] if not c["passed"]] == [failed]
+
+    def test_wrong_charge_fails_one_clause(self, capsys, monkeypatch):
+        closed = verify.closed_charges
+
+        def off(comp):
+            out = closed(comp)
+            out[1] += 1
+            return out
+        monkeypatch.setattr(verify, "closed_charges", off)
+        code, out = run_captured(
+            capsys, ["verify", "thm2.7", "--spec", "A2+A3", "--json"])
+        assert code == 1
+        [report] = json.loads(out)["reports"]
+        assert [c["counterexample"] for c in report["clauses"]
+                if not c["passed"]] == [
+            "idempotent 1 (component 0 A2, step 2): charge 7/10 != 17/10"]
 
     def test_type_a_target_on_d4(self, capsys):
         assert run(["verify", "eq2.5", "--spec", "D4"]) == 2

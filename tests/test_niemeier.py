@@ -6,6 +6,7 @@ from griess.niemeier import (CO1_ORDER, F2QuadSpace, NiemeierEntry, Table2Row,
                              table1_consistency, table2_consistency,
                              table2_rows)
 from griess.ratio import Q
+from griess.verify import run_target
 
 
 class TestCatalog:
@@ -54,9 +55,10 @@ class TestSubalgebra:
         with pytest.raises(ValueError):
             lemma_4_2_subalgebra(catalog_entry("Leech"))
 
-    def test_d_component_needs_chain(self):
-        with pytest.raises(ValueError):
-            lemma_4_2_subalgebra(catalog_entry("D4^6"))
+    def test_d4_6_dimension(self):
+        rep = lemma_4_2_subalgebra(catalog_entry("D4^6"))
+        assert len(rep.idempotents) == 30
+        assert rep.checks == {"dimension": 30, "associative": True}
 
 
 class TestQuadSpace:
@@ -142,3 +144,14 @@ class TestTables:
         rows = [Table2Row("A_1", 1, CO1_ORDER // 98280, ((1, 1, "0"),)),
                 Table2Row("0", 0, CO1_ORDER, ())]
         assert not table2_consistency(rows).passed
+
+
+def test_lemma_4_2_on_every_root_lattice_entry():
+    """verify lemma4.2 passes on all 23 non-Leech entries, with 24 + k
+    idempotents: l+1 per component along its default chain."""
+    entries = [e for e in catalog() if not e.is_leech]
+    assert len(entries) == 23
+    for e in entries:
+        [rep] = run_target("lemma4.2", e.name)
+        assert rep.passed, (e.name, rep.clauses)
+        assert rep.clauses[0][0] == f"dimension 24 + k = {24 + e.k}"

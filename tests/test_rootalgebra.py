@@ -112,9 +112,16 @@ class TestDecomposition:
         dec = coset_chain_decompose(algebra_A("A1^2"))
         assert dec.charges == [Q(1, 2)] * 4
 
-    def test_rejects_non_type_a(self):
-        with pytest.raises(ValueError):
-            coset_chain_decompose(algebra_A("D4"))
+    def test_d_and_e_default_chains(self):
+        """D and E components run the A_(l-1) path, then the whole
+        component, then the tail: l+1 idempotents."""
+        dec = coset_chain_decompose(algebra_A("D4"))
+        assert dec.charges == [Q(1, 2), Q(7, 10), Q(4, 5), Q(1), Q(1)]
+        assert all(dec.checks.values())
+        dec = coset_chain_decompose(algebra_A("E8"))
+        assert len(dec.idempotents) == 9
+        assert sum(dec.charges) == 8
+        assert all(dec.checks.values())
 
     def test_charges_sum_to_rank(self):
         dec = coset_chain_decompose(algebra_A("A5"))
