@@ -39,7 +39,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .exactlin import QMatrix, SparseSolver
+from .exactlin import SparseSolver
 from .ratio import ONE, Q, ZERO, q_parse, q_str
 
 Sparse = dict  # index -> rational, no zero values stored
@@ -271,7 +271,6 @@ class StructureAlgebra:
         # Row i: None until read, then its (den, {j: entry}); see _compile.
         self._product_rows: list = [None] * self.dim
         self._form_rows: list = [None] * self.dim
-        self._gram: QMatrix | None = None
 
     # -- rows ----------------------------------------------------------------
 
@@ -308,19 +307,6 @@ class StructureAlgebra:
     def basis_product(self, i: int, j: int) -> Sparse:
         den, nbrs = self._product_row(i)
         return {k: Q(v, den) for k, v in nbrs.get(j, ())}
-
-    def basis_form(self, i: int, j: int):
-        den, nbrs = self._form_row(i)
-        v = nbrs.get(j)
-        return ZERO if v is None else Q(v, den)
-
-    def gram_matrix(self) -> QMatrix:
-        if self._gram is None:
-            rows = [self._form_row(i) for i in range(self.dim)]
-            self._gram = QMatrix(
-                [[Q(nbrs[j], den) if j in nbrs else ZERO
-                  for j in range(self.dim)] for den, nbrs in rows])
-        return self._gram
 
     # -- elements ----------------------------------------------------------
 
@@ -637,9 +623,6 @@ class AlgebraElement:
     def central_charge(self):
         """Eight times the squared norm of the element."""
         return 8 * self.form(self)
-
-    def is_idempotent(self) -> bool:
-        return self * self == self
 
     def to_json(self) -> list:
         return [[i, q_str(c)] for i, c in sorted(self.coeffs.items())]

@@ -43,8 +43,8 @@ from itertools import compress
 from operator import mul
 
 from .algebra import AlgebraElement, StructureAlgebra, encode_rows
-from .exactlin import QMatrix, SparseSolver
-from .ratio import Q, ZERO
+from .exactlin import SparseSolver
+from .ratio import Q
 from .rootalgebra import RootAlgebra
 from .rootsys import RootSystem
 
@@ -315,37 +315,17 @@ class PhiMap:
             solver.add_equation(self.image({i: 1}), 0)
         return solver.rank
 
-    def matrix(self) -> QMatrix:
-        """Columns are the images of the domain basis."""
-        cols = [self.image({i: 1}) for i in range(self.domain.dim)]
-        return QMatrix([[Q(c[k], 2) if k in c else ZERO for c in cols]
-                        for k in range(self.codomain.dim)])
-
-    def kernel_basis(self) -> list[list]:
-        return self.matrix().kernel_basis()
-
 
 def build_phi(ra: RootAlgebra, bp: BPlusAlgebra) -> PhiMap:
     return PhiMap(ra, bp)
 
 
-@dataclass
-class Theorem31Report:
-    homomorphism: bool
-    isometry: bool
-    surjective: bool
-    kernel_dim: int
-    first_failure: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.homomorphism and self.isometry and self.surjective
-
-
-def verify_theorem_3_1(phi: PhiMap) -> Theorem31Report:
-    """Check, over all basis pairs i <= j, that phi(b_i) phi(b_j) =
-    phi(b_i b_j) and <phi(b_i), phi(b_j)> = <b_i, b_j>, and that the map is
-    onto; report the kernel dimension.
+def verify_theorem_3_1(phi: PhiMap) -> tuple:
+    """Compare, over all basis pairs i <= j, phi(b_i) phi(b_j) with
+    phi(b_i b_j) and <phi(b_i), phi(b_j)> with <b_i, b_j>.  Returns
+    (product_pair, form_pair, rank): the first pair (i, j) with a product
+    mismatch and the first with a form mismatch, each None if there is
+    none, and the exact rank of phi.
 
     With P_r = 2 phi(t_r + u_r) and M_r = 2 phi(u_r - t_r), 4 phi(t_r) =
     P_r - M_r and 4 phi(u_r) = P_r + M_r.  For roots r <= s the products
@@ -354,17 +334,15 @@ def verify_theorem_3_1(phi: PhiMap) -> Theorem31Report:
     per root pair in integer numerators, the products by B+'s kernel on
     operands kept per root (B.operand).  The other side is read from the
     compiled rows of the domain, its product mapped by phi.image, and the
-    two are compared by cross-multiplying the denominators.  The first
-    failure is the first in the order of the pairs (i, j), a product
-    mismatch before a form mismatch at the same pair.
+    two are compared by cross-multiplying the denominators.  Root pairs
+    are not visited in the order of the basis pairs (i, j), so the first
+    mismatch of each kind is the least pair found.
     """
     ra, B = phi.domain, phi.codomain.alg
     A, N = ra.alg, ra.rs.N
-    n = A.dim
     parts = [(B.operand(phi.image({r: 1, N + r: 1})),
               B.operand(phi.image({r: -1, N + r: 1}))) for r in range(N)]
-    hom = iso = True
-    first = (n, n, 0)  # (i, j, 0 for a product or 1 for a form mismatch)
+    product_pair = form_pair = None
     for r in range(N):
         pr, mr = parts[r]
         for s in range(r, N):
@@ -393,20 +371,9 @@ def verify_theorem_3_1(phi: PhiMap) -> Theorem31Report:
                 want = phi.image(dict(row.get(j, ())))
                 if any(v * aden != 8 * pden * want.pop(k, 0)
                        for k, v in got.items() if v) or want:
-                    hom = False
-                    first = min(first, (i, j, 0))
+                    product_pair = min(product_pair or (i, j), (i, j))
                 aden, row = A._form_row(i)
                 if (sum(map(mul, signs, forms)) * aden
                         != 16 * fden * row.get(j, 0)):
-                    iso = False
-                    first = min(first, (i, j, 1))
-    failure = None
-    if first[0] < n:
-        i, j, kind = first
-        what = ("product", "form")[kind]
-        failure = f"{what} mismatch at basis pair ({i},{j})"
-    rank = phi.rank()
-    surj = (rank == phi.codomain.dim)
-    if not surj:
-        failure = failure or f"rank {rank} < dim {phi.codomain.dim}"
-    return Theorem31Report(hom, iso, surj, n - rank, failure)
+                    form_pair = min(form_pair or (i, j), (i, j))
+    return product_pair, form_pair, phi.rank()

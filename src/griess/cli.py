@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bplus import build_bplus, build_phi
+from .bplus import build_bplus
 from .niemeier import catalog, catalog_entry, lemma_4_2_subalgebra
 from .ratio import q_str
 from .rootalgebra import (build_A, build_T, coset_chain_decompose,

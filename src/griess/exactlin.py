@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals and over GF(2).
 
 SparseSolver, incremental, sparse and fraction-free, is the one eliminator
-over the rationals: QMatrix, a dense rational matrix, feeds it its rows for
+over the rationals, with the one null-space routine.  QMatrix, a dense
+rational matrix kept as a reference for the tests, feeds it its rows for
 rref / rank / kernel / solve.  Over GF(2) rows are bitmasks; f2_rref and
 f2_span serve the Lagrangian count.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .ratio import ONE, Q, ZERO
+from .ratio import Q, ZERO
 
 
 class QMatrix:
@@ -63,17 +64,12 @@ class QMatrix:
         return self._eliminated().rank
 
     def kernel_basis(self) -> list[list]:
-        """Basis of the right null space; each v satisfies M v = 0 exactly."""
-        pivots = self._eliminated().pivot_rows
-        basis = []
-        for fc in (c for c in range(self.cols) if c not in pivots):
-            v = [ZERO] * self.cols
-            v[fc] = ONE
-            for pc, (row, _) in pivots.items():
-                if fc in row:
-                    v[pc] = Q(-row[fc], row[pc])
-            basis.append(v)
-        return basis
+        """Basis of the right null space; each v satisfies M v = 0 exactly
+        and is 1 in its free column: SparseSolver.null_space, scaled."""
+        solver = self._eliminated()
+        free = [c for c in range(self.cols) if c not in solver.pivot_rows]
+        return [[Q(v.get(j, 0), v[c]) for j in range(self.cols)]
+                for c, v in zip(free, solver.null_space())]
 
     def solve(self, rhs: Sequence) -> list | None:
         """One exact solution of M x = rhs, or None if inconsistent; the
@@ -141,6 +137,23 @@ class SparseSolver:
         entry in a pivot column.  r is empty iff the vector lies in the
         span of the rows fed so far."""
         return self._reduce(row, 1)
+
+    def null_space(self) -> list[dict]:
+        """A basis of the v with row . v = 0 for every row fed, rhs aside,
+        as integer dicts, one per free column c (no pivot column) in
+        increasing order, positive at c and 0 at the other free columns.
+        The pivot rows are mutually reduced, so pivot row p with pivot
+        column pc reads p[pc] v[pc] + p[c] v[c] = 0; v[c] is the lcm of the
+        p[pc] over the rows p with an entry in column c."""
+        out = []
+        free = (c for c in range(self.n) if c not in self.pivot_rows)
+        for c in free:
+            rows = [(pc, row) for pc, (row, _) in self.pivot_rows.items()
+                    if c in row]
+            m = math.lcm(*(row[pc] for pc, row in rows))
+            out.append({c: m, **{pc: -row[c] * (m // row[pc])
+                                 for pc, row in rows}})
+        return out
 
     def solution(self) -> list | None:
         """The unique solution if rank == n, else None."""

@@ -10,7 +10,7 @@ GF(2), and the consistency identities for the two data tables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .algebra import DecompositionReport
@@ -18,7 +18,7 @@ from .bplus import build_bplus, build_phi
 from .exactlin import f2_rref, f2_span
 from .ratio import Q, ZERO, q_parse, q_str
 from .rootalgebra import build_A, coset_chain_decompose
-from .rootsys import RootSystem, build, parse_spec
+from .rootsys import RootSystem, parse_spec
 
 CO1_ORDER = 2**21 * 3**9 * 5**4 * 7**2 * 11 * 13 * 23
 BRUTE_FORCE_MAX_DIM = 10
@@ -46,7 +46,9 @@ class NiemeierEntry:
     def count(self) -> int:
         """Number of rescaled copies inside the Leech lattice."""
         c = self.mass * CO1_ORDER
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ValueError(f"{self.name}: mass x |Co1| = {q_str(c)} is "
+                             "not an integer")
         return int(c)
 
     def root_system(self) -> RootSystem:
@@ -68,12 +70,12 @@ def catalog() -> list[NiemeierEntry]:
         e = NiemeierEntry(raw["name"], comps, q_parse(raw["mass"]))
         if comps:
             if sum(t.rank for t in comps) != 24:
-                raise AssertionError(f"{e.name}: component ranks must sum to 24")
+                raise ValueError(f"{e.name}: component ranks must sum to 24")
             if len({t.coxeter for t in comps}) != 1:
-                raise AssertionError(f"{e.name}: Coxeter numbers must agree")
+                raise ValueError(f"{e.name}: Coxeter numbers must agree")
         entries.append(e)
     if len(entries) != 24:
-        raise AssertionError("catalog must have 24 entries")
+        raise ValueError("catalog must have 24 entries")
     return entries
 
 
@@ -189,39 +191,23 @@ def brute_force_lagrangians(space: F2QuadSpace) -> int:
 # -- table consistency -----------------------------------------------------
 
 
-@dataclass
-class ConsistencyReport:
-    target: str
-    clauses: list = field(default_factory=list)  # (description, ok, detail)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.clauses)
-
-    def add(self, desc: str, ok: bool, detail: str = ""):
-        self.clauses.append((desc, bool(ok), detail))
-
-    def to_json(self) -> dict:
-        return {"target": self.target, "passed": self.passed,
-                "clauses": [{"description": d, "passed": ok, "detail": x}
-                            for d, ok, x in self.clauses]}
-
-
-def table1_consistency() -> ConsistencyReport:
-    """Each mass times |Co1| is a positive integer and the counts sum to
-    the number of maximal totally isotropic subspaces in dimension 24."""
-    rep = ConsistencyReport("table1")
+def table1_consistency() -> list[tuple]:
+    """Clauses (description, ok, detail): each mass times |Co1| is a
+    positive integer and the counts sum to the number of maximal totally
+    isotropic subspaces in dimension 24."""
+    clauses = []
     total = 0
     for e in catalog():
         c = e.mass * CO1_ORDER
         ok = c.denominator == 1 and c > 0
-        rep.add(f"{e.name}: mass x |Co1| is a positive integer", ok, q_str(c))
+        clauses.append((f"{e.name}: mass x |Co1| is a positive integer", ok,
+                        q_str(c)))
         if ok:
             total += int(c)
     expected = lagrangian_extension_count(12)
-    rep.add("sum of counts equals the total Lagrangian count",
-            total == expected, f"{total} vs {expected}")
-    return rep
+    clauses.append(("sum of counts equals the total Lagrangian count",
+                    total == expected, f"{total} vs {expected}"))
+    return clauses
 
 
 @dataclass(frozen=True)
@@ -238,32 +224,34 @@ def table2_rows() -> list[Table2Row]:
             for r in _data("table2.json")["rows"]]
 
 
-def table2_consistency(rows: list[Table2Row] | None = None) -> ConsistencyReport:
-    """Double-counting identity per edge: with N(X) = |Co1| / stab(X),
-    N(parent) x containments = N(child) x extensions."""
-    rep = ConsistencyReport("table2")
+def table2_consistency(rows: list[Table2Row] | None = None) -> list[tuple]:
+    """Clauses (description, ok, detail) of the double-counting identity
+    per edge: with N(X) = |Co1| / stab(X), N(parent) x containments =
+    N(child) x extensions."""
+    clauses = []
     rows = table2_rows() if rows is None else rows
     orbit: dict[str, object] = {}
     for r in rows:
         n = Q(CO1_ORDER, r.stabilizer_order)
         if n.denominator != 1:
-            rep.add(f"{r.symbol}: stabilizer order divides |Co1|", False,
-                    q_str(n))
+            clauses.append((f"{r.symbol}: stabilizer order divides |Co1|",
+                            False, q_str(n)))
             continue
         orbit[r.symbol] = n
     anchor = orbit.get("A_1")
-    rep.add("anchor: N(A_1) = 98280", anchor == 98280, q_str(anchor or ZERO))
+    clauses.append(("anchor: N(A_1) = 98280", anchor == 98280,
+                    q_str(anchor or ZERO)))
     for r in rows:
         if r.symbol not in orbit:
             continue
         for ext, cont, child in r.edges:
             if child not in orbit:
-                rep.add(f"edge {r.symbol} -> {child}: child order missing",
-                        False, "skipped")
+                clauses.append((f"edge {r.symbol} -> {child}: child order "
+                                "missing", False, "skipped"))
                 continue
             lhs = orbit[r.symbol] * cont
             rhs = orbit[child] * ext
-            rep.add(f"edge {r.symbol} contains {cont} x {child} "
-                    f"(extends {ext})", lhs == rhs,
-                    f"{q_str(lhs)} vs {q_str(rhs)}")
-    return rep
+            clauses.append((f"edge {r.symbol} contains {cont} x {child} "
+                            f"(extends {ext})", lhs == rhs,
+                            f"{q_str(lhs)} vs {q_str(rhs)}"))
+    return clauses

@@ -1,5 +1,7 @@
-"""Shared cached builders so expensive systems are constructed once, and
-a reference root system built from rational coordinates by definition."""
+"""Shared cached builders so expensive systems are constructed once, a
+reference root system built from rational coordinates by definition, and
+dense references by definition: basis forms, the Gram matrix, the matrix of
+phi and its kernel."""
 
 import itertools
 from functools import lru_cache
@@ -7,6 +9,7 @@ from functools import lru_cache
 import pytest
 
 from griess.bplus import build_bplus, build_phi
+from griess.exactlin import QMatrix
 from griess.ratio import Q, ZERO
 from griess.rootalgebra import build_A, build_T
 from griess.rootsys import build, parse_spec
@@ -152,9 +155,36 @@ def mul_vector(m, v) -> list:
     return [sum(r[j] * v[j] for j in range(m.cols)) for r in m.entries]
 
 
+def basis_form(alg, i: int, j: int):
+    """<b_i, b_j>, read from form row i."""
+    den, nbrs = alg._form_row(i)
+    return Q(nbrs.get(j, 0), den)
+
+
+def is_idempotent(e) -> bool:
+    return e * e == e
+
+
+def gram_matrix(alg) -> QMatrix:
+    """The dense Gram matrix of the form on the basis."""
+    return QMatrix([[basis_form(alg, i, j) for j in range(alg.dim)]
+                    for i in range(alg.dim)])
+
+
 def radical_dimension(alg) -> int:
     """dim minus the exact rank of the Gram matrix."""
-    return alg.dim - alg.gram_matrix().rank()
+    return alg.dim - gram_matrix(alg).rank()
+
+
+def phi_matrix(p) -> QMatrix:
+    """The dense matrix of phi: column i is the image of b_i."""
+    cols = [p.image({i: 1}) for i in range(p.domain.dim)]
+    return QMatrix([[Q(c.get(k, 0), 2) for c in cols]
+                    for k in range(p.codomain.dim)])
+
+
+def phi_kernel_basis(p) -> list[list]:
+    return phi_matrix(p).kernel_basis()
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from griess import verify
 from griess.bplus import PhiMap
 from griess.cli import run
 from griess.niemeier import catalog
-from griess.rootsys import RootSystem, build
+from griess.rootsys import RootSystem, build, parse_spec
 from griess.verify import _two_n, check_size, verify_lemma_2_1
 
 
@@ -255,6 +255,30 @@ class TestVerify:
         assert report["target"] == f"{target} [A1^24]"
         assert [(c["description"], c["passed"], c["counterexample"])
                 for c in report["clauses"]] == clauses
+
+    @pytest.mark.parametrize("spec", ["A1^24", "A2^12"])
+    def test_known_failures_keep_the_text_the_benchmark_reads(self, capsys,
+                                                              spec):
+        """The benchmark counts a failing thm3.1 or cor3.2 clause on a
+        direct sum as a known failure when its counterexample holds the
+        image rank, the sum of l(l+1)/2 + N over the components, or is the
+        kernel dimension 2N - rank; a rewrite of the clauses keeps both."""
+        comps = parse_spec(spec)
+        rank = sum(c.rank * (c.rank + 1) // 2 + c.num_positive for c in comps)
+        two_n = 2 * sum(c.num_positive for c in comps)
+        failed = {}
+        for target in ("thm3.1", "cor3.2"):
+            code, out = run_captured(
+                capsys, ["verify", target, "--spec", spec, "--json"])
+            assert code == 1
+            [report] = json.loads(out)["reports"]
+            failed[target] = [c["counterexample"] for c in report["clauses"]
+                              if not c["passed"]]
+        surjective, kernel = failed["thm3.1"]
+        assert f"rank {rank}" in surjective
+        assert kernel == str(two_n - rank)
+        [bijective] = failed["cor3.2"]
+        assert f"rank {rank}" in bijective
 
     def test_unknown_target(self):
         assert run(["verify", "lemma9.9"]) == 2

@@ -2,18 +2,19 @@
 give against the encoding of the paper's rules, as per-pair rules and as
 dict rows, their basis tables against the per-pair rules, from_json on
 tables written in any order against the Mapping path, the integer kernels
-behind
-element products and forms against the plain bilinear expansion over basis
-pairs, the map of Theorem 3.1 against the sum of its scaled basis images,
-the associativity check on structure constants against the triple products
-of elements, the identity solve against one dense solve of the whole
-system, the JSON form against recorded bytes and its own reading, and the
-identity certificates of the chain decomposition against the pairwise
-products and forms of its idempotents.  The check of Theorem 3.1, on
-products shared per root pair, is compared with the per-pair products of
-the images, also on broken inputs.  B+'s element products, which run on
-the S^2(H) kernel, are compared with its compiled rows on basis pairs,
-dense elements and chain images."""
+behind element products and forms against the plain bilinear expansion
+over basis pairs, the map of Theorem 3.1 against the sum of its scaled
+basis images, the associativity check on structure constants against the
+triple products of elements, the identity solve against one dense solve of
+the whole system, the JSON form against recorded bytes and its own
+reading, and the identity certificates of the chain decomposition against
+the pairwise products and forms of its idempotents and the exhaustive
+associativity check.  The check of Theorem 3.1, on products shared per
+root pair, is compared with the per-pair products of the images, and
+cor3.2's sparse radical with the dense kernel and radical, also on broken
+inputs.  B+'s element products, which run on the S^2(H) kernel, are
+compared with its compiled rows on basis pairs, dense elements and chain
+images."""
 
 import gc
 import hashlib
@@ -27,8 +28,9 @@ from hypothesis import given, settings, strategies as st
 
 from griess import rootalgebra
 from griess.algebra import StructureAlgebra, encode_rows
-from griess.bplus import (BPlusAlgebra, BPlusStructure, PhiMap,
-                          Theorem31Report, build_bplus, verify_theorem_3_1)
+from griess import verify
+from griess.bplus import (BPlusAlgebra, BPlusStructure, PhiMap, build_bplus,
+                          verify_theorem_3_1)
 from griess.exactlin import QMatrix, SparseSolver
 from griess.niemeier import catalog_entry
 from griess.ratio import Q, q_parse, q_str
@@ -37,7 +39,9 @@ from griess.rootalgebra import (RootAlgebra, build_A, build_T,
                                 generalized_chain_decompose)
 from griess.rootsys import build
 
-from conftest import algebra_A, algebra_T, bplus, dot, phi, reference, system
+from conftest import (algebra_A, algebra_T, basis_form, bplus, dot,
+                      gram_matrix, is_idempotent, phi, phi_kernel_basis,
+                      phi_matrix, reference, system)
 
 SPECS = ("A1", "A2", "A3", "D4", "A1^2", "A2+A1")
 KINDS = {"A": lambda spec: algebra_A(spec).alg,
@@ -212,7 +216,7 @@ def test_basis_tables_match_the_rules(kind, spec):
     for i in range(alg.dim):
         for j in range(alg.dim):
             assert alg.basis_product(i, j) == product(i, j), (i, j)
-            assert alg.basis_form(i, j) == form(i, j), (i, j)
+            assert basis_form(alg, i, j) == form(i, j), (i, j)
 
 
 @pytest.mark.parametrize("make", [build_A, build_T, build_bplus],
@@ -254,8 +258,8 @@ def expand_product(x, y, basis_product):
     return {k: v for k, v in out.items() if v != 0}
 
 
-def expand_form(x, y, basis_form):
-    return sum((a * b * basis_form(i, j) for i, a in x.coeffs.items()
+def expand_form(x, y, form):
+    return sum((a * b * form(i, j) for i, a in x.coeffs.items()
                 for j, b in y.coeffs.items()), Q(0))
 
 
@@ -266,7 +270,8 @@ def test_root_algebras_match_expansion(kind, data):
     alg = KINDS[kind](data.draw(st.sampled_from(SPECS)))
     x, y = data.draw(elements(alg)), data.draw(elements(alg))
     assert (x * y).coeffs == expand_product(x, y, alg.basis_product)
-    assert x.form(y) == expand_form(x, y, alg.basis_form)
+    assert x.form(y) == expand_form(
+        x, y, lambda i, j: basis_form(alg, i, j))
 
 
 def image_of_basis(p, i):
@@ -321,12 +326,12 @@ def test_json_algebra_matches_its_table(data, table):
     def basis_product(i, j):
         return prods.get((min(i, j), max(i, j)), {})
 
-    def basis_form(i, j):
+    def table_form(i, j):
         return q_parse(table["gram"][i][j])
 
     x, y = data.draw(elements(alg)), data.draw(elements(alg))
     assert (x * y).coeffs == expand_product(x, y, basis_product)
-    assert x.form(y) == expand_form(x, y, basis_form)
+    assert x.form(y) == expand_form(x, y, table_form)
     assert alg.to_json() == table
 
 
@@ -415,7 +420,7 @@ def test_from_json_mixes_ints_and_rationals():
         for j in range(3):
             assert alg.basis_product(i, j) == prods.get((min(i, j),
                                                          max(i, j)), {})
-            assert alg.basis_form(i, j) == q_parse(table["gram"][i][j])
+            assert basis_form(alg, i, j) == q_parse(table["gram"][i][j])
     x, y = alg.element({0: Q(1, 2), 1: -3}), alg.element({1: 2, 2: Q(5, 7)})
     assert (x * y).coeffs == expand_product(
         x, y, lambda i, j: prods.get((min(i, j), max(i, j)), {}))
@@ -673,7 +678,7 @@ def direct_decomposition_checks(ra, idems, total):
         s = s + e
     pairs = list(itertools.combinations(idems, 2))
     return {"sum_to_identity": s == total,
-            "pairwise_products": (all(e.is_idempotent() for e in idems)
+            "pairwise_products": (all(is_idempotent(e) for e in idems)
                                   and all((a * b).is_zero()
                                           for a, b in pairs)),
             "pairwise_form": all(a.form(b) == 0 for a, b in pairs)}
@@ -732,54 +737,76 @@ def test_closed_form_epsilon_equals_solved(spec, chain):
                 == solved_t_identity(ra, roots)), s
 
 
-@pytest.mark.parametrize("spec,chain", CASES, ids=map(case_id, CASES))
-def test_broken_epsilon_fails_both_checks(spec, chain, monkeypatch):
-    ra = algebra_A(spec)
-    chain = [frozenset(s) for s in chain
-             or [range(i) for i in range(1, ra.rs.l + 1)]]
-    broken_step = chain[len(chain) // 2]
+def break_closed_identity(monkeypatch, step):
+    """Change one coefficient of the closed-form t-span identity of the
+    simple-root set step."""
     closed = rootalgebra._closed_identity
 
     def broken(ra, simple, with_u=False):
         e = closed(ra, simple, with_u)
-        if frozenset(simple) != broken_step or with_u:
+        if frozenset(simple) != step or with_u:
             return e
         coeffs = dict(e.coeffs)
         coeffs[min(coeffs)] += Q(1, 7)  # one coefficient changed
         return ra.alg.element(coeffs)
     monkeypatch.setattr(rootalgebra, "_closed_identity", broken)
+
+
+@pytest.mark.parametrize("spec,chain", CASES, ids=map(case_id, CASES))
+def test_broken_epsilon_fails_both_checks(spec, chain, monkeypatch):
+    ra = algebra_A(spec)
+    chain = [frozenset(s) for s in chain
+             or [range(i) for i in range(1, ra.rs.l + 1)]]
+    break_closed_identity(monkeypatch, chain[len(chain) // 2])
     dec = rootalgebra._chain_decompose(ra, [(chain, delta(ra))], "")
     assert dec.checks == direct_decomposition_checks(
         ra, dec.idempotents, delta(ra))
     assert not dec.checks["pairwise_products"]
 
 
+# -- thm2.7's associativity clause: the certificate against the triples ------
+
+@pytest.mark.parametrize("spec", [f"A{l}" for l in range(1, 9)] + ["D4", "E6"])
+def test_pairwise_products_certify_associative_span(spec):
+    """thm2.7 reads associativity from pairwise_products, e_i e_j =
+    [i = j] e_i; the exhaustive check on the default chains agrees."""
+    ra = algebra_A(spec)
+    dec = coset_chain_decompose(ra)
+    assert dec.checks["pairwise_products"] is True
+    assert ra.alg.is_associative_span(dec.idempotents) is True
+
+
+def test_broken_idempotent_fails_certificate_and_span(monkeypatch):
+    break_closed_identity(monkeypatch, frozenset({0, 1}))
+    ra = algebra_A("A3")
+    dec = coset_chain_decompose(ra)
+    assert dec.checks["pairwise_products"] is False
+    assert ra.alg.is_associative_span(dec.idempotents) is False
+    rep = verify.verify_thm_2_7("A3")
+    assoc = [ok for d, ok, _ in rep.clauses if "is associative" in d]
+    assert assoc == [False]
+
+
 # -- Theorem 3.1: shared root-pair products against per-pair images ----------
 
 def direct_theorem_3_1(p):
     """Every basis pair i <= j: phi applied to b_i b_j against the product
-    of the rational images, their form against <b_i, b_j>; the rank of the
+    of the rational images, their form against <b_i, b_j>.  Returns the
+    first pair of each kind that differs, or None, and the rank of the
     dense matrix of images."""
-    ra, bp = p.domain, p.codomain
+    ra = p.domain
     n = ra.dim
     images = [image_of_basis(p, i) for i in range(n)]
-    hom = iso = True
-    failure = None
+    product_pair = form_pair = None
     for i in range(n):
         for j in range(i, n):
             lhs = p.apply(ra.alg.basis_element(i) * ra.alg.basis_element(j))
-            rhs = images[i] * images[j]
-            if lhs != rhs:
-                hom = False
-                failure = failure or f"product mismatch at basis pair ({i},{j})"
-            if images[i].form(images[j]) != ra.alg.basis_form(i, j):
-                iso = False
-                failure = failure or f"form mismatch at basis pair ({i},{j})"
-    rank = p.matrix().rank()
-    surj = (rank == bp.dim)
-    if not surj:
-        failure = failure or f"rank {rank} < dim {bp.dim}"
-    return Theorem31Report(hom, iso, surj, n - rank, failure)
+            if product_pair is None and lhs != images[i] * images[j]:
+                product_pair = (i, j)
+            if (form_pair is None and images[i].form(images[j])
+                    != basis_form(ra.alg, i, j)):
+                form_pair = (i, j)
+    return product_pair, form_pair, phi_matrix(p).rank()
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "A6", "D4",
@@ -788,7 +815,13 @@ def test_theorem_3_1_matches_direct(spec):
     p = phi(spec)
     rep = verify_theorem_3_1(p)
     assert rep == direct_theorem_3_1(p)
-    assert rep.homomorphism and rep.isometry
+    assert rep[:2] == (None, None)
+
+
+def with_phi(monkeypatch, p):
+    """verify's targets run on phi p instead of the one they build."""
+    monkeypatch.setattr(verify, "build_phi", lambda ra, bp: p)
+    return p.domain.rs.spec_string()
 
 
 def as_dicts(source):
@@ -880,13 +913,13 @@ def test_broken_inputs_fail_like_direct(spec, what):
     StructureAlgebra; "kernel Cartan" changes only what B+'s product kernel
     reads."""
     rep = verify_theorem_3_1(broken_phi(spec, what))
-    assert not rep.passed
+    assert rep != (None, None, bplus(spec).dim)
     assert rep == direct_theorem_3_1(broken_phi(spec, what))
 
 
 def test_broken_kernel_fails_theorem_and_span():
     p = broken_phi("A3", "kernel Cartan")
-    assert not verify_theorem_3_1(p).homomorphism
+    assert verify_theorem_3_1(p)[0] is not None
     images = [p.apply(e)
               for e in coset_chain_decompose(p.domain).idempotents]
     assert p.codomain.alg.is_associative_span(images) is False
@@ -905,8 +938,8 @@ def test_each_basis_pair_is_compared(what):
     for i in range(n):
         for j in range(i, n):
             rep = verify_theorem_3_1(changed_domain("A2", [(what, i, j)]))
-            assert rep.first_failure == (
-                f"{what} mismatch at basis pair ({i},{j})")
+            assert rep[:2] == (((i, j), None) if what == "product"
+                               else (None, (i, j)))
 
 
 # On A2 (N = 3) the pair (2, 3) = (t_2, u_0) belongs to the root pair
@@ -918,10 +951,77 @@ def test_each_basis_pair_is_compared(what):
     ([("product", 2, 3), ("form", 1, 1)], "form mismatch at basis pair (1,1)"),
     ([("form", 1, 1), ("product", 1, 1)],
      "product mismatch at basis pair (1,1)")])
-def test_first_failure_in_pair_order(changes, first):
-    rep = verify_theorem_3_1(changed_domain("A2", changes))
-    assert rep.first_failure == first
-    assert rep == direct_theorem_3_1(changed_domain("A2", changes))
+def test_first_failure_in_pair_order(changes, first, monkeypatch):
+    """The homomorphism and the isometry clause each name the least pair
+    of their own kind."""
+    p = changed_domain("A2", changes)
+    clauses = verify.verify_thm_3_1(with_phi(monkeypatch, p)).clauses
+    for (_, ok, detail), what in zip(clauses, ("product", "form")):
+        pairs = sorted((i, j) for w, i, j in changes if w == what)
+        assert ok == (not pairs)
+        assert detail == (pairs and "%s mismatch at basis pair (%d,%d)"
+                          % (what, *pairs[0]) or None)
+    assert first in [detail for _, _, detail in clauses]
+    assert verify_theorem_3_1(p) == direct_theorem_3_1(p)
+
+
+def test_product_mismatch_leaves_isometry_clause_passing(monkeypatch):
+    p = changed_domain("A2", [("product", 0, 4)])
+    rep = verify.verify_thm_3_1(with_phi(monkeypatch, p))
+    assert rep.clauses[:2] == [
+        ("algebra homomorphism on all basis pairs", False,
+         "product mismatch at basis pair (0,4)"),
+        ("isometry on all basis pairs", True, None)]
+    assert all(ok for _, ok, _ in rep.clauses[2:])
+    assert rep.to_json()["clauses"][1]["counterexample"] is None
+
+
+# -- Corollary 3.2: the sparse radical against the dense kernels -------------
+
+def dense_kernel_and_radical(p):
+    """(dim ker phi, dim radical, rank of both bases together) from the
+    dense matrices."""
+    kernel = phi_kernel_basis(p)
+    radical = gram_matrix(p.domain.alg).kernel_basis()
+    return len(kernel), len(radical), QMatrix(kernel + radical).rank()
+
+
+def sparse_radical(alg) -> list:
+    """The radical as SparseSolver.null_space of the integer form rows,
+    written out as dense lists."""
+    solver = SparseSolver(alg.dim)
+    for i in range(alg.dim):
+        solver.add_equation(alg._form_row(i)[1], 0)
+    return [[v.get(c, 0) for c in range(alg.dim)]
+            for v in solver.null_space()]
+
+
+@pytest.mark.parametrize("spec", ["D4", "D5", "E6", "E7", "A3+D4", "D4^6"])
+def test_sparse_cor_3_2_matches_dense(spec, monkeypatch):
+    p = phi(spec)
+    kernel, radical, joint = dense_kernel_and_radical(p)
+    assert kernel == radical == joint
+    rep = verify.verify_cor_3_2(with_phi(monkeypatch, p))
+    assert rep.clauses == [
+        (f"kernel dimension {kernel} equals radical dimension", True,
+         f"radical dim {radical}"),
+        ("phi maps the radical to 0, so kernel = radical", True, None)]
+    sparse = sparse_radical(p.domain.alg)
+    assert len(sparse) == radical
+    assert QMatrix(sparse + phi_kernel_basis(p)).rank() == joint
+
+
+@pytest.mark.parametrize("what,failing", [("A form", [0]), ("alpha^2", [1])])
+def test_broken_inputs_fail_sparse_and_dense_cor_3_2(what, failing,
+                                                     monkeypatch):
+    """One changed form entry of A changes the radical's dimension; one
+    changed alpha^2 keeps both dimensions but moves the kernel off the
+    radical, which only the second clause sees."""
+    p = broken_phi("D4", what)
+    kernel, radical, joint = dense_kernel_and_radical(p)
+    assert not kernel == radical == joint
+    rep = verify.verify_cor_3_2(with_phi(monkeypatch, p))
+    assert [k for k, (_, ok, _) in enumerate(rep.clauses) if not ok] == failing
 
 
 # -- B+ element products: the S^2(H) kernel against the compiled rows -------

@@ -1,5 +1,9 @@
+import re
+
 import pytest
 
+from griess import niemeier
+from griess.cli import run
 from griess.niemeier import (CO1_ORDER, F2QuadSpace, NiemeierEntry, Table2Row,
                              brute_force_lagrangians, catalog, catalog_entry,
                              lagrangian_extension_count, lemma_4_2_subalgebra,
@@ -39,6 +43,48 @@ class TestCatalog:
     def test_leech_has_no_root_system(self):
         with pytest.raises(ValueError):
             catalog_entry("Leech").root_system()
+
+    def test_count_of_a_non_integer_mass_raises(self):
+        entry = NiemeierEntry("A1^24", catalog_entry("A1^24").components,
+                              Q(1, CO1_ORDER * 2))
+        with pytest.raises(ValueError, match="not an integer"):
+            entry.count
+
+
+def with_entry(monkeypatch, index, **changes):
+    """niemeier.json as read by the catalog, with entry index changed."""
+    read = niemeier._data
+
+    def data(name):
+        out = read(name)
+        if name == "niemeier.json":
+            out["entries"][index] = {**out["entries"][index], **changes}
+        return out
+    monkeypatch.setattr(niemeier, "_data", data)
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"components": ["A1^23"]}, "A1^24: component ranks must sum to 24"),
+    ({"components": ["A1^22", "A2"]}, "A1^24: Coxeter numbers must agree")],
+    ids=["ranks", "coxeter"])
+def test_bad_catalog_entry_raises_value_error(monkeypatch, capsys, changes,
+                                              message):
+    with_entry(monkeypatch, 1, **changes)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        catalog()
+    assert run(["niemeier", "list"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_non_integer_count_fails_niemeier_list(monkeypatch, capsys):
+    """A mass whose count is not an integer loads, fails its table1 clause
+    and stops `niemeier list` with one line of error."""
+    with_entry(monkeypatch, 1, mass="1/17")
+    bad = [d for d, ok, _ in table1_consistency() if not ok]
+    assert bad[0] == "A1^24: mass x |Co1| is a positive integer"
+    assert run(["niemeier", "list"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not an integer" in err
 
 
 class TestSubalgebra:
@@ -117,17 +163,16 @@ class TestLagrangians:
 
 class TestTables:
     def test_table1_passes(self):
-        rep = table1_consistency()
-        assert rep.passed
-        assert len(rep.clauses) == 25
+        clauses = table1_consistency()
+        assert all(ok is True for _, ok, _ in clauses)
+        assert len(clauses) == 25
 
     def test_table1_total(self):
         total = sum(e.count for e in catalog())
         assert total == lagrangian_extension_count(12)
 
     def test_table2_passes(self):
-        rep = table2_consistency()
-        assert rep.passed
+        assert all(ok is True for _, ok, _ in table2_consistency())
 
     def test_table2_anchor(self):
         rows = {r.symbol: r for r in table2_rows()}
@@ -136,14 +181,14 @@ class TestTables:
 
     def test_missing_order_reported(self):
         rows = [Table2Row("A_1", 1, CO1_ORDER // 98280, ((98280, 1, "0"),))]
-        rep = table2_consistency(rows)
-        assert not rep.passed  # the child row "0" is absent
-        assert any("missing" in d for d, ok, _ in rep.clauses if not ok)
+        clauses = table2_consistency(rows)
+        # the child row "0" is absent
+        assert any("missing" in d for d, ok, _ in clauses if not ok)
 
     def test_bad_edge_detected(self):
         rows = [Table2Row("A_1", 1, CO1_ORDER // 98280, ((1, 1, "0"),)),
                 Table2Row("0", 0, CO1_ORDER, ())]
-        assert not table2_consistency(rows).passed
+        assert [ok for _, ok, _ in table2_consistency(rows)] == [True, False]
 
 
 def test_lemma_4_2_on_every_root_lattice_entry():
