@@ -252,6 +252,15 @@ def _check_symmetric(gram: list, value: Callable):
                                  f"gram[{i}][{j}] is {grow[j]}")
 
 
+class DependentError(ValueError):
+    """Element number index lies in the span of the elements before it."""
+
+    def __init__(self, index: int):
+        super().__init__(f"elements are linearly dependent: vector #{index} "
+                         "lies in the span of its predecessors")
+        self.index = index
+
+
 class StructureAlgebra:
     """Commutative algebra given by rows of basis products and of a form.
 
@@ -451,7 +460,7 @@ class StructureAlgebra:
                             ) -> bool:
         """True iff the span of the elements is closed and associative.
 
-        Raises ValueError (reporting a dependency) if the elements are not
+        Raises DependentError, a ValueError, if the elements are not
         linearly independent: each is fed to a SparseSolver with a tag
         column of its own, and is dependent when its pivot lands in a tag
         column.  A vector reduced against that solver carries its
@@ -469,9 +478,7 @@ class StructureAlgebra:
         for idx, e in enumerate(elements):
             span.add_equation({**e.coeffs, dim + idx: ONE}, 0)
             if max(span.pivot_rows) >= dim:
-                raise ValueError(
-                    f"elements are linearly dependent: vector #{idx} lies "
-                    "in the span of its predecessors")
+                raise DependentError(idx)
         index = {e: m for m, e in enumerate(elements)}
         C = [[{}] * n for _ in range(n)]  # C[i][j] = {m: C_ij^m}
         for i in range(n):

@@ -40,7 +40,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
-from operator import mul
+from operator import add, mul
 
 from .algebra import AlgebraElement, StructureAlgebra, encode_rows
 from .exactlin import SparseSolver
@@ -142,6 +142,65 @@ class BPlusStructure(StructureAlgebra):
                     v += p * sum(map(mul, row, c))
             x.q[r] = v
         return v
+
+    def _rank_one(self, x: dict, r: int) -> bool:
+        """Whether x is k c c^T + m x_r for rationals k, m, with c root r's
+        simple-root coefficients as the kernel reads them: row a of X' is
+        k c_a c, checked as c_a0^2 X'_a = X'_a0a0 c_a c for one a0 with
+        c_a0 != 0, and the x block has no entry but at r."""
+        x, c = self._parts(x), self._coeffs[r]
+        if any(v and s != r for s, v in x.xs.items()):
+            return False
+        if any(any(row) for a, row in x.rows.items() if not c[a]):
+            return False
+        zero = [0] * self._l
+        a0 = next(a for a, v in enumerate(c) if v)
+        kd, k = c[a0] * c[a0], x.rows.get(a0, zero)[a0]
+        want = [k * v for v in c]
+        return all([kd * v for v in x.rows.get(a, zero)]
+                   == [ca * w for w in want] for a, ca in enumerate(c) if ca)
+
+    def coupled(self, parts: list) -> list:
+        """Per root r, the set of roots s >= r at which bilinear may give a
+        non-zero product of an operand in parts[r] with one in parts[s],
+        parts holding a tuple of operands per root.
+
+        A pair r < s is left out when every operand of r and of s is
+        k c c^T + m x over its own root (_rank_one), both c_r^T S c_s and
+        c_s^T S c_r are 0, and neither root is in the other's neighbour
+        list.  Each term of bilinear is then 0: the S^2 S^2 term adds
+        X'SY' = k k' (c_r^T S c_s) c_r c_s^T to its mirror; q_X(s) of
+        X' = k c_r c_r^T is k (p_s . c_r)(c_r^T S c_s), and q_Y(r) likewise
+        carries c_s^T S c_r; x_r x_s walks the neighbour list of the root
+        of the sparser x block, and r != s gives no square."""
+        l, N, near, coeffs = self._l, len(parts), self._near, self._coeffs
+        loose = {s for s, ops in enumerate(parts)
+                 if not all(self._rank_one(x, s) for x in ops)}
+        linked = [{s for s, _ in nb} for nb in self._nbrs]
+        for r, nb in enumerate(self._nbrs):
+            for s, _ in nb:
+                linked[s].add(r)
+        cols = [[c[a] for c in coeffs] for a in range(l)]
+        out = []
+        for r, c in enumerate(coeffs):
+            if r in loose:
+                out.append(set(range(r, N)))
+                continue
+            left, right = [0] * l, [0] * l  # c^T S and S c
+            for a, ca in enumerate(c):
+                for b, v in near[a]:
+                    left[b] += ca * v
+                    right[a] += v * c[b]
+            keep = {r, *(s for s in loose if s > r),
+                    *(s for s in linked[r] if s > r)}
+            for w in (left, right) if left != right else (left,):
+                pair = [0] * (N - r)  # w . c_s over s >= r
+                for a in compress(range(l), w):
+                    pair = list(map(add, pair, map(w[a].__mul__,
+                                                   cols[a][r:])))
+                keep.update(compress(range(r, N), pair))
+            out.append(keep)
+        return out
 
     def bilinear(self, x, y, form: bool = False) -> tuple:
         """x * y from the structure, over denominator 1; forms from the rows
@@ -309,15 +368,141 @@ class PhiMap:
             k: Q(v, 2 * den) for k, v in self.image(nums).items()})
 
     def rank(self) -> int:
-        """Exact rank, from the 2N integer image rows 2 phi(b_i)."""
+        """Exact rank, from the 2N integer image rows 2 phi(t_r + u_r) and
+        2 phi(u_r - t_r), which span the image of the basis: the first hold
+        no x and the second no alpha^2, so neither fills the other's
+        columns while they are eliminated."""
+        N = self.domain.rs.N
         solver = SparseSolver(self.codomain.dim)
-        for i in range(self.domain.dim):
-            solver.add_equation(self.image({i: 1}), 0)
+        for r in range(N):
+            solver.add_equation(self.image({r: 1, N + r: 1}), 0)
+            solver.add_equation(self.image({r: -1, N + r: 1}), 0)
         return solver.rank
 
 
 def build_phi(ra: RootAlgebra, bp: BPlusAlgebra) -> PhiMap:
     return PhiMap(ra, bp)
+
+
+# The basis pairs of roots r <= s as (sr, ss): t of r if sr < 0, else u;
+# likewise for s.  4 phi(b_i) 4 phi(b_j) is the sum of P_r P_s, P_r M_s,
+# M_r P_s and M_r M_s with the signs (1, ss, sr, sr ss).
+_SIGNS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def _signs(sr: int, ss: int) -> tuple:
+    return 1, ss, sr, sr * ss
+
+
+def _basis_pair(N: int, r: int, s: int, sr: int, ss: int) -> tuple:
+    return tuple(sorted((r if sr < 0 else N + r, s if ss < 0 else N + s)))
+
+
+def _first_product_mismatch(phi: PhiMap, parts: list, visit: list):
+    """The least basis pair (i, j) with phi(b_i) phi(b_j) != phi(b_i b_j),
+    or None; parts holds (P_r, M_r) per root as operands, and visit[r] the
+    roots s >= r whose products with r's the kernel may make non-zero."""
+    A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
+    first = None
+
+    def pm_equal(r, s, prods, pden) -> bool:
+        """Whether the four basis pairs of roots r != s all match, checked
+        on the four products instead: with E_x the entries of A for pair x
+        over their lcm D, summing the pairs with the signs of product p
+        gives D p = 2 pden phi~(sum of signed E_x), phi~ = 2 phi, and the
+        signs are invertible.  Three of the sums hold no alpha^2 in their
+        images, as their coefficients cancel per root."""
+        rows = [(A._product_row(i), j)
+                for i, j in (_basis_pair(N, r, s, *x) for x in _SIGNS)]
+        den = math.lcm(*(d for (d, _), _ in rows))
+        for t, p in enumerate(prods):
+            comb: dict = {}
+            for x, ((d, row), j) in zip(_SIGNS, rows):
+                f = _signs(*x)[t] * (den // d)
+                for k, v in row.get(j, ()):
+                    comb[k] = comb.get(k, 0) + f * v
+            if ({k: den * v for k, v in p.items() if v}
+                    != {k: 2 * pden * v for k, v in phi.image(comb).items()}):
+                return False
+        return True
+
+    for r in range(N):
+        pr, mr = parts[r]
+        for s in sorted(visit[r]):
+            ps, ms = parts[s]
+            prods = [B.bilinear(a, b) for a in (pr, mr) for b in (ps, ms)]
+            pden = math.lcm(*(d for _, d in prods))
+            prods = [p if d == pden else {k: v * (pden // d)
+                                           for k, v in p.items()}
+                     for p, d in prods]
+            if r < s and pm_equal(r, s, prods, pden):
+                continue
+            for sr, ss in _SIGNS:
+                if r == s and sr > ss:
+                    continue  # the pair (t_r, u_r) is checked once
+                i, j = _basis_pair(N, r, s, sr, ss)
+                # diff = 16 aden pden (phi(b_i) phi(b_j) - phi(b_i b_j)),
+                # with phi(b_i b_j) = image / (2 aden)
+                aden, row = A._product_row(i)
+                diff = {k: -8 * pden * v
+                        for k, v in phi.image(dict(row.get(j, ()))).items()}
+                for sign, p in zip(_signs(sr, ss), prods):
+                    sign *= aden
+                    for k, v in p.items():
+                        diff[k] = diff.get(k, 0) + sign * v
+                if any(diff.values()):
+                    first = min(first or (i, j), (i, j))
+    # the pairs left out: B+'s side is 0
+    for i in range(2 * N):
+        for j, entry in A._product_row(i)[1].items():
+            r, s = sorted((i % N, j % N))
+            if j >= i and s not in visit[r] and phi.image(dict(entry)):
+                first = min(first or (i, j), (i, j))
+    return first
+
+
+def _first_form_mismatch(phi: PhiMap, parts: list):
+    """The least basis pair (i, j) with <phi(b_i), phi(b_j)> != <b_i, b_j>,
+    or None, over every root pair: <x, y> = G x . y / fden, with G x made
+    once per operand x of a root as its non-zero (keys, values), which are
+    few where S c_r is sparse, and y a dense list over the basis of B+."""
+    A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
+    frows = [B._form_row(k) for k in range(B.dim)]
+    fden = math.lcm(*(d for d, _ in frows))
+
+    def gram(x: dict) -> tuple:
+        out: dict = {}
+        for b, c in x.items():
+            d, nbrs = frows[b]
+            c *= fden // d
+            for a, v in nbrs.items():
+                out[a] = out.get(a, 0) + c * v
+        out = {a: v for a, v in out.items() if v}
+        return list(out), list(out.values())
+
+    def dense(x: dict) -> list:
+        out = [0] * B.dim
+        for b, c in x.items():
+            out[b] = c
+        return out
+
+    first = None
+    vecs = [[dense(x) for x in ops] for ops in parts]
+    for r in range(N):
+        grams = [gram(x) for x in parts[r]]
+        for s in range(r, N):
+            # <P_r, P_s>, <P_r, M_s>, <M_r, P_s>, <M_r, M_s> times fden
+            forms = [sum(map(mul, vals, map(y.__getitem__, keys)))
+                     for keys, vals in grams for y in vecs[s]]
+            for sr, ss in _SIGNS:
+                if r == s and sr > ss:
+                    continue
+                i, j = _basis_pair(N, r, s, sr, ss)
+                aden, row = A._form_row(i)
+                if (sum(map(mul, _signs(sr, ss), forms)) * aden
+                        != 16 * fden * row.get(j, 0)):
+                    first = min(first or (i, j), (i, j))
+    return first
 
 
 def verify_theorem_3_1(phi: PhiMap) -> tuple:
@@ -330,50 +515,25 @@ def verify_theorem_3_1(phi: PhiMap) -> tuple:
     With P_r = 2 phi(t_r + u_r) and M_r = 2 phi(u_r - t_r), 4 phi(t_r) =
     P_r - M_r and 4 phi(u_r) = P_r + M_r.  For roots r <= s the products
     and forms of the images of t_r, u_r, t_s, u_s are therefore signed sums
-    of those of P_r P_s, P_r M_s, M_r P_s and M_r M_s, each computed once
-    per root pair in integer numerators, the products by B+'s kernel on
-    operands kept per root (B.operand).  The other side is read from the
-    compiled rows of the domain, its product mapped by phi.image, and the
-    two are compared by cross-multiplying the denominators.  Root pairs
-    are not visited in the order of the basis pairs (i, j), so the first
-    mismatch of each kind is the least pair found.
+    of those of P_r P_s, P_r M_s, M_r P_s and M_r M_s, in integer
+    numerators.  The forms are compared on every root pair, as sparse dots
+    with the Gram vectors of P_r and M_r.  The products are taken by B+'s
+    kernel on operands kept per root (B.operand), on the root pairs that
+    BPlusStructure.coupled keeps.  On every other pair each term of the
+    kernel is 0, because both roots' operands are rank one over their own
+    roots, orthogonal under the kernel's Cartan matrix and not neighbours
+    (see coupled); there a basis pair fails when A's row holds an entry
+    whose image is not 0.  A codomain without the kernel keeps every pair.
+    The other side is read from the compiled rows of the domain, mapped by
+    phi.image, and the two are compared by cross-multiplying the
+    denominators.  Root pairs are not visited in the order of the basis
+    pairs (i, j), so the first mismatch of each kind is the least pair
+    found.
     """
-    ra, B = phi.domain, phi.codomain.alg
-    A, N = ra.alg, ra.rs.N
+    B, N = phi.codomain.alg, phi.domain.rs.N
     parts = [(B.operand(phi.image({r: 1, N + r: 1})),
               B.operand(phi.image({r: -1, N + r: 1}))) for r in range(N)]
-    product_pair = form_pair = None
-    for r in range(N):
-        pr, mr = parts[r]
-        for s in range(r, N):
-            ps, ms = parts[s]
-            pairs = [(a, b) for a in (pr, mr) for b in (ps, ms)]
-            prods = [B.bilinear(a, b) for a, b in pairs]
-            forms = [B.bilinear(a, b, True) for a, b in pairs]
-            # phi(b_i) phi(b_j) = sum of the signed prods over 16 pden
-            pden = math.lcm(*(d for _, d in prods))
-            prods = [p if d == pden else {k: v * (pden // d)
-                                           for k, v in p.items()}
-                     for p, d in prods]
-            fden = math.lcm(*(d for _, d in forms))
-            forms = [f * (fden // d) for f, d in forms]
-            for sr, ss in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-                if r == s and sr > ss:
-                    continue  # the pair (t_r, u_r) is checked once
-                i, j = sorted((r if sr < 0 else N + r, s if ss < 0 else N + s))
-                signs = (1, ss, sr, sr * ss)
-                got = dict(prods[0])
-                for sign, p in zip(signs[1:], prods[1:]):
-                    for k, v in p.items():
-                        got[k] = got.get(k, 0) + sign * v
-                # phi(b_i b_j) = want / (2 aden)
-                aden, row = A._product_row(i)
-                want = phi.image(dict(row.get(j, ())))
-                if any(v * aden != 8 * pden * want.pop(k, 0)
-                       for k, v in got.items() if v) or want:
-                    product_pair = min(product_pair or (i, j), (i, j))
-                aden, row = A._form_row(i)
-                if (sum(map(mul, signs, forms)) * aden
-                        != 16 * fden * row.get(j, 0)):
-                    form_pair = min(form_pair or (i, j), (i, j))
-    return product_pair, form_pair, phi.rank()
+    visit = (B.coupled(parts) if isinstance(B, BPlusStructure)
+             else [set(range(r, N)) for r in range(N)])
+    return (_first_product_mismatch(phi, parts, visit),
+            _first_form_mismatch(phi, parts), phi.rank())

@@ -7,7 +7,9 @@ Exit codes: 0 all requested checks pass, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .bplus import build_bplus
@@ -142,7 +144,10 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parse_args keeps
+    no state between calls."""
     p = argparse.ArgumentParser(
         prog="griess",
         description="Exact verification of root-system algebra identities")
@@ -214,7 +219,17 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """run on the command line; a reader that closes stdout early, as
+    `griess niemeier list | head -2` does, ends it with exit 1 and no
+    traceback."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout points at devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .algebra import DecompositionReport
+from .algebra import DecompositionReport, DependentError
 from .bplus import build_bplus, build_phi
 from .exactlin import f2_rref, f2_span
 from .ratio import Q, ZERO, q_parse, q_str
@@ -90,8 +90,9 @@ def lemma_4_2_subalgebra(entry: NiemeierEntry) -> DecompositionReport:
     """The images in the weight-2 algebra of the default chain idempotents,
     l+1 per component of rank l, with their charges; checks holds the
     number of images and whether the non-zero ones are independent and
-    span an associative subalgebra.  verify names a zero image by its
-    charge, 0."""
+    span an associative subalgebra, and under "dependent" the index of the
+    first image in the span of the non-zero ones before it.  verify names
+    a zero image by its charge, 0."""
     if entry.is_leech:
         raise ValueError("the Leech entry carries no root-system subalgebra")
     rs = entry.root_system()
@@ -100,15 +101,18 @@ def lemma_4_2_subalgebra(entry: NiemeierEntry) -> DecompositionReport:
     bp = build_bplus(rs)
     phi = build_phi(ra, bp)
     images = [phi.apply(e) for e in dec.idempotents]
+    nonzero = [k for k, e in enumerate(images) if not e.is_zero()]
+    checks = {"dimension": len(images)}
     try:
-        assoc = bp.alg.is_associative_span(
-            [e for e in images if not e.is_zero()])
-    except ValueError:  # a dependent image
-        assoc = False
+        checks["associative"] = bp.alg.is_associative_span(
+            [images[k] for k in nonzero])
+    except DependentError as exc:
+        checks["associative"] = False
+        checks["dependent"] = nonzero[exc.index]
     charges = [e.central_charge() for e in images]
     return DecompositionReport(
         images, charges, f"{entry.name}: images in the weight-2 algebra",
-        {"dimension": len(images), "associative": assoc})
+        checks)
 
 
 # -- quadratic spaces over GF(2) ------------------------------------------

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import griess
 from griess import verify
 from griess.bplus import PhiMap
-from griess.cli import run
+from griess.cli import _build_parser, run
 from griess.niemeier import catalog
 from griess.rootsys import RootSystem, build, parse_spec
 from griess.verify import _two_n, check_size, verify_lemma_2_1
@@ -306,13 +310,15 @@ class TestVerify:
         (lambda images: images[-1].algebra.zero(),
          ("charges match the closed forms",
           "idempotent 9 (component 1 D4, step 5) is zero: charge 0 != 1")),
-        (lambda images: images[-2], ("span is associative", None))],
+        (lambda images: images[-2],
+         ("span is associative", "idempotent 9 (component 1 D4, step 5) "
+          "lies in the span of the images before it"))],
         ids=["zero", "dependent"])
     def test_bad_image_fails_one_clause(self, capsys, monkeypatch, replace,
                                         failed):
         """A zero image fails the charges clause, which names it, its
         component and its step; a copy of the image before it (same charge)
-        fails the span clause; nothing raises."""
+        fails the span clause, which names it likewise; nothing raises."""
         apply, images = PhiMap.apply, []
 
         def patched(phi, a):
@@ -360,3 +366,46 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+
+def fresh_process(argv, **kwargs):
+    """python -m griess argv in a new process, griess imported from the
+    same source tree as here."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(griess.__file__)))
+    return subprocess.run([sys.executable, "-m", "griess", *argv], env=env,
+                          timeout=120, **kwargs)
+
+
+class TestProcess:
+    def test_runs_in_one_process_match_fresh_processes(self, capsys):
+        """The one parser of the process gives each call the exit code and
+        output of its own process: different subcommands and flags, a
+        usage error from the library and one from argparse."""
+        argvs = [["niemeier", "list", "--json"],
+                 ["roots", "A2", "--list-roots"],
+                 ["verify", "thm2.7"],
+                 ["roots", "A2", "--max-dim", "3"]]
+        got = []
+        for argv in argvs:
+            code = run(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        assert _build_parser() is _build_parser()
+        want = [fresh_process(argv, capture_output=True, text=True)
+                for argv in argvs]
+        assert got == [(p.returncode, p.stdout, p.stderr) for p in want]
+        assert [code for code, _, _ in got] == [0, 0, 2, 2]
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        """A reader that is gone before the first write, as after
+        `griess niemeier list | head -2`, ends the run with exit 1 and
+        nothing on stderr."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = fresh_process(["niemeier", "list"], stdout=write,
+                                 stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")

@@ -10,9 +10,10 @@ the whole system, the JSON form against recorded bytes and its own
 reading, and the identity certificates of the chain decomposition against
 the pairwise products and forms of its idempotents and the exhaustive
 associativity check.  The check of Theorem 3.1, on products shared per
-root pair, is compared with the per-pair products of the images, and
-cor3.2's sparse radical with the dense kernel and radical, also on broken
-inputs.  B+'s element products, which run on the S^2(H) kernel, are
+root pair, is compared with the per-pair products of the images, also on
+the root pairs it leaves out, whose kernel products are checked to be 0,
+and cor3.2's P-block radical and sparse radical with the dense kernel and
+radical, also on broken inputs.  B+'s element products, which run on the S^2(H) kernel, are
 compared with its compiled rows on basis pairs, dense elements and chain
 images."""
 
@@ -22,6 +23,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -818,6 +820,31 @@ def test_theorem_3_1_matches_direct(spec):
     assert rep[:2] == (None, None)
 
 
+def root_operands(p) -> list:
+    """The operands P_r, M_r per root that verify_theorem_3_1 multiplies."""
+    B, N = p.codomain.alg, p.domain.rs.N
+    return [(B.operand(p.image({r: 1, N + r: 1})),
+             B.operand(p.image({r: -1, N + r: 1}))) for r in range(N)]
+
+
+def kept_pairs(p) -> list:
+    """BPlusStructure.coupled on the per-root operands of phi."""
+    return p.codomain.alg.coupled(root_operands(p))
+
+
+@pytest.mark.parametrize("spec", ["A3", "A5", "D4", "D5", "E6", "A1^24",
+                                  "A2^12", "A3+D4"])
+def test_theorem_3_1_keeps_the_non_orthogonal_pairs(spec):
+    """The product check visits exactly the diagonal and the root pairs
+    that are not orthogonal in the coordinate model, and returns the
+    triple of the per-pair definition."""
+    p, rel = phi(spec), reference(spec).rel
+    N = p.domain.rs.N
+    assert kept_pairs(p) == [{s for s in range(r, N) if rel[r][s] < 2}
+                             for r in range(N)]
+    assert verify_theorem_3_1(p) == direct_theorem_3_1(p)
+
+
 def with_phi(monkeypatch, p):
     """verify's targets run on phi p instead of the one they build."""
     monkeypatch.setattr(verify, "build_phi", lambda ra, bp: p)
@@ -872,20 +899,33 @@ def changed_domain(spec, changes):
     return PhiMap(ra, bplus(spec))
 
 
+def orthogonal_pair(spec) -> tuple:
+    """The least root pair (0, s) of orthogonal roots."""
+    return 0, reference(spec).rel[0].index(2)
+
+
 def broken_phi(spec, what):
     """phi on spec with one input changed, on freshly compiled algebras."""
     rs = system(spec)
     bp = build_bplus(rs)
     if what == "A form":  # <t(0), t(s)> for a root s next to root 0
         return changed_domain(spec, [("form", 0, rs.neighbours[0][0][0])])
-    if what == "kernel Cartan":
-        # (alpha_0, alpha_1) + 1 in the Cartan matrix the kernel reads; the
-        # rows, forms, pairings and squares are those of the true B+
+    if what.startswith("kernel"):
+        # "kernel Cartan": (alpha_0, alpha_1) + 1 in the Cartan matrix the
+        # kernel reads; "kernel neighbours": x_0 x_s = x_0 for the first
+        # root s orthogonal to root 0, in root 0's neighbour list only.
+        # The rows, forms, pairings and squares are those of the true B+.
         S = [[int(dot(a, b)) for b in rs.simple_roots]
              for a in rs.simple_roots]
-        S[0][1] += 1
+        nbrs = [list(nb) for nb in rs.neighbours]
+        if what == "kernel Cartan":
+            S[0][1] += 1
+        else:
+            nbrs[0].append((orthogonal_pair(spec)[1], 0))
+        roots = SimpleNamespace(simple_coeffs=rs.simple_coeffs,
+                                neighbours=nbrs)
         alg = BPlusStructure(bp.alg.basis_labels, bp.alg._product_fn,
-                             bp.alg._form_fn, rs, S, bp.alg._pcol, bp._sq)
+                             bp.alg._form_fn, roots, S, bp.alg._pcol, bp._sq)
         return PhiMap(build_A(rs), BPlusAlgebra(rs, alg, bp.sym_index,
                                                 bp.num_sym, bp._sq))
     if what == "B+ product":
@@ -917,6 +957,48 @@ def test_broken_inputs_fail_like_direct(spec, what):
     assert rep == direct_theorem_3_1(broken_phi(spec, what))
 
 
+@pytest.mark.parametrize("what", ["B+ product", "kernel Cartan",
+                                  "kernel neighbours", "alpha^2", "A form",
+                                  "orthogonal product", "orthogonal form"])
+@pytest.mark.parametrize("spec", ["A3", "D4", "A3+D4"])
+def test_skipped_pairs_fail_like_direct(spec, what):
+    """Each broken input, and an entry of A added at the basis pair
+    (t_0, u_s) of orthogonal roots 0 and s, where the product check
+    visits no root pair, gives the triple of the per-pair definition."""
+    if what.startswith("orthogonal"):
+        r, s = orthogonal_pair(spec)
+        p = changed_domain(spec, [(what.split()[1], r, system(spec).N + s)])
+        assert s not in kept_pairs(p)[r]
+    else:
+        p = broken_phi(spec, what)
+    rep = verify_theorem_3_1(p)
+    assert rep == direct_theorem_3_1(p)
+    assert rep[:2] != (None, None)
+    if what.startswith("orthogonal"):
+        pair = (r, system(spec).N + s)
+        assert rep[:2] == ((pair, None) if what.endswith("product")
+                           else (None, pair))
+
+
+@pytest.mark.parametrize("what", [None, "kernel Cartan",
+                                  "kernel neighbours", "alpha^2"])
+@pytest.mark.parametrize("spec", ["A3", "D4", "A3+D4"])
+def test_left_out_pairs_have_zero_products(spec, what):
+    """Every kernel product of the operands of a root pair that coupled
+    leaves out is 0, also with the kernel's Cartan matrix, a neighbour list
+    or one root's alpha^2 changed; a changed alpha^2 keeps every pair of
+    its root."""
+    p = phi(spec) if what is None else broken_phi(spec, what)
+    B, parts = p.codomain.alg, root_operands(p)
+    kept = B.coupled(parts)
+    for r, ops in enumerate(parts):
+        for s in set(range(r, len(parts))) - kept[r]:
+            assert not any(v for x in ops for y in parts[s]
+                           for v in B.bilinear(x, y)[0].values()), (r, s)
+    if what == "alpha^2":
+        assert all(len(parts) - 1 in k for k in kept)
+
+
 def test_broken_kernel_fails_theorem_and_span():
     p = broken_phi("A3", "kernel Cartan")
     assert verify_theorem_3_1(p)[0] is not None
@@ -931,15 +1013,17 @@ def test_broken_kernel_fails_theorem_and_span():
 
 @pytest.mark.parametrize("what", ["product", "form"])
 def test_each_basis_pair_is_compared(what):
-    """On A2 a change of A's entry at any pair i <= j fails at that pair;
-    root pairs r <= s cover the pairs (t_s, u_r) and the pairs on one root
-    too."""
-    n = algebra_A("A2").dim
-    for i in range(n):
-        for j in range(i, n):
-            rep = verify_theorem_3_1(changed_domain("A2", [(what, i, j)]))
-            assert rep[:2] == (((i, j), None) if what == "product"
-                               else (None, (i, j)))
+    """On A2 and A3 a change of A's entry at any pair i <= j fails at that
+    pair; root pairs r <= s cover the pairs (t_s, u_r) and the pairs on one
+    root too, and on A3 the pairs of orthogonal roots, whose products the
+    check reads from A's rows only."""
+    for spec in ("A2", "A3"):
+        n = algebra_A(spec).dim
+        for i in range(n):
+            for j in range(i, n):
+                rep = verify_theorem_3_1(changed_domain(spec, [(what, i, j)]))
+                assert rep[:2] == (((i, j), None) if what == "product"
+                                   else (None, (i, j)))
 
 
 # On A2 (N = 3) the pair (2, 3) = (t_2, u_0) belongs to the root pair
@@ -996,6 +1080,22 @@ def sparse_radical(alg) -> list:
             for v in solver.null_space()]
 
 
+SPLIT = ("A's form splits into the P block and a diagonal M block with no "
+         "zero on it (P_a = t_a + u_a, M_a = u_a - t_a)")
+
+
+def p_block_radical(alg, N) -> list:
+    """The radical from the P block of A's form (verify._p_block), written
+    out as dense lists over t and u."""
+    block, bad = verify._p_block(alg, N)
+    assert bad is None
+    solver = SparseSolver(N)
+    for row in block:
+        solver.add_equation(row, 0)
+    return [[v.get(c % N, 0) for c in range(2 * N)]
+            for v in solver.null_space()]
+
+
 @pytest.mark.parametrize("spec", ["D4", "D5", "E6", "E7", "A3+D4", "D4^6"])
 def test_sparse_cor_3_2_matches_dense(spec, monkeypatch):
     p = phi(spec)
@@ -1003,6 +1103,7 @@ def test_sparse_cor_3_2_matches_dense(spec, monkeypatch):
     assert kernel == radical == joint
     rep = verify.verify_cor_3_2(with_phi(monkeypatch, p))
     assert rep.clauses == [
+        (SPLIT, True, None),
         (f"kernel dimension {kernel} equals radical dimension", True,
          f"radical dim {radical}"),
         ("phi maps the radical to 0, so kernel = radical", True, None)]
@@ -1011,12 +1112,59 @@ def test_sparse_cor_3_2_matches_dense(spec, monkeypatch):
     assert QMatrix(sparse + phi_kernel_basis(p)).rank() == joint
 
 
-@pytest.mark.parametrize("what,failing", [("A form", [0]), ("alpha^2", [1])])
+@pytest.mark.parametrize("spec", ["D4", "D5", "E6", "E7", "A3+D4", "D4^6"])
+def test_p_block_radical_matches_sparse_and_dense(spec):
+    """The radical from the N x N P block spans the radical of all 2N form
+    rows and the dense one."""
+    p = phi(spec)
+    block = p_block_radical(p.domain.alg, p.domain.rs.N)
+    sparse = sparse_radical(p.domain.alg)
+    dense = gram_matrix(p.domain.alg).kernel_basis()
+    assert len(block) == len(sparse) == len(dense)
+    assert QMatrix(block + sparse + dense).rank() == len(block)
+
+
+@pytest.mark.parametrize("changes,bad", [
+    ([("form", 0, 1)], "<P_0, M_1> = -1"),
+    ([("form", 0, 1), ("form", 12, 13)], "<M_0, M_1> = 2"),
+    ([("form", 0, 13)], "<P_0, M_1> = 1"),
+    ([("form", 0, 12)] * 4, "<M_0, M_0> = 0")])
+def test_block_check_fails_on_a_cross_term(changes, bad, monkeypatch):
+    """On D4 (N = 12) <t_0, t_1> + 1 gives a P-M cross term; adding
+    <u_0, u_1> + 1 too leaves the cross terms 0 but puts <M_0, M_1> off the
+    diagonal; <t_0, u_1> + 1 gives the cross term of the other sign;
+    <t_0, u_0> + 4 makes <M_0, M_0> = 0.  cor3.2 then reports the split
+    clause alone."""
+    p = changed_domain("D4", changes)
+    assert verify._p_block(p.domain.alg, p.domain.rs.N)[1] == bad
+    rep = verify.verify_cor_3_2(with_phi(monkeypatch, p))
+    assert rep.clauses == [(SPLIT, False, bad)]
+
+
+def test_block_check_reads_both_sides_of_the_form():
+    """Rows t_0 and u_0 changed at t_1 by +1 and -1, and not rows t_1 and
+    u_1: P_0's row keeps its cross terms, and <M_0, P_1> is the first
+    entry off the split."""
+    alg = algebra_A("D4").alg
+    form = as_dicts(alg._form_fn)
+
+    def changed(i):
+        row = dict(form(i))
+        if i in (0, 12):
+            row[1] = row.get(1, 0) + (1 if i == 0 else -1)
+        return row
+    A = StructureAlgebra(alg.basis_labels, alg._product_fn,
+                         encode_rows({}, changed, alg.dim)[1])
+    assert verify._p_block(A, 12)[1] == "<M_0, P_1> = -2"
+
+
+@pytest.mark.parametrize("what,failing", [("A form", [0]), ("alpha^2", [2])])
 def test_broken_inputs_fail_sparse_and_dense_cor_3_2(what, failing,
                                                      monkeypatch):
-    """One changed form entry of A changes the radical's dimension; one
-    changed alpha^2 keeps both dimensions but moves the kernel off the
-    radical, which only the second clause sees."""
+    """One changed form entry of A changes the radical's dimension and
+    breaks the split of A's form into the P and M blocks, the first clause;
+    one changed alpha^2 keeps both dimensions but moves the kernel off the
+    radical, which only the last clause sees."""
     p = broken_phi("D4", what)
     kernel, radical, joint = dense_kernel_and_radical(p)
     assert not kernel == radical == joint
