@@ -3,14 +3,14 @@
 SparseSolver, incremental, sparse and fraction-free, is the one eliminator
 over the rationals, with the one null-space routine.  QMatrix, a dense
 rational matrix kept as a reference for the tests, feeds it its rows for
-rref / rank / kernel / solve.  Over GF(2) rows are bitmasks; f2_rref and
-f2_span serve the Lagrangian count.
+rref / rank / kernel / solve.  Over GF(2) vectors are bitmasks; f2_span
+lists a subspace for the singularity re-check of the Lagrangian count.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ratio import Q, ZERO
 
@@ -94,13 +94,17 @@ class SparseSolver:
     and a positive entry in its pivot column, its smallest column.  Pivot
     rows are kept mutually reduced, so one pass over the pivot columns of an
     incoming row reduces it, by cross-multiplication (Bareiss, Math. Comp.
-    1968).  Rationals are built only by solution().  With rhs 0 the solver
-    is the row space of the vectors fed to it, reducing others by reduce().
+    1968).  holders maps each column outside the pivot columns to the pivot
+    columns of the rows with an entry there, so a new pivot is eliminated
+    from just those rows.  Rationals are built only by solution().  With
+    rhs 0 the solver is the row space of the vectors fed to it, reducing
+    others by reduce().
     """
 
     def __init__(self, n: int):
         self.n = n
         self.pivot_rows: dict[int, tuple[dict, int]] = {}
+        self.holders: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -124,10 +128,19 @@ class SparseSolver:
             return rhs == 0
         pc = min(row)
         row, rhs = _primitive(row, rhs, pc)
-        for oc, (orow, orhs) in self.pivot_rows.items():
-            if pc in orow:
-                self.pivot_rows[oc] = _primitive(
-                    *_eliminate(orow, orhs, pc, row, rhs), oc)
+        holders = self.holders
+        for oc in holders.pop(pc, ()):
+            new = _primitive(*_eliminate(*self.pivot_rows[oc], pc, row, rhs),
+                             oc)
+            self.pivot_rows[oc] = new
+            for c in row:
+                if c in new[0]:
+                    holders.setdefault(c, set()).add(oc)
+                elif c != pc:
+                    holders[c].discard(oc)
+        for c in row:
+            if c != pc:
+                holders.setdefault(c, set()).add(pc)
         self.pivot_rows[pc] = (row, rhs)
         return True
 
@@ -148,8 +161,8 @@ class SparseSolver:
         out = []
         free = (c for c in range(self.n) if c not in self.pivot_rows)
         for c in free:
-            rows = [(pc, row) for pc, (row, _) in self.pivot_rows.items()
-                    if c in row]
+            rows = [(pc, self.pivot_rows[pc][0])
+                    for pc in sorted(self.holders.get(c, ()))]
             m = math.lcm(*(row[pc] for pc, row in rows))
             out.append({c: m, **{pc: -row[c] * (m // row[pc])
                                  for pc, row in rows}})
@@ -192,22 +205,6 @@ def _primitive(row: dict, rhs: int, pc: int) -> tuple[dict, int]:
     if row[pc] < 0:
         g = -g
     return {k: v // g for k, v in row.items()}, rhs // g
-
-
-def f2_rref(rows: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row echelon form over GF(2) of bitmask rows: the non-zero
-    rows, highest leading bit first, each leading bit set in one row only.
-    min(x, x ^ p) clears the leading bit of p from x: x ^ p < x iff x has
-    that bit set."""
-    basis: list[int] = []
-    for r in rows:
-        for p in basis:
-            r = min(r, r ^ p)
-        if r:
-            basis = [min(p, p ^ r) for p in basis]
-            basis.append(r)
-            basis.sort(reverse=True)
-    return tuple(basis)
 
 
 def f2_span(basis: Sequence[int]) -> list[int]:

@@ -15,7 +15,7 @@ from importlib import resources
 
 from .algebra import DecompositionReport, DependentError
 from .bplus import build_bplus, build_phi
-from .exactlin import f2_rref, f2_span
+from .exactlin import f2_span
 from .ratio import Q, ZERO, q_parse, q_str
 from .rootalgebra import build_A, coset_chain_decompose
 from .rootsys import RootSystem, parse_spec
@@ -157,39 +157,72 @@ def lagrangian_extension_count(n: int) -> int:
     return out
 
 
-def brute_force_lagrangians(space: F2QuadSpace) -> int:
-    """Count maximal totally isotropic subspaces by exhaustive extension.
+def _translate(mask: int, w: int, halves: list[int]) -> int:
+    """{x ^ w : x in mask}, for sets of vectors kept as bitmasks over the
+    vectors: bit x is set iff x is a member.  halves[i] marks the vectors
+    with bit i clear; each bit i of w swaps them with their partners."""
+    for i, low in enumerate(halves):
+        if w >> i & 1:
+            s = 1 << i
+            mask = (mask & low) << s | (mask >> s) & low
+    return mask
 
-    q is evaluated once per vector, from its definition, into a table, and
-    the polar form is read from it as q(u+v) - q(u) - q(v).  Subspaces are
-    canonicalized by reduced row echelon form.  A subspace is extended by
-    one candidate per coset v + span: the coset's reduced representative,
-    the v with none of the subspace's leading bits.  Every vector of each
-    distinct extension is re-checked to be singular, once.
+
+def brute_force_lagrangians(space: F2QuadSpace) -> int:
+    """Count maximal totally singular subspaces by exhaustive enumeration.
+
+    Each subspace is produced once, as its reduced echelon basis over the
+    leading (highest) bits, by adding rows in increasing pivot order: the
+    next row v has its leading bit p above every pivot so far and a 0 at
+    each of them.  The earlier rows have no bit at p, so the basis stays
+    reduced with no row operations.  A subspace has one reduced basis, and
+    dropping its last row gives the one parent that generates it, so no
+    subspace is reached twice and no set of seen subspaces is kept.  Rows
+    whose pivot leaves too few bits above it for the rows still missing
+    are not tried.
+
+    q is evaluated once per vector, from its definition, into a table.
+    The candidates for the next row form one bitmask over the vectors: at
+    the start the non-zero singular ones, narrowed on each row v to perp[v].
+    For a singular w, the only kind of row, perp[w] holds the v with
+    q(v+w) - q(v) - q(w) = q(v+w) - q(v) = 0: the vectors outside the
+    symmetric difference of the q table's bitmask of non-singular vectors
+    and its translate by w.  The polar form is taken from q itself, not
+    from a bilinear formula, so the count tests the q it is given.  A q that is not quadratic can pass
+    the polar test pairwise on a basis whose span holds a non-singular
+    vector, so every vector of each maximal subspace is re-checked.
     """
     if space.dim > BRUTE_FORCE_MAX_DIM:
         raise ValueError(
             f"brute force limited to dimension {BRUTE_FORCE_MAX_DIM}")
-    q = [space.q(v) for v in range(1 << space.dim)]
-    singular = [v for v in range(1, len(q)) if q[v] == 0]
-    level: set[tuple[int, ...]] = {()}
-    for _ in range(space.witt_index):
-        nxt: set[tuple[int, ...]] = set()
-        for basis in level:
-            leading = sum(1 << (p.bit_length() - 1) for p in basis)
-            for v in singular:
-                if v & leading:
-                    continue
-                if any(q[v ^ w] ^ q[v] ^ q[w] for w in basis):
-                    continue
-                nb = f2_rref(basis + (v,))
-                if nb in nxt:
-                    continue
-                if any(q[x] for x in f2_span(nb)):
-                    raise AssertionError("non-singular vector in extension")
-                nxt.add(nb)
-        level = nxt
-    return len(level)
+    dim, m = space.dim, space.witt_index
+    n = 1 << dim
+    q = [space.q(v) for v in range(n)]
+    everything = (1 << n) - 1
+    halves = [sum(((1 << (1 << i)) - 1) << k for k in range(0, n, 2 << i))
+              for i in range(dim)]
+    nonsingular = sum(1 << v for v in range(n) if q[v])
+    perp = [everything ^ _translate(nonsingular, w, halves) ^ nonsingular
+            for w in range(n)]
+    # beyond[p]: the vectors with bit p clear and leading bit above p
+    beyond = [halves[p] & ~((1 << (2 << p)) - 1) for p in range(dim)]
+
+    def extend(basis: tuple[int, ...], candidates: int) -> int:
+        if len(basis) == m:
+            if any(q[x] for x in f2_span(basis)):
+                raise AssertionError("non-singular vector in extension")
+            return 1
+        # the next pivot leaves room above it for the rows after it
+        todo = candidates & (1 << (1 << (dim - m + len(basis) + 1))) - 1
+        total = 0
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            total += extend(basis + (v,),
+                            candidates & perp[v] & beyond[v.bit_length() - 1])
+        return total
+
+    return extend((), everything ^ nonsingular ^ 1)
 
 
 # -- table consistency -----------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared cached builders so expensive systems are constructed once, a
 reference root system built from rational coordinates by definition, and
 dense references by definition: basis forms, the Gram matrix, the matrix of
-phi and its kernel."""
+phi and its kernel, and a level-by-level reference count of GF(2)
+Lagrangians."""
 
 import itertools
 from functools import lru_cache
@@ -9,7 +10,7 @@ from functools import lru_cache
 import pytest
 
 from griess.bplus import build_bplus, build_phi
-from griess.exactlin import QMatrix
+from griess.exactlin import QMatrix, f2_span
 from griess.ratio import Q, ZERO
 from griess.rootalgebra import build_A, build_T
 from griess.rootsys import build, parse_spec
@@ -185,6 +186,50 @@ def phi_matrix(p) -> QMatrix:
 
 def phi_kernel_basis(p) -> list[list]:
     return phi_matrix(p).kernel_basis()
+
+
+def f2_rref(rows) -> tuple[int, ...]:
+    """Reduced row echelon form over GF(2) of bitmask rows: the non-zero
+    rows, highest leading bit first, each leading bit set in one row only.
+    min(x, x ^ p) clears the leading bit of p from x: x ^ p < x iff x has
+    that bit set."""
+    basis: list[int] = []
+    for r in rows:
+        for p in basis:
+            r = min(r, r ^ p)
+        if r:
+            basis = [min(p, p ^ r) for p in basis]
+            basis.append(r)
+            basis.sort(reverse=True)
+    return tuple(basis)
+
+
+def reference_lagrangians(space) -> int:
+    """Count maximal totally singular subspaces level by level: extend each
+    isotropic r-space by every singular vector with none of its leading
+    bits that passes the polar test q(u+v) - q(u) - q(v) = 0 against the
+    basis, canonicalize by f2_rref and drop repeats through a set.  Every
+    vector of each distinct extension is re-checked to be singular."""
+    q = [space.q(v) for v in range(1 << space.dim)]
+    singular = [v for v in range(1, len(q)) if q[v] == 0]
+    level: set[tuple[int, ...]] = {()}
+    for _ in range(space.witt_index):
+        nxt: set[tuple[int, ...]] = set()
+        for basis in level:
+            leading = sum(1 << (p.bit_length() - 1) for p in basis)
+            for v in singular:
+                if v & leading:
+                    continue
+                if any(q[v ^ w] ^ q[v] ^ q[w] for w in basis):
+                    continue
+                nb = f2_rref(basis + (v,))
+                if nb in nxt:
+                    continue
+                if any(q[x] for x in f2_span(nb)):
+                    raise AssertionError("non-singular vector in extension")
+                nxt.add(nb)
+        level = nxt
+    return len(level)
 
 
 @pytest.fixture

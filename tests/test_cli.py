@@ -351,6 +351,15 @@ class TestVerify:
     def test_type_a_target_on_d4(self, capsys):
         assert run(["verify", "eq2.5", "--spec", "D4"]) == 2
 
+    def test_formula41_at_the_largest_dimension(self, capsys):
+        code, out = run_captured(
+            capsys, ["verify", "formula4.1", "--max-dim", "10", "--json"])
+        assert code == 0
+        [report] = json.loads(out)["reports"]
+        assert [c["passed"] for c in report["clauses"]] == [True] * 6
+        assert report["clauses"][-1]["description"] == \
+            "dim 10: brute force 4590 = formula 4590"
+
     @pytest.mark.parametrize("argv", [
         ["verify", "formula4.1", "--max-dim", "12"],
         ["verify", "formula4.1", "--max-dim", "-3"],

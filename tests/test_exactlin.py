@@ -1,12 +1,12 @@
 import math
 
-from griess.exactlin import QMatrix, SparseSolver, f2_rref, f2_span
+from griess.exactlin import QMatrix, SparseSolver, f2_span
 from griess.ratio import Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mul_vector
+from conftest import f2_rref, mul_vector
 
 
 def transpose(m: QMatrix) -> QMatrix:
@@ -268,6 +268,13 @@ class TestSparseSolverDifferential:
         assert consistent == (dense_x is not None)
         if consistent:
             assert solver.solution() == (dense_x if solver.rank == n else None)
+        # holders indexes the entries of the pivot rows outside their pivot
+        scanned: dict = {}
+        for pc, (row, _) in solver.pivot_rows.items():
+            for c in row:
+                if c != pc:
+                    scanned.setdefault(c, set()).add(pc)
+        assert {c: h for c, h in solver.holders.items() if h} == scanned
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_systems())
@@ -291,7 +298,8 @@ class TestSparseSolverDifferential:
 
 
 class TestF2Matrix:
-    """GF(2) matrices as bitmask rows, through f2_rref and f2_span."""
+    """GF(2) matrices as bitmask rows, through the reference f2_rref and
+    f2_span."""
 
     def test_rank(self):
         assert len(f2_rref([0b101, 0b011, 0b110])) == 2

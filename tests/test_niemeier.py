@@ -12,6 +12,8 @@ from griess.niemeier import (CO1_ORDER, F2QuadSpace, NiemeierEntry, Table2Row,
 from griess.ratio import Q
 from griess.verify import run_target
 
+from conftest import reference_lagrangians
+
 
 class TestCatalog:
     def test_twenty_four_entries(self):
@@ -140,7 +142,7 @@ class TestLagrangians:
         with pytest.raises(ValueError):
             lagrangian_extension_count(-1)
 
-    @pytest.mark.parametrize("dim", [2, 4, 6])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
     def test_brute_force_matches(self, dim):
         assert brute_force_lagrangians(F2QuadSpace(dim)) == \
             lagrangian_extension_count(dim // 2)
@@ -159,6 +161,28 @@ class TestLagrangians:
 
         with pytest.raises(AssertionError, match="non-singular"):
             brute_force_lagrangians(WeightThree(6))
+
+
+class WeightThree(F2QuadSpace):
+    """q = 1 exactly on the weight-3 vectors: not a quadratic form."""
+
+    def q(self, v):
+        return int(bin(v).count("1") == 3)
+
+
+class TestLagrangiansDifferential:
+    """The echelon enumeration against the level-by-level reference."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_agrees_with_reference(self, dim):
+        assert brute_force_lagrangians(F2QuadSpace(dim)) == \
+            reference_lagrangians(F2QuadSpace(dim))
+
+    @pytest.mark.parametrize("count", [brute_force_lagrangians,
+                                       reference_lagrangians])
+    def test_both_reject_a_non_quadratic_q(self, count):
+        with pytest.raises(AssertionError, match="non-singular"):
+            count(WeightThree(6))
 
 
 class TestTables:
