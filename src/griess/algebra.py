@@ -127,7 +127,10 @@ def _json_value(s: str) -> tuple[int, int]:
     to_json, "p" or "p/q"."""
     if s.lstrip("-").isdigit():
         return int(s), 1
-    v = q_parse(s)
+    try:
+        v = q_parse(s)
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} has denominator 0") from None
     return int(v.numerator), int(v.denominator)
 
 
@@ -165,22 +168,22 @@ def _json_product_rows(products: list, n: int, value: Callable) -> list:
         last = (i, j)
         # as to_json writes them: integers on increasing k, none zero
         t, k0 = [], -1
-        for k, s in terms:
-            term = shared.get((k, s))
-            if term is None:
-                num, d = value(s)
-                if num and d == 1:
-                    term = shared[k, s] = (k, num)
-            if term is None or k <= k0:
-                try:
+        try:
+            for k, s in terms:
+                term = shared.get((k, s))
+                if term is None:
+                    num, d = value(s)
+                    if num and d == 1:
+                        term = shared[k, s] = (k, num)
+                if term is None or k <= k0:
                     t, d = _json_entry(terms, value)
-                except ValueError as exc:
-                    raise ValueError(f"products[{e}]: {exc}") from None
-                break
-            t.append(term)
-            k0 = k
-        else:
-            d = 1
+                    break
+                t.append(term)
+                k0 = k
+            else:
+                d = 1
+        except ValueError as exc:
+            raise ValueError(f"products[{e}]: {exc}") from None
         if not t:
             continue
         if not (0 <= t[0][0] and t[-1][0] < n):
@@ -231,7 +234,13 @@ def _json_form_rows(gram: list, n: int, value: Callable) -> list:
                 or n - grow.count("0") != len(cols)):
             symmetric = False
         # numerators over the row's lcm, zeros other than "0" left out
-        parsed = {s: value(s) for s in set(vals)}
+        parsed = {}
+        for s in set(vals):
+            try:
+                parsed[s] = value(s)
+            except ValueError as exc:
+                j = grow.index(s)
+                raise ValueError(f"gram[{i}][{j}]: {exc}") from None
         den = math.lcm(*(d for _, d in parsed.values()))
         num = {s: v * (den // d) for s, (v, d) in parsed.items()}
         nums = map(num.__getitem__, vals)
@@ -540,8 +549,8 @@ class StructureAlgebra:
         (k, num) over denominator 1 by every entry that has it.  Pairs may
         come in any order and either way round, and terms in any order,
         zeros included.  Raises ValueError, naming the entry, for an index
-        outside the basis, a pair or term listed twice, or a gram that is
-        not dim x dim or not symmetric.
+        outside the basis, a pair or term listed twice, a bad value such as
+        "1/0", or a gram that is not dim x dim or not symmetric.
         """
         n = len(data["basis"])
         value = functools.cache(_json_value)

@@ -29,18 +29,21 @@ above, as dicts of ints read through encode_rows, remain the row source of
 the algebra's tables (basis_product, to_json); forms are read from them.
 
 The linear map from the root algebra sends t(alpha) to alpha^2/2 - x_alpha
-and u(alpha) to alpha^2/2 + x_alpha; it is a surjective isometric algebra
-homomorphism, bijective exactly in type A, with kernel equal to the
-radical of the form on the root algebra otherwise.
+and u(alpha) to alpha^2/2 + x_alpha, an isometric algebra homomorphism
+onto the sum of B+(Phi_c) over the components c, as alpha^2 lies in
+S^2(H_c).  So it is onto B+ on an irreducible system, bijective exactly in
+type A, with kernel the radical of the root algebra's form otherwise; on a
+direct sum it misses the cross terms h_c h_c' (rank 48 < dim 324 on A1^24).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
-from operator import add, mul
+from itertools import compress, islice
+from operator import add, mul, sub
 
 from .algebra import AlgebraElement, StructureAlgebra, encode_rows
 from .exactlin import SparseSolver
@@ -57,6 +60,13 @@ def _sym_pairs(l: int) -> tuple[list, list]:
     for k, (a, b) in enumerate(pairs):
         idx[a][b] = idx[b][a] = k
     return pairs, idx
+
+
+def _square(c, idx: list) -> dict:
+    """sym(c, c) over the S^2 basis: the square of sum_a c_a alpha_a."""
+    supp = [a for a, v in enumerate(c) if v]
+    return {idx[a][b]: c[a] * c[b] * (1 if a == b else 2)
+            for a in supp for b in supp if a <= b}
 
 
 class _Operand(dict):
@@ -143,64 +153,62 @@ class BPlusStructure(StructureAlgebra):
             x.q[r] = v
         return v
 
-    def _rank_one(self, x: dict, r: int) -> bool:
-        """Whether x is k c c^T + m x_r for rationals k, m, with c root r's
-        simple-root coefficients as the kernel reads them: row a of X' is
-        k c_a c, checked as c_a0^2 X'_a = X'_a0a0 c_a c for one a0 with
-        c_a0 != 0, and the x block has no entry but at r."""
-        x, c = self._parts(x), self._coeffs[r]
-        if any(v and s != r for s, v in x.xs.items()):
-            return False
-        if any(any(row) for a, row in x.rows.items() if not c[a]):
-            return False
-        zero = [0] * self._l
-        a0 = next(a for a, v in enumerate(c) if v)
-        kd, k = c[a0] * c[a0], x.rows.get(a0, zero)[a0]
-        want = [k * v for v in c]
-        return all([kd * v for v in x.rows.get(a, zero)]
-                   == [ca * w for w in want] for a, ca in enumerate(c) if ca)
+    def rank_one(self, parts: list) -> list:
+        """Per root r, whether P_r in parts[r] = (P_r, M_r) and the kernel's
+        square of r are 2 a_r^2 and a_r^2 = sym(c_r, c_r), c_r the
+        simple-root coefficients it reads; M_r = 4 x_r by phi's definition."""
+        return [self._sq[r] == (sq := _square(c, self._idx))
+                and P == {k: 2 * v for k, v in sq.items()}
+                for r, ((P, _), c) in enumerate(zip(parts, self._coeffs))]
 
-    def coupled(self, parts: list) -> list:
-        """Per root r, the set of roots s >= r at which bilinear may give a
-        non-zero product of an operand in parts[r] with one in parts[s],
-        parts holding a tuple of operands per root.
-
-        A pair r < s is left out when every operand of r and of s is
-        k c c^T + m x over its own root (_rank_one), both c_r^T S c_s and
-        c_s^T S c_r are 0, and neither root is in the other's neighbour
-        list.  Each term of bilinear is then 0: the S^2 S^2 term adds
-        X'SY' = k k' (c_r^T S c_s) c_r c_s^T to its mirror; q_X(s) of
-        X' = k c_r c_r^T is k (p_s . c_r)(c_r^T S c_s), and q_Y(r) likewise
-        carries c_s^T S c_r; x_r x_s walks the neighbour list of the root
-        of the sparser x block, and r != s gives no square."""
-        l, N, near, coeffs = self._l, len(parts), self._near, self._coeffs
-        loose = {s for s, ops in enumerate(parts)
-                 if not all(self._rank_one(x, s) for x in ops)}
-        linked = [{s for s, _ in nb} for nb in self._nbrs]
-        for r, nb in enumerate(self._nbrs):
-            for s, _ in nb:
-                linked[s].add(r)
+    def pair_products(self, parts: list, good: list):
+        """Per root r in turn, (r, {s: products}) over the roots s >= r at
+        which bilinear may give a non-zero product of an operand in
+        parts[r] = (P_r, M_r) with one in parts[s].  Where both roots are
+        good (rank_one), bilinear's terms on X' = 4 c_r c_r^T and Y' =
+        4 c_s c_s^T give, with k = c_r^T S c_s and p_s the pairings of s, in
+        the coordinates (r, s) for sym(c_r, c_s), so (r, r) for a_r^2, and q
+        for x_q:
+            P_r P_s = 16 k sym(c_r, c_s)   (X'SY' = 16 k c_r c_s^T)
+            P_r M_s = 16 (p_s . c_r) k x_s   (q of P_r at s)
+            M_r P_s = 16 (p_r . c_s)(c_s^T S c_r) x_r
+            M_r M_s = 16 x_g per (s, g) in r's neighbour list, which the
+                      kernel walks, plus 32 a_r^2 if r = s.
+        Pairs where all four are 0 are left out; a root that is not good
+        keeps every pair, with products None."""
+        l, N, coeffs, near = self._l, len(parts), self._coeffs, self._near
+        loose = [s for s in range(N) if not good[s]]
         cols = [[c[a] for c in coeffs] for a in range(l)]
-        out = []
+
+        def along(w, r):  # w . c_s over s >= r
+            out = [0] * (N - r)
+            for a in compress(range(l), w):
+                out = list(map(add, out, map(w[a].__mul__, cols[a][r:])))
+            return out
+
         for r, c in enumerate(coeffs):
-            if r in loose:
-                out.append(set(range(r, N)))
+            if not good[r]:
+                yield r, dict.fromkeys(range(r, N))
                 continue
             left, right = [0] * l, [0] * l  # c^T S and S c
             for a, ca in enumerate(c):
                 for b, v in near[a]:
                     left[b] += ca * v
                     right[a] += v * c[b]
-            keep = {r, *(s for s in loose if s > r),
-                    *(s for s in linked[r] if s > r)}
-            for w in (left, right) if left != right else (left,):
-                pair = [0] * (N - r)  # w . c_s over s >= r
-                for a in compress(range(l), w):
-                    pair = list(map(add, pair, map(w[a].__mul__,
-                                                   cols[a][r:])))
-                keep.update(compress(range(r, N), pair))
-            out.append(keep)
-        return out
+            kl = along(left, r)  # c^T S c_s, and c_s^T S c in kr
+            kr = kl if left == right else along(right, r)
+            mm = defaultdict(Counter, {r: Counter({(r, r): 32})})
+            for s, g in self._nbrs[r]:
+                mm[s][g] += 16
+            row = dict.fromkeys(s for s in loose if s > r)
+            for s in {*compress(range(r, N), kl), *compress(range(r, N), kr),
+                      *(s for s in mm if s >= r)}.difference(row):
+                k, kt, cs = kl[s - r], kr[s - r], coeffs[s]
+                ps = sum(p * c[a] for a, p in self._pcol[s]) if k else 0
+                pr = sum(p * cs[a] for a, p in self._pcol[r]) if kt else 0
+                row[s] = ({(r, s): 16 * k}, {s: 16 * k * ps},
+                          {r: 16 * kt * pr}, mm.get(s, {}))
+            yield r, row
 
     def bilinear(self, x, y, form: bool = False) -> tuple:
         """x * y from the structure, over denominator 1; forms from the rows
@@ -285,8 +293,7 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
         pcol.append(col := sorted((a, p) for a, p in pr.items() if p))
         for a, p in col:
             P[a][r] = p
-        squares.append({idx[a][b]: c[a] * c[b] * (1 if a == b else 2)
-                        for a in supp for b in supp if a <= b})
+        squares.append(_square(c, idx))
 
     def product(i: int) -> dict:
         if i >= ns:
@@ -323,11 +330,7 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
               + [f"x({r})" for r in range(N)])
     alg = BPlusStructure(labels, *encode_rows(product, form, len(labels)),
                          rs, S, pcol, squares)
-    bp = BPlusAlgebra(rs, alg, sym_index, ns, squares)
-    expected = l * (l + 1) // 2 + N
-    if alg.dim != expected:
-        raise AssertionError("dimension l(l+1)/2 + N violated")
-    return bp
+    return BPlusAlgebra(rs, alg, sym_index, ns, squares)
 
 
 @dataclass
@@ -368,10 +371,8 @@ class PhiMap:
             k: Q(v, 2 * den) for k, v in self.image(nums).items()})
 
     def rank(self) -> int:
-        """Exact rank, from the 2N integer image rows 2 phi(t_r + u_r) and
-        2 phi(u_r - t_r), which span the image of the basis: the first hold
-        no x and the second no alpha^2, so neither fills the other's
-        columns while they are eliminated."""
+        """Exact rank, from the 2N image rows 2 phi(t_r + u_r), with no x,
+        and 2 phi(u_r - t_r), with no alpha^2, which span the image."""
         N = self.domain.rs.N
         solver = SparseSolver(self.codomain.dim)
         for r in range(N):
@@ -384,156 +385,145 @@ def build_phi(ra: RootAlgebra, bp: BPlusAlgebra) -> PhiMap:
     return PhiMap(ra, bp)
 
 
-# The basis pairs of roots r <= s as (sr, ss): t of r if sr < 0, else u;
-# likewise for s.  4 phi(b_i) 4 phi(b_j) is the sum of P_r P_s, P_r M_s,
-# M_r P_s and M_r M_s with the signs (1, ss, sr, sr ss).
-_SIGNS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+def _basis_pairs(N: int, r: int, s: int) -> list:
+    """(i, j, signs) per basis pair i <= j of roots r <= s: with 4 phi(t_r)
+    = P_r - M_r and 4 phi(u_r) = P_r + M_r, 16 phi(b_i) phi(b_j) sums P_r
+    P_s, P_r M_s, M_r P_s, M_r M_s with these signs.  On r = s the last
+    pair is (t_r, u_r) again, whose products commute."""
+    return [(r, s, (1, -1, -1, 1)), (r, N + s, (1, 1, -1, -1)),
+            (N + r, N + s, (1, 1, 1, 1)), (s, N + r, (1, -1, 1, -1))]
 
 
-def _signs(sr: int, ss: int) -> tuple:
-    return 1, ss, sr, sr * ss
-
-
-def _basis_pair(N: int, r: int, s: int, sr: int, ss: int) -> tuple:
-    return tuple(sorted((r if sr < 0 else N + r, s if ss < 0 else N + s)))
-
-
-def _first_product_mismatch(phi: PhiMap, parts: list, visit: list):
-    """The least basis pair (i, j) with phi(b_i) phi(b_j) != phi(b_i b_j),
-    or None; parts holds (P_r, M_r) per root as operands, and visit[r] the
-    roots s >= r whose products with r's the kernel may make non-zero."""
+def _pair_mismatches(phi: PhiMap, parts: list, r: int, s: int) -> list:
+    """The basis pairs of roots r <= s with phi(b_i) phi(b_j) !=
+    phi(b_i b_j), from B's products of parts[r] and parts[s]: diff =
+    16 aden pden (phi(b_i) phi(b_j) - image / (2 aden))."""
     A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
-    first = None
+    prods = [B.bilinear(a, b) for a in parts[r] for b in parts[s]]
+    pden = math.lcm(*(d for _, d in prods))
+    out = []
+    for i, j, signs in _basis_pairs(N, r, s):
+        aden, row = A._product_row(i)
+        diff = {k: -8 * pden * v
+                for k, v in phi.image(dict(row.get(j, ()))).items()}
+        for sign, (p, d) in zip(signs, prods):
+            for k, v in p.items():
+                diff[k] = diff.get(k, 0) + sign * aden * (pden // d) * v
+        if any(diff.values()):
+            out.append((i, j))
+    return out
 
-    def pm_equal(r, s, prods, pden) -> bool:
-        """Whether the four basis pairs of roots r != s all match, checked
-        on the four products instead: with E_x the entries of A for pair x
-        over their lcm D, summing the pairs with the signs of product p
-        gives D p = 2 pden phi~(sum of signed E_x), phi~ = 2 phi, and the
-        signs are invertible.  Three of the sums hold no alpha^2 in their
-        images, as their coefficients cancel per root."""
-        rows = [(A._product_row(i), j)
-                for i, j in (_basis_pair(N, r, s, *x) for x in _SIGNS)]
-        den = math.lcm(*(d for (d, _), _ in rows))
-        for t, p in enumerate(prods):
-            comb: dict = {}
-            for x, ((d, row), j) in zip(_SIGNS, rows):
-                f = _signs(*x)[t] * (den // d)
-                for k, v in row.get(j, ()):
-                    comb[k] = comb.get(k, 0) + f * v
-            if ({k: den * v for k, v in p.items() if v}
-                    != {k: 2 * pden * v for k, v in phi.image(comb).items()}):
-                return False
-        return True
 
-    for r in range(N):
-        pr, mr = parts[r]
-        for s in sorted(visit[r]):
-            ps, ms = parts[s]
-            prods = [B.bilinear(a, b) for a in (pr, mr) for b in (ps, ms)]
-            pden = math.lcm(*(d for _, d in prods))
-            prods = [p if d == pden else {k: v * (pden // d)
-                                           for k, v in p.items()}
-                     for p, d in prods]
-            if r < s and pm_equal(r, s, prods, pden):
-                continue
-            for sr, ss in _SIGNS:
-                if r == s and sr > ss:
-                    continue  # the pair (t_r, u_r) is checked once
-                i, j = _basis_pair(N, r, s, sr, ss)
-                # diff = 16 aden pden (phi(b_i) phi(b_j) - phi(b_i b_j)),
-                # with phi(b_i b_j) = image / (2 aden)
-                aden, row = A._product_row(i)
-                diff = {k: -8 * pden * v
-                        for k, v in phi.image(dict(row.get(j, ()))).items()}
-                for sign, p in zip(_signs(sr, ss), prods):
-                    sign *= aden
-                    for k, v in p.items():
-                        diff[k] = diff.get(k, 0) + sign * v
-                if any(diff.values()):
-                    first = min(first or (i, j), (i, j))
+def _closed_mismatches(rows: list, prods: tuple, r: int, s: int,
+                       coeffs: list, good: list):
+    """_pair_mismatches on the products of BPlusStructure.pair_products,
+    with image = sum_q (c_q + d_q) a_q^2 + 2 (d_q - c_q) x_q for t_q, u_q
+    at c_q, d_q in A's entry.  A root g other than r, s needs a good square
+    and c_g = +-(c_r +- c_s): a_g^2 = a_r^2 + a_s^2 +- 2 sym(c_r, c_s).
+    None if an entry has another root; rows are A's product rows."""
+    cr, cs, N = coeffs[r], coeffs[s], len(coeffs)
+    signs = {tuple(map(add, cr, cs)): 2, tuple(map(sub, cr, cs)): -2,
+             tuple(map(sub, cs, cr)): -2}
+    square = {r: (((r, r), 1),), s: (((s, s), 1),)}
+    out = []
+    for i, j, pm in _basis_pairs(N, r, s):
+        aden, row = rows[i]
+        diff: dict = {}  # aden times the signed products, minus 8 image
+        get = diff.get
+        for sign, p in zip(pm, prods):
+            for key, v in p.items():
+                diff[key] = get(key, 0) + sign * aden * v
+        for k, v in row.get(j, ()):
+            q, v = k % N, 8 * v
+            if q not in square:
+                e = good[q] and signs.get(coeffs[q])
+                square[q] = e and (((r, r), 1), ((s, s), 1), ((r, s), e))
+            if not square[q]:
+                return None
+            for key, f in square[q]:
+                diff[key] = get(key, 0) - f * v
+            diff[q] = get(q, 0) + (-2 if k >= N else 2) * v
+        if any(diff.values()):
+            out.append((i, j))
+    return out
+
+
+def _first_product_mismatch(phi: PhiMap, parts: list):
+    """The least basis pair (i, j) with phi(b_i) phi(b_j) != phi(b_i b_j),
+    or None; parts holds (P_r, M_r) per root as operands."""
+    A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
+    rows = [A._product_row(i) for i in range(2 * N)]
+    if isinstance(B, BPlusStructure):
+        pairs = B.pair_products(parts, good := B.rank_one(parts))
+    else:
+        pairs = ((r, dict.fromkeys(range(r, N))) for r in range(N))
+    found, kept = [], []
+    for r, row in pairs:
+        kept.append(set(row))
+        for s, prods in row.items():
+            bad = prods and _closed_mismatches(rows, prods, r, s, B._coeffs,
+                                               good)
+            found += _pair_mismatches(phi, parts, r, s) if bad is None else bad
     # the pairs left out: B+'s side is 0
-    for i in range(2 * N):
-        for j, entry in A._product_row(i)[1].items():
-            r, s = sorted((i % N, j % N))
-            if j >= i and s not in visit[r] and phi.image(dict(entry)):
-                first = min(first or (i, j), (i, j))
-    return first
+    found += [(i, j) for i, (_, row) in enumerate(rows) for j, e in row.items()
+              if j >= i and max(i % N, j % N) not in kept[min(i % N, j % N)]
+              and phi.image(dict(e))]
+    return min(found, default=None)
 
 
 def _first_form_mismatch(phi: PhiMap, parts: list):
     """The least basis pair (i, j) with <phi(b_i), phi(b_j)> != <b_i, b_j>,
-    or None, over every root pair: <x, y> = G x . y / fden, with G x made
-    once per operand x of a root as its non-zero (keys, values), which are
-    few where S c_r is sparse, and y a dense list over the basis of B+."""
+    or None: <x, y> = G x . y / fden, G x from B's form rows, summed where
+    a Gram vector of root r meets an operand of a root s >= r (holders);
+    where no form is non-zero a pair fails when A's form row has an entry."""
     A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
     frows = [B._form_row(k) for k in range(B.dim)]
+    rows = [A._form_row(i) for i in range(2 * N)]
     fden = math.lcm(*(d for d, _ in frows))
-
-    def gram(x: dict) -> tuple:
-        out: dict = {}
-        for b, c in x.items():
-            d, nbrs = frows[b]
-            c *= fden // d
-            for a, v in nbrs.items():
-                out[a] = out.get(a, 0) + c * v
-        out = {a: v for a, v in out.items() if v}
-        return list(out), list(out.values())
-
-    def dense(x: dict) -> list:
-        out = [0] * B.dim
-        for b, c in x.items():
-            out[b] = c
-        return out
-
-    first = None
-    vecs = [[dense(x) for x in ops] for ops in parts]
+    holders = defaultdict(list)  # basis index -> (s, u, coef in parts[s][u])
+    for s, ops in enumerate(parts):
+        for u, x in enumerate(ops):
+            for k, v in x.items():
+                holders[k].append((s, u, v))
+    found, met = [], []
     for r in range(N):
-        grams = [gram(x) for x in parts[r]]
-        for s in range(r, N):
-            # <P_r, P_s>, <P_r, M_s>, <M_r, P_s>, <M_r, M_s> times fden
-            forms = [sum(map(mul, vals, map(y.__getitem__, keys)))
-                     for keys, vals in grams for y in vecs[s]]
-            for sr, ss in _SIGNS:
-                if r == s and sr > ss:
-                    continue
-                i, j = _basis_pair(N, r, s, sr, ss)
-                aden, row = A._form_row(i)
-                if (sum(map(mul, _signs(sr, ss), forms)) * aden
-                        != 16 * fden * row.get(j, 0)):
-                    first = min(first or (i, j), (i, j))
-    return first
+        # <P_r, P_s>, <P_r, M_s>, <M_r, P_s>, <M_r, M_s> times fden, per s
+        forms = defaultdict(lambda: [0] * 4)
+        for t, x in enumerate(parts[r]):
+            gram = defaultdict(int)
+            for b, c in x.items():
+                d, nbrs = frows[b]
+                for a, v in nbrs.items():
+                    gram[a] += c * (fden // d) * v
+            for a, g in gram.items():
+                h = holders[a] if g else ()
+                for s, u, v in islice(h, bisect_left(h, (r,)), None):
+                    forms[s][2 * t + u] += g * v
+        met.append(forms := {s: f for s, f in forms.items() if any(f)})
+        for s, f in forms.items():
+            for i, j, signs in _basis_pairs(N, r, s):
+                aden, row = rows[i]
+                if sum(map(mul, signs, f)) * aden != 16 * fden * row.get(j, 0):
+                    found.append((i, j))
+    found += [(i, j) for i, (_, row) in enumerate(rows) for j, v in row.items()
+              if j >= i and v
+              and max(i % N, j % N) not in met[min(i % N, j % N)]]
+    return min(found, default=None)
 
 
 def verify_theorem_3_1(phi: PhiMap) -> tuple:
-    """Compare, over all basis pairs i <= j, phi(b_i) phi(b_j) with
-    phi(b_i b_j) and <phi(b_i), phi(b_j)> with <b_i, b_j>.  Returns
-    (product_pair, form_pair, rank): the first pair (i, j) with a product
-    mismatch and the first with a form mismatch, each None if there is
-    none, and the exact rank of phi.
-
-    With P_r = 2 phi(t_r + u_r) and M_r = 2 phi(u_r - t_r), 4 phi(t_r) =
-    P_r - M_r and 4 phi(u_r) = P_r + M_r.  For roots r <= s the products
-    and forms of the images of t_r, u_r, t_s, u_s are therefore signed sums
-    of those of P_r P_s, P_r M_s, M_r P_s and M_r M_s, in integer
-    numerators.  The forms are compared on every root pair, as sparse dots
-    with the Gram vectors of P_r and M_r.  The products are taken by B+'s
-    kernel on operands kept per root (B.operand), on the root pairs that
-    BPlusStructure.coupled keeps.  On every other pair each term of the
-    kernel is 0, because both roots' operands are rank one over their own
-    roots, orthogonal under the kernel's Cartan matrix and not neighbours
-    (see coupled); there a basis pair fails when A's row holds an entry
-    whose image is not 0.  A codomain without the kernel keeps every pair.
-    The other side is read from the compiled rows of the domain, mapped by
-    phi.image, and the two are compared by cross-multiplying the
-    denominators.  Root pairs are not visited in the order of the basis
-    pairs (i, j), so the first mismatch of each kind is the least pair
-    found.
-    """
+    """The least basis pair i <= j with phi(b_i) phi(b_j) != phi(b_i b_j),
+    the least with <phi(b_i), phi(b_j)> != <b_i, b_j> (None if there is
+    none) and the exact rank of phi.  Both run on P_r = 2 phi(t_r + u_r) =
+    2 a_r^2 and M_r = 4 x_r per root (_basis_pairs).  On B+'s kernel the
+    products of a root pair are read in closed form (pair_products) and
+    compared with phi of A's entries in the coordinates a_r^2, a_s^2,
+    sym(c_r, c_s) and x_q, with no square expanded over S^2; other pairs
+    take the operands' products (_pair_mismatches).  Where the products or
+    forms of B+ are all 0, a pair fails if A's row holds an entry whose
+    image is not 0."""
     B, N = phi.codomain.alg, phi.domain.rs.N
     parts = [(B.operand(phi.image({r: 1, N + r: 1})),
               B.operand(phi.image({r: -1, N + r: 1}))) for r in range(N)]
-    visit = (B.coupled(parts) if isinstance(B, BPlusStructure)
-             else [set(range(r, N)) for r in range(N)])
-    return (_first_product_mismatch(phi, parts, visit),
+    return (_first_product_mismatch(phi, parts),
             _first_form_mismatch(phi, parts), phi.rank())

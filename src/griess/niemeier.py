@@ -83,7 +83,8 @@ def catalog_entry(name: str) -> NiemeierEntry:
     for e in catalog():
         if e.name == name:
             return e
-    raise KeyError(name)
+    raise ValueError(f"{name!r} is not a catalog entry name; "
+                     "see `griess niemeier list`")
 
 
 def lemma_4_2_subalgebra(entry: NiemeierEntry) -> DecompositionReport:

@@ -440,10 +440,10 @@ def targets_for_spec(spec: str) -> list[str]:
     out = ["lemma2.1", "prop2.2", "lemma2.3", "lemma2.4"]
     if _all_type_a(comps):
         out += ["eq2.5", "lemma2.5", "lemma2.6", "thm2.7"]
-    # thm3.1 and cor3.2 take seconds up to A24, but on a direct sum they
-    # check that phi is onto B+(Phi), which fails there: no t or u maps onto
-    # the cross terms h_c h_c' of S^2(H).  The cutoff stays at 2N <= 160
-    # until the claim is checked per component.
+    # thm3.1 takes 0.6 s on A24 and 2.4 s on D24, but on a direct sum it and
+    # cor3.2's type-A clause check that phi is onto B+(Phi), which fails: no
+    # t or u maps onto the cross terms h_c h_c' of S^2(H).  The cutoff stays
+    # at 2N <= 160 until the claim is checked per component.
     if _two_n(spec) <= 160:
         out += ["thm3.1", "cor3.2"]
     if spec in _catalog_specs():

@@ -138,7 +138,11 @@ class TestSerialization:
         (lambda d: set_gram(d, {(1, 0): "1/2"}),
          r"gram\[1\]\[0\] is 1/2, gram\[0\]\[1\] is 0"),
         (lambda d: set_gram(d, {(0, 1): "-3"}),
-         r"gram\[1\]\[0\] is 0, gram\[0\]\[1\] is -3")])
+         r"gram\[1\]\[0\] is 0, gram\[0\]\[1\] is -3"),
+        (lambda d: d["products"].append([1, 1, [[0, "1"], [1, "1/0"]]]),
+         r"products\[2\]: '1/0' has denominator 0"),
+        (lambda d: set_gram(d, {(0, 1): "1/0", (1, 0): "1/0"}),
+         r"gram\[0\]\[1\]: '1/0' has denominator 0")])
     def test_malformed_tables_name_the_entry(self, change, message):
         data = nonassociative_example().to_json()
         change(data)

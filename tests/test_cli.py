@@ -173,6 +173,13 @@ class TestNiemeier:
     def test_sub_unknown(self):
         assert run(["niemeier", "sub", "B2"]) == 2
 
+    def test_sub_names_the_bad_name_and_the_catalog(self, capsys):
+        assert run(["niemeier", "sub", "A2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 'A2' is not a catalog entry name; "
+                                "see `griess niemeier list`\n")
+
     def test_sub_d4_6(self, capsys):
         code, out = run_captured(capsys, ["niemeier", "sub", "D4^6"])
         assert code == 0

@@ -9,9 +9,10 @@ triple products of elements, the identity solve against one dense solve of
 the whole system, the JSON form against recorded bytes and its own
 reading, and the identity certificates of the chain decomposition against
 the pairwise products and forms of its idempotents and the exhaustive
-associativity check.  The check of Theorem 3.1, on products shared per
-root pair, is compared with the per-pair products of the images, also on
-the root pairs it leaves out, whose kernel products are checked to be 0,
+associativity check.  The check of Theorem 3.1, on closed-form products
+per root pair, is compared with the per-pair products of the images, also
+on the root pairs it leaves out, whose kernel products are checked to be
+0; its closed forms are compared with the kernel's products,
 and cor3.2's P-block radical and sparse radical with the dense kernel and
 radical, also on broken inputs.  B+'s element products, which run on the S^2(H) kernel, are
 compared with its compiled rows on basis pairs, dense elements and chain
@@ -30,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from griess import rootalgebra
 from griess.algebra import StructureAlgebra, encode_rows
-from griess import verify
+from griess import bplus as bplus_module, verify
 from griess.bplus import (BPlusAlgebra, BPlusStructure, PhiMap, build_bplus,
                           verify_theorem_3_1)
 from griess.exactlin import QMatrix, SparseSolver
@@ -827,9 +828,16 @@ def root_operands(p) -> list:
              B.operand(p.image({r: -1, N + r: 1}))) for r in range(N)]
 
 
+def pair_products(p) -> list:
+    """BPlusStructure.pair_products on the per-root operands of phi, as
+    one {s: products} per root r."""
+    B, parts = p.codomain.alg, root_operands(p)
+    return [row for _, row in B.pair_products(parts, B.rank_one(parts))]
+
+
 def kept_pairs(p) -> list:
-    """BPlusStructure.coupled on the per-root operands of phi."""
-    return p.codomain.alg.coupled(root_operands(p))
+    """The roots s >= r per root r that pair_products keeps."""
+    return [set(row) for row in pair_products(p)]
 
 
 @pytest.mark.parametrize("spec", ["A3", "A5", "D4", "D5", "E6", "A1^24",
@@ -885,15 +893,17 @@ def plus_basis(k):
 
 def changed_domain(spec, changes):
     """phi on spec with A's entries changed: (what, i, j) adds 1 to the
-    form at (i, j), or b_i to the product b_i b_j."""
+    form at (i, j), or b_i to the product b_i b_j; (what, i, j, k) adds b_k
+    to the product."""
     rs = system(spec)
     alg = build_A(rs).alg
     product, form = as_dicts(alg._product_fn), as_dicts(alg._form_fn)
-    for what, i, j in changes:
+    for what, i, j, *k in changes:
         if what == "form":
             form = with_changed_entry(form, i, j, plus_one)
         else:
-            product = with_changed_entry(product, i, j, plus_basis(i))
+            product = with_changed_entry(product, i, j,
+                                         plus_basis(k[0] if k else i))
     ra = RootAlgebra(rs, StructureAlgebra(
         alg.basis_labels, *encode_rows(product, form, alg.dim)), False)
     return PhiMap(ra, bplus(spec))
@@ -913,19 +923,35 @@ def broken_phi(spec, what):
     if what.startswith("kernel"):
         # "kernel Cartan": (alpha_0, alpha_1) + 1 in the Cartan matrix the
         # kernel reads; "kernel neighbours": x_0 x_s = x_0 for the first
-        # root s orthogonal to root 0, in root 0's neighbour list only.
-        # The rows, forms, pairings and squares are those of the true B+.
+        # root s orthogonal to root 0, in root 0's neighbour list only;
+        # "kernel square": one coefficient of the last root's square that
+        # the kernel reads; "kernel Cartan and pairing": (alpha_0, alpha_1)
+        # + 1 in S and, for the first root r with c_r = (0, 1, ...),
+        # (alpha_0, r) + 1 in its pairings, so that c_r^T S c_s = 0 while
+        # c_s^T S c_r and p_r . c_s are not for the roots s orthogonal to r
+        # with c_s = (1, 0, ...).  The rows, forms, pairings and squares are
+        # otherwise those of the true B+, and phi reads the true squares.
         S = [[int(dot(a, b)) for b in rs.simple_roots]
              for a in rs.simple_roots]
         nbrs = [list(nb) for nb in rs.neighbours]
-        if what == "kernel Cartan":
+        sq = [dict(q) for q in bp._sq]
+        pcol = [list(col) for col in bp.alg._pcol]
+        if what.startswith("kernel Cartan"):
             S[0][1] += 1
-        else:
+        if what == "kernel Cartan and pairing":
+            r = next(r for r, c in enumerate(rs.simple_coeffs)
+                     if c[:2] == (0, 1))
+            col = dict(pcol[r])
+            col[0] = col.get(0, 0) + 1
+            pcol[r] = sorted(col.items())
+        elif what == "kernel square":
+            sq[-1][min(sq[-1])] += 1
+        elif what == "kernel neighbours":
             nbrs[0].append((orthogonal_pair(spec)[1], 0))
         roots = SimpleNamespace(simple_coeffs=rs.simple_coeffs,
                                 neighbours=nbrs)
         alg = BPlusStructure(bp.alg.basis_labels, bp.alg._product_fn,
-                             bp.alg._form_fn, roots, S, bp.alg._pcol, bp._sq)
+                             bp.alg._form_fn, roots, S, pcol, sq)
         return PhiMap(build_A(rs), BPlusAlgebra(rs, alg, bp.sym_index,
                                                 bp.num_sym, bp._sq))
     if what == "B+ product":
@@ -958,8 +984,10 @@ def test_broken_inputs_fail_like_direct(spec, what):
 
 
 @pytest.mark.parametrize("what", ["B+ product", "kernel Cartan",
-                                  "kernel neighbours", "alpha^2", "A form",
-                                  "orthogonal product", "orthogonal form"])
+                                  "kernel Cartan and pairing",
+                                  "kernel neighbours", "kernel square",
+                                  "alpha^2", "A form", "orthogonal product",
+                                  "orthogonal form"])
 @pytest.mark.parametrize("spec", ["A3", "D4", "A3+D4"])
 def test_skipped_pairs_fail_like_direct(spec, what):
     """Each broken input, and an entry of A added at the basis pair
@@ -981,22 +1009,91 @@ def test_skipped_pairs_fail_like_direct(spec, what):
 
 
 @pytest.mark.parametrize("what", [None, "kernel Cartan",
-                                  "kernel neighbours", "alpha^2"])
+                                  "kernel Cartan and pairing",
+                                  "kernel neighbours", "kernel square",
+                                  "alpha^2"])
 @pytest.mark.parametrize("spec", ["A3", "D4", "A3+D4"])
 def test_left_out_pairs_have_zero_products(spec, what):
-    """Every kernel product of the operands of a root pair that coupled
-    leaves out is 0, also with the kernel's Cartan matrix, a neighbour list
-    or one root's alpha^2 changed; a changed alpha^2 keeps every pair of
-    its root."""
+    """Every kernel product of the operands of a root pair that
+    pair_products leaves out is 0, also with the kernel's Cartan matrix,
+    its pairings, a neighbour list or one root's alpha^2, in phi or in the
+    kernel, changed; a changed alpha^2 keeps every pair of its root."""
     p = phi(spec) if what is None else broken_phi(spec, what)
     B, parts = p.codomain.alg, root_operands(p)
-    kept = B.coupled(parts)
+    kept = kept_pairs(p)
     for r, ops in enumerate(parts):
         for s in set(range(r, len(parts))) - kept[r]:
             assert not any(v for x in ops for y in parts[s]
                            for v in B.bilinear(x, y)[0].values()), (r, s)
-    if what == "alpha^2":
+    if what in ("alpha^2", "kernel square"):
         assert all(len(parts) - 1 in k for k in kept)
+
+
+def over_basis(p, coords: dict) -> dict:
+    """Products in the coordinates of pair_products over the basis of B+:
+    (a, b) is sym(c_a, c_b) over S^2 and q is x_q."""
+    index, coeffs = p.codomain.sym_index, p.domain.rs.simple_coeffs
+    out = Counter()
+    for key, v in coords.items():
+        if isinstance(key, int):
+            out[p.codomain.num_sym + key] += v
+            continue
+        x, y = (coeffs[k] for k in key)
+        for (i, j), k in index.items():
+            out[k] += v * (x[i] * y[j] + (x[j] * y[i] if i < j else 0))
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("what", [None, "kernel Cartan",
+                                  "kernel Cartan and pairing",
+                                  "kernel neighbours"])
+@pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A3+D4"])
+def test_closed_form_products_are_the_kernels(spec, what):
+    """The four products pair_products gives in closed form for each kept
+    pair, read over the basis of B+, are bilinear's products of the
+    operands, also with the kernel's Cartan matrix, its pairings or a
+    neighbour list changed."""
+    p = phi(spec) if what is None else broken_phi(spec, what)
+    B, parts = p.codomain.alg, root_operands(p)
+    for r, row in enumerate(pair_products(p)):
+        for s, prods in row.items():
+            want = [B.bilinear(x, y)[0] for x in parts[r] for y in parts[s]]
+            assert [over_basis(p, c) for c in prods] == [
+                {k: v for k, v in w.items() if v} for w in want], (r, s)
+
+
+@pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A2^12", "A3+D4"])
+def test_closed_form_decides_every_kept_pair(spec, monkeypatch):
+    """On a true phi no root pair takes the kernel's products."""
+    def fallback(phi, parts, r, s):
+        raise AssertionError(f"root pair ({r}, {s}) took the kernel")
+    monkeypatch.setattr(bplus_module, "_pair_mismatches", fallback)
+    assert verify_theorem_3_1(phi(spec))[:2] == (None, None)
+
+
+def test_entry_on_a_fourth_root_takes_the_kernel(monkeypatch):
+    """An entry of A on a root other than r, s and the root of c_r + c_s
+    or c_r - c_s has no closed-form coordinates: that root pair, and only
+    it, takes the kernel's products, and fails like the per-pair
+    definition."""
+    rs = system("A3")
+    s, g = rs.neighbours[0][0]
+    k = next(q for q in range(rs.N) if q not in (0, s, g))
+    p = changed_domain("A3", [("product", 0, s, k)])
+    taken, kernel = [], bplus_module._pair_mismatches
+
+    def fallback(phi, parts, r, s):
+        taken.append((r, s))
+        return kernel(phi, parts, r, s)
+    monkeypatch.setattr(bplus_module, "_pair_mismatches", fallback)
+    rep = verify_theorem_3_1(p)
+    assert taken == [(0, s)]
+    assert rep == direct_theorem_3_1(p)
+    assert rep[:2] == ((0, s), None)
+
+
+def test_theorem_3_1_on_A24():
+    assert verify_theorem_3_1(phi("A24")) == (None, None, 600)
 
 
 def test_broken_kernel_fails_theorem_and_span():

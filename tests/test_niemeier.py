@@ -39,7 +39,7 @@ class TestCatalog:
             assert Q(e.count) == e.mass * CO1_ORDER
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'A25' is not a catalog entry"):
             catalog_entry("A25")
 
     def test_leech_has_no_root_system(self):
