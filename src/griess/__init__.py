@@ -2,8 +2,7 @@
 lattice algebra they map onto, and the rank-24 lattice counting layer."""
 
 from .algebra import AlgebraElement, DecompositionReport, StructureAlgebra
-from .bplus import (BPlusAlgebra, PhiMap, build_bplus, build_phi,
-                    verify_theorem_3_1)
+from .bplus import BPlusAlgebra, PhiMap, build_bplus, verify_theorem_3_1
 from .niemeier import (F2QuadSpace, NiemeierEntry, Table2Row,
                        brute_force_lagrangians, catalog, catalog_entry,
                        lagrangian_extension_count, lemma_4_2_subalgebra,

@@ -11,10 +11,10 @@ construction to JSON.  A row source is a callable giving row i as
     form(i)    -> (den, {j: num}),              <b_i, b_j> = num/den
 
 with den > 0, j and k increasing and no zero numerators.  The algebras of
-the paper write their rows in this form directly: the structure constants
-8, 1 and -1 over 1, the form values 4 and 1/2 over 2.  encode_rows turns
-rules given as dicts of ints or rationals, or a table keyed by (i, j),
-into row sources.  Each row is read once, when an element first needs it,
+the paper write their rows in this form directly: A and T the structure
+constants 8, 1 and -1 over 1 and the form values 4 and 1/2 over 2, B+ its
+product rules over 1 and its form rows from its kernel; from_json reads a
+table into it.  Each row is read once, when an element first needs it,
 and keeps its entry for j from row j if that was read first over the same
 denominator, so the two rows of a pair share one entry.
 
@@ -35,7 +35,6 @@ import contextlib
 import functools
 import gc
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -45,62 +44,9 @@ from .ratio import ONE, Q, ZERO, q_parse, q_str
 Sparse = dict  # index -> rational, no zero values stored
 
 
-def _encode_product(p: Sparse):
-    """(((k, numerator), ...) sorted by k, denominator) of a basis product,
-    or None; a product of ints is kept as it is, over denominator 1."""
-    if 0 in p.values():
-        p = {k: v for k, v in p.items() if v}
-    if not p:
-        return None
-    if set(map(type, p.values())) <= {int}:
-        return tuple(sorted(p.items())), 1
-    den = math.lcm(*(v.denominator for v in p.values()))
-    return tuple(sorted((k, v.numerator * (den // v.denominator))
-                        for k, v in p.items())), den
-
-
 def _scaled(terms: tuple, f: int) -> tuple:
     """A product entry with its numerators times f."""
     return terms if f == 1 else tuple((k, v * f) for k, v in terms)
-
-
-def _encode_value(v):
-    """(numerator, denominator) of a form value, or None for 0."""
-    return (v.numerator, v.denominator) if v else None
-
-
-def _encoded(source: Callable | Mapping, dim: int, encode: Callable,
-             rescale: Callable) -> Callable:
-    """The row source of dict rows, each entry encoded and rescaled to the
-    lcm of the row's denominators."""
-    if not callable(source):
-        # a symmetric table keyed by (i, j) with i <= j, grouped into rows
-        rows: list[dict] = [{} for _ in range(dim)]
-        for (i, j), v in source.items():
-            rows[i][j] = rows[j][i] = v
-        source = rows.__getitem__
-
-    def row(i: int) -> tuple:
-        src = source(i)
-        raw = [(j, e) for j in sorted(src)
-               if (e := encode(src[j])) is not None]
-        den = math.lcm(*(d for _, (_, d) in raw))
-        return den, {j: e if d == den else rescale(e, den // d)
-                     for j, (e, d) in raw}
-    return row
-
-
-def encode_rows(product: Callable | Mapping, form: Callable | Mapping,
-                dim: int) -> tuple[Callable, Callable]:
-    """Row sources (module docstring) of rules given as dicts.
-
-    product(i) -> {j: {k: value}} gives b_i * b_j = sum_k value b_k and
-    form(i) -> {j: value} gives <b_i, b_j>; values are ints or rationals,
-    and zeros, listed or not, are left out.  Either may instead be a
-    Mapping keyed by (i, j) with i <= j.
-    """
-    return (_encoded(product, dim, _encode_product, _scaled),
-            _encoded(form, dim, _encode_value, operator.mul))
 
 
 @contextlib.contextmanager
@@ -271,21 +217,15 @@ class DependentError(ValueError):
 
 
 class StructureAlgebra:
-    """Commutative algebra given by rows of basis products and of a form.
-
-    product and form are row sources (module docstring); either may instead
-    be a Mapping keyed by (i, j) with i <= j, of {k: value} for the product
-    and of values for the form, read through encode_rows.
-    """
+    """Commutative algebra given by rows of basis products and of a form,
+    read from the row sources product and form (module docstring)."""
 
     def __init__(self, basis_labels: Sequence[str],
-                 product: Callable[[int], tuple] | Mapping,
-                 form: Callable[[int], tuple] | Mapping):
+                 product: Callable[[int], tuple],
+                 form: Callable[[int], tuple]):
         self.basis_labels = list(basis_labels)
         self.dim = len(self.basis_labels)
-        encoded = encode_rows(product, form, self.dim)
-        self._product_fn = product if callable(product) else encoded[0]
-        self._form_fn = form if callable(form) else encoded[1]
+        self._product_fn, self._form_fn = product, form
         # Row i: None until read, then its (den, {j: entry}); see _compile.
         self._product_rows: list = [None] * self.dim
         self._form_rows: list = [None] * self.dim

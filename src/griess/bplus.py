@@ -24,9 +24,16 @@ the first rule reads
 S has at most four non-zeros per row, so X'S costs O(|X| deg).  The
 second rule gives x_r the coefficient q_X(r) = p_r^T X' p_r, a quadratic
 form in the pairings p_r = ((alpha_a, r))_a, which have at most four
-non-zeros in type A, and x_r x_s reads the root relations.  The basis rows
-above, as dicts of ints read through encode_rows, remain the row source of
-the algebra's tables (basis_product, to_json); forms are read from them.
+non-zeros in type A, and x_r x_s reads the root relations.  The form runs
+on the same matrices: polarizing the rule for <ab, cd>,
+
+    <X, Y> = 1/2 tr(X'S Y'S) + 2 sum_r x_r y_r,
+
+symmetric for any S.  B+'s form rows, the gram of to_json, are the Gram
+vectors of the basis elements: <X, s(c, d)> is the symmetric part of
+M = S X'S at (c, d), read in one pass over the rows of M.  The product
+rules above, written as integer rows, remain the row source of
+basis_product and to_json.
 
 The linear map from the root algebra sends t(alpha) to alpha^2/2 - x_alpha
 and u(alpha) to alpha^2/2 + x_alpha, an isometric algebra homomorphism
@@ -39,13 +46,12 @@ direct sum it misses the cross terms h_c h_c' (rank 48 < dim 324 on A1^24).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 from operator import add, mul, sub
 
-from .algebra import AlgebraElement, StructureAlgebra, encode_rows
+from .algebra import AlgebraElement, StructureAlgebra
 from .exactlin import SparseSolver
 from .ratio import Q
 from .rootalgebra import RootAlgebra
@@ -71,9 +77,9 @@ def _square(c, idx: list) -> dict:
 
 class _Operand(dict):
     """Integer coefficients of a B+ element, holding the parts the kernel
-    reads once it first multiplies them: the x block as {r: coef} and as a
-    list over all roots, the rows a of X' and of X'S that are not zero, the
-    columns where X'S is not zero, and q_X per root as needed."""
+    reads once it first multiplies or pairs them: the x block as {r: coef}
+    and as a list over all roots, the rows a of X' and of X'S that are not
+    zero, the columns where X'S is not zero, and q_X per root as needed."""
 
     __slots__ = ("xs", "xl", "rows", "srows", "cols", "q")
 
@@ -83,24 +89,26 @@ class _Operand(dict):
 
 
 class BPlusStructure(StructureAlgebra):
-    """The StructureAlgebra of B+, whose products of elements run on the
-    structure (module docstring) instead of the compiled basis rows.
+    """The StructureAlgebra of B+, whose products and forms of elements run
+    on the structure (module docstring) instead of the compiled basis rows.
 
     The kernel reads the root system's simple-root coefficients and
     relation lists, the Cartan matrix S, per positive root r the pairings
     (a, (alpha_a, r)) that are not zero, and alpha_r^2 over the S^2 basis
-    (squares).  Forms, basis_product and to_json read the rows of the row
-    sources.
+    (squares).  basis_product and to_json read the rows of the product
+    source; the form rows are read from the kernel (_gram_row).
     """
 
-    def __init__(self, basis_labels, product, form, rs, cartan, pairings,
-                 squares):
-        super().__init__(basis_labels, product, form)
+    def __init__(self, basis_labels, product, rs, cartan, pairings, squares):
+        super().__init__(basis_labels, product, self._gram_row)
         l = self._l = len(cartan)
         self._pair, self._idx = _sym_pairs(l)
         self.ns = len(self._pair)
+        # the rows and the columns of S, as (c, value) where it is not 0
         self._near = [[(c, v) for c, v in enumerate(row) if v]
                       for row in cartan]
+        self._cnear = [[(c, row[b]) for c, row in enumerate(cartan) if row[b]]
+                       for b in range(l)]
         self._pcol = pairings
         self._coeffs = rs.simple_coeffs
         self._nbrs = rs.neighbours
@@ -139,6 +147,23 @@ class BPlusStructure(StructureAlgebra):
         x.xs, x.xl, x.rows, x.srows, x.q = xs, xl, rows, srows, {}
         return x
 
+    def _gram_row(self, i: int) -> tuple:
+        """Form row i: <b_i, b_j> by the form's trace (module docstring),
+        2 <X, s(c, d)> = M_cd + M_dc with M = S X'S, whose rows c sum the
+        rows b of X'S times S_cb, and 2 <X, x_r> = 4 x_r; over denominator
+        1 unless some entry is odd, as it can be for an S that is not
+        symmetric."""
+        x, l, idx = self._parts({i: 1}), self._l, self._idx
+        g = defaultdict(int)  # 2 <b_i, b_j>
+        for b, row in x.srows.items():
+            for c, s in self._cnear[b]:  # M_cd += S_cb (X'S)_bd
+                ic = idx[c]
+                for d in compress(range(l), row):
+                    g[ic[d]] += s * row[d] * (1 + (c == d))
+        g.update((self.ns + r, 4 * v) for r, v in x.xs.items())
+        den = 1 + any(v % 2 for v in g.values())
+        return den, {k: g[k] * den // 2 for k in sorted(g) if g[k]}
+
     def _q(self, x: _Operand, r: int) -> int:
         """q_X(r) = p_r^T X' p_r, memoized on x, where (X' p_r)_a is row a
         of X'S dotted with r's simple-root coefficients."""
@@ -162,20 +187,21 @@ class BPlusStructure(StructureAlgebra):
                 for r, ((P, _), c) in enumerate(zip(parts, self._coeffs))]
 
     def pair_products(self, parts: list, good: list):
-        """Per root r in turn, (r, {s: products}) over the roots s >= r at
-        which bilinear may give a non-zero product of an operand in
-        parts[r] = (P_r, M_r) with one in parts[s].  Where both roots are
-        good (rank_one), bilinear's terms on X' = 4 c_r c_r^T and Y' =
-        4 c_s c_s^T give, with k = c_r^T S c_s and p_s the pairings of s, in
-        the coordinates (r, s) for sym(c_r, c_s), so (r, r) for a_r^2, and q
-        for x_q:
+        """Per root r in turn, (r, {s: (products, forms)}) over the roots
+        s >= r at which bilinear may give a non-zero product or form of an
+        operand in parts[r] = (P_r, M_r) with one in parts[s].  Where both
+        roots are good (rank_one), bilinear's terms on X' = 4 c_r c_r^T and
+        Y' = 4 c_s c_s^T give, with k = c_r^T S c_s, k' = c_s^T S c_r and
+        p_s the pairings of s, in the coordinates (r, s) for sym(c_r, c_s),
+        so (r, r) for a_r^2, and q for x_q:
             P_r P_s = 16 k sym(c_r, c_s)   (X'SY' = 16 k c_r c_s^T)
             P_r M_s = 16 (p_s . c_r) k x_s   (q of P_r at s)
-            M_r P_s = 16 (p_r . c_s)(c_s^T S c_r) x_r
+            M_r P_s = 16 (p_r . c_s) k' x_r
             M_r M_s = 16 x_g per (s, g) in r's neighbour list, which the
-                      kernel walks, plus 32 a_r^2 if r = s.
-        Pairs where all four are 0 are left out; a root that is not good
-        keeps every pair, with products None."""
+                      kernel walks, plus 32 a_r^2 if r = s,
+        and the forms <P_r, P_s> = 8 k k', <P_r, M_s> = <M_r, P_s> = 0 and
+        <M_r, M_s> = 32 [r = s].  Pairs where all eight are 0 are left out;
+        a root that is not good keeps every pair, with None."""
         l, N, coeffs, near = self._l, len(parts), self._coeffs, self._near
         loose = [s for s in range(N) if not good[s]]
         cols = [[c[a] for c in coeffs] for a in range(l)]
@@ -206,16 +232,22 @@ class BPlusStructure(StructureAlgebra):
                 k, kt, cs = kl[s - r], kr[s - r], coeffs[s]
                 ps = sum(p * c[a] for a, p in self._pcol[s]) if k else 0
                 pr = sum(p * cs[a] for a, p in self._pcol[r]) if kt else 0
-                row[s] = ({(r, s): 16 * k}, {s: 16 * k * ps},
-                          {r: 16 * kt * pr}, mm.get(s, {}))
+                row[s] = (({(r, s): 16 * k}, {s: 16 * k * ps},
+                           {r: 16 * kt * pr}, mm.get(s, {})),
+                          (8 * k * kt, 0, 0, 32 * (s == r)))
             yield r, row
 
     def bilinear(self, x, y, form: bool = False) -> tuple:
-        """x * y from the structure, over denominator 1; forms from the rows
-        (StructureAlgebra.bilinear)."""
-        if form:
-            return super().bilinear(x, y, True)
+        """x * y, or <x, y> if form, from the structure: the product over
+        denominator 1, the form 1/2 tr(X'S Y'S) + 2 sum_r x_r y_r over 2."""
         x, y = self._parts(x), self._parts(y)
+        # the sparser x block is walked, the other read from its list
+        xs, yl = (x.xs, y.xl) if len(x.xs) <= len(y.xs) else (y.xs, x.xl)
+        if form:
+            # tr(X'S Y'S) sums (X'S)_bd (Y'S)_db over the rows b and d
+            return (sum(sb[d] * yd[b] for b, sb in x.srows.items()
+                        for d, yd in y.srows.items())
+                    + 4 * sum(c * yl[r] for r, c in xs.items())), 2
         ns, dim = self.ns, self.dim
         # a list over the basis for dense operands, which is faster to
         # index; a dict for sparse ones, which is cheaper to create and read
@@ -236,9 +268,7 @@ class BPlusStructure(StructureAlgebra):
                 for r, c in v.xs.items():
                     if q := self._q(u, r):
                         acc[ns + r] += q * c
-        # x_r x_s: x_g on neighbours, 2 r^2 on equal roots; the sparser
-        # x block is walked, the other read from its list
-        xs, yl = (x.xs, y.xl) if len(x.xs) <= len(y.xs) else (y.xs, x.xl)
+        # x_r x_s: x_g on neighbours, 2 r^2 on equal roots
         if xs:
             nbrs, sq = self._nbrs, self._sq
             xacc = [0] * len(yl)
@@ -260,7 +290,6 @@ class BPlusStructure(StructureAlgebra):
 class BPlusAlgebra:
     rs: RootSystem
     alg: StructureAlgebra
-    sym_index: dict  # (a, b) with a <= b -> basis index
     num_sym: int
     _sq: list = None  # per positive root: alpha^2 over the S^2 basis
 
@@ -272,7 +301,6 @@ class BPlusAlgebra:
 def build_bplus(rs: RootSystem) -> BPlusAlgebra:
     l, N = rs.l, rs.N
     sym_pairs, idx = _sym_pairs(l)
-    sym_index = {p: i for i, p in enumerate(sym_pairs)}
     ns = len(sym_pairs)
 
     # Cartan matrix of the simple roots, from the doubled coordinates
@@ -295,14 +323,16 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
             P[a][r] = p
         squares.append(_square(c, idx))
 
-    def product(i: int) -> dict:
+    def product(i: int) -> tuple:
+        """Row i in the row format: over denominator 1, entries and terms
+        in index order, zeros left out."""
         if i >= ns:
             r = i - ns
-            row = {ns + s: {ns + g: 1} for s, g in rs.neighbours[r]}
-            row[i] = {k: 2 * v for k, v in squares[r].items()}
-            row.update((idx[a][b], {i: 2 * p * q})
+            row = {ns + s: ((ns + g, 1),) for s, g in rs.neighbours[r]}
+            row[i] = tuple((k, 2 * v) for k, v in squares[r].items())
+            row.update((idx[a][b], ((i, 2 * p * q),))
                        for a, p in pcol[r] for b, q in pcol[r] if a <= b)
-            return row
+            return 1, dict(sorted(row.items()))
         a, b = sym_pairs[i]
         # (ab)(cd) = (a,c)bd + (a,d)bc + (b,c)ad + (b,d)ac, collected per cd
         # from the c that are a, b or a Cartan neighbour of one.  A square cc
@@ -314,23 +344,17 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
                     terms = row.setdefault(idx[c][d], {})
                     k = idx[y][d]
                     terms[k] = terms.get(k, 0) + S[x][c] * (1 + (c == d))
+        out = {j: e for j in sorted(row)
+               if (e := tuple(sorted(t for t in row[j].items() if t[1])))}
         pa, pb = P[a], P[b]
-        row.update((ns + r, {ns + r: 2 * pa[r] * pb[r]})
-                   for r in pa.keys() & pb.keys())
-        return row
-
-    def form(i: int) -> dict:
-        if i >= ns:
-            return {i: 2}
-        a, b = sym_pairs[i]
-        return {idx[c][d]: S[a][c] * S[b][d] + S[a][d] * S[b][c]
-                for c in near[a] for d in near[b]}
+        out.update((ns + r, ((ns + r, 2 * pa[r] * pb[r]),))
+                   for r in sorted(pa.keys() & pb.keys()))
+        return 1, out
 
     labels = ([f"s({a},{b})" for a, b in sym_pairs]
               + [f"x({r})" for r in range(N)])
-    alg = BPlusStructure(labels, *encode_rows(product, form, len(labels)),
-                         rs, S, pcol, squares)
-    return BPlusAlgebra(rs, alg, sym_index, ns, squares)
+    alg = BPlusStructure(labels, product, rs, S, pcol, squares)
+    return BPlusAlgebra(rs, alg, ns, squares)
 
 
 @dataclass
@@ -381,27 +405,29 @@ class PhiMap:
         return solver.rank
 
 
-def build_phi(ra: RootAlgebra, bp: BPlusAlgebra) -> PhiMap:
-    return PhiMap(ra, bp)
-
-
 def _basis_pairs(N: int, r: int, s: int) -> list:
     """(i, j, signs) per basis pair i <= j of roots r <= s: with 4 phi(t_r)
     = P_r - M_r and 4 phi(u_r) = P_r + M_r, 16 phi(b_i) phi(b_j) sums P_r
-    P_s, P_r M_s, M_r P_s, M_r M_s with these signs.  On r = s the last
-    pair is (t_r, u_r) again, whose products commute."""
+    P_s, P_r M_s, M_r P_s, M_r M_s with these signs, and so does
+    16 <phi(b_i), phi(b_j)> with their forms.  On r = s the last pair is
+    (t_r, u_r) again, whose products and forms commute."""
     return [(r, s, (1, -1, -1, 1)), (r, N + s, (1, 1, -1, -1)),
             (N + r, N + s, (1, 1, 1, 1)), (s, N + r, (1, -1, 1, -1))]
 
 
-def _pair_mismatches(phi: PhiMap, parts: list, r: int, s: int) -> list:
+def _pair_mismatches(phi: PhiMap, parts: list, r: int, s: int) -> tuple:
     """The basis pairs of roots r <= s with phi(b_i) phi(b_j) !=
     phi(b_i b_j), from B's products of parts[r] and parts[s]: diff =
-    16 aden pden (phi(b_i) phi(b_j) - image / (2 aden))."""
+    16 aden pden (phi(b_i) phi(b_j) - image / (2 aden)); and those with
+    16 <phi(b_i), phi(b_j)> != 16 <b_i, b_j>, from B's forms of them over
+    fden."""
     A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
     prods = [B.bilinear(a, b) for a in parts[r] for b in parts[s]]
+    forms = [B.bilinear(a, b, True) for a in parts[r] for b in parts[s]]
     pden = math.lcm(*(d for _, d in prods))
-    out = []
+    fden = math.lcm(*(d for _, d in forms))
+    forms = [v * (fden // d) for v, d in forms]
+    out, bad_forms = [], []
     for i, j, signs in _basis_pairs(N, r, s):
         aden, row = A._product_row(i)
         diff = {k: -8 * pden * v
@@ -411,21 +437,25 @@ def _pair_mismatches(phi: PhiMap, parts: list, r: int, s: int) -> list:
                 diff[k] = diff.get(k, 0) + sign * aden * (pden // d) * v
         if any(diff.values()):
             out.append((i, j))
-    return out
+        aden, row = A._form_row(i)
+        if sum(map(mul, signs, forms)) * aden != 16 * fden * row.get(j, 0):
+            bad_forms.append((i, j))
+    return out, bad_forms
 
 
-def _closed_mismatches(rows: list, prods: tuple, r: int, s: int,
-                       coeffs: list, good: list):
-    """_pair_mismatches on the products of BPlusStructure.pair_products,
-    with image = sum_q (c_q + d_q) a_q^2 + 2 (d_q - c_q) x_q for t_q, u_q
-    at c_q, d_q in A's entry.  A root g other than r, s needs a good square
-    and c_g = +-(c_r +- c_s): a_g^2 = a_r^2 + a_s^2 +- 2 sym(c_r, c_s).
-    None if an entry has another root; rows are A's product rows."""
-    cr, cs, N = coeffs[r], coeffs[s], len(coeffs)
+def _closed_mismatches(rows: list, frows: list, closed: tuple, r: int,
+                       s: int, coeffs: list, good: list):
+    """_pair_mismatches on the products and forms of
+    BPlusStructure.pair_products, with image = sum_q (c_q + d_q) a_q^2 +
+    2 (d_q - c_q) x_q for t_q, u_q at c_q, d_q in A's entry.  A root g other
+    than r, s needs a good square and c_g = +-(c_r +- c_s): a_g^2 = a_r^2 +
+    a_s^2 +- 2 sym(c_r, c_s).  None if an entry has another root; rows and
+    frows are A's product and form rows."""
+    (prods, forms), cr, cs, N = closed, coeffs[r], coeffs[s], len(coeffs)
     signs = {tuple(map(add, cr, cs)): 2, tuple(map(sub, cr, cs)): -2,
              tuple(map(sub, cs, cr)): -2}
     square = {r: (((r, r), 1),), s: (((s, s), 1),)}
-    out = []
+    out, bad_forms = [], []
     for i, j, pm in _basis_pairs(N, r, s):
         aden, row = rows[i]
         diff: dict = {}  # aden times the signed products, minus 8 image
@@ -445,85 +475,49 @@ def _closed_mismatches(rows: list, prods: tuple, r: int, s: int,
             diff[q] = get(q, 0) + (-2 if k >= N else 2) * v
         if any(diff.values()):
             out.append((i, j))
-    return out
-
-
-def _first_product_mismatch(phi: PhiMap, parts: list):
-    """The least basis pair (i, j) with phi(b_i) phi(b_j) != phi(b_i b_j),
-    or None; parts holds (P_r, M_r) per root as operands."""
-    A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
-    rows = [A._product_row(i) for i in range(2 * N)]
-    if isinstance(B, BPlusStructure):
-        pairs = B.pair_products(parts, good := B.rank_one(parts))
-    else:
-        pairs = ((r, dict.fromkeys(range(r, N))) for r in range(N))
-    found, kept = [], []
-    for r, row in pairs:
-        kept.append(set(row))
-        for s, prods in row.items():
-            bad = prods and _closed_mismatches(rows, prods, r, s, B._coeffs,
-                                               good)
-            found += _pair_mismatches(phi, parts, r, s) if bad is None else bad
-    # the pairs left out: B+'s side is 0
-    found += [(i, j) for i, (_, row) in enumerate(rows) for j, e in row.items()
-              if j >= i and max(i % N, j % N) not in kept[min(i % N, j % N)]
-              and phi.image(dict(e))]
-    return min(found, default=None)
-
-
-def _first_form_mismatch(phi: PhiMap, parts: list):
-    """The least basis pair (i, j) with <phi(b_i), phi(b_j)> != <b_i, b_j>,
-    or None: <x, y> = G x . y / fden, G x from B's form rows, summed where
-    a Gram vector of root r meets an operand of a root s >= r (holders);
-    where no form is non-zero a pair fails when A's form row has an entry."""
-    A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
-    frows = [B._form_row(k) for k in range(B.dim)]
-    rows = [A._form_row(i) for i in range(2 * N)]
-    fden = math.lcm(*(d for d, _ in frows))
-    holders = defaultdict(list)  # basis index -> (s, u, coef in parts[s][u])
-    for s, ops in enumerate(parts):
-        for u, x in enumerate(ops):
-            for k, v in x.items():
-                holders[k].append((s, u, v))
-    found, met = [], []
-    for r in range(N):
-        # <P_r, P_s>, <P_r, M_s>, <M_r, P_s>, <M_r, M_s> times fden, per s
-        forms = defaultdict(lambda: [0] * 4)
-        for t, x in enumerate(parts[r]):
-            gram = defaultdict(int)
-            for b, c in x.items():
-                d, nbrs = frows[b]
-                for a, v in nbrs.items():
-                    gram[a] += c * (fden // d) * v
-            for a, g in gram.items():
-                h = holders[a] if g else ()
-                for s, u, v in islice(h, bisect_left(h, (r,)), None):
-                    forms[s][2 * t + u] += g * v
-        met.append(forms := {s: f for s, f in forms.items() if any(f)})
-        for s, f in forms.items():
-            for i, j, signs in _basis_pairs(N, r, s):
-                aden, row = rows[i]
-                if sum(map(mul, signs, f)) * aden != 16 * fden * row.get(j, 0):
-                    found.append((i, j))
-    found += [(i, j) for i, (_, row) in enumerate(rows) for j, v in row.items()
-              if j >= i and v
-              and max(i % N, j % N) not in met[min(i % N, j % N)]]
-    return min(found, default=None)
+        aden, row = frows[i]
+        if sum(map(mul, pm, forms)) * aden != 16 * row.get(j, 0):
+            bad_forms.append((i, j))
+    return out, bad_forms
 
 
 def verify_theorem_3_1(phi: PhiMap) -> tuple:
     """The least basis pair i <= j with phi(b_i) phi(b_j) != phi(b_i b_j),
     the least with <phi(b_i), phi(b_j)> != <b_i, b_j> (None if there is
-    none) and the exact rank of phi.  Both run on P_r = 2 phi(t_r + u_r) =
-    2 a_r^2 and M_r = 4 x_r per root (_basis_pairs).  On B+'s kernel the
-    products of a root pair are read in closed form (pair_products) and
-    compared with phi of A's entries in the coordinates a_r^2, a_s^2,
+    none) and the exact rank of phi, in one pass over the root pairs.  It
+    runs on P_r = 2 phi(t_r + u_r) = 2 a_r^2 and M_r = 4 phi(u_r - t_r) =
+    4 x_r per root (_basis_pairs).  On B+'s kernel the products and forms
+    of a root pair are read in closed form (pair_products) and compared
+    with A's entries, products through phi in the coordinates a_r^2, a_s^2,
     sym(c_r, c_s) and x_q, with no square expanded over S^2; other pairs
-    take the operands' products (_pair_mismatches).  Where the products or
-    forms of B+ are all 0, a pair fails if A's row holds an entry whose
-    image is not 0."""
-    B, N = phi.codomain.alg, phi.domain.rs.N
+    take the operands' products and forms (_pair_mismatches).  Where the
+    products and forms of B+ are all 0, a pair fails if A's product row
+    holds an entry whose image is not 0, or its form row an entry."""
+    A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
     parts = [(B.operand(phi.image({r: 1, N + r: 1})),
               B.operand(phi.image({r: -1, N + r: 1}))) for r in range(N)]
-    return (_first_product_mismatch(phi, parts),
-            _first_form_mismatch(phi, parts), phi.rank())
+    rows = [A._product_row(i) for i in range(2 * N)]
+    frows = [A._form_row(i) for i in range(2 * N)]
+    if isinstance(B, BPlusStructure):
+        pairs = B.pair_products(parts, good := B.rank_one(parts))
+    else:
+        pairs = ((r, dict.fromkeys(range(r, N))) for r in range(N))
+    products, forms, kept = [], [], []
+    for r, row in pairs:
+        kept.append(set(row))
+        for s, closed in row.items():
+            bad = closed and _closed_mismatches(rows, frows, closed, r, s,
+                                                B._coeffs, good)
+            bad = bad or _pair_mismatches(phi, parts, r, s)
+            products += bad[0]
+            forms += bad[1]
+    # the pairs left out: B+'s products and forms are 0
+    for i, ((_, prow), (_, frow)) in enumerate(zip(rows, frows)):
+        for j in prow.keys() | frow.keys():
+            if j >= i and max(i % N, j % N) not in kept[min(i % N, j % N)]:
+                if j in prow and phi.image(dict(prow[j])):
+                    products.append((i, j))
+                if j in frow:
+                    forms.append((i, j))
+    return (min(products, default=None), min(forms, default=None),
+            phi.rank())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .algebra import DecompositionReport, DependentError
-from .bplus import build_bplus, build_phi
+from .bplus import PhiMap, build_bplus
 from .exactlin import f2_span
 from .ratio import Q, ZERO, q_parse, q_str
 from .rootalgebra import build_A, coset_chain_decompose
@@ -100,7 +100,7 @@ def lemma_4_2_subalgebra(entry: NiemeierEntry) -> DecompositionReport:
     ra = build_A(rs)
     dec = coset_chain_decompose(ra)
     bp = build_bplus(rs)
-    phi = build_phi(ra, bp)
+    phi = PhiMap(ra, bp)
     images = [phi.apply(e) for e in dec.idempotents]
     nonzero = [k for k, e in enumerate(images) if not e.is_zero()]
     checks = {"dimension": len(images)}

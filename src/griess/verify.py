@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .bplus import build_bplus, build_phi, verify_theorem_3_1
+from .bplus import PhiMap, build_bplus, verify_theorem_3_1
 from .exactlin import SparseSolver
 from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
                        F2QuadSpace, brute_force_lagrangians,
@@ -22,7 +22,7 @@ from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
 from .ratio import Q, ZERO, q_str
 from .rootalgebra import (build_A, build_T, coset_chain_decompose,
                           default_chains, delta, epsilon, _closed_identity)
-from .rootsys import SimpleType, build, parse_spec, spec_parts
+from .rootsys import SimpleType, build, spec_parts
 
 TARGETS = ("lemma2.1", "prop2.2", "lemma2.3", "lemma2.4", "eq2.5",
            "lemma2.5", "lemma2.6", "thm2.7", "thm3.1", "cor3.2",
@@ -103,6 +103,13 @@ def _all_type_a(components: list[SimpleType]) -> bool:
     return all(c.family == "A" for c in components)
 
 
+def _extends(components: list[SimpleType]) -> str:
+    """What a Section 2 clause adds to its text where a D or E component
+    takes part: the paper states the claim in type A only."""
+    return ("" if _all_type_a(components)
+            else " (extends the paper's type-A statement to D and E)")
+
+
 def _timed(fn):
     def wrapper(*args, **kwargs) -> VerifyReport:
         t0 = time.perf_counter()
@@ -175,17 +182,16 @@ def verify_lemma_2_4(spec: str) -> VerifyReport:
 
 @_timed
 def verify_eq_2_5(spec: str) -> VerifyReport:
-    """c(delta - epsilon) = 2l/(l+3) per type-A component."""
+    """c(delta - epsilon) = 2l/(h+2) summed over the components: the
+    paper's 2l/(l+3) in type A, where h = l + 1."""
     rep = VerifyReport(f"eq2.5 [{spec}]")
     rs = build(resolve(spec))
-    if not _all_type_a(rs.components):
-        raise ValueError("eq2.5 applies to type-A systems only")
     ra = build_A(rs)
     c = (delta(ra) - epsilon(ra)).central_charge()
-    expected = sum((Q(2 * comp.rank, comp.rank + 3)
+    expected = sum((Q(2 * comp.rank, comp.coxeter + 2)
                     for comp in rs.components), ZERO)
-    rep.add(f"c(delta - epsilon) = sum of 2l/(l+3) = {q_str(expected)}",
-            c == expected, q_str(c))
+    rep.add(f"c(delta - epsilon) = sum of 2l/(h+2) = {q_str(expected)}"
+            + _extends(rs.components), c == expected, q_str(c))
     return rep
 
 
@@ -212,7 +218,7 @@ def _chain_steps(components: list) -> list:
 
 
 def _add_charges_clause(rep: VerifyReport, components: list, elements: list,
-                        charges: list):
+                        charges: list, note: str = ""):
     """One clause: the charges of the default chains' idempotents equal
     their closed forms; a failure names the first idempotent that differs,
     its component and its step."""
@@ -228,16 +234,14 @@ def _add_charges_clause(rep: VerifyReport, components: list, elements: list,
                f"charge {q_str(charges[k])} != {q_str(w)}")
     rep.add(f"charges match the closed forms "
             f"({', '.join(q_str(c) for c in charges[:6])}"
-            f"{', ...' if len(charges) > 6 else ''})", bad is None, bad)
+            f"{', ...' if len(charges) > 6 else ''}){note}", bad is None, bad)
 
 
 @_timed
 def verify_lemma_2_5(spec: str) -> VerifyReport:
-    """<eps - eps', eps'> = 0 along each type-A sub-system chain."""
+    """<eps - eps', eps'> = 0 along each component's default chain."""
     rep = VerifyReport(f"lemma2.5 [{spec}]")
     rs = build(resolve(spec))
-    if not _all_type_a(rs.components):
-        raise ValueError("lemma2.5 applies to type-A systems only")
     ra = build_A(rs)
     for ci, (comp, chain) in enumerate(zip(rs.components,
                                            default_chains(rs))):
@@ -252,17 +256,17 @@ def verify_lemma_2_5(spec: str) -> VerifyReport:
                 bad = f"step {i}: smaller identity not absorbed"
                 break
         rep.add(f"component {ci} ({comp}): chain differences orthogonal "
-                "to the smaller identity", bad is None, bad)
+                "to the smaller identity" + _extends([comp]), bad is None,
+                bad)
     return rep
 
 
 @_timed
 def verify_lemma_2_6(spec: str) -> VerifyReport:
-    """c(eps - eps') = 1 - 6/((i+2)(i+3)) along each type-A chain."""
+    """c(eps - eps') = 1 - 6/((i+2)(i+3)) along each component's default
+    chain, and on D and E its last step closes on the whole component."""
     rep = VerifyReport(f"lemma2.6 [{spec}]")
     rs = build(resolve(spec))
-    if not _all_type_a(rs.components):
-        raise ValueError("lemma2.6 applies to type-A systems only")
     ra = build_A(rs)
     for ci, (comp, chain) in enumerate(zip(rs.components,
                                            default_chains(rs))):
@@ -274,7 +278,7 @@ def verify_lemma_2_6(spec: str) -> VerifyReport:
                 bad = f"step {i}: {q_str(c)} != {q_str(expected)}"
                 break
         rep.add(f"component {ci} ({comp}): discrete-series charges along "
-                "the chain", bad is None, bad)
+                "the chain" + _extends([comp]), bad is None, bad)
     return rep
 
 
@@ -283,11 +287,10 @@ def verify_thm_2_7(spec: str) -> VerifyReport:
     """Full chain decomposition: clauses (i)-(iii), charges, associativity."""
     rep = VerifyReport(f"thm2.7 [{spec}]")
     rs = build(resolve(spec))
-    if not _all_type_a(rs.components):
-        raise ValueError("thm2.7 applies to type-A systems only")
     ra = build_A(rs)
     dec = coset_chain_decompose(ra)
-    _add_charges_clause(rep, rs.components, dec.idempotents, dec.charges)
+    _add_charges_clause(rep, rs.components, dec.idempotents, dec.charges,
+                        _extends(rs.components))
     for name in ("sum_to_identity", "pairwise_products", "pairwise_form"):
         rep.add(name.replace("_", " "), dec.checks[name])
     n = len(dec.idempotents)  # all non-zero
@@ -305,7 +308,7 @@ def verify_thm_3_1(spec: str) -> VerifyReport:
     """The map onto the weight-2 algebra: homomorphism, isometry, onto."""
     rep = VerifyReport(f"thm3.1 [{spec}]")
     rs = build(resolve(spec))
-    phi = build_phi(build_A(rs), build_bplus(rs))
+    phi = PhiMap(build_A(rs), build_bplus(rs))
     product_pair, form_pair, rank = verify_theorem_3_1(phi)
     rep.add("algebra homomorphism on all basis pairs", product_pair is None,
             product_pair and "product mismatch at basis pair (%d,%d)"
@@ -360,7 +363,7 @@ def verify_cor_3_2(spec: str) -> VerifyReport:
     dimension, 2N - rank phi: they are equal."""
     rep = VerifyReport(f"cor3.2 [{spec}]")
     rs = build(resolve(spec))
-    phi = build_phi(build_A(rs), build_bplus(rs))
+    phi = PhiMap(build_A(rs), build_bplus(rs))
     if _all_type_a(rs.components):
         rank = phi.rank()
         rep.add(f"bijective: rank {rank} = 2N = dim target",
@@ -436,10 +439,8 @@ def verify_table_2() -> VerifyReport:
 
 def targets_for_spec(spec: str) -> list[str]:
     """Verification targets applicable to one root-system spec."""
-    comps = parse_spec(resolve(spec))
-    out = ["lemma2.1", "prop2.2", "lemma2.3", "lemma2.4"]
-    if _all_type_a(comps):
-        out += ["eq2.5", "lemma2.5", "lemma2.6", "thm2.7"]
+    out = ["lemma2.1", "prop2.2", "lemma2.3", "lemma2.4", "eq2.5",
+           "lemma2.5", "lemma2.6", "thm2.7"]
     # thm3.1 takes 0.6 s on A24 and 2.4 s on D24, but on a direct sum it and
     # cor3.2's type-A clause check that phi is onto B+(Phi), which fails: no
     # t or u maps onto the cross terms h_c h_c' of S^2(H).  The cutoff stays

@@ -1,15 +1,17 @@
-"""Shared cached builders so expensive systems are constructed once, a
+"""Shared cached builders so expensive systems are constructed once, the
+reference encoder that turns tables given as rules into row sources, a
 reference root system built from rational coordinates by definition, and
 dense references by definition: basis forms, the Gram matrix, the matrix of
 phi and its kernel, and a level-by-level reference count of GF(2)
 Lagrangians."""
 
 import itertools
+import math
 from functools import lru_cache
 
 import pytest
 
-from griess.bplus import build_bplus, build_phi
+from griess.bplus import PhiMap, build_bplus
 from griess.exactlin import QMatrix, f2_span
 from griess.ratio import Q, ZERO
 from griess.rootalgebra import build_A, build_T
@@ -38,7 +40,48 @@ def bplus(spec: str):
 
 @lru_cache(maxsize=None)
 def phi(spec: str):
-    return build_phi(algebra_A(spec), bplus(spec))
+    return PhiMap(algebra_A(spec), bplus(spec))
+
+
+def encode_rows(product, form, dim: int) -> tuple:
+    """Row sources (griess.algebra) of a table given as rules, the
+    reference encoder of the tests' small tables.
+
+    product(i) -> {j: {k: value}} gives b_i * b_j = sum_k value b_k and
+    form(i) -> {j: value} gives <b_i, b_j>; values are ints or rationals,
+    and zeros, listed or not, are left out.  Either may instead be a
+    Mapping keyed by (i, j) with i <= j.  Each row is over the lcm of its
+    entries' denominators: a product entry of ints over 1, as it is.
+    """
+    def encode_product(p):
+        p = {k: v for k, v in p.items() if v}
+        if not p or {type(v) for v in p.values()} == {int}:
+            return (tuple(sorted(p.items())), 1) if p else None
+        den = math.lcm(*(v.denominator for v in p.values()))
+        return tuple(sorted((k, int(v * den)) for k, v in p.items())), den
+
+    def encode_value(v):
+        return (v.numerator, v.denominator) if v else None
+
+    def rows(source, encode, rescale):
+        if not callable(source):
+            # a symmetric table keyed by (i, j) with i <= j, grouped in rows
+            table = [{} for _ in range(dim)]
+            for (i, j), v in source.items():
+                table[i][j] = table[j][i] = v
+            source = table.__getitem__
+
+        def row(i):
+            raw = [(j, e) for j, v in sorted(source(i).items())
+                   if (e := encode(v)) is not None]
+            den = math.lcm(*(d for _, (_, d) in raw))
+            return den, {j: e if d == den else rescale(e, den // d)
+                         for j, (e, d) in raw}
+        return row
+
+    return (rows(product, encode_product,
+                 lambda e, f: tuple((k, v * f) for k, v in e)),
+            rows(form, encode_value, lambda v, f: v * f))
 
 
 def dot(x: tuple, y: tuple):

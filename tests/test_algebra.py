@@ -5,28 +5,27 @@ import pytest
 from griess.algebra import StructureAlgebra
 from griess.ratio import Q
 
-from conftest import basis_form, is_idempotent, radical_dimension
+from conftest import basis_form, encode_rows, is_idempotent, radical_dimension
 
 
 def two_dim_split():
     """Q x Q with componentwise product: identity (1,1), orthogonal form."""
-    return StructureAlgebra(
-        ["a", "b"],
+    return StructureAlgebra(["a", "b"], *encode_rows(
         {(0, 0): {0: Q(1)}, (0, 1): {}, (1, 1): {1: Q(1)}},
-        {(0, 0): Q(1), (0, 1): Q(0), (1, 1): Q(1)})
+        {(0, 0): Q(1), (0, 1): Q(0), (1, 1): Q(1)}, 2))
 
 
 def no_identity_algebra():
     """One-dimensional zero multiplication: no identity exists."""
-    return StructureAlgebra(["n"], {(0, 0): {}}, {(0, 0): Q(1)})
+    return StructureAlgebra(["n"], *encode_rows({(0, 0): {}},
+                                                {(0, 0): Q(1)}, 1))
 
 
 def nonassociative_example():
     """a*a=b, a*b=a, b*b=0: (aa)b = bb = 0 but a(ab) = aa = b."""
-    return StructureAlgebra(
-        ["a", "b"],
+    return StructureAlgebra(["a", "b"], *encode_rows(
         {(0, 0): {1: Q(1)}, (0, 1): {0: Q(1)}, (1, 1): {}},
-        {(0, 0): Q(1), (0, 1): Q(0), (1, 1): Q(1)})
+        {(0, 0): Q(1), (0, 1): Q(0), (1, 1): Q(1)}, 2))
 
 
 def set_gram(data: dict, entries: dict):
@@ -112,8 +111,8 @@ class TestSerialization:
                 assert basis_form(back, i, j) == basis_form(alg, i, j)
 
     def test_rationals_as_strings(self):
-        alg = StructureAlgebra(["a"], {(0, 0): {0: Q(1, 3)}},
-                               {(0, 0): Q(7, 2)})
+        alg = StructureAlgebra(["a"], *encode_rows(
+            {(0, 0): {0: Q(1, 3)}}, {(0, 0): Q(7, 2)}, 1))
         data = alg.to_json()
         assert data["products"] == [[0, 0, [[0, "1/3"]]]]
         assert data["gram"] == [["7/2"]]
@@ -192,6 +191,6 @@ class TestRadical:
         assert radical_dimension(two_dim_split()) == 0
 
     def test_degenerate(self):
-        alg = StructureAlgebra(["a", "b"], {},
-                               {(0, 0): Q(1), (0, 1): Q(0), (1, 1): Q(0)})
+        alg = StructureAlgebra(["a", "b"], *encode_rows(
+            {}, {(0, 0): Q(1), (0, 1): Q(0), (1, 1): Q(0)}, 2))
         assert radical_dimension(alg) == 1

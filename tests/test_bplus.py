@@ -1,6 +1,6 @@
 import pytest
 
-from griess.bplus import build_phi, verify_theorem_3_1
+from griess.bplus import PhiMap, verify_theorem_3_1
 from griess.exactlin import QMatrix
 from griess.ratio import Q
 
@@ -69,7 +69,7 @@ class TestPhi:
 
     def test_phi_requires_full_algebra(self):
         with pytest.raises(ValueError):
-            build_phi(algebra_T("A1"), bplus("A1"))
+            PhiMap(algebra_T("A1"), bplus("A1"))
 
     @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4"])
     def test_bijective_type_a(self, spec):

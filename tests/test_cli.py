@@ -58,8 +58,8 @@ class TestRoots:
                                             two_n):
         def never(*args):
             raise AssertionError("components listed before the size guard")
-        for module in ("rootsys", "verify"):
-            monkeypatch.setattr(f"griess.{module}.parse_spec", never)
+        # verify lists components only through rootsys
+        monkeypatch.setattr("griess.rootsys.parse_spec", never)
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -355,8 +355,21 @@ class TestVerify:
                 if not c["passed"]] == [
             "idempotent 1 (component 0 A2, step 2): charge 7/10 != 17/10"]
 
-    def test_type_a_target_on_d4(self, capsys):
-        assert run(["verify", "eq2.5", "--spec", "D4"]) == 2
+    def test_section_2_targets_on_d4(self, capsys):
+        """eq2.5, lemma2.5, lemma2.6 and thm2.7 run and pass on D4, and
+        each clause says that it extends the paper's type-A statement;
+        eq2.5 reads 2l/(h+2) = 1."""
+        note = " (extends the paper's type-A statement to D and E)"
+        for target in ("eq2.5", "lemma2.5", "lemma2.6", "thm2.7"):
+            code, out = run_captured(
+                capsys, ["verify", target, "--spec", "D4", "--json"])
+            assert code == 0
+            [report] = json.loads(out)["reports"]
+            assert report["clauses"][0]["description"].endswith(note)
+        assert report["clauses"][0]["description"].startswith(
+            "charges match the closed forms (1/2, 7/10, 4/5, 1, 1)")
+        code, out = run_captured(capsys, ["verify", "eq2.5", "--spec", "D4"])
+        assert "c(delta - epsilon) = sum of 2l/(h+2) = 1" + note in out
 
     def test_formula41_at_the_largest_dimension(self, capsys):
         code, out = run_captured(

@@ -1,22 +1,23 @@
 """Differential tests: the integer rows that the builders of A, T and B+
 give against the encoding of the paper's rules, as per-pair rules and as
 dict rows, their basis tables against the per-pair rules, from_json on
-tables written in any order against the Mapping path, the integer kernels
-behind element products and forms against the plain bilinear expansion
-over basis pairs, the map of Theorem 3.1 against the sum of its scaled
-basis images, the associativity check on structure constants against the
-triple products of elements, the identity solve against one dense solve of
-the whole system, the JSON form against recorded bytes and its own
-reading, and the identity certificates of the chain decomposition against
-the pairwise products and forms of its idempotents and the exhaustive
-associativity check.  The check of Theorem 3.1, on closed-form products
-per root pair, is compared with the per-pair products of the images, also
-on the root pairs it leaves out, whose kernel products are checked to be
-0; its closed forms are compared with the kernel's products,
-and cor3.2's P-block radical and sparse radical with the dense kernel and
-radical, also on broken inputs.  B+'s element products, which run on the S^2(H) kernel, are
-compared with its compiled rows on basis pairs, dense elements and chain
-images."""
+tables written in any order against the reference encoder, the integer
+kernels behind element products and forms against the plain bilinear
+expansion over basis pairs, the map of Theorem 3.1 against the sum of its
+scaled basis images, the associativity check on structure constants
+against the triple products of elements, the identity solve against one
+dense solve of the whole system, the JSON form against recorded bytes and
+its own reading, and the identity certificates of the chain decomposition
+against the pairwise products and forms of its idempotents and the
+exhaustive associativity check.  The check of Theorem 3.1, on closed-form
+products and forms per root pair, is compared with the per-pair products
+and forms of the images, also on the root pairs it leaves out, whose
+kernel products are checked to be 0; its closed forms are compared with
+the kernel's products and forms, and cor3.2's P-block radical and sparse
+radical with the dense kernel and radical, also on broken inputs.  B+'s
+element products and forms, which run on the S^2(H) kernel, are compared
+with its compiled product rows and the reference form rule on basis
+pairs, dense elements and chain images."""
 
 import gc
 import hashlib
@@ -30,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from griess import rootalgebra
-from griess.algebra import StructureAlgebra, encode_rows
+from griess.algebra import StructureAlgebra
 from griess import bplus as bplus_module, verify
 from griess.bplus import (BPlusAlgebra, BPlusStructure, PhiMap, build_bplus,
                           verify_theorem_3_1)
@@ -43,8 +44,8 @@ from griess.rootalgebra import (RootAlgebra, build_A, build_T,
 from griess.rootsys import build
 
 from conftest import (algebra_A, algebra_T, basis_form, bplus, dot,
-                      gram_matrix, is_idempotent, phi, phi_kernel_basis,
-                      phi_matrix, reference, system)
+                      encode_rows, gram_matrix, is_idempotent, phi,
+                      phi_kernel_basis, phi_matrix, reference, system)
 
 SPECS = ("A1", "A2", "A3", "D4", "A1^2", "A2+A1")
 KINDS = {"A": lambda spec: algebra_A(spec).alg,
@@ -358,16 +359,15 @@ def scrambled(draw, table):
 @settings(max_examples=80, deadline=None)
 def test_from_json_matches_the_mapping_path(data, table):
     """from_json on a non-canonical table (mixed denominators from
-    json_tables) builds the rows that StructureAlgebra builds from the
-    same table as Mappings keyed by (i, j), i <= j."""
+    json_tables) builds the rows that the reference encoder builds from
+    the same table as Mappings keyed by (i, j), i <= j."""
     alg = StructureAlgebra.from_json(data.draw(scrambled(table)))
     dim = len(table["basis"])
-    ref = StructureAlgebra(
-        table["basis"],
+    ref = StructureAlgebra(table["basis"], *encode_rows(
         {(i, j): {k: q_parse(v) for k, v in terms}
          for i, j, terms in table["products"]},
         {(i, j): q_parse(table["gram"][i][j])
-         for i in range(dim) for j in range(i, dim)})
+         for i in range(dim) for j in range(i, dim)}, dim))
     for i in range(dim):
         assert alg._product_row(i) == ref._product_row(i)
         assert list(alg._product_row(i)[1]) == list(ref._product_row(i)[1])
@@ -507,7 +507,8 @@ def unital_tables(draw):
                         out[k] = out.get(k, 0) + x * y * z
             coords = in_new_basis(out)
             table[a, b] = {k: v for k, v in enumerate(coords) if v}
-    return StructureAlgebra([f"f{a}" for a in range(n + 1)], table, {})
+    return StructureAlgebra([f"f{a}" for a in range(n + 1)],
+                            *encode_rows(table, {}, n + 1))
 
 
 @given(table=json_tables())
@@ -629,10 +630,9 @@ def test_associative_span_matches_direct(inputs):
 
 def truncated_polynomials():
     """Q[x]/(x^3) on 1, x, x^2: commutative and associative."""
-    return StructureAlgebra(
-        ["1", "x", "x2"],
+    return StructureAlgebra(["1", "x", "x2"], *encode_rows(
         {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 1): {2: 1}},
-        {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+        {(0, 0): 1, (1, 1): 1, (2, 2): 1}, 3))
 
 
 @pytest.mark.parametrize("make,expected", [
@@ -656,8 +656,8 @@ def test_associative_span_coordinate_path(make, expected, monkeypatch):
 def test_associative_span_one_sided_triple():
     """x x = z, z y = w and x y = 0: (x x) y = w but x (x y) = 0, a triple
     where only the left side has a term."""
-    alg = StructureAlgebra(["x", "y", "z", "w"],
-                           {(0, 0): {2: 1}, (1, 2): {3: 1}}, {})
+    alg = StructureAlgebra(["x", "y", "z", "w"], *encode_rows(
+        {(0, 0): {2: 1}, (1, 2): {3: 1}}, {}, 4))
     assert same_verdict(alg, [alg.basis_element(i) for i in range(4)]) is False
 
 
@@ -855,7 +855,7 @@ def test_theorem_3_1_keeps_the_non_orthogonal_pairs(spec):
 
 def with_phi(monkeypatch, p):
     """verify's targets run on phi p instead of the one they build."""
-    monkeypatch.setattr(verify, "build_phi", lambda ra, bp: p)
+    monkeypatch.setattr(verify, "PhiMap", lambda ra, bp: p)
     return p.domain.rs.spec_string()
 
 
@@ -950,24 +950,23 @@ def broken_phi(spec, what):
             nbrs[0].append((orthogonal_pair(spec)[1], 0))
         roots = SimpleNamespace(simple_coeffs=rs.simple_coeffs,
                                 neighbours=nbrs)
-        alg = BPlusStructure(bp.alg.basis_labels, bp.alg._product_fn,
-                             bp.alg._form_fn, roots, S, pcol, sq)
-        return PhiMap(build_A(rs), BPlusAlgebra(rs, alg, bp.sym_index,
-                                                bp.num_sym, bp._sq))
+        alg = BPlusStructure(bp.alg.basis_labels, bp.alg._product_fn, roots,
+                             S, pcol, sq)
+        return PhiMap(build_A(rs), BPlusAlgebra(rs, alg, bp.num_sym, bp._sq))
     if what == "B+ product":
         # s(0,0) s(0,1): one S^2 S^2 structure constant, both orderings
-        i, j = bp.sym_index[0, 0], bp.sym_index[0, 1]
+        i, j = bp.alg._idx[0][0], bp.alg._idx[0][1]
         product = with_changed_entry(
             as_dicts(bp.alg._product_fn), i, j,
             plus_basis(min(bp.alg.basis_product(i, j))))
         alg = StructureAlgebra(bp.alg.basis_labels,
                                encode_rows(product, {}, bp.dim)[0],
                                bp.alg._form_fn)
-        bp = BPlusAlgebra(rs, alg, bp.sym_index, bp.num_sym, bp._sq)
+        bp = BPlusAlgebra(rs, alg, bp.num_sym, bp._sq)
     else:  # "alpha^2": one coefficient of the last root's square
         sq = [dict(q) for q in bp._sq]
         sq[-1][min(sq[-1])] += 1
-        bp = BPlusAlgebra(rs, bp.alg, bp.sym_index, bp.num_sym, sq)
+        bp = BPlusAlgebra(rs, bp.alg, bp.num_sym, sq)
     return PhiMap(build_A(rs), bp)
 
 
@@ -976,11 +975,13 @@ def broken_phi(spec, what):
 @pytest.mark.parametrize("spec", ["A3", "D4"])
 def test_broken_inputs_fail_like_direct(spec, what):
     """"B+ product" changes only the row source of a plain
-    StructureAlgebra; "kernel Cartan" changes only what B+'s product kernel
-    reads."""
+    StructureAlgebra; "kernel Cartan" changes only what B+'s kernel reads,
+    so its products and forms alike."""
     rep = verify_theorem_3_1(broken_phi(spec, what))
     assert rep != (None, None, bplus(spec).dim)
     assert rep == direct_theorem_3_1(broken_phi(spec, what))
+    if what == "kernel Cartan":
+        assert None not in rep[:2]
 
 
 @pytest.mark.parametrize("what", ["B+ product", "kernel Cartan",
@@ -1032,15 +1033,17 @@ def test_left_out_pairs_have_zero_products(spec, what):
 def over_basis(p, coords: dict) -> dict:
     """Products in the coordinates of pair_products over the basis of B+:
     (a, b) is sym(c_a, c_b) over S^2 and q is x_q."""
-    index, coeffs = p.codomain.sym_index, p.domain.rs.simple_coeffs
+    idx, coeffs = p.codomain.alg._idx, p.domain.rs.simple_coeffs
     out = Counter()
     for key, v in coords.items():
         if isinstance(key, int):
             out[p.codomain.num_sym + key] += v
             continue
         x, y = (coeffs[k] for k in key)
-        for (i, j), k in index.items():
-            out[k] += v * (x[i] * y[j] + (x[j] * y[i] if i < j else 0))
+        for i, row in enumerate(idx):
+            for j in range(i, len(row)):
+                out[row[j]] += v * (x[i] * y[j] + (x[j] * y[i] if i < j
+                                                   else 0))
     return {k: v for k, v in out.items() if v}
 
 
@@ -1049,26 +1052,34 @@ def over_basis(p, coords: dict) -> dict:
                                   "kernel neighbours"])
 @pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A3+D4"])
 def test_closed_form_products_are_the_kernels(spec, what):
-    """The four products pair_products gives in closed form for each kept
-    pair, read over the basis of B+, are bilinear's products of the
-    operands, also with the kernel's Cartan matrix, its pairings or a
-    neighbour list changed."""
+    """The four products and four forms pair_products gives in closed form
+    for each kept pair, the products read over the basis of B+, are
+    bilinear's products and forms of the operands, also with the kernel's
+    Cartan matrix, its pairings or a neighbour list changed."""
     p = phi(spec) if what is None else broken_phi(spec, what)
     B, parts = p.codomain.alg, root_operands(p)
     for r, row in enumerate(pair_products(p)):
-        for s, prods in row.items():
+        for s, (prods, forms) in row.items():
             want = [B.bilinear(x, y)[0] for x in parts[r] for y in parts[s]]
             assert [over_basis(p, c) for c in prods] == [
                 {k: v for k, v in w.items() if v} for w in want], (r, s)
+            assert list(forms) == [Q(*B.bilinear(x, y, True))
+                                   for x in parts[r] for y in parts[s]]
 
 
 @pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A2^12", "A3+D4"])
 def test_closed_form_decides_every_kept_pair(spec, monkeypatch):
-    """On a true phi no root pair takes the kernel's products."""
+    """On a true phi no root pair takes the kernel's products and forms,
+    and no form row of B+ is read."""
     def fallback(phi, parts, r, s):
         raise AssertionError(f"root pair ({r}, {s}) took the kernel")
+
+    def form_row(i):
+        raise AssertionError(f"form row {i} of B+ read")
+    p = phi(spec)
     monkeypatch.setattr(bplus_module, "_pair_mismatches", fallback)
-    assert verify_theorem_3_1(phi(spec))[:2] == (None, None)
+    monkeypatch.setattr(p.codomain.alg, "_form_row", form_row)
+    assert verify_theorem_3_1(p)[:2] == (None, None)
 
 
 def test_entry_on_a_fourth_root_takes_the_kernel(monkeypatch):
@@ -1281,16 +1292,21 @@ def rows_product(x, y):
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "D4", "D5",
                                   "E6", "A2+A1", "A1^3"])
 def test_kernel_matches_rows_on_basis_pairs(spec):
+    """Products against the compiled rows, forms against the reference
+    rule <ab, cd> = (a,c)(b,d) + (a,d)(b,c), <x_r, x_s> = 2 [r = s]."""
     alg = bplus(spec).alg
+    form = bplus_rules(system(spec))[1]
     for i in range(alg.dim):
         for j in range(i, alg.dim):
-            got = alg.basis_element(i) * alg.basis_element(j)
-            assert got.coeffs == alg.basis_product(i, j), (i, j)
+            x, y = alg.basis_element(i), alg.basis_element(j)
+            assert (x * y).coeffs == alg.basis_product(i, j), (i, j)
+            assert x.form(y) == form(i, j), (i, j)
 
 
 @pytest.mark.parametrize("spec", ["A6", "D5", "E6"])
 def test_kernel_matches_rows_on_dense_elements(spec):
     alg = bplus(spec).alg
+    form = bplus_rules(system(spec))[1]
     rng = random.Random(spec)
 
     def dense():
@@ -1300,6 +1316,8 @@ def test_kernel_matches_rows_on_dense_elements(spec):
         x, y = dense(), dense()
         assert (x * y).coeffs == rows_product(x, y)
         assert (x * x).coeffs == rows_product(x, x)
+        assert x.form(y) == expand_form(x, y, form)
+        assert x.form(x) == expand_form(x, x, form)
 
 
 @pytest.mark.parametrize("name", ["A3^8", "A6^4"])
