@@ -13,7 +13,7 @@ construction to JSON.  A row source is a callable giving row i as
 with den > 0, j and k increasing and no zero numerators.  The algebras of
 the paper write their rows in this form directly: A and T the structure
 constants 8, 1 and -1 over 1 and the form values 4 and 1/2 over 2, B+ its
-product rules over 1 and its form rows from its kernel; from_json reads a
+product rules over 1 and the forms of its kernel over 2; from_json reads a
 table into it.  Each row is read once, when an element first needs it,
 and keeps its entry for j from row j if that was read first over the same
 denominator, so the two rows of a pair share one entry.

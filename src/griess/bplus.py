@@ -148,11 +148,10 @@ class BPlusStructure(StructureAlgebra):
         return x
 
     def _gram_row(self, i: int) -> tuple:
-        """Form row i: <b_i, b_j> by the form's trace (module docstring),
-        2 <X, s(c, d)> = M_cd + M_dc with M = S X'S, whose rows c sum the
-        rows b of X'S times S_cb, and 2 <X, x_r> = 4 x_r; over denominator
-        1 unless some entry is odd, as it can be for an S that is not
-        symmetric."""
+        """Form row i over denominator 2, by the form's trace (module
+        docstring): 2 <X, s(c, d)> = M_cd + M_dc with M = S X'S, whose rows
+        c sum the rows b of X'S times S_cb, and 2 <X, x_r> = 4 x_r.  An S
+        that is not symmetric can make M_cd + M_dc odd."""
         x, l, idx = self._parts({i: 1}), self._l, self._idx
         g = defaultdict(int)  # 2 <b_i, b_j>
         for b, row in x.srows.items():
@@ -161,8 +160,7 @@ class BPlusStructure(StructureAlgebra):
                 for d in compress(range(l), row):
                     g[ic[d]] += s * row[d] * (1 + (c == d))
         g.update((self.ns + r, 4 * v) for r, v in x.xs.items())
-        den = 1 + any(v % 2 for v in g.values())
-        return den, {k: g[k] * den // 2 for k in sorted(g) if g[k]}
+        return 2, {k: g[k] for k in sorted(g) if g[k]}
 
     def _q(self, x: _Operand, r: int) -> int:
         """q_X(r) = p_r^T X' p_r, memoized on x, where (X' p_r)_a is row a
@@ -419,14 +417,11 @@ def _pair_mismatches(phi: PhiMap, parts: list, r: int, s: int) -> tuple:
     """The basis pairs of roots r <= s with phi(b_i) phi(b_j) !=
     phi(b_i b_j), from B's products of parts[r] and parts[s]: diff =
     16 aden pden (phi(b_i) phi(b_j) - image / (2 aden)); and those with
-    16 <phi(b_i), phi(b_j)> != 16 <b_i, b_j>, from B's forms of them over
-    fden."""
+    16 <phi(b_i), phi(b_j)> != 16 <b_i, b_j>, from B's forms of them."""
     A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
     prods = [B.bilinear(a, b) for a in parts[r] for b in parts[s]]
-    forms = [B.bilinear(a, b, True) for a in parts[r] for b in parts[s]]
+    forms = [Q(*B.bilinear(a, b, True)) for a in parts[r] for b in parts[s]]
     pden = math.lcm(*(d for _, d in prods))
-    fden = math.lcm(*(d for _, d in forms))
-    forms = [v * (fden // d) for v, d in forms]
     out, bad_forms = [], []
     for i, j, signs in _basis_pairs(N, r, s):
         aden, row = A._product_row(i)
@@ -438,7 +433,7 @@ def _pair_mismatches(phi: PhiMap, parts: list, r: int, s: int) -> tuple:
         if any(diff.values()):
             out.append((i, j))
         aden, row = A._form_row(i)
-        if sum(map(mul, signs, forms)) * aden != 16 * fden * row.get(j, 0):
+        if sum(map(mul, signs, forms)) != 16 * Q(row.get(j, 0), aden):
             bad_forms.append((i, j))
     return out, bad_forms
 
