@@ -51,12 +51,12 @@ def encode_rows(product, form, dim: int) -> tuple:
     form(i) -> {j: value} gives <b_i, b_j>; values are ints or rationals,
     and zeros, listed or not, are left out.  Either may instead be a
     Mapping keyed by (i, j) with i <= j.  Each row is over the lcm of its
-    entries' denominators: a product entry of ints over 1, as it is.
+    entries' denominators.
     """
     def encode_product(p):
         p = {k: v for k, v in p.items() if v}
-        if not p or {type(v) for v in p.values()} == {int}:
-            return (tuple(sorted(p.items())), 1) if p else None
+        if not p:
+            return None
         den = math.lcm(*(v.denominator for v in p.values()))
         return tuple(sorted((k, int(v * den)) for k, v in p.items())), den
 
