@@ -555,12 +555,6 @@ class AlgebraElement:
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, {i: -c for i, c in self.coeffs.items()})
 
-    def scale(self, s) -> "AlgebraElement":
-        s = Q(s)
-        if s == 0:
-            return self.algebra.zero()
-        return AlgebraElement(self.algebra, {i: c * s for i, c in self.coeffs.items()})
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Bilinear extension of the structure constants."""
         out, den = self._bilinear(other, form=False)

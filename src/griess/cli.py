@@ -12,13 +12,10 @@ import json
 import os
 import sys
 
-from .bplus import build_bplus
 from .niemeier import catalog, catalog_entry, lemma_4_2_subalgebra
 from .ratio import q_str
-from .rootalgebra import (build_A, build_T, coset_chain_decompose,
-                          generalized_chain_decompose)
-from .rootsys import build
-from .verify import check_size, run_target, TARGETS
+from .rootalgebra import coset_chain_decompose, generalized_chain_decompose
+from .verify import System, run_target, TARGETS
 
 
 def _parse_chain(text: str) -> list[list[int]]:
@@ -38,8 +35,7 @@ def _emit(args, payload: dict, text: str):
 
 
 def _cmd_roots(args) -> int:
-    check_size(args.spec, args.force)
-    rs = build(args.spec)
+    rs = System(args.spec, args.force).rs
     payload = {
         "spec": rs.spec_string(),
         "components": [str(c) for c in rs.components],
@@ -60,45 +56,25 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_algebra(args) -> int:
-    check_size(args.spec, args.force)
-    rs = build(args.spec)
-    if args.kind == "A":
-        alg = build_A(rs).alg
-    elif args.kind == "T":
-        alg = build_T(rs).alg
-    else:
-        alg = build_bplus(rs).alg
+    system = System(args.spec, args.force)
+    alg = getattr(system, args.kind).alg
     data = alg.to_json()
-    if args.json or args.dump_json:
+    if args.json:
         print(json.dumps(data))
     else:
-        print(f"{args.kind}({rs.spec_string()}): dimension {alg.dim}, "
-              f"{len(data['products'])} nonzero basis products")
-    return 0
-
-
-def _cmd_bplus(args) -> int:
-    check_size(args.spec, args.force)
-    rs = build(args.spec)
-    bp = build_bplus(rs)
-    if args.dump_json or args.json:
-        print(json.dumps(bp.alg.to_json()))
-    else:
-        print(f"B+({rs.spec_string()}): dimension {bp.dim} "
-              f"= l(l+1)/2 + N = {rs.l * (rs.l + 1) // 2} + {rs.N}")
+        print(f"{args.kind}({system.rs.spec_string()}): dimension "
+              f"{alg.dim}, {len(data['products'])} nonzero basis products")
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    check_size(args.spec, args.force)
+    system = System(args.spec, args.force)
     chain = None if args.chain is None else _parse_chain(args.chain)
-    rs = build(args.spec)
-    ra = build_A(rs)
-    rep = (coset_chain_decompose(ra) if chain is None
-           else generalized_chain_decompose(ra, chain))
+    rep = (coset_chain_decompose(system.A) if chain is None
+           else generalized_chain_decompose(system.A, chain))
     payload = rep.to_json()
     text = "\n".join(
-        [f"decomposition of the identity of A({rs.spec_string()}):",
+        [f"decomposition of the identity of A({system.rs.spec_string()}):",
          f"  chain    {rep.chain_description}",
          f"  charges  {', '.join(q_str(c) for c in rep.charges)}",
          f"  checks   {rep.checks}"])
@@ -160,7 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run even when 2N exceeds the size guard")
 
     sp = sub.add_parser("roots", help="build and print a root system")
-    sp.add_argument("spec", help='e.g. "A2", "D4", "A1^24", "A2*12+E6"')
+    sp.add_argument("spec", help='e.g. "A2", "D4", "A1^24", "A2*12+E6", '
+                    'or a catalog name such as "A5^4D4"')
     sp.add_argument("--list-roots", action="store_true")
     common(sp)
     sp.set_defaults(fn=_cmd_roots)
@@ -168,15 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("algebra", help="build an algebra and dump JSON")
     sp.add_argument("spec")
     sp.add_argument("--kind", choices=("A", "T", "bplus"), default="A")
-    sp.add_argument("--dump-json", action="store_true")
     common(sp)
     sp.set_defaults(fn=_cmd_algebra)
-
-    sp = sub.add_parser("bplus", help="build the weight-2 algebra")
-    sp.add_argument("spec")
-    sp.add_argument("--dump-json", action="store_true")
-    common(sp)
-    sp.set_defaults(fn=_cmd_bplus)
 
     sp = sub.add_parser("decompose",
                         help="orthogonal idempotent decomposition")

@@ -17,7 +17,7 @@ from .algebra import DecompositionReport, DependentError
 from .bplus import PhiMap, build_bplus
 from .exactlin import f2_span
 from .ratio import Q, ZERO, q_parse, q_str
-from .rootalgebra import build_A, coset_chain_decompose
+from .rootalgebra import build_A, chain_idempotents
 from .rootsys import RootSystem, parse_spec
 
 CO1_ORDER = 2**21 * 3**9 * 5**4 * 7**2 * 11 * 13 * 23
@@ -98,10 +98,9 @@ def lemma_4_2_subalgebra(entry: NiemeierEntry) -> DecompositionReport:
         raise ValueError("the Leech entry carries no root-system subalgebra")
     rs = entry.root_system()
     ra = build_A(rs)
-    dec = coset_chain_decompose(ra)
     bp = build_bplus(rs)
     phi = PhiMap(ra, bp)
-    images = [phi.apply(e) for e in dec.idempotents]
+    images = [phi.apply(e) for e in chain_idempotents(ra)]
     nonzero = [k for k, e in enumerate(images) if not e.is_zero()]
     checks = {"dimension": len(images)}
     try:

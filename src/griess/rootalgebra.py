@@ -32,14 +32,6 @@ class RootAlgebra:
     def dim(self) -> int:
         return self.alg.dim
 
-    def t(self, i: int) -> AlgebraElement:
-        return self.alg.basis_element(i)
-
-    def u(self, i: int) -> AlgebraElement:
-        if self.t_only:
-            raise ValueError("T(Phi) has no u-block")
-        return self.alg.basis_element(self.rs.N + i)
-
 
 def _make_algebra(rs: RootSystem, t_only: bool) -> StructureAlgebra:
     """A(Phi), or its t-span T(Phi), with rows read from the neighbour
@@ -143,14 +135,21 @@ def _sub_positive_roots(rs: RootSystem, simple_indices: frozenset) -> list[int]:
     return [r for r, s in enumerate(rs.supports) if s <= simple_indices]
 
 
+def _telescope(ra: RootAlgebra, chain: list, top: AlgebraElement,
+               ) -> tuple[list, list]:
+    """The idempotents of one block (simple-root sets S_1 c ... c S_m, its
+    identity delta_c): with eps_k the closed-form identity of T(Phi_k),
+    Phi_k the positive roots on S_k, and eps_0 = 0, (eps_1..eps_m, the
+    e_k = eps_k - eps_(k-1) and the tail delta_c - eps_m, zeros left out)."""
+    eps = [_closed_identity(ra, s) for s in chain]
+    diffs = [b - a for a, b in zip([ra.alg.zero(), *eps], [*eps, top])]
+    return eps, [e for e in diffs if not e.is_zero()]
+
+
 def _chain_decompose(ra: RootAlgebra, blocks: list, desc: str,
                      ) -> DecompositionReport:
-    """Idempotents along nested chains, checked by identity certificates.
-
-    A block is (simple-root sets S_1 c ... c S_m, its identity delta_c),
-    with basis B = supp delta_c.  With eps_k the closed-form identity of
-    T(Phi_k), Phi_k the positive roots on S_k, and eps_0 = 0, it yields
-    e_k = eps_k - eps_(k-1) and the tail delta_c - eps_m, zeros left out.
+    """The idempotents of _telescope per block, checked by identity
+    certificates; B = supp delta_c is the basis of a block.
     pairwise_products checks (a) eps_k t(alpha) = t(alpha) for alpha in
     Phi_k, eps_k in span B; (b) delta_c b = b for b in B; (c) no product or
     form row leaves its block, and blocks are disjoint.  pairwise_form
@@ -177,15 +176,11 @@ def _chain_decompose(ra: RootAlgebra, blocks: list, desc: str,
         seen |= block
         products &= closed and alg.first_unfixed_basis(top, block) is None
         forms &= closed
-        prev, mine = alg.zero(), []
-        for s in chain:
-            eps = _closed_identity(ra, s)
+        eps, mine = _telescope(ra, chain, top)
+        for s, e in zip(chain, eps):
             roots = _sub_positive_roots(ra.rs, s)
-            products &= (eps.coeffs.keys() <= block
-                         and alg.first_unfixed_basis(eps, roots) is None)
-            mine.append(eps - prev)
-            prev = eps
-        mine = [e for e in mine + [top - prev] if not e.is_zero()]
+            products &= (e.coeffs.keys() <= block
+                         and alg.first_unfixed_basis(e, roots) is None)
         gram = alg.form_matrix(mine)
         forms &= all(gram[i][j] == 0 for i in range(len(mine))
                      for j in range(i))
@@ -213,6 +208,19 @@ def default_chains(rs: RootSystem) -> list[list[frozenset]]:
     return out
 
 
+def _default_blocks(ra: RootAlgebra) -> list:
+    """(default chain, component identity) per component."""
+    rs = ra.rs
+    return [(chain, _closed_identity(ra, sl, with_u=True)) for chain, sl
+            in zip(default_chains(rs), rs.component_simple_slices)]
+
+
+def chain_idempotents(ra: RootAlgebra) -> list[AlgebraElement]:
+    """The idempotents of coset_chain_decompose, built without its checks."""
+    return [e for chain, top in _default_blocks(ra)
+            for e in _telescope(ra, chain, top)[1]]
+
+
 def coset_chain_decompose(ra: RootAlgebra) -> DecompositionReport:
     """Decompose the identity along the default chain of every component.
 
@@ -221,16 +229,13 @@ def coset_chain_decompose(ra: RootAlgebra) -> DecompositionReport:
     complement inside the component identity.  Charges are reported;
     verify compares them with their closed forms.
     """
-    rs = ra.rs
-    blocks, descs = [], []
-    for chain, sl, comp in zip(default_chains(rs), rs.component_simple_slices,
-                               rs.components):
-        blocks.append((chain, _closed_identity(ra, sl, with_u=True)))
+    descs = []
+    for comp in ra.rs.components:
         steps = f"A_1 c ... c A_{comp.rank}"
         if comp.family != "A":
             steps = f"A_1 c ... c A_{comp.rank - 1} c {comp}"
         descs.append(f"{comp}: {steps} chain + complement")
-    return _chain_decompose(ra, blocks, "; ".join(descs))
+    return _chain_decompose(ra, _default_blocks(ra), "; ".join(descs))
 
 
 def generalized_chain_decompose(ra: RootAlgebra,

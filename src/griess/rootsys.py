@@ -6,7 +6,7 @@ arithmetic.  Coordinate models: A_l lives in Z^(l+1) with roots e_i - e_j;
 D_l in Z^l with roots +-e_i +- e_j; E_8 uses the even coordinate model; E_7
 and E_6 are the sub-systems of E_8 spanned by the first 7 / 6 Bourbaki
 simple roots.  Components of a direct sum occupy orthogonal ambient blocks.
-positive_roots and simple_roots are lazy rational views, r = (2r) / 2.
+positive_roots is a lazy rational view, r = (2r) / 2.
 
 Positive roots are ordered component-major, then lexicographically by
 coefficient vector in the simple-root basis.
@@ -179,9 +179,8 @@ class RootSystem:
         self.l = sum(c.rank for c in components)
         self.doubled_roots: list[tuple[int, ...]] = []
         self.doubled_simple_roots: list[tuple[int, ...]] = []
-        # per positive root: component index and coefficient vector over the
-        # global simple-root list (integers; zero outside the component)
-        self.component_of: list[int] = []
+        # per positive root: coefficient vector over the global simple-root
+        # list (integers; zero outside the component)
         self.simple_coeffs: list[tuple[int, ...]] = []
         self.neighbours: list[list[tuple[int, int]]] = []
         self.component_root_slices: list[range] = []
@@ -191,7 +190,7 @@ class RootSystem:
         local = {comp: _component(comp) for comp in set(components)}
         dim = sum(len(local[comp][0][0]) for comp in components)
         offset = simple_offset = root_offset = 0
-        for ci, comp in enumerate(components):
+        for comp in components:
             simple, decorated, nbrs = local[comp]
             d, rank, n = len(simple[0]), len(simple), len(decorated)
             pad, tail = (0,) * offset, (0,) * (dim - offset - d)
@@ -205,7 +204,6 @@ class RootSystem:
             for coeffs, r in decorated:
                 self.doubled_roots.append(pad + r + tail)
                 self.simple_coeffs.append(cpad + coeffs + ctail)
-            self.component_of += [ci] * n
             self.neighbours += [[(j + root_offset, g + root_offset)
                                  for j, g in row] for row in nbrs]
             offset += d
@@ -231,12 +229,8 @@ class RootSystem:
     @functools.cached_property
     def positive_roots(self) -> list[tuple]:
         """The positive roots as rational coordinates."""
-        return _halved(self.doubled_roots)
-
-    @functools.cached_property
-    def simple_roots(self) -> list[tuple]:
-        """The simple roots as rational coordinates."""
-        return _halved(self.doubled_simple_roots)
+        half = {c: Q(c, 2) for c in range(-2, 3)}
+        return [tuple(half[c] for c in r) for r in self.doubled_roots]
 
     # -- queries -----------------------------------------------------------
 
@@ -249,11 +243,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.spec_string()}, N={self.N})"
-
-
-def _halved(vectors: list[tuple[int, ...]]) -> list[tuple]:
-    half = {c: Q(c, 2) for c in range(-2, 3)}
-    return [tuple(half[c] for c in v) for v in vectors]
 
 
 _COMP_RE = re.compile(r"^([ADE])(\d+)(?:[\^*](\d+))?$")

@@ -4,6 +4,16 @@ Each target re-derives a claimed identity from scratch on a chosen root
 system and records one clause per checked statement.  Clauses carry the
 first counterexample when they fail; a report passes iff every clause
 does.
+
+A spec target is a clause writer fn(system, report) in WRITERS; the three
+spec-free targets take the max dimension in place of the system.  A
+System holds what the targets and the CLI build from one spec: it resolves
+a catalog name, runs the size guard before anything is built, and builds
+the root system, A(Phi), T(Phi), B+ and phi each once, on first use.
+run_target alone creates, names and times the reports.  `all` makes one
+System per spec for every target run on it, so a report's elapsed time
+leaves out what an earlier target on the same spec built; lemma4.2 builds
+its own entry system.
 """
 
 from __future__ import annotations
@@ -24,13 +34,11 @@ from .rootalgebra import (build_A, build_T, coset_chain_decompose,
                           default_chains, delta, epsilon, _closed_identity)
 from .rootsys import SimpleType, build, spec_parts
 
-TARGETS = ("lemma2.1", "prop2.2", "lemma2.3", "lemma2.4", "eq2.5",
-           "lemma2.5", "lemma2.6", "thm2.7", "thm3.1", "cor3.2",
-           "lemma4.2", "formula4.1", "table1", "table2", "all")
-
 DEFAULT_SPECS = ("A1", "A2", "A3", "D4", "E6", "A1^24", "A2^12", "A24")
 
 SIZE_GUARD = 1600  # specs with 2N beyond this need an explicit override
+
+SPEC_FREE = ("formula4.1", "table1", "table2")
 
 
 @dataclass
@@ -99,6 +107,35 @@ def check_max_dim(max_dim: int):
                          "the limit of the GF(2) brute force")
 
 
+class System:
+    """The objects of one spec, or catalog name, built once each on first
+    use; the size guard runs when the System is made, before any build."""
+
+    def __init__(self, spec: str, force: bool = False):
+        self.name = spec
+        check_size(spec, force)
+
+    @functools.cached_property
+    def rs(self):
+        return build(resolve(self.name))
+
+    @functools.cached_property
+    def A(self):
+        return build_A(self.rs)
+
+    @functools.cached_property
+    def T(self):
+        return build_T(self.rs)
+
+    @functools.cached_property
+    def bplus(self):
+        return build_bplus(self.rs)
+
+    @functools.cached_property
+    def phi(self):
+        return PhiMap(self.A, self.bplus)
+
+
 def _all_type_a(components: list[SimpleType]) -> bool:
     return all(c.family == "A" for c in components)
 
@@ -110,21 +147,10 @@ def _extends(components: list[SimpleType]) -> str:
             else " (extends the paper's type-A statement to D and E)")
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> VerifyReport:
-        t0 = time.perf_counter()
-        rep = fn(*args, **kwargs)
-        rep.elapsed = time.perf_counter() - t0
-        return rep
-    return wrapper
-
-
-@_timed
-def verify_lemma_2_1(spec: str) -> VerifyReport:
+def _lemma_2_1(s: System, rep: VerifyReport):
     """|Delta_1(alpha)| = 2h - 4 for every positive root, read from the
     neighbour lists of the root system."""
-    rep = VerifyReport(f"lemma2.1 [{spec}]")
-    rs = build(resolve(spec))
+    rs = s.rs
     for ci, comp in enumerate(rs.components):
         h = comp.coxeter
         sl = rs.component_root_slices[ci]
@@ -133,14 +159,11 @@ def verify_lemma_2_1(spec: str) -> VerifyReport:
                     if len(rs.neighbours[i]) != 2 * h - 4), None)
         rep.add(f"component {comp}: |Delta_1(alpha)| = 2h-4 = {2 * h - 4} "
                 f"for all {len(sl)} roots", bad is None, bad)
-    return rep
 
 
-@_timed
-def verify_prop_2_2(spec: str) -> VerifyReport:
+def _prop_2_2(s: System, rep: VerifyReport):
     """The closed-form delta is the identity found by the exact solver."""
-    rep = VerifyReport(f"prop2.2 [{spec}]")
-    ra = build_A(build(resolve(spec)))
+    ra = s.A
     d = delta(ra)
     solved = ra.alg.find_identity()
     rep.add("the algebra has an identity (exact solve)", solved is not None)
@@ -149,50 +172,38 @@ def verify_prop_2_2(spec: str) -> VerifyReport:
     bad = ra.alg.first_unfixed_basis(d)
     rep.add("delta acts as identity on every basis vector", bad is None,
             None if bad is None else f"basis index {bad}")
-    return rep
 
 
-@_timed
-def verify_lemma_2_3(spec: str) -> VerifyReport:
+def _lemma_2_3(s: System, rep: VerifyReport):
     """The closed-form epsilon is the identity of the t-span."""
-    rep = VerifyReport(f"lemma2.3 [{spec}]")
-    rt = build_T(build(resolve(spec)))
-    e = epsilon(rt)
-    solved = rt.alg.find_identity()
+    e = epsilon(s.T)
+    solved = s.T.alg.find_identity()
     rep.add("the t-span has an identity (exact solve)", solved is not None)
     rep.add("closed form equals the solved identity", e == solved,
             None if e == solved else f"epsilon {e!r} vs solver {solved!r}")
-    return rep
 
 
-@_timed
-def verify_lemma_2_4(spec: str) -> VerifyReport:
+def _lemma_2_4(s: System, rep: VerifyReport):
     """c(delta) = l and c(epsilon) = lh/(h+2), summed over components."""
-    rep = VerifyReport(f"lemma2.4 [{spec}]")
-    rs = build(resolve(spec))
-    cd = delta(build_A(rs)).central_charge()
+    rs = s.rs
+    cd = delta(s.A).central_charge()
     rep.add(f"c(delta) = l = {rs.l}", cd == rs.l, q_str(cd))
-    ce = epsilon(build_T(rs)).central_charge()
+    ce = epsilon(s.T).central_charge()
     expected = sum((Q(c.rank * c.coxeter, c.coxeter + 2)
                     for c in rs.components), ZERO)
     rep.add(f"c(epsilon) = sum of lh/(h+2) = {q_str(expected)}",
             ce == expected, q_str(ce))
-    return rep
 
 
-@_timed
-def verify_eq_2_5(spec: str) -> VerifyReport:
+def _eq_2_5(s: System, rep: VerifyReport):
     """c(delta - epsilon) = 2l/(h+2) summed over the components: the
     paper's 2l/(l+3) in type A, where h = l + 1."""
-    rep = VerifyReport(f"eq2.5 [{spec}]")
-    rs = build(resolve(spec))
-    ra = build_A(rs)
-    c = (delta(ra) - epsilon(ra)).central_charge()
+    rs = s.rs
+    c = (delta(s.A) - epsilon(s.A)).central_charge()
     expected = sum((Q(2 * comp.rank, comp.coxeter + 2)
                     for comp in rs.components), ZERO)
     rep.add(f"c(delta - epsilon) = sum of 2l/(h+2) = {q_str(expected)}"
             + _extends(rs.components), c == expected, q_str(c))
-    return rep
 
 
 def closed_charges(comp: SimpleType) -> list:
@@ -237,15 +248,12 @@ def _add_charges_clause(rep: VerifyReport, components: list, elements: list,
             f"{', ...' if len(charges) > 6 else ''}){note}", bad is None, bad)
 
 
-@_timed
-def verify_lemma_2_5(spec: str) -> VerifyReport:
+def _lemma_2_5(s: System, rep: VerifyReport):
     """<eps - eps', eps'> = 0 along each component's default chain."""
-    rep = VerifyReport(f"lemma2.5 [{spec}]")
-    rs = build(resolve(spec))
-    ra = build_A(rs)
+    rs = s.rs
     for ci, (comp, chain) in enumerate(zip(rs.components,
                                            default_chains(rs))):
-        eps = [_closed_identity(ra, s) for s in [(), *chain]]
+        eps = [_closed_identity(s.A, c) for c in [(), *chain]]
         bad = None
         for i in range(1, len(eps)):
             v = (eps[i] - eps[i - 1]).form(eps[i - 1])
@@ -258,19 +266,15 @@ def verify_lemma_2_5(spec: str) -> VerifyReport:
         rep.add(f"component {ci} ({comp}): chain differences orthogonal "
                 "to the smaller identity" + _extends([comp]), bad is None,
                 bad)
-    return rep
 
 
-@_timed
-def verify_lemma_2_6(spec: str) -> VerifyReport:
+def _lemma_2_6(s: System, rep: VerifyReport):
     """c(eps - eps') = 1 - 6/((i+2)(i+3)) along each component's default
     chain, and on D and E its last step closes on the whole component."""
-    rep = VerifyReport(f"lemma2.6 [{spec}]")
-    rs = build(resolve(spec))
-    ra = build_A(rs)
+    rs = s.rs
     for ci, (comp, chain) in enumerate(zip(rs.components,
                                            default_chains(rs))):
-        eps = [_closed_identity(ra, s) for s in [(), *chain]]
+        eps = [_closed_identity(s.A, c) for c in [(), *chain]]
         bad = None
         for i, expected in enumerate(closed_charges(comp)[:-1], 1):
             c = (eps[i] - eps[i - 1]).central_charge()
@@ -279,16 +283,12 @@ def verify_lemma_2_6(spec: str) -> VerifyReport:
                 break
         rep.add(f"component {ci} ({comp}): discrete-series charges along "
                 "the chain" + _extends([comp]), bad is None, bad)
-    return rep
 
 
-@_timed
-def verify_thm_2_7(spec: str) -> VerifyReport:
+def _thm_2_7(s: System, rep: VerifyReport):
     """Full chain decomposition: clauses (i)-(iii), charges, associativity."""
-    rep = VerifyReport(f"thm2.7 [{spec}]")
-    rs = build(resolve(spec))
-    ra = build_A(rs)
-    dec = coset_chain_decompose(ra)
+    rs = s.rs
+    dec = coset_chain_decompose(s.A)
     _add_charges_clause(rep, rs.components, dec.idempotents, dec.charges,
                         _extends(rs.components))
     for name in ("sum_to_identity", "pairwise_products", "pairwise_form"):
@@ -300,27 +300,21 @@ def verify_thm_2_7(spec: str) -> VerifyReport:
     total = sum(dec.charges, ZERO)
     rep.add(f"charges sum to c(delta) = l = {rs.l}", total == rs.l,
             q_str(total))
-    return rep
 
 
-@_timed
-def verify_thm_3_1(spec: str) -> VerifyReport:
+def _thm_3_1(s: System, rep: VerifyReport):
     """The map onto the weight-2 algebra: homomorphism, isometry, onto."""
-    rep = VerifyReport(f"thm3.1 [{spec}]")
-    rs = build(resolve(spec))
-    phi = PhiMap(build_A(rs), build_bplus(rs))
-    product_pair, form_pair, rank = verify_theorem_3_1(phi)
+    product_pair, form_pair, rank = verify_theorem_3_1(s.phi)
     rep.add("algebra homomorphism on all basis pairs", product_pair is None,
             product_pair and "product mismatch at basis pair (%d,%d)"
             % product_pair)
     rep.add("isometry on all basis pairs", form_pair is None,
             form_pair and "form mismatch at basis pair (%d,%d)" % form_pair)
-    dim = phi.codomain.dim
+    dim = s.phi.codomain.dim
     rep.add("surjective (exact rank equals target dimension)", rank == dim,
             f"rank {rank} < dim {dim}")
-    rep.add(f"kernel dimension = 2N - dim = {2 * rs.N - dim}",
-            rank == dim, str(2 * rs.N - rank))
-    return rep
+    rep.add(f"kernel dimension = 2N - dim = {2 * s.rs.N - dim}",
+            rank == dim, str(2 * s.rs.N - rank))
 
 
 def _p_block(A, N: int) -> tuple[list, str | None]:
@@ -352,8 +346,7 @@ def _p_block(A, N: int) -> tuple[list, str | None]:
     return block, None
 
 
-@_timed
-def verify_cor_3_2(spec: str) -> VerifyReport:
+def _cor_3_2(s: System, rep: VerifyReport):
     """Type A: bijective.  Otherwise: kernel = radical of the source form.
 
     A's form rows are checked to split into the P and M blocks (_p_block),
@@ -361,22 +354,19 @@ def verify_cor_3_2(spec: str) -> VerifyReport:
     c in the null space of the N x N P block}, fed to one SparseSolver.  Its
     vectors map to 0, so it lies in the kernel, and the two have the same
     dimension, 2N - rank phi: they are equal."""
-    rep = VerifyReport(f"cor3.2 [{spec}]")
-    rs = build(resolve(spec))
-    phi = PhiMap(build_A(rs), build_bplus(rs))
-    if _all_type_a(rs.components):
+    phi, N = s.phi, s.rs.N
+    if _all_type_a(s.rs.components):
         rank = phi.rank()
         rep.add(f"bijective: rank {rank} = 2N = dim target",
-                rank == 2 * rs.N == phi.codomain.dim,
-                f"rank {rank}, 2N {2 * rs.N}, dim {phi.codomain.dim}")
-        return rep
-    N = rs.N
+                rank == 2 * N == phi.codomain.dim,
+                f"rank {rank}, 2N {2 * N}, dim {phi.codomain.dim}")
+        return
     block, bad = _p_block(phi.domain.alg, N)
     rep.add("A's form splits into the P block and a diagonal M block with "
             "no zero on it (P_a = t_a + u_a, M_a = u_a - t_a)", bad is None,
             bad)
     if bad is not None:
-        return rep
+        return
     forms = SparseSolver(N)
     for row in block:
         forms.add_equation(row, 0)
@@ -388,16 +378,14 @@ def verify_cor_3_2(spec: str) -> VerifyReport:
     bad = next((k for k, v in enumerate(radical) if phi.image(v)), None)
     rep.add("phi maps the radical to 0, so kernel = radical", bad is None,
             None if bad is None else f"radical vector {bad} does not map to 0")
-    return rep
 
 
-@_timed
-def verify_lemma_4_2(spec: str) -> VerifyReport:
-    """Associative subalgebra of dimension 24+k for a rank-24 entry."""
-    rep = VerifyReport(f"lemma4.2 [{spec}]")
-    if spec not in _catalog_specs():
-        raise ValueError(f"{spec!r} is not a catalog entry name")
-    entry = catalog_entry(spec)
+def _lemma_4_2(s: System, rep: VerifyReport):
+    """Associative subalgebra of dimension 24+k for a rank-24 entry, on
+    the entry's own root system."""
+    if s.name not in _catalog_specs():
+        raise ValueError(f"{s.name!r} is not a catalog entry name")
+    entry = catalog_entry(s.name)
     sub = lemma_4_2_subalgebra(entry)
     dim = sub.checks["dimension"]
     rep.add(f"dimension 24 + k = {24 + entry.k}", dim == 24 + entry.k,
@@ -410,31 +398,29 @@ def verify_lemma_4_2(spec: str) -> VerifyReport:
         bad = f"idempotent {k}{where} lies in the span of the images before it"
     rep.add("span is associative (exhaustive triples)",
             sub.checks["associative"], bad)
-    return rep
 
 
-@_timed
-def verify_formula_4_1(max_dim: int = 8) -> VerifyReport:
+def _formula_4_1(max_dim: int, rep: VerifyReport):
     """Brute-force Lagrangian counts against the product formula."""
     check_max_dim(max_dim)
-    rep = VerifyReport("formula4.1")
     rep.add("empty product convention: count(0) = 1",
             lagrangian_extension_count(0) == 1)
     for dim in range(2, max_dim + 1, 2):
         got = brute_force_lagrangians(F2QuadSpace(dim))
         want = lagrangian_extension_count(dim // 2)
         rep.add(f"dim {dim}: brute force {got} = formula {want}", got == want)
-    return rep
 
 
-@_timed
-def verify_table_1() -> VerifyReport:
-    return VerifyReport("table1", table1_consistency())
+WRITERS = {
+    "lemma2.1": _lemma_2_1, "prop2.2": _prop_2_2, "lemma2.3": _lemma_2_3,
+    "lemma2.4": _lemma_2_4, "eq2.5": _eq_2_5, "lemma2.5": _lemma_2_5,
+    "lemma2.6": _lemma_2_6, "thm2.7": _thm_2_7, "thm3.1": _thm_3_1,
+    "cor3.2": _cor_3_2, "lemma4.2": _lemma_4_2, "formula4.1": _formula_4_1,
+    "table1": lambda _, rep: rep.clauses.extend(table1_consistency()),
+    "table2": lambda _, rep: rep.clauses.extend(table2_consistency()),
+}
 
-
-@_timed
-def verify_table_2() -> VerifyReport:
-    return VerifyReport("table2", table2_consistency())
+TARGETS = (*WRITERS, "all")
 
 
 def targets_for_spec(spec: str) -> list[str]:
@@ -454,35 +440,28 @@ def targets_for_spec(spec: str) -> list[str]:
 
 def run_target(target: str, spec: str | None = None, *,
                max_dim: int = 8, force: bool = False) -> list[VerifyReport]:
-    """Dispatch one named target; 'all' expands to the applicable set."""
+    """Run one named target; 'all' runs the applicable ones on each spec
+    (default: DEFAULT_SPECS), on one System per spec, then SPEC_FREE."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {TARGETS}")
-    if target == "formula4.1":
-        return [verify_formula_4_1(max_dim)]
-    if target == "table1":
-        return [verify_table_1()]
-    if target == "table2":
-        return [verify_table_2()]
-    if target == "all":
-        check_max_dim(max_dim)
-        reports = []
-        specs = [spec] if spec else list(DEFAULT_SPECS)
-        for s in specs:
-            check_size(s, force)
-            for t in targets_for_spec(s):
-                reports.extend(run_target(t, s, force=force))
-        reports += [verify_formula_4_1(max_dim), verify_table_1(),
-                    verify_table_2()]
-        return reports
-    if spec is None:
-        raise ValueError(f"target {target} needs a root-system spec")
-    check_size(spec, force)
-    fn = {
-        "lemma2.1": verify_lemma_2_1, "prop2.2": verify_prop_2_2,
-        "lemma2.3": verify_lemma_2_3, "lemma2.4": verify_lemma_2_4,
-        "eq2.5": verify_eq_2_5, "lemma2.5": verify_lemma_2_5,
-        "lemma2.6": verify_lemma_2_6, "thm2.7": verify_thm_2_7,
-        "thm3.1": verify_thm_3_1, "cor3.2": verify_cor_3_2,
-        "lemma4.2": verify_lemma_4_2,
-    }[target]
-    return [fn(spec)]
+
+    def report(t: str, arg) -> VerifyReport:
+        """t's report on arg: a System, or max_dim for SPEC_FREE."""
+        rep = VerifyReport(t if t in SPEC_FREE else f"{t} [{arg.name}]")
+        t0 = time.perf_counter()
+        WRITERS[t](arg, rep)
+        rep.elapsed = time.perf_counter() - t0
+        return rep
+
+    if target in SPEC_FREE:
+        return [report(target, max_dim)]
+    if target != "all":
+        if spec is None:
+            raise ValueError(f"target {target} needs a root-system spec")
+        return [report(target, System(spec, force))]
+    check_max_dim(max_dim)
+    reports = []
+    for s in [spec] if spec else DEFAULT_SPECS:
+        system = System(s, force)
+        reports += [report(t, system) for t in targets_for_spec(s)]
+    return reports + [report(t, max_dim) for t in SPEC_FREE]

@@ -91,6 +91,16 @@ def dot(x: tuple, y: tuple):
     return sum((a * b for a, b in zip(x, y)), ZERO)
 
 
+def simple_roots(rs) -> list[tuple]:
+    """rs's simple roots as rational coordinates: its doubled ones halved."""
+    return [tuple(Q(c, 2) for c in a) for a in rs.doubled_simple_roots]
+
+
+def scaled(x, s):
+    """The element s x of x's algebra."""
+    return x.algebra.element({i: c * s for i, c in x.coeffs.items()})
+
+
 def _e(n: int, *entries) -> tuple:
     """The vector of Q^n with the given (position, value) entries."""
     v = [ZERO] * n

@@ -5,7 +5,8 @@ import pytest
 from griess.algebra import StructureAlgebra
 from griess.ratio import Q
 
-from conftest import basis_form, encode_rows, is_idempotent, radical_dimension
+from conftest import (basis_form, encode_rows, is_idempotent,
+                      radical_dimension, scaled)
 
 
 def two_dim_split():
@@ -40,7 +41,7 @@ class TestElements:
         y = alg.element({0: Q(-2)})
         assert (x + y).coeffs == {1: Q(3)}
         assert (x - x).is_zero()
-        assert x.scale(Q(1, 2)).coeffs == {0: Q(1), 1: Q(3, 2)}
+        assert scaled(x, Q(1, 2)).coeffs == {0: Q(1), 1: Q(3, 2)}
 
     def test_product_bilinear(self):
         alg = two_dim_split()
@@ -96,7 +97,7 @@ class TestAssociativeSpan:
         alg = two_dim_split()
         x = alg.element({0: Q(1), 1: Q(1)})
         with pytest.raises(ValueError):
-            alg.is_associative_span([x, x.scale(2)])
+            alg.is_associative_span([x, scaled(x, 2)])
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ from griess.ratio import Q
 
 from conftest import (algebra_A, algebra_T, bplus, gram_matrix, mul_vector,
                       phi, phi_kernel_basis, phi_matrix, radical_dimension,
-                      reference, system)
+                      reference, scaled, system)
 
 
 def x(bp, r):
@@ -33,7 +33,7 @@ class TestConstruction:
         bp = bplus("A2")
         rs = reference("A2")
         # equal: x_r x_r = 2 r^2; non-orthogonal: closes on x_gamma
-        assert x(bp, 0) * x(bp, 0) == root_square(bp, 0).scale(2)
+        assert x(bp, 0) * x(bp, 0) == scaled(root_square(bp, 0), 2)
         g = rs.gamma[(0, 1)]
         assert x(bp, 0) * x(bp, 1) == x(bp, g)
         assert x(bp, 0).form(x(bp, 0)) == 2
@@ -47,16 +47,16 @@ class TestConstruction:
         # alpha^2 x_alpha = 2(alpha,alpha)^2/2 ... explicitly: (ab)x_r =
         # 2(a,r)(b,r)x_r; for a=b=alpha=r this is 2*2*2 = 8
         bp = bplus("A1")
-        assert root_square(bp, 0) * x(bp, 0) == x(bp, 0).scale(8)
+        assert root_square(bp, 0) * x(bp, 0) == scaled(x(bp, 0), 8)
 
 
 class TestPhi:
     def test_images(self):
         p = phi("A1")
         bp = p.codomain
-        t_img = p.apply(p.domain.t(0))
-        u_img = p.apply(p.domain.u(0))
-        half_sq = root_square(bp, 0).scale(Q(1, 2))
+        t_img = p.apply(p.domain.alg.basis_element(0))
+        u_img = p.apply(p.domain.alg.basis_element(p.domain.rs.N))
+        half_sq = scaled(root_square(bp, 0), Q(1, 2))
         assert t_img == half_sq - x(bp, 0)
         assert u_img == half_sq + x(bp, 0)
 
@@ -65,7 +65,7 @@ class TestPhi:
         p = phi("A2")
         for i in range(p.domain.dim):
             img = p.apply(p.domain.alg.basis_element(i))
-            assert img * img == img.scale(8)
+            assert img * img == scaled(img, 8)
 
     def test_phi_requires_full_algebra(self):
         with pytest.raises(ValueError):

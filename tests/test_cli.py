@@ -11,7 +11,7 @@ from griess.bplus import PhiMap
 from griess.cli import _build_parser, run
 from griess.niemeier import catalog
 from griess.rootsys import RootSystem, build, parse_spec
-from griess.verify import _two_n, check_size, verify_lemma_2_1
+from griess.verify import _two_n, check_size, run_target
 
 
 def run_captured(capsys, argv):
@@ -40,13 +40,12 @@ class TestRoots:
         assert run(["roots", "A40"]) == 2
         assert run(["roots", "A40", "--force"]) == 0
 
-    @pytest.mark.parametrize("command",
-                             ["roots", "algebra", "bplus", "decompose"])
+    @pytest.mark.parametrize("command", ["roots", "algebra", "decompose"])
     def test_size_guard_runs_before_build(self, capsys, monkeypatch,
                                           command):
         def never(*args):
             raise AssertionError("roots built before the size guard")
-        monkeypatch.setattr("griess.cli.build", never)
+        monkeypatch.setattr("griess.verify.build", never)
         assert run([command, "A40"]) == 2
         assert "2N = 1640" in capsys.readouterr().err
 
@@ -95,6 +94,23 @@ class TestRoots:
              "surjective (exact rank equals target dimension)"),
             ("thm3.1 [A5^4D4]", "kernel dimension = 2N - dim = -228")]
 
+    @pytest.mark.parametrize("argv", [
+        ["roots"], ["roots", "--json"], ["algebra"],
+        ["algebra", "--kind", "bplus", "--json"], ["decompose", "--json"]])
+    def test_catalog_name_as_spec(self, capsys, monkeypatch, argv):
+        """roots, algebra and decompose take a catalog name such as A5^4D4
+        and print what they print for its spec A5^4+D4; the size guard
+        runs before the one build."""
+        events, guard, make = [], verify.check_size, verify.build
+        monkeypatch.setattr(verify, "check_size", lambda spec, force: (
+            events.append("guard"), guard(spec, force))[1])
+        monkeypatch.setattr(verify, "build", lambda spec: (
+            events.append("build"), make(spec))[1])
+        command, *flags = argv
+        code, out = run_captured(capsys, [command, "A5^4D4", *flags])
+        assert (code, events) == (0, ["guard", "build"])
+        assert run_captured(capsys, [command, "A5^4+D4", *flags]) == (0, out)
+
     def test_mixed_catalog_name_gets_a_report(self, capsys):
         code, out = run_captured(
             capsys, ["verify", "lemma4.2", "--spec", "A5^4D4", "--json"])
@@ -107,17 +123,12 @@ class TestAlgebraDump:
     @pytest.mark.parametrize("kind,dim", [("A", 6), ("T", 3), ("bplus", 6)])
     def test_schema(self, capsys, kind, dim):
         code, out = run_captured(
-            capsys, ["algebra", "A2", "--kind", kind, "--dump-json"])
+            capsys, ["algebra", "A2", "--kind", kind, "--json"])
         data = json.loads(out)
         assert code == 0
         assert len(data["basis"]) == dim
         assert len(data["gram"]) == dim
         assert all(len(entry) == 3 for entry in data["products"])
-
-    def test_bplus_command(self, capsys):
-        code, out = run_captured(capsys, ["bplus", "A2", "--dump-json"])
-        assert code == 0
-        assert len(json.loads(out)["basis"]) == 6
 
 
 class TestDecompose:
@@ -150,7 +161,7 @@ class TestDecompose:
                                                     monkeypatch, chain):
         def never(*args):
             raise AssertionError("roots built before --chain was read")
-        monkeypatch.setattr("griess.cli.build", never)
+        monkeypatch.setattr("griess.verify.build", never)
         assert run(["decompose", "A3", "--chain", chain]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -210,7 +221,7 @@ class TestVerify:
         rs = build("A3")
         rs.neighbours[2].pop()
         monkeypatch.setattr("griess.verify.build", lambda spec: rs)
-        rep = verify_lemma_2_1("A3")
+        rep = run_target("lemma2.1", "A3")[0]
         assert not rep.passed
         assert rep.clauses[0][2] == "root 2: |Delta_1| = 3 != 4"
 
@@ -244,6 +255,20 @@ class TestVerify:
         assert run(["verify", target, "--spec", "A2"]) == 0
         capsys.readouterr()
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("spec", ["A3", "D4", "A2^12"])
+    def test_all_builds_each_spec_once(self, monkeypatch, spec):
+        """verify all runs a spec's targets on one System: one build, and
+        each report as the target gives it alone, but for elapsed."""
+        builds, make = [], verify.build
+        monkeypatch.setattr(verify, "build", lambda s: (
+            builds.append(s), make(s))[1])
+        reports = run_target("all", spec)
+        assert len(builds) == 1
+        alone = [run_target(t, spec)[0] for t in
+                 (*verify.targets_for_spec(spec), *verify.SPEC_FREE)]
+        assert [(r.target, r.clauses) for r in reports] == [
+            (r.target, r.clauses) for r in alone]
 
     # The benchmark's verify_small counts these clauses as known failures
     # by parsing their counterexamples: phi on a direct sum is not onto

@@ -45,7 +45,8 @@ from griess.rootsys import build
 
 from conftest import (algebra_A, algebra_T, basis_form, bplus, dot,
                       encode_rows, gram_matrix, is_idempotent, phi,
-                      phi_kernel_basis, phi_matrix, reference, system)
+                      phi_kernel_basis, phi_matrix, reference, simple_roots,
+                      system)
 
 SPECS = ("A1", "A2", "A3", "D4", "A1^2", "A2+A1")
 KINDS = {"A": lambda spec: algebra_A(spec).alg,
@@ -93,7 +94,7 @@ def bplus_rules(rs):
     l, ref = rs.l, reference(rs.spec_string())
     pairs = [(a, b) for a in range(l) for b in range(a, l)]
     ns = len(pairs)
-    S = [[dot(x, y) for y in rs.simple_roots] for x in rs.simple_roots]
+    S = [[dot(x, y) for y in simple_roots(rs)] for x in simple_roots(rs)]
     P = [[sum(S[a][b] * c[b] for b in range(l)) for c in rs.simple_coeffs]
          for a in range(l)]
 
@@ -785,7 +786,7 @@ def test_broken_idempotent_fails_certificate_and_span(monkeypatch):
     dec = coset_chain_decompose(ra)
     assert dec.checks["pairwise_products"] is False
     assert ra.alg.is_associative_span(dec.idempotents) is False
-    rep = verify.verify_thm_2_7("A3")
+    [rep] = verify.run_target("thm2.7", "A3")
     assoc = [ok for d, ok, _ in rep.clauses if "is associative" in d]
     assert assoc == [False]
 
@@ -931,8 +932,8 @@ def broken_phi(spec, what):
         # c_s^T S c_r and p_r . c_s are not for the roots s orthogonal to r
         # with c_s = (1, 0, ...).  The rows, forms, pairings and squares are
         # otherwise those of the true B+, and phi reads the true squares.
-        S = [[int(dot(a, b)) for b in rs.simple_roots]
-             for a in rs.simple_roots]
+        S = [[int(dot(a, b)) for b in simple_roots(rs)]
+             for a in simple_roots(rs)]
         nbrs = [list(nb) for nb in rs.neighbours]
         sq = [dict(q) for q in bp._sq]
         pcol = [list(col) for col in bp.alg._pcol]
@@ -1152,7 +1153,8 @@ def test_first_failure_in_pair_order(changes, first, monkeypatch):
     """The homomorphism and the isometry clause each name the least pair
     of their own kind."""
     p = changed_domain("A2", changes)
-    clauses = verify.verify_thm_3_1(with_phi(monkeypatch, p)).clauses
+    [rep] = verify.run_target("thm3.1", with_phi(monkeypatch, p))
+    clauses = rep.clauses
     for (_, ok, detail), what in zip(clauses, ("product", "form")):
         pairs = sorted((i, j) for w, i, j in changes if w == what)
         assert ok == (not pairs)
@@ -1164,7 +1166,7 @@ def test_first_failure_in_pair_order(changes, first, monkeypatch):
 
 def test_product_mismatch_leaves_isometry_clause_passing(monkeypatch):
     p = changed_domain("A2", [("product", 0, 4)])
-    rep = verify.verify_thm_3_1(with_phi(monkeypatch, p))
+    [rep] = verify.run_target("thm3.1", with_phi(monkeypatch, p))
     assert rep.clauses[:2] == [
         ("algebra homomorphism on all basis pairs", False,
          "product mismatch at basis pair (0,4)"),
@@ -1214,7 +1216,7 @@ def test_sparse_cor_3_2_matches_dense(spec, monkeypatch):
     p = phi(spec)
     kernel, radical, joint = dense_kernel_and_radical(p)
     assert kernel == radical == joint
-    rep = verify.verify_cor_3_2(with_phi(monkeypatch, p))
+    [rep] = verify.run_target("cor3.2", with_phi(monkeypatch, p))
     assert rep.clauses == [
         (SPLIT, True, None),
         (f"kernel dimension {kernel} equals radical dimension", True,
@@ -1250,7 +1252,7 @@ def test_block_check_fails_on_a_cross_term(changes, bad, monkeypatch):
     clause alone."""
     p = changed_domain("D4", changes)
     assert verify._p_block(p.domain.alg, p.domain.rs.N)[1] == bad
-    rep = verify.verify_cor_3_2(with_phi(monkeypatch, p))
+    [rep] = verify.run_target("cor3.2", with_phi(monkeypatch, p))
     assert rep.clauses == [(SPLIT, False, bad)]
 
 
@@ -1281,7 +1283,7 @@ def test_broken_inputs_fail_sparse_and_dense_cor_3_2(what, failing,
     p = broken_phi("D4", what)
     kernel, radical, joint = dense_kernel_and_radical(p)
     assert not kernel == radical == joint
-    rep = verify.verify_cor_3_2(with_phi(monkeypatch, p))
+    [rep] = verify.run_target("cor3.2", with_phi(monkeypatch, p))
     assert [k for k, (_, ok, _) in enumerate(rep.clauses) if not ok] == failing
 
 

@@ -3,7 +3,7 @@ import pytest
 from griess import rootsys
 from griess.rootsys import SimpleType, build, parse_spec
 
-from conftest import dot, reference, system
+from conftest import dot, reference, simple_roots, system
 
 
 class TestParseSpec:
@@ -128,7 +128,7 @@ class TestAgainstReference:
     def test_build_matches_reference(self, spec):
         rs, ref = build(spec), reference(spec)
         assert rs.positive_roots == ref.positive_roots
-        assert rs.simple_roots == ref.simple_roots
+        assert simple_roots(rs) == ref.simple_roots
         assert rs.simple_coeffs == ref.simple_coeffs
         assert rs.neighbours == ref.neighbours
         assert rs.doubled_roots == [tuple(int(2 * c) for c in r)
