@@ -14,9 +14,12 @@ with den > 0, j and k increasing and no zero numerators.  The algebras of
 the paper write their rows in this form directly: A and T the structure
 constants 8, 1 and -1 over 1 and the form values 4 and 1/2 over 2, B+ its
 product rules over 1 and the forms of its kernel over 2; from_json reads a
-table into it.  Each row is read once, when an element first needs it,
-and keeps its entry for j from row j if that was read first over the same
-denominator, so the two rows of a pair share one entry.
+table into it.  Each row is read once, when an element first needs it.
+A and T build their whole table on that first read, each pair's entry
+once and stored in both its rows, and from_json builds its rows in full.
+A per-row source such as B+'s makes row i's entries afresh, so row i
+keeps its entry for j from row j if that was read first over the same
+denominator: the two rows of a pair share one entry either way.
 
 Element products and forms scale their operands to integers and walk the
 rows of the sparser operand, so exact rationals are built only for the
@@ -36,6 +39,8 @@ import functools
 import gc
 import math
 from dataclasses import dataclass, field
+from itertools import repeat, starmap
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactlin import SparseSolver
@@ -66,6 +71,19 @@ def _q_str(num: int, den: int) -> str:
     """q_str of num/den, for den > 0."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+class _Strings(dict):
+    """num -> q_str of num/den, each made on its first lookup: few distinct
+    numerators occur, so to_json formats each once per denominator."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num: int) -> str:
+        s = self[num] = _q_str(num, self.den)
+        return s
 
 
 def _json_value(s: str) -> tuple[int, int]:
@@ -235,8 +253,9 @@ class StructureAlgebra:
     def _compile(self, i: int) -> tuple:
         """Read product row i from its source, taking each entry that a row
         j read before over the same denominator holds for i, so the two
-        rows of a pair share one entry.  The source's dict becomes the
-        row."""
+        rows of a pair share one entry; this shares entries only for a
+        per-row source such as B+'s, as A and T's table shares them
+        already.  The source's dict becomes the row."""
         rows = self._product_rows
         den, nbrs = self._product_fn(i)
         for j in nbrs:
@@ -306,25 +325,39 @@ class StructureAlgebra:
         for the product a dict {k: numerator} that may hold zeros, for the
         form an int.  Walks the compiled rows of the sparser operand, which
         is valid by commutativity, with each row's numerators rescaled to
-        the lcm of the row denominators.
+        the lcm of the row denominators; each row meets the other operand
+        by lookups from the shorter of the two.
         """
         if len(x) > len(y):
             x, y = y, x
         rows = [(c, self._form_row(j) if form else self._product_row(j))
                 for j, c in x.items()]
         den = math.lcm(*(d for _, (d, _) in rows))
+        yget, n = y.get, len(y)
         if form:
-            return sum(c * (den // d)
-                       * sum(nbrs[i] * y[i] for i in nbrs.keys() & y.keys())
-                       for c, (d, nbrs) in rows), den
+            total = 0
+            for c, (d, nbrs) in rows:
+                pairs = (zip(nbrs.values(), map(yget, nbrs, repeat(0)))
+                         if len(nbrs) <= n else
+                         zip(map(nbrs.get, y, repeat(0)), y.values()))
+                total += c * (den // d) * sum(starmap(mul, pairs))
+            return total, den
         out: dict = {}
         get = out.get
         for c, (d, nbrs) in rows:
             c *= den // d
-            for i in nbrs.keys() & y.keys():
-                ci = c * y[i]
-                for k, v in nbrs[i]:
-                    out[k] = get(k, 0) + ci * v
+            if len(nbrs) <= n:
+                for i, e in nbrs.items():
+                    if w := yget(i):
+                        cw = c * w
+                        for k, v in e:
+                            out[k] = get(k, 0) + cw * v
+            else:
+                for i, w in y.items():
+                    if e := nbrs.get(i):
+                        cw = c * w
+                        for k, v in e:
+                            out[k] = get(k, 0) + cw * v
         return out, den
 
     def neighbours(self, i: int) -> set:
@@ -464,18 +497,19 @@ class StructureAlgebra:
 
     @_gc_paused()
     def to_json(self) -> dict:
-        # few distinct values occur, so each is formatted once
-        fmt = functools.cache(_q_str)
+        strings = functools.cache(_Strings)  # one per denominator
         products, gram = [], []
         for i in range(self.dim):
             den, nbrs = self._product_row(i)
-            products.extend(
-                [i, j, [[k, fmt(v, den)] for k, v in terms]]
-                for j, terms in nbrs.items() if j >= i)
+            fmt = strings(den)
+            for j, terms in nbrs.items():
+                if j >= i:
+                    products.append([i, j, [[k, fmt[v]] for k, v in terms]])
             den, nbrs = self._form_row(i)
+            fmt = strings(den)
             gram.append(row := ["0"] * self.dim)
             for j, v in nbrs.items():
-                row[j] = fmt(v, den)
+                row[j] = fmt[v]
         return {"basis": list(self.basis_labels), "products": products,
                 "gram": gram}
 

@@ -15,6 +15,7 @@ and the complement of the component has the parafermion value 2l/(h+2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,52 +29,50 @@ class RootAlgebra:
     alg: StructureAlgebra
     t_only: bool
 
-    @property
-    def dim(self) -> int:
-        return self.alg.dim
-
 
 def _make_algebra(rs: RootSystem, t_only: bool) -> StructureAlgebra:
-    """A(Phi), or its t-span T(Phi), with rows read from the neighbour
-    lists: basis t-block 0..N-1, then u-block N..2N-1.  Products are over
-    denominator 1 and the form over 2, so 1/2 is the numerator 1."""
+    """A(Phi), or its t-span T(Phi), with rows from one table over the
+    neighbour lists: basis t-block 0..N-1, then u-block N..2N-1.  Products
+    are over denominator 1 and the form over 2, so 1/2 is the numerator 1.
+
+    The table is built on the first row read, so an algebra whose rows are
+    never read builds none.  It visits the pairs i <= j with a non-zero
+    product in lexicographic order and stores each pair's entry in row i at
+    j and in row j at i: the two rows share one entry, and every row gets
+    its j in increasing order."""
     N, nbrs = rs.N, rs.neighbours
     dim = N if t_only else 2 * N
-    # the terms (k, 1) and (k, -1), shared by every entry that has them
-    plus, minus = [(k, 1) for k in range(dim)], [(k, -1) for k in range(dim)]
 
-    def closing(a: int, b: int, g: int) -> tuple:
-        """The entry b_a + b_b - b_g, its terms in k order."""
-        if a > b:
-            a, b = b, a
-        if g > b:
-            return plus[a], plus[b], minus[g]
-        if g > a:
-            return plus[a], minus[g], plus[b]
-        return minus[g], plus[a], plus[b]
-
-    def product(i: int) -> tuple:
-        r, u = i % N, N if i >= N else 0
-        row = {i: ((i, 8),)}
-        for s, g in nbrs[r]:
-            # t*t and u*u close on t(gamma), mixed pairs on u(gamma)
-            row[s] = closing(i, s, g + u)
-            if not t_only:
-                row[s + N] = closing(i, s + N, g + N - u)
-        return 1, dict(sorted(row.items()))
-
-    def form(i: int) -> tuple:
-        row = {i: 8}
-        for s, _ in nbrs[i % N]:
-            row[s] = 1
-            if not t_only:
-                row[s + N] = 1
-        return 2, dict(sorted(row.items()))
+    @functools.cache
+    def table() -> tuple[list, list]:
+        # the terms (k, 1) and (k, -1), shared by every entry that has them
+        plus = [(k, 1) for k in range(dim)]
+        minus = [(k, -1) for k in range(dim)]
+        prods: list[dict] = [{} for _ in range(dim)]
+        forms: list[dict] = [{} for _ in range(dim)]
+        for i in range(dim):
+            r, u = (i - N, N) if i >= N else (i, 0)
+            prods[i][i], forms[i][i] = ((i, 8),), 8
+            # the j > i: t(s), s > r, and every u(s) for i = t(r); u(s),
+            # s > r, for i = u(r).  t*t and u*u close on t(gamma), mixed
+            # pairs on u(gamma)
+            pairs = [(s + u, g) for s, g in nbrs[r] if s > r]
+            if not (u or t_only):
+                pairs += [(s + N, g + N) for s, g in nbrs[r]]
+            for j, c in pairs:
+                # b_i + b_j - b_c, its terms in k order
+                prods[i][j] = prods[j][i] = (
+                    (plus[i], plus[j], minus[c]) if c > j else
+                    (plus[i], minus[c], plus[j]) if c > i else
+                    (minus[c], plus[i], plus[j]))
+                forms[i][j] = forms[j][i] = 1
+        return prods, forms
 
     labels = [f"t({i})" for i in range(N)]
     if not t_only:
         labels += [f"u({i})" for i in range(N)]
-    return StructureAlgebra(labels, product, form)
+    return StructureAlgebra(labels, lambda i: (1, table()[0][i]),
+                            lambda i: (2, table()[1][i]))
 
 
 def build_A(rs: RootSystem) -> RootAlgebra:

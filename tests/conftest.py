@@ -232,7 +232,7 @@ def radical_dimension(alg) -> int:
 
 def phi_matrix(p) -> QMatrix:
     """The dense matrix of phi: column i is the image of b_i."""
-    cols = [p.image({i: 1}) for i in range(p.domain.dim)]
+    cols = [p.image({i: 1}) for i in range(p.domain.alg.dim)]
     return QMatrix([[Q(c.get(k, 0), 2) for c in cols]
                     for k in range(p.codomain.dim)])
 

@@ -63,7 +63,7 @@ class TestPhi:
     def test_images_are_idempotent_multiples(self):
         # t(alpha)^2 = 8 t(alpha) must be preserved
         p = phi("A2")
-        for i in range(p.domain.dim):
+        for i in range(p.domain.alg.dim):
             img = p.apply(p.domain.alg.basis_element(i))
             assert img * img == scaled(img, 8)
 
@@ -74,7 +74,8 @@ class TestPhi:
     @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4"])
     def test_bijective_type_a(self, spec):
         p = phi(spec)
-        assert p.rank() == phi_matrix(p).rank() == p.domain.dim == p.codomain.dim
+        assert (p.rank() == phi_matrix(p).rank() == p.domain.alg.dim
+                == p.codomain.dim)
 
     @pytest.mark.parametrize("spec,kdim", [("D4", 2), ("D5", 5), ("E6", 15)])
     def test_kernel_dimension(self, spec, kdim):

@@ -1,23 +1,26 @@
 """Differential tests: the integer rows that the builders of A, T and B+
 give against the encoding of the paper's rules, as per-pair rules and as
-dict rows, their basis tables against the per-pair rules, from_json on
-tables written in any order against the reference encoder, the integer
-kernels behind element products and forms against the plain bilinear
-expansion over basis pairs, the map of Theorem 3.1 against the sum of its
-scaled basis images, the associativity check on structure constants
-against the triple products of elements, the identity solve against one
-dense solve of the whole system, the JSON form against recorded bytes and
-its own reading, and the identity certificates of the chain decomposition
-against the pairwise products and forms of its idempotents and the
-exhaustive associativity check.  The check of Theorem 3.1, on closed-form
-products and forms per root pair, is compared with the per-pair products
-and forms of the images, also on the root pairs it leaves out, whose
-kernel products are checked to be 0; its closed forms are compared with
-the kernel's products and forms, and cor3.2's P-block radical and sparse
-radical with the dense kernel and radical, also on broken inputs.  B+'s
-element products and forms, which run on the S^2(H) kernel, are compared
-with its compiled product rows and the reference form rule on basis
-pairs, dense elements and chain images."""
+dict rows, A and T's one entry object per pair and their table left
+unbuilt until a row is read, their basis tables against the per-pair
+rules, bilinear's two lookup directions against the plain expansion,
+from_json on tables written in any order against the reference encoder,
+the integer kernels behind element products and forms against the plain
+bilinear expansion over basis pairs, the map of Theorem 3.1 against the
+sum of its scaled basis images, the associativity check on structure
+constants against the triple products of elements, the identity solve
+against one dense solve of the whole system, the JSON form against
+recorded bytes and its own reading, and the identity certificates of the
+chain decomposition against the pairwise products and forms of its
+idempotents and the exhaustive associativity check.  The check of
+Theorem 3.1, on closed-form products and forms per root pair, is
+compared with the per-pair products and forms of the images, also on the
+root pairs it leaves out, whose kernel products are checked to be 0; its
+closed forms are compared with the kernel's products and forms, and
+cor3.2's P-block radical and sparse radical with the dense kernel and
+radical, also on broken inputs.  B+'s element products and forms, which
+run on the S^2(H) kernel, are compared with its compiled product rows
+and the reference form rule on basis pairs, dense elements and chain
+images."""
 
 import gc
 import hashlib
@@ -36,7 +39,7 @@ from griess import bplus as bplus_module, verify
 from griess.bplus import (BPlusAlgebra, BPlusStructure, PhiMap, build_bplus,
                           verify_theorem_3_1)
 from griess.exactlin import QMatrix, SparseSolver
-from griess.niemeier import catalog_entry
+from griess.niemeier import catalog_entry, lemma_4_2_subalgebra
 from griess.ratio import Q, q_parse, q_str
 from griess.rootalgebra import (RootAlgebra, build_A, build_T,
                                 coset_chain_decompose, delta,
@@ -249,6 +252,52 @@ def test_each_row_source_is_read_once(make, monkeypatch):
     assert calls == {"product": alg.dim, "form": alg.dim}
 
 
+@pytest.mark.parametrize("make", [build_A, build_T], ids=["A", "T"])
+@pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A2+A1"])
+def test_each_pair_entry_is_built_once(make, spec):
+    """The sources of A and T give row i's entry for j as the same object
+    as row j's entry for i, one object per pair i <= j with a non-zero
+    product."""
+    alg = make(build(spec)).alg
+    rows = [alg._product_fn(i)[1] for i in range(alg.dim)]
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            assert rows[j][i] is e, (i, j)
+    product, _ = root_algebra_rules(build(spec))
+    pairs = sum(1 for i in range(alg.dim) for j in range(i, alg.dim)
+                if product(i, j))
+    assert len({id(e) for row in rows for e in row.values()}) == pairs
+
+
+class CountedList(list):
+    """A list that counts the reads of its items."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_unread_rows_cost_nothing(monkeypatch):
+    """build_A reads no neighbour list for A(Phi)'s table, and neither does
+    Lemma 4.2 on A6^4, which reads only closed-form idempotents of A(Phi);
+    the first row read builds the whole table."""
+    lists = []
+    make = rootalgebra._make_algebra
+
+    def counted_make(rs, t_only):
+        lists.append(CountedList(rs.neighbours))
+        return make(SimpleNamespace(N=rs.N, neighbours=lists[-1]), t_only)
+
+    monkeypatch.setattr(rootalgebra, "_make_algebra", counted_make)
+    ra = build_A(build("A6^4"))
+    rep = lemma_4_2_subalgebra(catalog_entry("A6^4"))
+    assert rep.checks == {"dimension": 28, "associative": True}
+    assert len(lists) == 2 and not any(n.reads for n in lists)
+    ra.alg.basis_product(0, 0)  # the counter sees the table built
+    assert lists[0].reads
+
+
 def elements(alg):
     return st.dictionaries(st.integers(0, alg.dim - 1), rationals,
                            max_size=alg.dim).map(alg.element)
@@ -277,6 +326,51 @@ def test_root_algebras_match_expansion(kind, data):
     assert (x * y).coeffs == expand_product(x, y, alg.basis_product)
     assert x.form(y) == expand_form(
         x, y, lambda i, j: basis_form(alg, i, j))
+
+
+MIXED_TABLE = {"basis": ["a", "b", "c", "d"],
+               "products": [[0, 0, [[0, "3"], [2, "-2"]]],
+                            [0, 1, [[1, "1/2"], [3, "4"]]],
+                            [0, 3, [[2, "5/6"]]],
+                            [1, 2, [[0, "-7/3"], [2, "3"]]],
+                            [2, 2, [[1, "-2"]]],
+                            [2, 3, [[3, "1/4"]]]],
+               "gram": [["3", "1/2", "0", "2"], ["1/2", "0", "-2", "0"],
+                        ["0", "-2", "5/3", "-1/4"], ["2", "0", "-1/4", "1"]]}
+
+
+def mixed_table_rules():
+    """The products and forms of MIXED_TABLE per basis pair."""
+    prods = {(i, j): {k: q_parse(v) for k, v in terms}
+             for i, j, terms in MIXED_TABLE["products"]}
+    return (lambda i, j: prods.get((min(i, j), max(i, j)), {}),
+            lambda i, j: q_parse(MIXED_TABLE["gram"][i][j]))
+
+
+@pytest.mark.parametrize("case", ["A D4", "T E6", "json"])
+def test_bilinear_walks_either_side(case):
+    """bilinear meets a row with the other operand from the shorter of the
+    two: a one-term operand against a dense one walks the row, two one-term
+    operands walk the operand.  Both, in both orders, against the plain
+    expansion, on A(D4), T(E6) and a table over mixed denominators."""
+    if case == "json":
+        alg = StructureAlgebra.from_json(MIXED_TABLE)
+        product, form = mixed_table_rules()
+    else:
+        kind, spec = case.split()
+        alg = KINDS[kind](spec)
+        product, form = root_algebra_rules(system(spec))
+    n = alg.dim
+    dense = alg.element({k: Q((-1) ** k * (k + 2), k % 5 + 1)
+                         for k in range(n)})
+    one = [alg.element({i: Q(i + 1, 3)}) for i in range(n)]
+    pairs = [(x, dense) for x in one]
+    pairs += [(one[i], y) for i in range(n) for y in one
+              if len(alg._product_row(i)[1]) > 1]
+    for x, y in pairs:
+        for a, b in ((x, y), (y, x)):
+            assert (a * b).coeffs == expand_product(a, b, product)
+            assert a.form(b) == expand_form(a, b, form)
 
 
 def image_of_basis(p, i):
@@ -555,7 +649,7 @@ def test_find_identity_feeds_few_equations(spec, monkeypatch):
     monkeypatch.setattr(SparseSolver, "add_equation", counted)
     ra = build_A(build(spec))
     assert ra.alg.find_identity() == delta(ra)
-    assert 0 < calls["equations"] <= 2 * ra.dim
+    assert 0 < calls["equations"] <= 2 * ra.alg.dim
 
 
 # -- associativity of a span: structure constants against element triples ---
@@ -799,7 +893,7 @@ def direct_theorem_3_1(p):
     first pair of each kind that differs, or None, and the rank of the
     dense matrix of images."""
     ra = p.domain
-    n = ra.dim
+    n = ra.alg.dim
     images = [image_of_basis(p, i) for i in range(n)]
     product_pair = form_pair = None
     for i in range(n):
@@ -1132,7 +1226,7 @@ def test_each_basis_pair_is_compared(what):
     root too, and on A3 the pairs of orthogonal roots, whose products the
     check reads from A's rows only."""
     for spec in ("A2", "A3"):
-        n = algebra_A(spec).dim
+        n = algebra_A(spec).alg.dim
         for i in range(n):
             for j in range(i, n):
                 rep = verify_theorem_3_1(changed_domain(spec, [(what, i, j)]))

@@ -49,7 +49,7 @@ class TestStructureConstants:
 
     def test_t_span_has_no_u(self):
         rt = algebra_T("A2")
-        assert rt.dim == 3
+        assert rt.alg.dim == 3
         assert rt.alg.basis_labels == ["t(0)", "t(1)", "t(2)"]
 
 
