@@ -1,25 +1,25 @@
 """Finite-dimensional commutative (non-associative) algebras over Q.
 
 A StructureAlgebra is a labeled basis together with sparse rational
-structure constants and a symmetric bilinear form, each given by rows: row
-i lists only the j with b_i * b_j != 0 (resp. <b_i, b_j> != 0).
+structure constants and a symmetric bilinear form, each given as one table
+of rows: row i lists only the j with b_i * b_j != 0 (resp. <b_i, b_j> != 0).
 
-A row holds integer numerators over one denominator, the one format from
-construction to JSON.  A row source is a callable giving row i as
+A table holds integer numerators over one denominator, the one format from
+construction to JSON.  A table source is a callable with no arguments that
+gives the whole table as
 
-    product(i) -> (den, {j: ((k, num), ...)}),  b_i b_j = sum_k num/den b_k
-    form(i)    -> (den, {j: num}),              <b_i, b_j> = num/den
+    product() -> (den, rows), rows[i] = {j: ((k, num), ...)}:
+                 b_i b_j = sum_k num/den b_k
+    form()    -> (den, rows), rows[i] = {j: num}: <b_i, b_j> = num/den
 
 with den > 0, j and k increasing and no zero numerators.  The algebras of
-the paper write their rows in this form directly: A and T the structure
+the paper write their tables in this form directly: A and T the structure
 constants 8, 1 and -1 over 1 and the form values 4 and 1/2 over 2, B+ its
 product rules over 1 and the forms of its kernel over 2; from_json reads a
-table into it.  Each row is read once, when an element first needs it.
-A and T build their whole table on that first read, each pair's entry
-once and stored in both its rows, and from_json builds its rows in full.
-A per-row source such as B+'s makes row i's entries afresh, so row i
-keeps its entry for j from row j if that was read first over the same
-denominator: the two rows of a pair share one entry either way.
+table into it over the lcm of its denominators.  Each source is called at
+most once, when its table is first read (product_table, form_table).  The
+product tables of A, T and B+ make each pair's entry once and store it in
+both its rows, and so does from_json.
 
 Element products and forms scale their operands to integers and walk the
 rows of the sparser operand, so exact rationals are built only for the
@@ -75,7 +75,7 @@ def _q_str(num: int, den: int) -> str:
 
 class _Strings(dict):
     """num -> q_str of num/den, each made on its first lookup: few distinct
-    numerators occur, so to_json formats each once per denominator."""
+    numerators occur, so to_json formats each once per table."""
 
     def __init__(self, den: int):
         super().__init__()
@@ -89,6 +89,8 @@ class _Strings(dict):
 def _json_value(s: str) -> tuple[int, int]:
     """(numerator, denominator) in lowest terms of a coefficient string of
     to_json, "p" or "p/q"."""
+    if type(s) is not str:
+        raise ValueError(f"{s!r} is not a string")
     if s.lstrip("-").isdigit():
         return int(s), 1
     try:
@@ -111,28 +113,27 @@ def _json_entry(terms: list, value: Callable) -> tuple:
     return [(k, num * (den // d)) for k, (num, d) in sorted(vals.items())], den
 
 
-def _json_product_rows(products: list, n: int, value: Callable) -> list:
-    """The product rows (den, {j: entry}) of the "products" of a to_json
-    table; see StructureAlgebra.from_json."""
+def _json_product_table(products: list, n: int, value: Callable) -> tuple:
+    """The product table (den, rows) of the "products" of a to_json table,
+    over the lcm of its denominators; see StructureAlgebra.from_json."""
     shared: dict = {}  # (k, string) -> the term (k, num) over den 1
     rows: list[dict] = [{} for _ in range(n)]
-    dens = [1] * n  # per row: the lcm of its entries' denominators
     over = {}  # (i, j), i <= j -> den, for the entries over den > 1
     ordered, last = True, (0, -1)
-    for e, (i, j, terms) in enumerate(products):
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"products[{e}]: basis pair ({i}, {j}) is "
-                             f"outside the basis 0..{n - 1}")
-        if i > j:
-            i, j = j, i
-        if j in rows[i]:
-            raise ValueError(f"products[{e}]: basis pair ({i}, {j}) is "
-                             "listed twice")
-        ordered = ordered and last < (i, j)
-        last = (i, j)
-        # as to_json writes them: integers on increasing k, none zero
-        t, k0 = [], -1
+    for e, entry in enumerate(products):
         try:
+            i, j, terms = entry
+            if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
+                raise ValueError(f"basis pair ({i!r}, {j!r}) is outside the "
+                                 f"basis 0..{n - 1}")
+            if i > j:
+                i, j = j, i
+            if j in rows[i]:
+                raise ValueError(f"basis pair ({i}, {j}) is listed twice")
+            ordered = ordered and last < (i, j)
+            last = (i, j)
+            # as to_json writes them: integers on increasing k, none zero
+            t, k0 = [], -1
             for k, s in terms:
                 term = shared.get((k, s))
                 if term is None:
@@ -146,35 +147,31 @@ def _json_product_rows(products: list, n: int, value: Callable) -> list:
                 k0 = k
             else:
                 d = 1
-        except ValueError as exc:
+            if not t:
+                continue
+            if not (0 <= t[0][0] and t[-1][0] < n):
+                bad = next(k for k, _ in t if not 0 <= k < n)
+                raise ValueError(f"term on b_{bad}, outside the basis "
+                                 f"0..{n - 1}")
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"products[{e}]: {exc}") from None
-        if not t:
-            continue
-        if not (0 <= t[0][0] and t[-1][0] < n):
-            bad = next(k for k, _ in t if not 0 <= k < n)
-            raise ValueError(f"products[{e}]: term on b_{bad}, outside the "
-                             f"basis 0..{n - 1}")
         rows[i][j] = rows[j][i] = tuple(t)
         if d != 1:
             over[i, j] = d
-            dens[i] = math.lcm(dens[i], d)
-            dens[j] = math.lcm(dens[j], d)
-    # rescale each entry to its rows' denominators, shared while they agree
+    # rescale each entry to the table's denominator, in both its rows
+    den = math.lcm(*over.values())
     for i, row in enumerate(rows if over else ()):
         for j, t in row.items():
             if j >= i:
-                d = over.get((i, j), 1)
-                row[j] = ti = _scaled(t, dens[i] // d)
-                rows[j][i] = (ti if dens[j] == dens[i]
-                              else _scaled(t, dens[j] // d))
+                row[j] = rows[j][i] = _scaled(t, den // over.get((i, j), 1))
     if not ordered:
         rows = [dict(sorted(row.items())) for row in rows]
-    return list(zip(dens, rows))
+    return den, rows
 
 
-def _json_form_rows(gram: list, n: int, value: Callable) -> list:
-    """The form rows (den, {j: num}) of the "gram" of a to_json table, which
-    must be symmetric."""
+def _json_form_table(gram: list, n: int, value: Callable) -> tuple:
+    """The form table (den, rows) of the "gram" of a to_json table, which
+    must be symmetric, over the lcm of its denominators."""
     if len(gram) != n:
         raise ValueError(f"gram has {len(gram)} rows, not {n}")
     for i, grow in enumerate(gram):
@@ -186,7 +183,7 @@ def _json_form_rows(gram: list, n: int, value: Callable) -> list:
     lower: list[list] = [[] for _ in range(n)]
     mirror: list[list] = [[] for _ in range(n)]
     symmetric = True
-    out = []
+    rows, parsed = [], {}  # per row {j: string}; string -> value
     for i, grow in enumerate(gram):
         upper = [j for j, s in enumerate(grow[i + 1:], i + 1) if s != "0"]
         for j in upper:
@@ -197,22 +194,24 @@ def _json_form_rows(gram: list, n: int, value: Callable) -> list:
         if (vals[:len(mirror[i])] != mirror[i]
                 or n - grow.count("0") != len(cols)):
             symmetric = False
-        # numerators over the row's lcm, zeros other than "0" left out
-        parsed = {}
-        for s in set(vals):
+        for s in set(vals).difference(parsed):
             try:
                 parsed[s] = value(s)
             except ValueError as exc:
-                j = grow.index(s)
-                raise ValueError(f"gram[{i}][{j}]: {exc}") from None
-        den = math.lcm(*(d for _, d in parsed.values()))
-        num = {s: v * (den // d) for s, (v, d) in parsed.items()}
-        nums = map(num.__getitem__, vals)
-        out.append((den, dict(zip(cols, nums)) if all(num.values())
-                    else {j: v for j, v in zip(cols, nums) if v}))
+                raise ValueError(
+                    f"gram[{i}][{grow.index(s)}]: {exc}") from None
+        rows.append(dict(zip(cols, vals)))
+    # numerators over the table's lcm, zeros other than "0" left out
+    den = math.lcm(*(d for _, d in parsed.values()))
+    num = {s: v * (den // d) for s, (v, d) in parsed.items()}
+    nonzero = all(num.values())
+    for i, row in enumerate(rows):
+        nums = map(num.__getitem__, row.values())
+        rows[i] = (dict(zip(row, nums)) if nonzero
+                   else {j: v for j, v in zip(row, nums) if v})
     if not symmetric:
         _check_symmetric(gram, value)
-    return out
+    return den, rows
 
 
 def _check_symmetric(gram: list, value: Callable):
@@ -235,55 +234,31 @@ class DependentError(ValueError):
 
 
 class StructureAlgebra:
-    """Commutative algebra given by rows of basis products and of a form,
-    read from the row sources product and form (module docstring)."""
+    """Commutative algebra given by a table of basis products and one of a
+    form, from the table sources product and form (module docstring)."""
 
     def __init__(self, basis_labels: Sequence[str],
-                 product: Callable[[int], tuple],
-                 form: Callable[[int], tuple]):
+                 product: Callable[[], tuple], form: Callable[[], tuple]):
         self.basis_labels = list(basis_labels)
         self.dim = len(self.basis_labels)
         self._product_fn, self._form_fn = product, form
-        # Row i: None until read, then its (den, {j: entry}); see _compile.
-        self._product_rows: list = [None] * self.dim
-        self._form_rows: list = [None] * self.dim
 
-    # -- rows ----------------------------------------------------------------
+    @functools.cached_property
+    def product_table(self) -> tuple:
+        """(den, rows): b_i * b_j = sum_k num/den b_k over rows[i][j], the
+        terms (k, num)."""
+        return self._product_fn()
 
-    def _compile(self, i: int) -> tuple:
-        """Read product row i from its source, taking each entry that a row
-        j read before over the same denominator holds for i, so the two
-        rows of a pair share one entry; this shares entries only for a
-        per-row source such as B+'s, as A and T's table shares them
-        already.  The source's dict becomes the row."""
-        rows = self._product_rows
-        den, nbrs = self._product_fn(i)
-        for j in nbrs:
-            other = rows[j]
-            if other is not None and other[0] == den:
-                e = other[1].get(i)
-                if e is not None:
-                    nbrs[j] = e
-        row = rows[i] = (den, nbrs)
-        return row
-
-    def _product_row(self, i: int) -> tuple:
-        """(den, {j: ((k, numerator), ...)}): b_i * b_j = sum_k num/den b_k."""
-        return self._product_rows[i] or self._compile(i)
-
-    def _form_row(self, i: int) -> tuple:
-        """(den, {j: numerator}): <b_i, b_j> = numerator/den; an int entry
-        gains nothing from being shared."""
-        row = self._form_rows[i]
-        if row is None:
-            row = self._form_rows[i] = self._form_fn(i)
-        return row
+    @functools.cached_property
+    def form_table(self) -> tuple:
+        """(den, rows): <b_i, b_j> = rows[i][j]/den, 0 where j is absent."""
+        return self._form_fn()
 
     # -- basis-level access ------------------------------------------------
 
     def basis_product(self, i: int, j: int) -> Sparse:
-        den, nbrs = self._product_row(i)
-        return {k: Q(v, den) for k, v in nbrs.get(j, ())}
+        den, rows = self.product_table
+        return {k: Q(v, den) for k, v in rows[i].get(j, ())}
 
     # -- elements ----------------------------------------------------------
 
@@ -296,14 +271,10 @@ class StructureAlgebra:
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
 
-    def basis_element(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(self, {i: ONE})
-
     def first_unfixed_basis(self, x: "AlgebraElement",
                             indices: Iterable[int] | None = None):
         """The first j in indices (default: all) with x * b_j != b_j, or
-        None; each product walks the compiled row of b_j, in integer
-        numerators."""
+        None; each product walks the row of b_j, in integer numerators."""
         xs, xd = x._integer_coeffs()
         for j in range(self.dim) if indices is None else indices:
             out, den = self.bilinear({j: 1}, xs)
@@ -323,29 +294,27 @@ class StructureAlgebra:
 
         Returns (numerators, den) with the exact value numerators / den:
         for the product a dict {k: numerator} that may hold zeros, for the
-        form an int.  Walks the compiled rows of the sparser operand, which
-        is valid by commutativity, with each row's numerators rescaled to
-        the lcm of the row denominators; each row meets the other operand
-        by lookups from the shorter of the two.
+        form an int, both over the table's denominator.  Walks the rows of
+        the sparser operand, which is valid by commutativity; each row meets
+        the other operand by lookups from the shorter of the two.
         """
         if len(x) > len(y):
             x, y = y, x
-        rows = [(c, self._form_row(j) if form else self._product_row(j))
-                for j, c in x.items()]
-        den = math.lcm(*(d for _, (d, _) in rows))
+        den, rows = self.form_table if form else self.product_table
         yget, n = y.get, len(y)
         if form:
             total = 0
-            for c, (d, nbrs) in rows:
+            for j, c in x.items():
+                nbrs = rows[j]
                 pairs = (zip(nbrs.values(), map(yget, nbrs, repeat(0)))
                          if len(nbrs) <= n else
                          zip(map(nbrs.get, y, repeat(0)), y.values()))
-                total += c * (den // d) * sum(starmap(mul, pairs))
+                total += c * sum(starmap(mul, pairs))
             return total, den
         out: dict = {}
         get = out.get
-        for c, (d, nbrs) in rows:
-            c *= den // d
+        for j, c in x.items():
+            nbrs = rows[j]
             if len(nbrs) <= n:
                 for i, e in nbrs.items():
                     if w := yget(i):
@@ -362,20 +331,19 @@ class StructureAlgebra:
 
     def neighbours(self, i: int) -> set:
         """The j with b_i * b_j != 0 or <b_i, b_j> != 0."""
-        return self._product_row(i)[1].keys() | self._form_row(i)[1].keys()
+        return (self.product_table[1][i].keys()
+                | self.form_table[1][i].keys())
 
     def form_matrix(self, elements: Sequence["AlgebraElement"]) -> list[list]:
         """<e_i, e_j> for every pair of the elements, from one Gram-vector
         product G e_j per element and integer dot products."""
         scaled = [e._integer_coeffs() for e in elements]
+        den, rows = self.form_table
         gram = []  # G e_j = g / den
         for xs, xd in scaled:
-            rows = [(c, self._form_row(b)) for b, c in xs.items()]
-            den = math.lcm(*(d for _, (d, _) in rows))
             g: dict = {}
-            for c, (d, nbrs) in rows:
-                c *= den // d
-                for a, v in nbrs.items():
+            for b, c in xs.items():
+                for a, v in rows[b].items():
                     g[a] = g.get(a, 0) + c * v
             gram.append((g, den * xd))
         out = [[ZERO] * len(elements) for _ in elements]
@@ -403,11 +371,11 @@ class StructureAlgebra:
         solver = SparseSolver(self.dim)
         tree = [[a] for a in range(self.dim)]  # a's tree, as its members
         held: list = []
+        den, rows = self.product_table
         for j in range(self.dim):
-            # x * b_j = b_j, scaled by the row denominator: integer equations
-            den, nbrs = self._product_row(j)
+            # x * b_j = b_j, scaled by the denominator: integer equations
             cols: dict[int, list] = {}
-            for i, terms in nbrs.items():
+            for i, terms in rows[j].items():
                 for k, v in terms:
                     cols.setdefault(k, []).append((i, v))
             if j not in cols:
@@ -497,42 +465,38 @@ class StructureAlgebra:
 
     @_gc_paused()
     def to_json(self) -> dict:
-        strings = functools.cache(_Strings)  # one per denominator
+        (pden, prows), (fden, frows) = self.product_table, self.form_table
+        pfmt, ffmt = _Strings(pden), _Strings(fden)
         products, gram = [], []
-        for i in range(self.dim):
-            den, nbrs = self._product_row(i)
-            fmt = strings(den)
-            for j, terms in nbrs.items():
+        for i, (prow, frow) in enumerate(zip(prows, frows)):
+            for j, terms in prow.items():
                 if j >= i:
-                    products.append([i, j, [[k, fmt[v]] for k, v in terms]])
-            den, nbrs = self._form_row(i)
-            fmt = strings(den)
+                    products.append([i, j, [[k, pfmt[v]] for k, v in terms]])
             gram.append(row := ["0"] * self.dim)
-            for j, v in nbrs.items():
-                row[j] = fmt[v]
+            for j, v in frow.items():
+                row[j] = ffmt[v]
         return {"basis": list(self.basis_labels), "products": products,
                 "gram": gram}
 
     @classmethod
     @_gc_paused()
     def from_json(cls, data: dict) -> "StructureAlgebra":
-        """The algebra of a to_json table, its rows built here in full.
+        """The algebra of a to_json table, its two tables built here.
 
         Each distinct coefficient string is parsed once, the entry of each
         listed pair is built once and shared by both its rows, and each term
         (k, num) over denominator 1 by every entry that has it.  Pairs may
         come in any order and either way round, and terms in any order,
-        zeros included.  Raises ValueError, naming the entry, for an index
-        outside the basis, a pair or term listed twice, a bad value such as
+        zeros included.  Raises ValueError, naming the entry, for an entry
+        that is not [i, j, terms], an index outside the basis, a pair or
+        term listed twice, a value that is not a string or is bad, such as
         "1/0", or a gram that is not dim x dim or not symmetric.
         """
         n = len(data["basis"])
         value = functools.cache(_json_value)
-        products = _json_product_rows(data["products"], n, value)
-        forms = _json_form_rows(data["gram"], n, value)
-        alg = cls(data["basis"], products.__getitem__, forms.__getitem__)
-        alg._product_rows, alg._form_rows = products, forms
-        return alg
+        products = _json_product_table(data["products"], n, value)
+        forms = _json_form_table(data["gram"], n, value)
+        return cls(data["basis"], lambda: products, lambda: forms)
 
 
 class AlgebraElement:

@@ -29,10 +29,10 @@ on the same matrices: polarizing the rule for <ab, cd>,
 
     <X, Y> = 1/2 tr(X'S Y'S) + 2 sum_r x_r y_r,
 
-symmetric for any S.  B+'s form rows, the gram of to_json, are the Gram
-vectors of the basis elements: <X, s(c, d)> is the symmetric part of
+symmetric for any S.  B+'s form table, the gram of to_json, holds the
+Gram vectors of the basis elements: <X, s(c, d)> is the symmetric part of
 M = S X'S at (c, d), read in one pass over the rows of M.  The product
-rules above, written as integer rows, remain the row source of
+rules above, written as one integer table, remain the product table of
 basis_product and to_json.
 
 The linear map from the root algebra sends t(alpha) to alpha^2/2 - x_alpha
@@ -45,7 +45,6 @@ direct sum it misses the cross terms h_c h_c' (rank 48 < dim 324 on A1^24).
 
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress
@@ -90,17 +89,19 @@ class _Operand(dict):
 
 class BPlusStructure(StructureAlgebra):
     """The StructureAlgebra of B+, whose products and forms of elements run
-    on the structure (module docstring) instead of the compiled basis rows.
+    on the structure (module docstring) instead of the basis tables.
 
     The kernel reads the root system's simple-root coefficients and
     relation lists, the Cartan matrix S, per positive root r the pairings
     (a, (alpha_a, r)) that are not zero, and alpha_r^2 over the S^2 basis
-    (squares).  basis_product and to_json read the rows of the product
-    source; the form rows are read from the kernel (_gram_row).
+    (squares).  basis_product and to_json read the table of the product
+    source; the form table is made from the kernel, one Gram row per
+    basis element (_gram_row).
     """
 
     def __init__(self, basis_labels, product, rs, cartan, pairings, squares):
-        super().__init__(basis_labels, product, self._gram_row)
+        super().__init__(basis_labels, product, lambda: (
+            2, [self._gram_row(i) for i in range(self.dim)]))
         l = self._l = len(cartan)
         self._pair, self._idx = _sym_pairs(l)
         self.ns = len(self._pair)
@@ -147,7 +148,7 @@ class BPlusStructure(StructureAlgebra):
         x.xs, x.xl, x.rows, x.srows, x.q = xs, xl, rows, srows, {}
         return x
 
-    def _gram_row(self, i: int) -> tuple:
+    def _gram_row(self, i: int) -> dict:
         """Form row i over denominator 2, by the form's trace (module
         docstring): 2 <X, s(c, d)> = M_cd + M_dc with M = S X'S, whose rows
         c sum the rows b of X'S times S_cb, and 2 <X, x_r> = 4 x_r.  An S
@@ -160,7 +161,7 @@ class BPlusStructure(StructureAlgebra):
                 for d in compress(range(l), row):
                     g[ic[d]] += s * row[d] * (1 + (c == d))
         g.update((self.ns + r, 4 * v) for r, v in x.xs.items())
-        return 2, {k: g[k] for k in sorted(g) if g[k]}
+        return {k: g[k] for k in sorted(g) if g[k]}
 
     def _q(self, x: _Operand, r: int) -> int:
         """q_X(r) = p_r^T X' p_r, memoized on x, where (X' p_r)_a is row a
@@ -297,6 +298,9 @@ class BPlusAlgebra:
 
 
 def build_bplus(rs: RootSystem) -> BPlusAlgebra:
+    """B+ of rs on its S^2(H) kernel, with a product table source that
+    writes the product rules (module docstring) one pair i <= j at a time;
+    neither table is built until it is read."""
     l, N = rs.l, rs.N
     sym_pairs, idx = _sym_pairs(l)
     ns = len(sym_pairs)
@@ -321,16 +325,15 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
             P[a][r] = p
         squares.append(_square(c, idx))
 
-    def product(i: int) -> tuple:
-        """Row i in the row format: over denominator 1, entries and terms
-        in index order, zeros left out."""
+    def upper(i: int) -> dict:
+        """Row i's entries at the j >= i, in j order: terms in index
+        order, zeros left out."""
         if i >= ns:
             r = i - ns
-            row = {ns + s: ((ns + g, 1),) for s, g in rs.neighbours[r]}
-            row[i] = tuple((k, 2 * v) for k, v in squares[r].items())
-            row.update((idx[a][b], ((i, 2 * p * q),))
-                       for a, p in pcol[r] for b, q in pcol[r] if a <= b)
-            return 1, dict(sorted(row.items()))
+            row = {i: tuple((k, 2 * v) for k, v in squares[r].items())}
+            row.update((ns + s, ((ns + g, 1),))
+                       for s, g in rs.neighbours[r] if s > r)
+            return row
         a, b = sym_pairs[i]
         # (ab)(cd) = (a,c)bd + (a,d)bc + (b,c)ad + (b,d)ac, collected per cd
         # from the c that are a, b or a Cartan neighbour of one.  A square cc
@@ -339,15 +342,26 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
         for x, y in ((a, b), (b, a)):
             for c in near[x]:
                 for d in range(l):
-                    terms = row.setdefault(idx[c][d], {})
-                    k = idx[y][d]
-                    terms[k] = terms.get(k, 0) + S[x][c] * (1 + (c == d))
+                    if (j := idx[c][d]) >= i:
+                        terms = row.setdefault(j, {})
+                        k = idx[y][d]
+                        terms[k] = terms.get(k, 0) + S[x][c] * (1 + (c == d))
         out = {j: e for j in sorted(row)
                if (e := tuple(sorted(t for t in row[j].items() if t[1])))}
         pa, pb = P[a], P[b]
         out.update((ns + r, ((ns + r, 2 * pa[r] * pb[r]),))
                    for r in sorted(pa.keys() & pb.keys()))
-        return 1, out
+        return out
+
+    def product() -> tuple:
+        """The table over denominator 1, each pair i <= j made once and
+        stored in both its rows, so that every row gets its j in
+        increasing order."""
+        rows: list[dict] = [{} for _ in range(ns + N)]
+        for i, row in enumerate(rows):
+            for j, e in upper(i).items():
+                row[j] = rows[j][i] = e
+        return 1, rows
 
     labels = ([f"s({a},{b})" for a, b in sym_pairs]
               + [f"x({r})" for r in range(N)])
@@ -416,49 +430,48 @@ def _basis_pairs(N: int, r: int, s: int) -> list:
 def _pair_mismatches(phi: PhiMap, parts: list, r: int, s: int) -> tuple:
     """The basis pairs of roots r <= s with phi(b_i) phi(b_j) !=
     phi(b_i b_j), from B's products of parts[r] and parts[s]: diff =
-    16 aden pden (phi(b_i) phi(b_j) - image / (2 aden)); and those with
-    16 <phi(b_i), phi(b_j)> != 16 <b_i, b_j>, from B's forms of them."""
+    16 aden pden (phi(b_i) phi(b_j) - image / (2 aden)), with pden the one
+    denominator of B's products; and those with 16 <phi(b_i), phi(b_j)> !=
+    16 <b_i, b_j>, from B's forms of them."""
     A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
+    (aden, rows), (fden, frows) = A.product_table, A.form_table
     prods = [B.bilinear(a, b) for a in parts[r] for b in parts[s]]
     forms = [Q(*B.bilinear(a, b, True)) for a in parts[r] for b in parts[s]]
-    pden = math.lcm(*(d for _, d in prods))
+    pden = prods[0][1]
     out, bad_forms = [], []
     for i, j, signs in _basis_pairs(N, r, s):
-        aden, row = A._product_row(i)
         diff = {k: -8 * pden * v
-                for k, v in phi.image(dict(row.get(j, ()))).items()}
-        for sign, (p, d) in zip(signs, prods):
+                for k, v in phi.image(dict(rows[i].get(j, ()))).items()}
+        for sign, (p, _) in zip(signs, prods):
             for k, v in p.items():
-                diff[k] = diff.get(k, 0) + sign * aden * (pden // d) * v
+                diff[k] = diff.get(k, 0) + sign * aden * v
         if any(diff.values()):
             out.append((i, j))
-        aden, row = A._form_row(i)
-        if sum(map(mul, signs, forms)) != 16 * Q(row.get(j, 0), aden):
+        if sum(map(mul, signs, forms)) != 16 * Q(frows[i].get(j, 0), fden):
             bad_forms.append((i, j))
     return out, bad_forms
 
 
-def _closed_mismatches(rows: list, frows: list, closed: tuple, r: int,
-                       s: int, coeffs: list, good: list):
+def _closed_mismatches(A: StructureAlgebra, closed: tuple, r: int, s: int,
+                       coeffs: list, good: list):
     """_pair_mismatches on the products and forms of
     BPlusStructure.pair_products, with image = sum_q (c_q + d_q) a_q^2 +
     2 (d_q - c_q) x_q for t_q, u_q at c_q, d_q in A's entry.  A root g other
     than r, s needs a good square and c_g = +-(c_r +- c_s): a_g^2 = a_r^2 +
-    a_s^2 +- 2 sym(c_r, c_s).  None if an entry has another root; rows and
-    frows are A's product and form rows."""
+    a_s^2 +- 2 sym(c_r, c_s).  None if an entry has another root."""
     (prods, forms), cr, cs, N = closed, coeffs[r], coeffs[s], len(coeffs)
+    (aden, rows), (fden, frows) = A.product_table, A.form_table
     signs = {tuple(map(add, cr, cs)): 2, tuple(map(sub, cr, cs)): -2,
              tuple(map(sub, cs, cr)): -2}
     square = {r: (((r, r), 1),), s: (((s, s), 1),)}
     out, bad_forms = [], []
     for i, j, pm in _basis_pairs(N, r, s):
-        aden, row = rows[i]
         diff: dict = {}  # aden times the signed products, minus 8 image
         get = diff.get
         for sign, p in zip(pm, prods):
             for key, v in p.items():
                 diff[key] = get(key, 0) + sign * aden * v
-        for k, v in row.get(j, ()):
+        for k, v in rows[i].get(j, ()):
             q, v = k % N, 8 * v
             if q not in square:
                 e = good[q] and signs.get(coeffs[q])
@@ -470,8 +483,7 @@ def _closed_mismatches(rows: list, frows: list, closed: tuple, r: int,
             diff[q] = get(q, 0) + (-2 if k >= N else 2) * v
         if any(diff.values()):
             out.append((i, j))
-        aden, row = frows[i]
-        if sum(map(mul, pm, forms)) * aden != 16 * row.get(j, 0):
+        if sum(map(mul, pm, forms)) * fden != 16 * frows[i].get(j, 0):
             bad_forms.append((i, j))
     return out, bad_forms
 
@@ -491,8 +503,6 @@ def verify_theorem_3_1(phi: PhiMap) -> tuple:
     A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
     parts = [(B.operand(phi.image({r: 1, N + r: 1})),
               B.operand(phi.image({r: -1, N + r: 1}))) for r in range(N)]
-    rows = [A._product_row(i) for i in range(2 * N)]
-    frows = [A._form_row(i) for i in range(2 * N)]
     if isinstance(B, BPlusStructure):
         pairs = B.pair_products(parts, good := B.rank_one(parts))
     else:
@@ -501,13 +511,14 @@ def verify_theorem_3_1(phi: PhiMap) -> tuple:
     for r, row in pairs:
         kept.append(set(row))
         for s, closed in row.items():
-            bad = closed and _closed_mismatches(rows, frows, closed, r, s,
-                                                B._coeffs, good)
+            bad = closed and _closed_mismatches(A, closed, r, s, B._coeffs,
+                                                good)
             bad = bad or _pair_mismatches(phi, parts, r, s)
             products += bad[0]
             forms += bad[1]
     # the pairs left out: B+'s products and forms are 0
-    for i, ((_, prow), (_, frow)) in enumerate(zip(rows, frows)):
+    for i, (prow, frow) in enumerate(zip(A.product_table[1],
+                                         A.form_table[1])):
         for j in prow.keys() | frow.keys():
             if j >= i and max(i % N, j % N) not in kept[min(i % N, j % N)]:
                 if j in prow and phi.image(dict(prow[j])):

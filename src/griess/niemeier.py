@@ -88,31 +88,33 @@ def catalog_entry(name: str) -> NiemeierEntry:
 
 
 def lemma_4_2_subalgebra(entry: NiemeierEntry) -> DecompositionReport:
+    """chain_image_subalgebra on the root system of a non-Leech entry."""
+    if entry.is_leech:
+        raise ValueError("the Leech entry carries no root-system subalgebra")
+    rs = entry.root_system()
+    return chain_image_subalgebra(PhiMap(build_A(rs), build_bplus(rs)),
+                                  entry.name)
+
+
+def chain_image_subalgebra(phi: PhiMap, name: str) -> DecompositionReport:
     """The images in the weight-2 algebra of the default chain idempotents,
     l+1 per component of rank l, with their charges; checks holds the
     number of images and whether the non-zero ones are independent and
     span an associative subalgebra, and under "dependent" the index of the
     first image in the span of the non-zero ones before it.  verify names
     a zero image by its charge, 0."""
-    if entry.is_leech:
-        raise ValueError("the Leech entry carries no root-system subalgebra")
-    rs = entry.root_system()
-    ra = build_A(rs)
-    bp = build_bplus(rs)
-    phi = PhiMap(ra, bp)
-    images = [phi.apply(e) for e in chain_idempotents(ra)]
+    images = [phi.apply(e) for e in chain_idempotents(phi.domain)]
     nonzero = [k for k, e in enumerate(images) if not e.is_zero()]
     checks = {"dimension": len(images)}
     try:
-        checks["associative"] = bp.alg.is_associative_span(
+        checks["associative"] = phi.codomain.alg.is_associative_span(
             [images[k] for k in nonzero])
     except DependentError as exc:
         checks["associative"] = False
         checks["dependent"] = nonzero[exc.index]
     charges = [e.central_charge() for e in images]
     return DecompositionReport(
-        images, charges, f"{entry.name}: images in the weight-2 algebra",
-        checks)
+        images, charges, f"{name}: images in the weight-2 algebra", checks)
 
 
 # -- quadratic spaces over GF(2) ------------------------------------------
@@ -140,10 +142,6 @@ class F2QuadSpace:
         for i in range(self.witt_index):
             total ^= (v >> (2 * i)) & (v >> (2 * i + 1)) & 1
         return total
-
-    def b(self, u: int, v: int) -> int:
-        """Polar form q(u+v) - q(u) - q(v)."""
-        return self.q(u ^ v) ^ self.q(u) ^ self.q(v)
 
 
 def lagrangian_extension_count(n: int) -> int:

@@ -31,15 +31,16 @@ class RootAlgebra:
 
 
 def _make_algebra(rs: RootSystem, t_only: bool) -> StructureAlgebra:
-    """A(Phi), or its t-span T(Phi), with rows from one table over the
-    neighbour lists: basis t-block 0..N-1, then u-block N..2N-1.  Products
-    are over denominator 1 and the form over 2, so 1/2 is the numerator 1.
+    """A(Phi), or its t-span T(Phi), with its product and form tables built
+    together over the neighbour lists: basis t-block 0..N-1, then u-block
+    N..2N-1.  Products are over denominator 1 and the form over 2, so 1/2
+    is the numerator 1.
 
-    The table is built on the first row read, so an algebra whose rows are
-    never read builds none.  It visits the pairs i <= j with a non-zero
-    product in lexicographic order and stores each pair's entry in row i at
-    j and in row j at i: the two rows share one entry, and every row gets
-    its j in increasing order."""
+    Both tables are built on the first read of either, so an algebra whose
+    rows are never read builds none.  The build visits the pairs i <= j
+    with a non-zero product in lexicographic order and stores each pair's
+    entry in row i at j and in row j at i: the two rows share one entry,
+    and every row gets its j in increasing order."""
     N, nbrs = rs.N, rs.neighbours
     dim = N if t_only else 2 * N
 
@@ -71,8 +72,8 @@ def _make_algebra(rs: RootSystem, t_only: bool) -> StructureAlgebra:
     labels = [f"t({i})" for i in range(N)]
     if not t_only:
         labels += [f"u({i})" for i in range(N)]
-    return StructureAlgebra(labels, lambda i: (1, table()[0][i]),
-                            lambda i: (2, table()[1][i]))
+    return StructureAlgebra(labels, lambda: (1, table()[0]),
+                            lambda: (2, table()[1]))
 
 
 def build_A(rs: RootSystem) -> RootAlgebra:

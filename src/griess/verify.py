@@ -11,15 +11,14 @@ System holds what the targets and the CLI build from one spec: it resolves
 a catalog name, runs the size guard before anything is built, and builds
 the root system, A(Phi), T(Phi), B+ and phi each once, on first use.
 run_target alone creates, names and times the reports.  `all` makes one
-System per spec for every target run on it, so a report's elapsed time
-leaves out what an earlier target on the same spec built; lemma4.2 builds
-its own entry system.
+System per spec for every target run on it, lemma4.2 included, so a
+report's elapsed time leaves out what an earlier target on the same spec
+built.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ from .bplus import PhiMap, build_bplus, verify_theorem_3_1
 from .exactlin import SparseSolver
 from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
                        F2QuadSpace, brute_force_lagrangians,
-                       lagrangian_extension_count, lemma_4_2_subalgebra,
+                       chain_image_subalgebra, lagrangian_extension_count,
                        table1_consistency, table2_consistency)
 from .ratio import Q, ZERO, q_str
 from .rootalgebra import (build_A, build_T, coset_chain_decompose,
@@ -318,19 +317,19 @@ def _thm_3_1(s: System, rep: VerifyReport):
 
 
 def _p_block(A, N: int) -> tuple[list, str | None]:
-    """The rows {b: <P_a, P_b>} of A's form on P_a = t_a + u_a, scaled per
-    row, and the first statement of the split into the P and M blocks
-    (M_a = u_a - t_a) that A's form rows break, or None: <P_a, M_b> and
-    <M_a, P_b> are 0, <M_a, M_b> is 0 for a != b, <M_a, M_a> is not."""
+    """The rows {b: <P_a, P_b>} of A's form on P_a = t_a + u_a, scaled by
+    the form table's denominator, and the first statement of the split into
+    the P and M blocks (M_a = u_a - t_a) that A's form rows break, or None:
+    <P_a, M_b> and <M_a, P_b> are 0, <M_a, M_b> is 0 for a != b,
+    <M_a, M_a> is not."""
+    den, rows = A.form_table
     block = []
     for a in range(N):
-        (dt, rt), (du, ru) = A._form_row(a), A._form_row(N + a)
-        den = math.lcm(dt, du)
         gp, gm = {}, {}  # P_a^T G and M_a^T G over den
-        for row, f, sign in ((rt, den // dt, -1), (ru, den // du, 1)):
+        for row, sign in ((rows[a], -1), (rows[N + a], 1)):
             for k, v in row.items():
-                gp[k] = gp.get(k, 0) + f * v
-                gm[k] = gm.get(k, 0) + sign * f * v
+                gp[k] = gp.get(k, 0) + v
+                gm[k] = gm.get(k, 0) + sign * v
         prow = {}
         for b in sorted({k % N for k in gp} | {a}):
             # each must be 0 but <M_a, M_a>, which must not
@@ -382,11 +381,11 @@ def _cor_3_2(s: System, rep: VerifyReport):
 
 def _lemma_4_2(s: System, rep: VerifyReport):
     """Associative subalgebra of dimension 24+k for a rank-24 entry, on
-    the entry's own root system."""
+    the System's phi."""
     if s.name not in _catalog_specs():
         raise ValueError(f"{s.name!r} is not a catalog entry name")
     entry = catalog_entry(s.name)
-    sub = lemma_4_2_subalgebra(entry)
+    sub = chain_image_subalgebra(s.phi, entry.name)
     dim = sub.checks["dimension"]
     rep.add(f"dimension 24 + k = {24 + entry.k}", dim == 24 + entry.k,
             f"{dim} idempotents")

@@ -1,5 +1,6 @@
 """Shared cached builders so expensive systems are constructed once, the
-reference encoder that turns tables given as rules into row sources, a
+reference encoder that turns tables given as rules into table sources, the
+basis elements of an algebra and the polar form of a GF(2) space, a
 reference root system built from rational coordinates by definition, and
 dense references by definition: basis forms, the Gram matrix, the matrix of
 phi and its kernel, and a level-by-level reference count of GF(2)
@@ -44,44 +45,50 @@ def phi(spec: str):
 
 
 def encode_rows(product, form, dim: int) -> tuple:
-    """Row sources (griess.algebra) of a table given as rules, the
+    """Table sources (griess.algebra) of a table given as rules, the
     reference encoder of the tests' small tables.
 
     product(i) -> {j: {k: value}} gives b_i * b_j = sum_k value b_k and
     form(i) -> {j: value} gives <b_i, b_j>; values are ints or rationals,
     and zeros, listed or not, are left out.  Either may instead be a
-    Mapping keyed by (i, j) with i <= j.  Each row is over the lcm of its
+    Mapping keyed by (i, j) with i <= j.  Each table is over the lcm of its
     entries' denominators.
     """
-    def encode_product(p):
-        p = {k: v for k, v in p.items() if v}
-        if not p:
-            return None
-        den = math.lcm(*(v.denominator for v in p.values()))
-        return tuple(sorted((k, int(v * den)) for k, v in p.items())), den
-
-    def encode_value(v):
-        return (v.numerator, v.denominator) if v else None
-
-    def rows(source, encode, rescale):
+    def rationals(source, entry):
         if not callable(source):
             # a symmetric table keyed by (i, j) with i <= j, grouped in rows
             table = [{} for _ in range(dim)]
             for (i, j), v in source.items():
                 table[i][j] = table[j][i] = v
             source = table.__getitem__
+        return [{j: e for j, v in sorted(source(i).items()) if (e := entry(v))}
+                for i in range(dim)]
 
-        def row(i):
-            raw = [(j, e) for j, v in sorted(source(i).items())
-                   if (e := encode(v)) is not None]
-            den = math.lcm(*(d for _, (_, d) in raw))
-            return den, {j: e if d == den else rescale(e, den // d)
-                         for j, (e, d) in raw}
-        return row
+    def product_table():
+        rows = rationals(product, lambda p: {k: Q(v) for k, v in
+                                             sorted(p.items()) if v})
+        den = math.lcm(*(v.denominator for row in rows for p in row.values()
+                         for v in p.values()))
+        return den, [{j: tuple((k, int(v * den)) for k, v in p.items())
+                      for j, p in row.items()} for row in rows]
 
-    return (rows(product, encode_product,
-                 lambda e, f: tuple((k, v * f) for k, v in e)),
-            rows(form, encode_value, lambda v, f: v * f))
+    def form_table():
+        rows = rationals(form, Q)
+        den = math.lcm(*(v.denominator for row in rows for v in row.values()))
+        return den, [{j: int(v * den) for j, v in row.items()}
+                     for row in rows]
+
+    return product_table, form_table
+
+
+def basis_element(alg, i: int):
+    """The basis element b_i of alg."""
+    return alg.element({i: 1})
+
+
+def polar(space, u: int, v: int) -> int:
+    """The polar form q(u+v) - q(u) - q(v) of a GF(2) quadratic space."""
+    return space.q(u ^ v) ^ space.q(u) ^ space.q(v)
 
 
 def dot(x: tuple, y: tuple):
@@ -210,9 +217,9 @@ def mul_vector(m, v) -> list:
 
 
 def basis_form(alg, i: int, j: int):
-    """<b_i, b_j>, read from form row i."""
-    den, nbrs = alg._form_row(i)
-    return Q(nbrs.get(j, 0), den)
+    """<b_i, b_j>, read from the form table."""
+    den, rows = alg.form_table
+    return Q(rows[i].get(j, 0), den)
 
 
 def is_idempotent(e) -> bool:

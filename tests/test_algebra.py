@@ -5,7 +5,7 @@ import pytest
 from griess.algebra import StructureAlgebra
 from griess.ratio import Q
 
-from conftest import (basis_form, encode_rows, is_idempotent,
+from conftest import (basis_element, basis_form, encode_rows, is_idempotent,
                       radical_dimension, scaled)
 
 
@@ -56,14 +56,15 @@ class TestElements:
 
     def test_idempotents(self):
         alg = two_dim_split()
-        e = alg.basis_element(0)
-        f = alg.basis_element(1)
+        e = basis_element(alg, 0)
+        f = basis_element(alg, 1)
         assert is_idempotent(e) and is_idempotent(f)
         assert (e * f).is_zero() and e.form(f) == 0
 
     def test_mixing_algebras_rejected(self):
         with pytest.raises(ValueError):
-            two_dim_split().basis_element(0) * no_identity_algebra().basis_element(0)
+            basis_element(two_dim_split(), 0) * basis_element(
+                no_identity_algebra(), 0)
 
 
 class TestIdentity:
@@ -80,18 +81,18 @@ class TestIdentity:
 class TestAssociativeSpan:
     def test_split_basis_passes(self):
         alg = two_dim_split()
-        assert alg.is_associative_span([alg.basis_element(0),
-                                        alg.basis_element(1)])
+        assert alg.is_associative_span([basis_element(alg, 0),
+                                        basis_element(alg, 1)])
 
     def test_nonassociative_fails(self):
         alg = nonassociative_example()
-        assert not alg.is_associative_span([alg.basis_element(0),
-                                            alg.basis_element(1)])
+        assert not alg.is_associative_span([basis_element(alg, 0),
+                                            basis_element(alg, 1)])
 
     def test_unclosed_span_fails(self):
         alg = nonassociative_example()
         # a alone: a*a = b is outside span{a}
-        assert not alg.is_associative_span([alg.basis_element(0)])
+        assert not alg.is_associative_span([basis_element(alg, 0)])
 
     def test_dependent_elements_rejected(self):
         alg = two_dim_split()
@@ -142,7 +143,19 @@ class TestSerialization:
         (lambda d: d["products"].append([1, 1, [[0, "1"], [1, "1/0"]]]),
          r"products\[2\]: '1/0' has denominator 0"),
         (lambda d: set_gram(d, {(0, 1): "1/0", (1, 0): "1/0"}),
-         r"gram\[0\]\[1\]: '1/0' has denominator 0")])
+         r"gram\[0\]\[1\]: '1/0' has denominator 0"),
+        (lambda d: d["products"].append([1, 1, [[0, 8]]]),
+         r"products\[2\]: 8 is not a string"),
+        (lambda d: d["products"].append([1, 1, [[0, None]]]),
+         r"products\[2\]: None is not a string"),
+        (lambda d: set_gram(d, {(1, 1): 4}),
+         r"gram\[1\]\[1\]: 4 is not a string"),
+        (lambda d: set_gram(d, {(0, 1): None, (1, 0): None}),
+         r"gram\[0\]\[1\]: None is not a string"),
+        (lambda d: d["products"].append(["1", 1, [[0, "1"]]]),
+         r"products\[2\]: basis pair \('1', 1\) is outside the basis"),
+        (lambda d: d["products"].append([1, 1]),
+         r"products\[2\]: not enough values to unpack")])
     def test_malformed_tables_name_the_entry(self, change, message):
         data = nonassociative_example().to_json()
         change(data)

@@ -4,13 +4,13 @@ from griess.bplus import PhiMap, verify_theorem_3_1
 from griess.exactlin import QMatrix
 from griess.ratio import Q
 
-from conftest import (algebra_A, algebra_T, bplus, gram_matrix, mul_vector,
-                      phi, phi_kernel_basis, phi_matrix, radical_dimension,
-                      reference, scaled, system)
+from conftest import (algebra_A, algebra_T, basis_element, bplus, gram_matrix,
+                      mul_vector, phi, phi_kernel_basis, phi_matrix,
+                      radical_dimension, reference, scaled, system)
 
 
 def x(bp, r):
-    return bp.alg.basis_element(bp.num_sym + r)
+    return basis_element(bp.alg, bp.num_sym + r)
 
 
 def root_square(bp, r):
@@ -54,8 +54,8 @@ class TestPhi:
     def test_images(self):
         p = phi("A1")
         bp = p.codomain
-        t_img = p.apply(p.domain.alg.basis_element(0))
-        u_img = p.apply(p.domain.alg.basis_element(p.domain.rs.N))
+        t_img = p.apply(basis_element(p.domain.alg, 0))
+        u_img = p.apply(basis_element(p.domain.alg, p.domain.rs.N))
         half_sq = scaled(root_square(bp, 0), Q(1, 2))
         assert t_img == half_sq - x(bp, 0)
         assert u_img == half_sq + x(bp, 0)
@@ -64,7 +64,7 @@ class TestPhi:
         # t(alpha)^2 = 8 t(alpha) must be preserved
         p = phi("A2")
         for i in range(p.domain.alg.dim):
-            img = p.apply(p.domain.alg.basis_element(i))
+            img = p.apply(basis_element(p.domain.alg, i))
             assert img * img == scaled(img, 8)
 
     def test_phi_requires_full_algebra(self):

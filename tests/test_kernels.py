@@ -1,9 +1,9 @@
-"""Differential tests: the integer rows that the builders of A, T and B+
+"""Differential tests: the integer tables that the builders of A, T and B+
 give against the encoding of the paper's rules, as per-pair rules and as
-dict rows, A and T's one entry object per pair and their table left
-unbuilt until a row is read, their basis tables against the per-pair
-rules, bilinear's two lookup directions against the plain expansion,
-from_json on tables written in any order against the reference encoder,
+dict rows, each table source called at most once, one entry object per
+pair in the product tables of A, T and B+, A's table left unbuilt until
+a row is read, their basis tables against the per-pair rules, bilinear's
+two lookup directions against the plain expansion, from_json on tables written in any order against the reference encoder,
 the integer kernels behind element products and forms against the plain
 bilinear expansion over basis pairs, the map of Theorem 3.1 against the
 sum of its scaled basis images, the associativity check on structure
@@ -18,8 +18,8 @@ root pairs it leaves out, whose kernel products are checked to be 0; its
 closed forms are compared with the kernel's products and forms, and
 cor3.2's P-block radical and sparse radical with the dense kernel and
 radical, also on broken inputs.  B+'s element products and forms, which
-run on the S^2(H) kernel, are compared with its compiled product rows
-and the reference form rule on basis pairs, dense elements and chain
+run on the S^2(H) kernel, are compared with its product table and the
+reference form rule on basis pairs, dense elements and chain
 images."""
 
 import gc
@@ -46,10 +46,10 @@ from griess.rootalgebra import (RootAlgebra, build_A, build_T,
                                 generalized_chain_decompose)
 from griess.rootsys import build
 
-from conftest import (algebra_A, algebra_T, basis_form, bplus, dot,
-                      encode_rows, gram_matrix, is_idempotent, phi,
-                      phi_kernel_basis, phi_matrix, reference, simple_roots,
-                      system)
+from conftest import (algebra_A, algebra_T, basis_element,
+                      basis_form, bplus, dot, encode_rows, gram_matrix,
+                      is_idempotent, phi, phi_kernel_basis, phi_matrix,
+                      reference, simple_roots, system)
 
 SPECS = ("A1", "A2", "A3", "D4", "A1^2", "A2+A1")
 KINDS = {"A": lambda spec: algebra_A(spec).alg,
@@ -189,16 +189,17 @@ def encoding(row, den):
                  for j, v in sorted(row.items())}
 
 
-# the denominators of (product, form) rows: A and T write the form value
-# 1/2 as the numerator 1 over 2, B+ its forms 1/2 tr(X'S Y'S) + ... over 2
-ROW_DENS = {"A": (1, 2), "T": (1, 2), "B+": (1, 2)}
+# the denominators of the (product, form) tables: A and T write the form
+# value 1/2 as the numerator 1 over 2, B+ its forms 1/2 tr(X'S Y'S) + ...
+# over 2
+TABLE_DENS = {"A": (1, 2), "T": (1, 2), "B+": (1, 2)}
 
 
 @pytest.mark.parametrize("kind", sorted(RULES))
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "D4", "D5",
                                   "E6", "A2+A1", "A1^3"])
 def test_rows_equal_their_encoding(kind, spec):
-    """Every row the builder's sources give, in j order, is the encoding of
+    """Every row of the builder's tables, in j order, is the encoding of
     the paper's dict rules; for A and T both the per-pair rules and the
     dict rows over the neighbour lists."""
     rs = system(spec)
@@ -206,14 +207,15 @@ def test_rows_equal_their_encoding(kind, spec):
     refs = [rule_rows(RULES[kind](rs), alg.dim)]
     if kind != "B+":
         refs.append(root_algebra_rows(rs, kind == "T"))
-    pden, fden = ROW_DENS[kind]
+    (pden, prows), (fden, frows) = alg.product_table, alg.form_table
+    assert (pden, fden) == TABLE_DENS[kind]
+    assert len(prows) == len(frows) == alg.dim
     for i in range(alg.dim):
-        got_p, got_f = alg._product_fn(i), alg._form_fn(i)
-        assert list(got_p[1]) == sorted(got_p[1])
-        assert list(got_f[1]) == sorted(got_f[1])
+        assert list(prows[i]) == sorted(prows[i])
+        assert list(frows[i]) == sorted(frows[i])
         for product, form in refs:
-            assert got_p == encoding(product(i), pden), i
-            assert got_f == encoding(form(i), fden), i
+            assert (pden, prows[i]) == encoding(product(i), pden), i
+            assert (fden, frows[i]) == encoding(form(i), fden), i
 
 
 @pytest.mark.parametrize("kind", sorted(RULES))
@@ -227,43 +229,56 @@ def test_basis_tables_match_the_rules(kind, spec):
             assert basis_form(alg, i, j) == form(i, j), (i, j)
 
 
-@pytest.mark.parametrize("make", [build_A, build_T, build_bplus],
-                         ids=["A", "T", "B+"])
-def test_each_row_source_is_read_once(make, monkeypatch):
+@pytest.mark.parametrize("kind", ["A", "T", "B+", "json"])
+def test_each_table_source_is_called_once(kind, monkeypatch):
+    """No table is built with the algebra, and each is built once, however
+    many of its rows and elements are read; "json" is A read back from its
+    JSON table."""
     calls = Counter()
 
     def counted(name, source):
-        def row(i):
+        def table():
             calls[name] += 1
-            return source(i)
-        return row
+            return source()
+        return table
 
     init = StructureAlgebra.__init__
 
     def counted_init(alg, labels, product, form):
         init(alg, labels, counted("product", product), counted("form", form))
 
+    rs = build("D4")
+    data = build_A(rs).alg.to_json()
     # patched on the base class, so B+'s subclass is counted too
     monkeypatch.setattr(StructureAlgebra, "__init__", counted_init)
-    alg = make(build("D4")).alg
+    if kind == "json":
+        alg = StructureAlgebra.from_json(data)
+    else:
+        alg = {"A": build_A, "T": build_T, "B+": build_bplus}[kind](rs).alg
+    assert not calls
     x = alg.element([1] * alg.dim)
-    alg.to_json()  # compiles every row of both tables
-    alg.find_identity(), x * x, x.form(x)  # each reads every row again
-    assert calls == {"product": alg.dim, "form": alg.dim}
+    for i in range(alg.dim):
+        alg.basis_product(i, i), alg.neighbours(i)
+    alg.to_json(), alg.to_json(), alg.form_matrix([x, x])
+    alg.find_identity(), x * x, x.form(x), alg.first_unfixed_basis(x)
+    assert calls == {"product": 1, "form": 1}
 
 
-@pytest.mark.parametrize("make", [build_A, build_T], ids=["A", "T"])
+@pytest.mark.parametrize("make", [build_A, build_T, build_bplus],
+                         ids=["A", "T", "B+"])
 @pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A2+A1"])
 def test_each_pair_entry_is_built_once(make, spec):
-    """The sources of A and T give row i's entry for j as the same object
-    as row j's entry for i, one object per pair i <= j with a non-zero
-    product."""
+    """The product tables of A, T and B+ hold row i's entry for j as the
+    same object as row j's entry for i, one object per pair i <= j with a
+    non-zero product, and every row has its j in increasing order."""
     alg = make(build(spec)).alg
-    rows = [alg._product_fn(i)[1] for i in range(alg.dim)]
+    rows = alg.product_table[1]
     for i, row in enumerate(rows):
+        assert list(row) == sorted(row), i
         for j, e in row.items():
             assert rows[j][i] is e, (i, j)
-    product, _ = root_algebra_rules(build(spec))
+    product, _ = (bplus_rules if make is build_bplus
+                  else root_algebra_rules)(build(spec))
     pairs = sum(1 for i in range(alg.dim) for j in range(i, alg.dim)
                 if product(i, j))
     assert len({id(e) for row in rows for e in row.values()}) == pairs
@@ -366,7 +381,7 @@ def test_bilinear_walks_either_side(case):
     one = [alg.element({i: Q(i + 1, 3)}) for i in range(n)]
     pairs = [(x, dense) for x in one]
     pairs += [(one[i], y) for i in range(n) for y in one
-              if len(alg._product_row(i)[1]) > 1]
+              if len(alg.product_table[1][i]) > 1]
     for x, y in pairs:
         for a, b in ((x, y), (y, x)):
             assert (a * b).coeffs == expand_product(a, b, product)
@@ -418,7 +433,7 @@ def json_tables(draw):
 @settings(max_examples=80, deadline=None)
 def test_json_algebra_matches_its_table(data, table):
     alg = StructureAlgebra.from_json(table)
-    # The reference reads the JSON itself, not the compiled rows.
+    # The reference reads the JSON itself, not the tables built from it.
     prods = {(i, j): {k: q_parse(v) for k, v in terms}
              for i, j, terms in table["products"]}
 
@@ -454,7 +469,7 @@ def scrambled(draw, table):
 @settings(max_examples=80, deadline=None)
 def test_from_json_matches_the_mapping_path(data, table):
     """from_json on a non-canonical table (mixed denominators from
-    json_tables) builds the rows that the reference encoder builds from
+    json_tables) builds the tables that the reference encoder builds from
     the same table as Mappings keyed by (i, j), i <= j."""
     alg = StructureAlgebra.from_json(data.draw(scrambled(table)))
     dim = len(table["basis"])
@@ -463,21 +478,24 @@ def test_from_json_matches_the_mapping_path(data, table):
          for i, j, terms in table["products"]},
         {(i, j): q_parse(table["gram"][i][j])
          for i in range(dim) for j in range(i, dim)}, dim))
-    for i in range(dim):
-        assert alg._product_row(i) == ref._product_row(i)
-        assert list(alg._product_row(i)[1]) == list(ref._product_row(i)[1])
-        assert alg._form_row(i) == ref._form_row(i)
+    assert alg.product_table == ref.product_table
+    assert ([list(row) for row in alg.product_table[1]]
+            == [list(row) for row in ref.product_table[1]])
+    assert alg.form_table == ref.form_table
     assert alg.to_json() == ref.to_json() == table
 
 
-@pytest.mark.parametrize("kind,spec", [("A", "D4"), ("B+", "A3")])
+@pytest.mark.parametrize("kind,spec", [("A", "D4"), ("B+", "A3"),
+                                       ("json", "mixed")])
 def test_from_json_shares_each_pair_entry(kind, spec):
-    """On a table over one denominator, the rows of a pair hold one entry
-    object."""
-    alg = StructureAlgebra.from_json(KINDS[kind](spec).to_json())
-    for i in range(alg.dim):
-        for j, e in alg._product_row(i)[1].items():
-            assert alg._product_row(j)[1][i] is e
+    """The rows of a pair hold one entry object, also where from_json
+    rescales the entries of a table over mixed denominators."""
+    alg = StructureAlgebra.from_json(
+        MIXED_TABLE if kind == "json" else KINDS[kind](spec).to_json())
+    rows = alg.product_table[1]
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            assert rows[j][i] is e
 
 
 # sha256 of json.dumps(to_json()), recorded from the encoder that built a
@@ -525,14 +543,14 @@ def test_from_json_mixes_ints_and_rationals():
     assert x.form(y) == expand_form(
         x, y, lambda i, j: q_parse(table["gram"][i][j]))
     assert alg.to_json() == table
-    # integer numerators over each row's lcm: 2, 6 and 3
-    assert [alg._product_row(i) for i in range(3)] == [
-        (2, {0: ((0, 6), (2, -4)), 1: ((1, 1),)}),
-        (6, {0: ((1, 3),), 2: ((0, -14), (2, 18))}),
-        (3, {1: ((0, -7), (2, 9)), 2: ((1, -6),)})]
-    assert [alg._form_row(i) for i in range(3)] == [
-        (3, {0: 9, 2: -7}), (2, {1: 1, 2: -4}), (3, {0: -7, 1: -6})]
-    assert {type(v) for i in range(3) for e in alg._product_row(i)[1].values()
+    # integer numerators over each table's lcm, 6 for both
+    assert alg.product_table == (6, [
+        {0: ((0, 18), (2, -12)), 1: ((1, 3),)},
+        {0: ((1, 3),), 2: ((0, -14), (2, 18))},
+        {1: ((0, -14), (2, 18)), 2: ((1, -12),)}])
+    assert alg.form_table == (6, [
+        {0: 18, 2: -14}, {1: 3, 2: -12}, {0: -14, 1: -12}])
+    assert {type(v) for row in alg.product_table[1] for e in row.values()
             for _, v in e} == {int}
 
 
@@ -553,7 +571,7 @@ def reference_identity(alg):
     if x is None or m.rank() < dim:
         return None
     e = alg.element(x)
-    fixed = all(e * alg.basis_element(j) == alg.basis_element(j)
+    fixed = all(e * basis_element(alg, j) == basis_element(alg, j)
                 for j in range(dim))
     return e if fixed else None
 
@@ -632,7 +650,7 @@ def test_find_identity_needs_a_held_equation(monkeypatch):
         return add(solver, row, rhs)
     monkeypatch.setattr(SparseSolver, "add_equation", recorded)
     alg = truncated_polynomials()
-    assert alg.find_identity() == alg.basis_element(0)
+    assert alg.find_identity() == basis_element(alg, 0)
     assert alg.find_identity() == reference_identity(alg)
     assert ({1: 1}, 0) in fed
 
@@ -705,14 +723,15 @@ def span_inputs(draw):
         keep = draw(st.lists(st.sampled_from(images), min_size=1,
                              unique_by=lambda e: e.key()))
         if draw(st.booleans()):
-            keep.append(alg.basis_element(draw(st.integers(0, alg.dim - 1))))
+            keep.append(basis_element(alg,
+                                      draw(st.integers(0, alg.dim - 1))))
         return alg, keep
     alg = StructureAlgebra.from_json(draw(json_tables()))
     if kind == "basis":
         idx = draw(st.one_of(st.just(list(range(alg.dim))),
                              st.lists(st.integers(0, alg.dim - 1),
                                       min_size=1, max_size=alg.dim)))
-        return alg, [alg.basis_element(i) for i in idx]
+        return alg, [basis_element(alg, i) for i in idx]
     xs = draw(st.lists(elements(alg), min_size=1, max_size=3))
     return alg, xs + draw(st.lists(st.sampled_from(xs), max_size=1))
 
@@ -753,7 +772,8 @@ def test_associative_span_one_sided_triple():
     where only the left side has a term."""
     alg = StructureAlgebra(["x", "y", "z", "w"], *encode_rows(
         {(0, 0): {2: 1}, (1, 2): {3: 1}}, {}, 4))
-    assert same_verdict(alg, [alg.basis_element(i) for i in range(4)]) is False
+    assert same_verdict(alg, [basis_element(alg, i)
+                              for i in range(4)]) is False
 
 
 def test_first_unfixed_basis_sees_every_term():
@@ -898,7 +918,8 @@ def direct_theorem_3_1(p):
     product_pair = form_pair = None
     for i in range(n):
         for j in range(i, n):
-            lhs = p.apply(ra.alg.basis_element(i) * ra.alg.basis_element(j))
+            lhs = p.apply(basis_element(ra.alg, i)
+                          * basis_element(ra.alg, j))
             if product_pair is None and lhs != images[i] * images[j]:
                 product_pair = (i, j)
             if (form_pair is None and images[i].form(images[j])
@@ -954,19 +975,21 @@ def with_phi(monkeypatch, p):
     return p.domain.rs.spec_string()
 
 
-def as_dicts(source):
-    """A row source read back as dict rows of rationals, {j: {k: value}}
-    for a product, {j: value} for a form."""
+def as_dicts(table):
+    """A table (den, rows) read back as dict rows of rationals, row i
+    {j: {k: value}} for a product, {j: value} for a form, the rules of
+    encode_rows."""
+    den, rows = table
+
     def row(i):
-        den, nbrs = source(i)
         return {j: ({k: Q(v, den) for k, v in e} if isinstance(e, tuple)
-                    else Q(e, den)) for j, e in nbrs.items()}
+                    else Q(e, den)) for j, e in rows[i].items()}
     return row
 
 
 def with_changed_entry(source, i, j, change):
-    """A row source with entry j of row i, and i of row j, changed; change
-    gets None for an entry the source leaves out."""
+    """Dict rows with entry j of row i, and i of row j, changed; change
+    gets None for an entry the rows leave out."""
     def row(k):
         out = dict(source(k))
         if k in (i, j):
@@ -992,7 +1015,7 @@ def changed_domain(spec, changes):
     to the product."""
     rs = system(spec)
     alg = build_A(rs).alg
-    product, form = as_dicts(alg._product_fn), as_dicts(alg._form_fn)
+    product, form = as_dicts(alg.product_table), as_dicts(alg.form_table)
     for what, i, j, *k in changes:
         if what == "form":
             form = with_changed_entry(form, i, j, plus_one)
@@ -1045,18 +1068,18 @@ def broken_phi(spec, what):
             nbrs[0].append((orthogonal_pair(spec)[1], 0))
         roots = SimpleNamespace(simple_coeffs=rs.simple_coeffs,
                                 neighbours=nbrs)
-        alg = BPlusStructure(bp.alg.basis_labels, bp.alg._product_fn, roots,
-                             S, pcol, sq)
+        alg = BPlusStructure(bp.alg.basis_labels, lambda: bp.alg.product_table,
+                             roots, S, pcol, sq)
         return PhiMap(build_A(rs), BPlusAlgebra(rs, alg, bp.num_sym, bp._sq))
     if what == "B+ product":
         # s(0,0) s(0,1): one S^2 S^2 structure constant, both orderings
         i, j = bp.alg._idx[0][0], bp.alg._idx[0][1]
         product = with_changed_entry(
-            as_dicts(bp.alg._product_fn), i, j,
+            as_dicts(bp.alg.product_table), i, j,
             plus_basis(min(bp.alg.basis_product(i, j))))
         alg = StructureAlgebra(bp.alg.basis_labels,
                                encode_rows(product, {}, bp.dim)[0],
-                               bp.alg._form_fn)
+                               lambda b=bp.alg: b.form_table)
         bp = BPlusAlgebra(rs, alg, bp.num_sym, bp._sq)
     else:  # "alpha^2": one coefficient of the last root's square
         sq = [dict(q) for q in bp._sq]
@@ -1069,7 +1092,7 @@ def broken_phi(spec, what):
                                   "A form"])
 @pytest.mark.parametrize("spec", ["A3", "D4"])
 def test_broken_inputs_fail_like_direct(spec, what):
-    """"B+ product" changes only the row source of a plain
+    """"B+ product" changes only the product table of a plain
     StructureAlgebra; "kernel Cartan" changes only what B+'s kernel reads,
     so its products and forms alike."""
     rep = verify_theorem_3_1(broken_phi(spec, what))
@@ -1170,16 +1193,13 @@ def test_closed_form_products_are_the_kernels(spec, what):
 @pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A2^12", "A3+D4"])
 def test_closed_form_decides_every_kept_pair(spec, monkeypatch):
     """On a true phi no root pair takes the kernel's products and forms,
-    and no form row of B+ is read."""
+    and no table of B+ is built."""
     def fallback(phi, parts, r, s):
         raise AssertionError(f"root pair ({r}, {s}) took the kernel")
-
-    def form_row(i):
-        raise AssertionError(f"form row {i} of B+ read")
-    p = phi(spec)
+    p = PhiMap(algebra_A(spec), build_bplus(system(spec)))
     monkeypatch.setattr(bplus_module, "_pair_mismatches", fallback)
-    monkeypatch.setattr(p.codomain.alg, "_form_row", form_row)
     assert verify_theorem_3_1(p)[:2] == (None, None)
+    assert not {"product_table", "form_table"} & vars(p.codomain.alg).keys()
 
 
 def test_entry_on_a_fourth_root_takes_the_kernel(monkeypatch):
@@ -1284,7 +1304,7 @@ def sparse_radical(alg) -> list:
     written out as dense lists."""
     solver = SparseSolver(alg.dim)
     for i in range(alg.dim):
-        solver.add_equation(alg._form_row(i)[1], 0)
+        solver.add_equation(alg.form_table[1][i], 0)
     return [[v.get(c, 0) for c in range(alg.dim)]
             for v in solver.null_space()]
 
@@ -1355,14 +1375,14 @@ def test_block_check_reads_both_sides_of_the_form():
     u_1: P_0's row keeps its cross terms, and <M_0, P_1> is the first
     entry off the split."""
     alg = algebra_A("D4").alg
-    form = as_dicts(alg._form_fn)
+    form = as_dicts(alg.form_table)
 
     def changed(i):
         row = dict(form(i))
         if i in (0, 12):
             row[1] = row.get(1, 0) + (1 if i == 0 else -1)
         return row
-    A = StructureAlgebra(alg.basis_labels, alg._product_fn,
+    A = StructureAlgebra(alg.basis_labels, lambda: alg.product_table,
                          encode_rows({}, changed, alg.dim)[1])
     assert verify._p_block(A, 12)[1] == "<M_0, P_1> = -2"
 
@@ -1381,10 +1401,11 @@ def test_broken_inputs_fail_sparse_and_dense_cor_3_2(what, failing,
     assert [k for k, (_, ok, _) in enumerate(rep.clauses) if not ok] == failing
 
 
-# -- B+ element products: the S^2(H) kernel against the compiled rows -------
+# -- B+ element products: the S^2(H) kernel against the product table -------
 
 def rows_product(x, y):
-    """x * y of two B+ elements, walked over the compiled basis rows."""
+    """x * y of two B+ elements, walked over the rows of the product
+    table."""
     (xs, dx), (ys, dy) = x._integer_coeffs(), y._integer_coeffs()
     out, den = StructureAlgebra.bilinear(x.algebra, xs, ys)
     return {k: Q(v, den * dx * dy) for k, v in out.items() if v}
@@ -1393,13 +1414,13 @@ def rows_product(x, y):
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "D4", "D5",
                                   "E6", "A2+A1", "A1^3"])
 def test_kernel_matches_rows_on_basis_pairs(spec):
-    """Products against the compiled rows, forms against the reference
+    """Products against the product table, forms against the reference
     rule <ab, cd> = (a,c)(b,d) + (a,d)(b,c), <x_r, x_s> = 2 [r = s]."""
     alg = bplus(spec).alg
     form = bplus_rules(system(spec))[1]
     for i in range(alg.dim):
         for j in range(i, alg.dim):
-            x, y = alg.basis_element(i), alg.basis_element(j)
+            x, y = basis_element(alg, i), basis_element(alg, j)
             assert (x * y).coeffs == alg.basis_product(i, j), (i, j)
             assert x.form(y) == form(i, j), (i, j)
 

@@ -10,7 +10,7 @@ from griess.niemeier import F2QuadSpace
 from griess.ratio import Q, q_parse, q_str
 from griess.rootalgebra import coset_chain_decompose
 
-from conftest import algebra_A, bplus, mul_vector
+from conftest import algebra_A, bplus, mul_vector, polar
 from test_exactlin import rank_bareiss
 
 rationals = st.builds(Q, st.integers(-40, 40),
@@ -82,8 +82,8 @@ def test_rational_string_roundtrip_large(p, q):
 @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
 def test_f2_polar_form_bilinear(u, v, w):
     sp = F2QuadSpace(6)
-    assert sp.b(u, v) == sp.b(v, u)
-    assert sp.b(u ^ v, w) == sp.b(u, w) ^ sp.b(v, w)
+    assert polar(sp, u, v) == polar(sp, v, u)
+    assert polar(sp, u ^ v, w) == polar(sp, u, w) ^ polar(sp, v, w)
 
 
 @given(st.lists(st.lists(rationals, min_size=2, max_size=2),

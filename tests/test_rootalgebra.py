@@ -4,15 +4,16 @@ from griess.ratio import Q
 from griess.rootalgebra import (coset_chain_decompose, delta, epsilon,
                                 generalized_chain_decompose)
 
-from conftest import algebra_A, algebra_T, is_idempotent, reference, scaled
+from conftest import (algebra_A, algebra_T, basis_element, is_idempotent,
+                      reference, scaled)
 
 
 def t(ra, i):
-    return ra.alg.basis_element(i)
+    return basis_element(ra.alg, i)
 
 
 def u(ra, i):
-    return ra.alg.basis_element(ra.rs.N + i)
+    return basis_element(ra.alg, ra.rs.N + i)
 
 
 class TestStructureConstants:
