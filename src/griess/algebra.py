@@ -30,6 +30,8 @@ few containers per basis product, none of them in a reference cycle, and
 each collection those allocations trigger walks the growing JSON lists and
 rows again, for nothing: 5 full collections in one round trip of A(E8^2).
 The caller's collector state is restored on return and on an exception.
+to_json makes one [k, "value"] list per distinct term and shares it among
+the products that have it: 1,440 lists for the 81,120 terms of A(E8^2).
 """
 
 from __future__ import annotations
@@ -74,15 +76,18 @@ def _q_str(num: int, den: int) -> str:
 
 
 class _Strings(dict):
-    """num -> q_str of num/den, each made on its first lookup: few distinct
-    numerators occur, so to_json formats each once per table."""
+    """num -> q_str of num/den, and a term (k, num) -> the JSON term
+    [k, q_str of num/den], each made on its first lookup: few distinct
+    numerators occur, so to_json formats each once per table, and equal
+    terms share one list."""
 
     def __init__(self, den: int):
         super().__init__()
         self.den = den
 
-    def __missing__(self, num: int) -> str:
-        s = self[num] = _q_str(num, self.den)
+    def __missing__(self, key: int | tuple) -> str | list:
+        s = self[key] = ([key[0], self[key[1]]] if type(key) is tuple
+                         else _q_str(key, self.den))
         return s
 
 
@@ -105,6 +110,8 @@ def _json_entry(terms: list, value: Callable) -> tuple:
     [k, string] of a product in any order, den the lcm of theirs."""
     vals = {}
     for k, s in terms:
+        if type(k) is not int:
+            raise ValueError(f"term index {k!r} is not an integer")
         if k in vals:
             raise ValueError(f"b_{k} has two terms")
         if (p := value(s))[0]:
@@ -140,7 +147,7 @@ def _json_product_table(products: list, n: int, value: Callable) -> tuple:
                     num, d = value(s)
                     if num and d == 1:
                         term = shared[k, s] = (k, num)
-                if term is None or k <= k0:
+                if term is None or k <= k0 or type(k) is not int:
                     t, d = _json_entry(terms, value)
                     break
                 t.append(term)
@@ -194,9 +201,13 @@ def _json_form_table(gram: list, n: int, value: Callable) -> tuple:
         if (vals[:len(mirror[i])] != mirror[i]
                 or n - grow.count("0") != len(cols)):
             symmetric = False
-        for s in set(vals).difference(parsed):
+        try:
+            new = set(vals).difference(parsed)
+        except TypeError:  # a list or an object: _json_value names it
+            new = [next(s for s in vals if type(s) is not str)]
+        for s in new:
             try:
-                parsed[s] = value(s)
+                parsed[s] = value(s) if type(s) is str else _json_value(s)
             except ValueError as exc:
                 raise ValueError(
                     f"gram[{i}][{grow.index(s)}]: {exc}") from None
@@ -358,17 +369,16 @@ class StructureAlgebra:
 
         Coefficient k of x * b_j gives one integer equation.  Most with
         k != j read c (x_a - x_b) = 0 (in A(Phi), a_alpha = a_gamma for the
-        third root gamma); one is fed to a sparse solver only when it joins
-        two trees of a union-find over the basis, as otherwise it is the sum
-        of fed ones along the tree path: it can neither raise the rank nor
-        be inconsistent.  The rest (the diagonal k = j, rhs den, too) are
-        held in order and fed until the rank is dim: after the pass, or once
-        the forest is one tree, when rank dim ends the pass early.  An
-        identity is unique if it exists, so rank < dim means none.  A check
+        third root gamma): they join two trees of a union-find over the
+        basis, on each of which x is constant.  The rest (the diagonal
+        k = j, rhs den, too) are held.  Once the forest is one tree, or
+        after the last row, each held equation is contracted onto the trees
+        (its coefficients summed per tree) and fed to a SparseSolver with
+        one unknown per tree until its rank is the tree count m.  An
+        identity is unique if it exists, so rank < m means none.  A check
         over every b_j certifies the candidate whatever was skipped; no
         closed form seeds the solve, which cross-checks delta and epsilon.
         """
-        solver = SparseSolver(self.dim)
         tree = [[a] for a in range(self.dim)]  # a's tree, as its members
         held: list = []
         den, rows = self.product_table
@@ -390,20 +400,27 @@ class StructureAlgebra:
                         for a in ta:
                             tree[a] = tb
                         tb += ta
-                        solver.add_equation({c[0][0]: 1, c[1][0]: -1}, 0)
                 else:
                     held.append((dict(c), den if k == j else 0))
-            if len(tree[0]) == self.dim or j == self.dim - 1:
-                if not all(solver.rank == self.dim or solver.add_equation(*e)
-                           for e in held):
-                    return None  # inconsistent
-                if solver.rank == self.dim:
-                    break
-                held = []
-        x = solver.solution()
-        if x is None:
+            if len(tree[0]) == self.dim:
+                break
+        # one unknown per tree, numbered in the order of their first members
+        ids: dict = {}
+        at = [ids.setdefault(id(t), len(ids)) for t in tree]
+        solver = SparseSolver(len(ids))
+        for c, rhs in held:
+            if solver.rank == solver.n:
+                break
+            row: dict = {}
+            for a, v in c.items():
+                row[at[a]] = row.get(at[a], 0) + v
+            if not solver.add_equation({t: v for t, v in row.items() if v},
+                                       rhs):
+                return None  # inconsistent
+        y = solver.solution()
+        if y is None:
             return None
-        cand = self.element(x)
+        cand = self.element([y[t] for t in at])
         return cand if self.first_unfixed_basis(cand) is None else None
 
     def is_associative_span(self, elements: Sequence["AlgebraElement"],
@@ -465,13 +482,15 @@ class StructureAlgebra:
 
     @_gc_paused()
     def to_json(self) -> dict:
+        """The tables as JSON lists (from_json); equal terms share one list
+        [k, "value"], so treat the result as read-only."""
         (pden, prows), (fden, frows) = self.product_table, self.form_table
-        pfmt, ffmt = _Strings(pden), _Strings(fden)
+        pterm, ffmt = _Strings(pden).__getitem__, _Strings(fden)
         products, gram = [], []
         for i, (prow, frow) in enumerate(zip(prows, frows)):
             for j, terms in prow.items():
                 if j >= i:
-                    products.append([i, j, [[k, pfmt[v]] for k, v in terms]])
+                    products.append([i, j, list(map(pterm, terms))])
             gram.append(row := ["0"] * self.dim)
             for j, v in frow.items():
                 row[j] = ffmt[v]
@@ -488,9 +507,10 @@ class StructureAlgebra:
         (k, num) over denominator 1 by every entry that has it.  Pairs may
         come in any order and either way round, and terms in any order,
         zeros included.  Raises ValueError, naming the entry, for an entry
-        that is not [i, j, terms], an index outside the basis, a pair or
-        term listed twice, a value that is not a string or is bad, such as
-        "1/0", or a gram that is not dim x dim or not symmetric.
+        that is not [i, j, terms], an index that is no int, such as true
+        or 1.0, or lies outside the basis, a pair or term listed twice, a
+        value that is not a string or is bad, such as "1/0", or a gram that
+        is not dim x dim or not symmetric.
         """
         n = len(data["basis"])
         value = functools.cache(_json_value)

@@ -155,7 +155,20 @@ class TestSerialization:
         (lambda d: d["products"].append(["1", 1, [[0, "1"]]]),
          r"products\[2\]: basis pair \('1', 1\) is outside the basis"),
         (lambda d: d["products"].append([1, 1]),
-         r"products\[2\]: not enough values to unpack")])
+         r"products\[2\]: not enough values to unpack"),
+        (lambda d: d["products"].append([1, 1, [[0.5, "1"]]]),
+         r"products\[2\]: term index 0.5 is not an integer"),
+        (lambda d: d["products"].append([1, 1, [[True, "2"]]]),
+         r"products\[2\]: term index True is not an integer"),
+        # products[0] has the term [1, "1"], which True equals as a key
+        (lambda d: d["products"].append([1, 1, [[True, "1"]]]),
+         r"products\[2\]: term index True is not an integer"),
+        (lambda d: d["products"].append([1, 1, [[0, "1"], [1.0, "1"]]]),
+         r"products\[2\]: term index 1.0 is not an integer"),
+        (lambda d: set_gram(d, {(0, 1): [1], (1, 0): [1]}),
+         r"gram\[0\]\[1\]: \[1\] is not a string"),
+        (lambda d: set_gram(d, {(1, 1): {}}),
+         r"gram\[1\]\[1\]: \{\} is not a string")])
     def test_malformed_tables_name_the_entry(self, change, message):
         data = nonassociative_example().to_json()
         change(data)

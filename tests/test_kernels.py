@@ -8,8 +8,10 @@ the integer kernels behind element products and forms against the plain
 bilinear expansion over basis pairs, the map of Theorem 3.1 against the
 sum of its scaled basis images, the associativity check on structure
 constants against the triple products of elements, the identity solve
-against one dense solve of the whole system, the JSON form against
-recorded bytes and its own reading, and the identity certificates of the
+against one dense solve of the whole system and against its one solver
+per union-find forest and the held equations contracted onto the trees,
+delta, epsilon and the JSON round trip on random direct sums, the JSON
+form against recorded bytes and its own reading, and the identity certificates of the
 chain decomposition against the pairwise products and forms of its
 idempotents and the exhaustive associativity check.  The check of
 Theorem 3.1, on closed-form products and forms per root pair, is
@@ -668,6 +670,119 @@ def test_find_identity_feeds_few_equations(spec, monkeypatch):
     ra = build_A(build(spec))
     assert ra.alg.find_identity() == delta(ra)
     assert 0 < calls["equations"] <= 2 * ra.alg.dim
+
+
+def identity(kind, spec):
+    """delta of A(spec) or epsilon of T(spec)."""
+    return (delta(algebra_A(spec)) if kind == "A"
+            else rootalgebra.epsilon(algebra_T(spec)))
+
+
+@pytest.mark.parametrize("kind,spec,trees", [
+    ("A", "E6", 1), ("T", "E6", 1), ("A", "E8", 1), ("T", "E8", 1),
+    ("A", "E6^2", 2), ("T", "E6^2", 2), ("A", "D4+A2", 2), ("T", "D4+A2", 2),
+    ("A", "A2^12", 12), ("T", "A2^12", 12),
+    # t(a) and u(a) of A1 meet in no equation c (x_a - x_b) = 0
+    ("A", "A1^24", 48), ("T", "A1^24", 24)])
+def test_find_identity_solves_one_unknown_per_tree(kind, spec, trees,
+                                                   monkeypatch):
+    """One solver, with one unknown per tree of the union-find forest:
+    one per component of A and T, two for A(A1)."""
+    sizes = []
+    init = SparseSolver.__init__
+
+    def recorded(solver, n):
+        sizes.append(n)
+        init(solver, n)
+    monkeypatch.setattr(SparseSolver, "__init__", recorded)
+    assert KINDS[kind](spec).find_identity() == identity(kind, spec)
+    assert sizes == [trees]
+
+
+def contracted_held_equations(alg):
+    """The equations of every row that are not c (x_a - x_b) = 0, in the
+    order find_identity meets them, with their coefficients summed over the
+    trees of the forest those equations make, numbered by first member."""
+    den, rows = alg.product_table
+    parent = list(range(alg.dim))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    held = []
+    for j, row in enumerate(rows):
+        cols = {}
+        for i, terms in row.items():
+            for k, v in terms:
+                cols.setdefault(k, []).append((i, v))
+        for k, c in cols.items():
+            if len(c) == 2 and k != j and c[0][1] == -c[1][1]:
+                parent[root(c[0][0])] = root(c[1][0])
+            else:
+                held.append((c, den if k == j else 0))
+    roots = [root(a) for a in range(alg.dim)]
+    tree = {r: t for t, r in enumerate(dict.fromkeys(roots))}
+    out = []
+    for c, rhs in held:
+        sums = Counter()
+        for a, v in c:
+            sums[tree[roots[a]]] += v
+        out.append(({t: v for t, v in sums.items() if v}, rhs))
+    return out
+
+
+@pytest.mark.parametrize("kind,spec,one_tree", [
+    # one tree at an early row: m = 1, so the first contracted equation,
+    # the diagonal of row 0, fixes the rank and ends the solve
+    ("A", "E6", True), ("T", "D5", True),
+    # a direct sum reads every row, so most held equations go unfed
+    ("A", "E6^2", False), ("A", "A3+A1", False),
+    # no tree joins: every unknown is its own tree
+    ("Q[x]/(x^3)", None, False)])
+def test_find_identity_contracts_each_held_equation_once(kind, spec, one_tree,
+                                                         monkeypatch):
+    """The solver is fed the held equations contracted onto the trees, in
+    order and each once, until its rank is the number of trees."""
+    if spec is None:
+        alg = truncated_polynomials()
+        ident = basis_element(alg, 0)
+    else:
+        alg, ident = KINDS[kind](spec), identity(kind, spec)
+    fed = []
+    add = SparseSolver.add_equation
+
+    def recorded(solver, row, rhs):
+        fed.append((dict(row), rhs))
+        return add(solver, row, rhs)
+    monkeypatch.setattr(SparseSolver, "add_equation", recorded)
+    assert alg.find_identity() == ident
+    expected = contracted_held_equations(alg)
+    assert 0 < len(fed) <= len(expected)
+    assert fed == expected[:len(fed)]
+    assert (len(fed) == 1) is one_tree
+
+
+COMPONENTS = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")
+
+
+@given(parts=st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_random_direct_sums_solve_and_round_trip(parts):
+    """On a direct sum of 1-3 components: the identities of A and T are
+    delta and epsilon; the JSON round trip gives back the table; to_json
+    makes one term list per distinct term."""
+    rs = build("+".join(parts))
+    ra, rt = build_A(rs), build_T(rs)
+    assert ra.alg.find_identity() == delta(ra)
+    assert rt.alg.find_identity() == rootalgebra.epsilon(rt)
+    for alg in (ra.alg, rt.alg):
+        table = alg.to_json()
+        back = StructureAlgebra.from_json(json.loads(json.dumps(table)))
+        assert back.to_json() == table
+        terms = [t for _, _, ts in table["products"] for t in ts]
+        assert len({id(t) for t in terms}) == len({tuple(t) for t in terms})
 
 
 # -- associativity of a span: structure constants against element triples ---
