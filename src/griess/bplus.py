@@ -41,13 +41,15 @@ onto the sum of B+(Phi_c) over the components c, as alpha^2 lies in
 S^2(H_c).  So it is onto B+ on an irreducible system, bijective exactly in
 type A, with kernel the radical of the root algebra's form otherwise; on a
 direct sum it misses the cross terms h_c h_c' (rank 48 < dim 324 on A1^24).
+B+ is one BPlusStructure; PhiMap reads the squares alpha^2 of its kernel.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import add, mul, sub
 
 from .algebra import AlgebraElement, StructureAlgebra
@@ -88,12 +90,12 @@ class _Operand(dict):
 
 
 class BPlusStructure(StructureAlgebra):
-    """The StructureAlgebra of B+, whose products and forms of elements run
+    """B+ of the root system rs, whose products and forms of elements run
     on the structure (module docstring) instead of the basis tables.
 
-    The kernel reads the root system's simple-root coefficients and
-    relation lists, the Cartan matrix S, per positive root r the pairings
-    (a, (alpha_a, r)) that are not zero, and alpha_r^2 over the S^2 basis
+    The kernel reads rs's simple-root coefficients and relation lists, the
+    Cartan matrix S, per positive root r the pairings (a, (alpha_a, r))
+    that are not zero, and alpha_r^2 over the ns elements of the S^2 basis
     (squares).  basis_product and to_json read the table of the product
     source; the form table is made from the kernel, one Gram row per
     basis element (_gram_row).
@@ -111,6 +113,7 @@ class BPlusStructure(StructureAlgebra):
         self._cnear = [[(c, row[b]) for c, row in enumerate(cartan) if row[b]]
                        for b in range(l)]
         self._pcol = pairings
+        self.rs = rs
         self._coeffs = rs.simple_coeffs
         self._nbrs = rs.neighbours
         self._sq = squares
@@ -177,18 +180,17 @@ class BPlusStructure(StructureAlgebra):
             x.q[r] = v
         return v
 
-    def rank_one(self, parts: list) -> list:
-        """Per root r, whether P_r in parts[r] = (P_r, M_r) and the kernel's
-        square of r are 2 a_r^2 and a_r^2 = sym(c_r, c_r), c_r the
-        simple-root coefficients it reads; M_r = 4 x_r by phi's definition."""
-        return [self._sq[r] == (sq := _square(c, self._idx))
-                and P == {k: 2 * v for k, v in sq.items()}
-                for r, ((P, _), c) in enumerate(zip(parts, self._coeffs))]
+    def rank_one(self) -> list:
+        """Per root r, whether a_r^2 = sym(c_r, c_r), c_r the simple-root
+        coefficients the kernel reads, so that P_r = 2 a_r^2 of
+        PhiMap.parts has X' = 4 c_r c_r^T."""
+        return [sq == _square(c, self._idx)
+                for sq, c in zip(self._sq, self._coeffs)]
 
-    def pair_products(self, parts: list, good: list):
+    def pair_products(self, good: list):
         """Per root r in turn, (r, {s: (products, forms)}) over the roots
-        s >= r at which bilinear may give a non-zero product or form of an
-        operand in parts[r] = (P_r, M_r) with one in parts[s].  Where both
+        s >= r at which bilinear may give a non-zero product or form of
+        phi's operand P_r or M_r with P_s or M_s (PhiMap.parts).  Where both
         roots are good (rank_one), bilinear's terms on X' = 4 c_r c_r^T and
         Y' = 4 c_s c_s^T give, with k = c_r^T S c_s, k' = c_s^T S c_r and
         p_s the pairings of s, in the coordinates (r, s) for sym(c_r, c_s),
@@ -201,7 +203,7 @@ class BPlusStructure(StructureAlgebra):
         and the forms <P_r, P_s> = 8 k k', <P_r, M_s> = <M_r, P_s> = 0 and
         <M_r, M_s> = 32 [r = s].  Pairs where all eight are 0 are left out;
         a root that is not good keeps every pair, with None."""
-        l, N, coeffs, near = self._l, len(parts), self._coeffs, self._near
+        l, N, coeffs, near = self._l, self.rs.N, self._coeffs, self._near
         loose = [s for s in range(N) if not good[s]]
         cols = [[c[a] for c in coeffs] for a in range(l)]
 
@@ -285,19 +287,7 @@ class BPlusStructure(StructureAlgebra):
         return acc, 1
 
 
-@dataclass
-class BPlusAlgebra:
-    rs: RootSystem
-    alg: StructureAlgebra
-    num_sym: int
-    _sq: list = None  # per positive root: alpha^2 over the S^2 basis
-
-    @property
-    def dim(self) -> int:
-        return self.alg.dim
-
-
-def build_bplus(rs: RootSystem) -> BPlusAlgebra:
+def build_bplus(rs: RootSystem) -> BPlusStructure:
     """B+ of rs on its S^2(H) kernel, with a product table source that
     writes the product rules (module docstring) one pair i <= j at a time;
     neither table is built until it is read."""
@@ -365,8 +355,7 @@ def build_bplus(rs: RootSystem) -> BPlusAlgebra:
 
     labels = ([f"s({a},{b})" for a, b in sym_pairs]
               + [f"x({r})" for r in range(N)])
-    alg = BPlusStructure(labels, product, rs, S, pcol, squares)
-    return BPlusAlgebra(rs, alg, ns, squares)
+    return BPlusStructure(labels, product, rs, S, pcol, squares)
 
 
 @dataclass
@@ -374,7 +363,7 @@ class PhiMap:
     """Linear map from the root algebra onto the weight-2 algebra."""
 
     domain: RootAlgebra
-    codomain: BPlusAlgebra
+    codomain: BPlusStructure
 
     def __post_init__(self):
         if self.domain.rs is not self.codomain.rs:
@@ -398,22 +387,29 @@ class PhiMap:
                 for k, v in bp._sq[r].items():
                     out[k] = out.get(k, 0) + c * v
         out = {k: v for k, v in out.items() if v}
-        out.update((bp.num_sym + r, 2 * v) for r, v in diffs.items() if v)
+        out.update((bp.ns + r, 2 * v) for r, v in diffs.items() if v)
         return out
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         nums, den = a._integer_coeffs()
-        return AlgebraElement(self.codomain.alg, {
+        return AlgebraElement(self.codomain, {
             k: Q(v, 2 * den) for k, v in self.image(nums).items()})
 
+    @functools.cached_property
+    def parts(self) -> list:
+        """Per root r, (P_r, M_r) as operands of B+: P_r = 2 phi(t_r + u_r)
+        = 2 a_r^2, with no x, and M_r = 2 phi(u_r - t_r) = 4 x_r, with no
+        alpha^2.  The 2N rows span the image."""
+        B, N = self.codomain, self.domain.rs.N
+        return [(B.operand(self.image({r: 1, N + r: 1})),
+                 B.operand(self.image({r: -1, N + r: 1}))) for r in range(N)]
+
+    @functools.cached_property
     def rank(self) -> int:
-        """Exact rank, from the 2N image rows 2 phi(t_r + u_r), with no x,
-        and 2 phi(u_r - t_r), with no alpha^2, which span the image."""
-        N = self.domain.rs.N
+        """Exact rank, from the rows of parts."""
         solver = SparseSolver(self.codomain.dim)
-        for r in range(N):
-            solver.add_equation(self.image({r: 1, N + r: 1}), 0)
-            solver.add_equation(self.image({r: -1, N + r: 1}), 0)
+        for row in chain.from_iterable(self.parts):
+            solver.add_equation(row, 0)
         return solver.rank
 
 
@@ -427,22 +423,22 @@ def _basis_pairs(N: int, r: int, s: int) -> list:
             (N + r, N + s, (1, 1, 1, 1)), (s, N + r, (1, -1, 1, -1))]
 
 
-def _pair_mismatches(phi: PhiMap, parts: list, r: int, s: int) -> tuple:
+def _pair_mismatches(phi: PhiMap, r: int, s: int) -> tuple:
     """The basis pairs of roots r <= s with phi(b_i) phi(b_j) !=
-    phi(b_i b_j), from B's products of parts[r] and parts[s]: diff =
-    16 aden pden (phi(b_i) phi(b_j) - image / (2 aden)), with pden the one
-    denominator of B's products; and those with 16 <phi(b_i), phi(b_j)> !=
-    16 <b_i, b_j>, from B's forms of them."""
-    A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
+    phi(b_i b_j), from B+'s products of phi.parts[r] and phi.parts[s],
+    which are over 1: diff = 16 aden (phi(b_i) phi(b_j) - image /
+    (2 aden)); and those with 16 <phi(b_i), phi(b_j)> != 16 <b_i, b_j>,
+    from B+'s forms of them."""
+    A, B, N = phi.domain.alg, phi.codomain, phi.domain.rs.N
     (aden, rows), (fden, frows) = A.product_table, A.form_table
-    prods = [B.bilinear(a, b) for a in parts[r] for b in parts[s]]
-    forms = [Q(*B.bilinear(a, b, True)) for a in parts[r] for b in parts[s]]
-    pden = prods[0][1]
+    x, y = phi.parts[r], phi.parts[s]
+    prods = [B.bilinear(a, b)[0] for a in x for b in y]
+    forms = [Q(*B.bilinear(a, b, True)) for a in x for b in y]
     out, bad_forms = [], []
     for i, j, signs in _basis_pairs(N, r, s):
-        diff = {k: -8 * pden * v
+        diff = {k: -8 * v
                 for k, v in phi.image(dict(rows[i].get(j, ()))).items()}
-        for sign, (p, _) in zip(signs, prods):
+        for sign, p in zip(signs, prods):
             for k, v in p.items():
                 diff[k] = diff.get(k, 0) + sign * aden * v
         if any(diff.values()):
@@ -491,29 +487,25 @@ def _closed_mismatches(A: StructureAlgebra, closed: tuple, r: int, s: int,
 def verify_theorem_3_1(phi: PhiMap) -> tuple:
     """The least basis pair i <= j with phi(b_i) phi(b_j) != phi(b_i b_j),
     the least with <phi(b_i), phi(b_j)> != <b_i, b_j> (None if there is
-    none) and the exact rank of phi, in one pass over the root pairs.  It
-    runs on P_r = 2 phi(t_r + u_r) = 2 a_r^2 and M_r = 4 phi(u_r - t_r) =
-    4 x_r per root (_basis_pairs).  On B+'s kernel the products and forms
-    of a root pair are read in closed form (pair_products) and compared
-    with A's entries, products through phi in the coordinates a_r^2, a_s^2,
-    sym(c_r, c_s) and x_q, with no square expanded over S^2; other pairs
-    take the operands' products and forms (_pair_mismatches).  Where the
-    products and forms of B+ are all 0, a pair fails if A's product row
-    holds an entry whose image is not 0, or its form row an entry."""
-    A, B, N = phi.domain.alg, phi.codomain.alg, phi.domain.rs.N
-    parts = [(B.operand(phi.image({r: 1, N + r: 1})),
-              B.operand(phi.image({r: -1, N + r: 1}))) for r in range(N)]
-    if isinstance(B, BPlusStructure):
-        pairs = B.pair_products(parts, good := B.rank_one(parts))
-    else:
-        pairs = ((r, dict.fromkeys(range(r, N))) for r in range(N))
+    none) and phi.rank, in one pass over the root pairs.  It runs on
+    phi.parts, P_r = 2 a_r^2 and M_r = 4 x_r per root (_basis_pairs).  The
+    products and forms of a root pair are read in closed form
+    (pair_products) and compared with A's entries, products through phi in
+    the coordinates a_r^2, a_s^2, sym(c_r, c_s) and x_q, with no square
+    expanded over S^2; pairs on a root that is not good, or with an entry
+    of A on another root, take the operands' products and forms
+    (_pair_mismatches).  Where the products and forms of B+ are all 0, a
+    pair fails if A's product row holds an entry whose image is not 0, or
+    its form row an entry."""
+    A, B, N = phi.domain.alg, phi.codomain, phi.domain.rs.N
+    good = B.rank_one()
     products, forms, kept = [], [], []
-    for r, row in pairs:
+    for r, row in B.pair_products(good):
         kept.append(set(row))
         for s, closed in row.items():
             bad = closed and _closed_mismatches(A, closed, r, s, B._coeffs,
                                                 good)
-            bad = bad or _pair_mismatches(phi, parts, r, s)
+            bad = bad or _pair_mismatches(phi, r, s)
             products += bad[0]
             forms += bad[1]
     # the pairs left out: B+'s products and forms are 0
@@ -526,4 +518,4 @@ def verify_theorem_3_1(phi: PhiMap) -> tuple:
                 if j in frow:
                     forms.append((i, j))
     return (min(products, default=None), min(forms, default=None),
-            phi.rank())
+            phi.rank)

@@ -10,23 +10,36 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .niemeier import catalog, catalog_entry, lemma_4_2_subalgebra
 from .ratio import q_str
 from .rootalgebra import coset_chain_decompose, generalized_chain_decompose
-from .verify import System, run_target, TARGETS
+from .rootsys import spec_parts
+from .verify import System, resolve, run_target, TARGETS
 
 
-def _parse_chain(text: str) -> list[list[int]]:
+def _parse_chain(text: str, spec: str) -> list[list[int]]:
     """A growing chain given as simple-root indices: "0,1,2" means the
-    nested subsets {0} c {0,1} c {0,1,2}."""
-    items = text.split(",")
-    if "" in items:
-        raise ValueError(f"--chain {text!r} has an empty index")
-    indices = [int(t) for t in items]
-    if len(set(indices)) != len(indices):
-        raise ValueError("chain indices must be distinct")
+    nested subsets {0} c {0,1} c {0,1,2}.  The indices are checked against
+    the rank of spec, read from its parts, before anything is built."""
+    l = sum(t.rank * mult for t, mult in spec_parts(resolve(spec)))
+    indices = []
+    for item in text.split(","):
+        i = int(item) if re.fullmatch(r"-?[0-9]+", item) else None
+        if not item:
+            error = "has an empty index"
+        elif i is None:
+            error = f"has index {item!r}, which is not an integer"
+        elif not 0 <= i < l:
+            error = f"has index {i}, out of range for rank {l} (0 to {l - 1})"
+        elif i in indices:
+            error = f"repeats index {i}"
+        else:
+            indices.append(i)
+            continue
+        raise ValueError(f"--chain {text!r} {error}")
     return [indices[:i] for i in range(1, len(indices) + 1)]
 
 
@@ -57,7 +70,8 @@ def _cmd_roots(args) -> int:
 
 def _cmd_algebra(args) -> int:
     system = System(args.spec, args.force)
-    alg = getattr(system, args.kind).alg
+    alg = (system.bplus if args.kind == "bplus"
+           else getattr(system, args.kind).alg)
     data = alg.to_json()
     if args.json:
         print(json.dumps(data))
@@ -69,7 +83,8 @@ def _cmd_algebra(args) -> int:
 
 def _cmd_decompose(args) -> int:
     system = System(args.spec, args.force)
-    chain = None if args.chain is None else _parse_chain(args.chain)
+    chain = (None if args.chain is None
+             else _parse_chain(args.chain, args.spec))
     rep = (coset_chain_decompose(system.A) if chain is None
            else generalized_chain_decompose(system.A, chain))
     payload = rep.to_json()

@@ -63,14 +63,6 @@ class QMatrix:
         """Exact rank via fraction-free sparse elimination."""
         return self._eliminated().rank
 
-    def kernel_basis(self) -> list[list]:
-        """Basis of the right null space; each v satisfies M v = 0 exactly
-        and is 1 in its free column: SparseSolver.null_space, scaled."""
-        solver = self._eliminated()
-        free = [c for c in range(self.cols) if c not in solver.pivot_rows]
-        return [[Q(v.get(j, 0), v[c]) for j in range(self.cols)]
-                for c, v in zip(free, solver.null_space())]
-
     def solve(self, rhs: Sequence) -> list | None:
         """One exact solution of M x = rhs, or None if inconsistent; the
         free variables are 0."""

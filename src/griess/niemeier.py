@@ -107,7 +107,7 @@ def chain_image_subalgebra(phi: PhiMap, name: str) -> DecompositionReport:
     nonzero = [k for k, e in enumerate(images) if not e.is_zero()]
     checks = {"dimension": len(images)}
     try:
-        checks["associative"] = phi.codomain.alg.is_associative_span(
+        checks["associative"] = phi.codomain.is_associative_span(
             [images[k] for k in nonzero])
     except DependentError as exc:
         checks["associative"] = False

@@ -355,7 +355,7 @@ def _cor_3_2(s: System, rep: VerifyReport):
     dimension, 2N - rank phi: they are equal."""
     phi, N = s.phi, s.rs.N
     if _all_type_a(s.rs.components):
-        rank = phi.rank()
+        rank = phi.rank
         rep.add(f"bijective: rank {rank} = 2N = dim target",
                 rank == 2 * N == phi.codomain.dim,
                 f"rank {rank}, 2N {2 * N}, dim {phi.codomain.dim}")
@@ -371,7 +371,7 @@ def _cor_3_2(s: System, rep: VerifyReport):
         forms.add_equation(row, 0)
     radical = [{**v, **{N + a: c for a, c in v.items()}}
                for v in forms.null_space()]
-    kernel = 2 * N - phi.rank()
+    kernel = 2 * N - phi.rank
     rep.add(f"kernel dimension {kernel} equals radical dimension",
             kernel == len(radical), f"radical dim {len(radical)}")
     bad = next((k for k, v in enumerate(radical) if phi.image(v)), None)

@@ -13,7 +13,7 @@ from functools import lru_cache
 import pytest
 
 from griess.bplus import PhiMap, build_bplus
-from griess.exactlin import QMatrix, f2_span
+from griess.exactlin import QMatrix, SparseSolver, f2_span
 from griess.ratio import Q, ZERO
 from griess.rootalgebra import build_A, build_T
 from griess.rootsys import build, parse_spec
@@ -244,8 +244,20 @@ def phi_matrix(p) -> QMatrix:
                     for k in range(p.codomain.dim)])
 
 
+def kernel_basis(m: QMatrix) -> list[list]:
+    """Basis of the right null space of m; each v satisfies m v = 0
+    exactly and is 1 in its free column: SparseSolver.null_space of the
+    rows of m, scaled."""
+    solver = SparseSolver(m.cols)
+    for row in m.entries:
+        solver.add_equation({j: v for j, v in enumerate(row) if v}, ZERO)
+    free = [c for c in range(m.cols) if c not in solver.pivot_rows]
+    return [[Q(v.get(j, 0), v[c]) for j in range(m.cols)]
+            for c, v in zip(free, solver.null_space())]
+
+
 def phi_kernel_basis(p) -> list[list]:
-    return phi_matrix(p).kernel_basis()
+    return kernel_basis(phi_matrix(p))
 
 
 def f2_rref(rows) -> tuple[int, ...]:

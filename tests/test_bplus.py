@@ -1,21 +1,24 @@
 import pytest
 
+from griess import bplus as bplus_module
 from griess.bplus import PhiMap, verify_theorem_3_1
-from griess.exactlin import QMatrix
+from griess.exactlin import QMatrix, SparseSolver
 from griess.ratio import Q
+from griess.verify import run_target
 
 from conftest import (algebra_A, algebra_T, basis_element, bplus, gram_matrix,
-                      mul_vector, phi, phi_kernel_basis, phi_matrix,
-                      radical_dimension, reference, scaled, system)
+                      kernel_basis, mul_vector, phi, phi_kernel_basis,
+                      phi_matrix, radical_dimension, reference, scaled,
+                      system)
 
 
 def x(bp, r):
-    return basis_element(bp.alg, bp.num_sym + r)
+    return basis_element(bp, bp.ns + r)
 
 
 def root_square(bp, r):
     """alpha_r^2 over the S^2 basis."""
-    return bp.alg.element(bp._sq[r])
+    return bp.element(bp._sq[r])
 
 
 class TestConstruction:
@@ -27,7 +30,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("spec", ["A1", "A2", "D4"])
     def test_form_nondegenerate(self, spec):
-        assert radical_dimension(bplus(spec).alg) == 0
+        assert radical_dimension(bplus(spec)) == 0
 
     def test_x_products(self):
         bp = bplus("A2")
@@ -74,7 +77,7 @@ class TestPhi:
     @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4"])
     def test_bijective_type_a(self, spec):
         p = phi(spec)
-        assert (p.rank() == phi_matrix(p).rank() == p.domain.alg.dim
+        assert (p.rank == phi_matrix(p).rank() == p.domain.alg.dim
                 == p.codomain.dim)
 
     @pytest.mark.parametrize("spec,kdim", [("D4", 2), ("D5", 5), ("E6", 15)])
@@ -89,7 +92,7 @@ class TestPhi:
     def test_kernel_equals_radical_d4(self):
         p = phi("D4")
         kernel = phi_kernel_basis(p)
-        radical = gram_matrix(algebra_A("D4").alg).kernel_basis()
+        radical = kernel_basis(gram_matrix(algebra_A("D4").alg))
         joint = QMatrix(kernel + radical)
         assert joint.rank() == len(kernel) == len(radical)
 
@@ -104,3 +107,49 @@ class TestTheorem:
     def test_report_fields(self):
         # no mismatched pair, and rank 2N: the kernel is 0
         assert verify_theorem_3_1(phi("A2")) == (None, None, 2 * system("A2").N)
+
+
+# The thm3.1 and cor3.2 clauses of `verify all` on D4 and A2, each as
+# (description, ok, detail); a passing clause keeps the detail it would
+# have shown.
+SHARED_REPORTS = {
+    "D4": {
+        "thm3.1 [D4]": [
+            ("algebra homomorphism on all basis pairs", True, None),
+            ("isometry on all basis pairs", True, None),
+            ("surjective (exact rank equals target dimension)", True,
+             "rank 22 < dim 22"),
+            ("kernel dimension = 2N - dim = 2", True, "2")],
+        "cor3.2 [D4]": [
+            ("A's form splits into the P block and a diagonal M block with "
+             "no zero on it (P_a = t_a + u_a, M_a = u_a - t_a)", True, None),
+            ("kernel dimension 2 equals radical dimension", True,
+             "radical dim 2"),
+            ("phi maps the radical to 0, so kernel = radical", True, None)]},
+    "A2": {
+        "thm3.1 [A2]": [
+            ("algebra homomorphism on all basis pairs", True, None),
+            ("isometry on all basis pairs", True, None),
+            ("surjective (exact rank equals target dimension)", True,
+             "rank 6 < dim 6"),
+            ("kernel dimension = 2N - dim = 0", True, "0")],
+        "cor3.2 [A2]": [
+            ("bijective: rank 6 = 2N = dim target", True,
+             "rank 6, 2N 6, dim 6")]}}
+
+
+@pytest.mark.parametrize("spec", ["D4", "A2"])
+def test_phi_rank_solved_once_per_system(spec, monkeypatch):
+    """`verify all` on one spec builds phi's rank solver, of size dim B+,
+    once: thm3.1 and cor3.2 read the rank of the System's one phi."""
+    sizes = []
+
+    class Counted(SparseSolver):
+        def __init__(self, n):
+            sizes.append(n)
+            super().__init__(n)
+    monkeypatch.setattr(bplus_module, "SparseSolver", Counted)
+    reports = {r.target: r.clauses for r in run_target("all", spec)
+               if r.target.startswith(("thm3.1", "cor3.2"))}
+    assert sizes == [bplus(spec).dim]
+    assert reports == SHARED_REPORTS[spec]

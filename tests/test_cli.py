@@ -156,17 +156,26 @@ class TestDecompose:
     def test_bad_chain(self):
         assert run(["decompose", "A2", "--chain", "0,0"]) == 2
 
-    @pytest.mark.parametrize("chain", ["0,,1", "0,1,", ""])
+    @pytest.mark.parametrize("chain", ["0,,1", "0,1,", "", "x", "0,1.5",
+                                       "0,5", "-1", "1,0,1"])
     def test_empty_chain_index_refused_before_build(self, capsys,
                                                     monkeypatch, chain):
+        """An empty, non-integer, out-of-range or repeated index is refused
+        in one line that names --chain and the index, before the root
+        system of A3 (rank 3) is built."""
         def never(*args):
             raise AssertionError("roots built before --chain was read")
         monkeypatch.setattr("griess.verify.build", never)
         assert run(["decompose", "A3", "--chain", chain]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        error = {"x": "has index 'x', which is not an integer",
+                 "0,1.5": "has index '1.5', which is not an integer",
+                 "0,5": "has index 5, out of range for rank 3 (0 to 2)",
+                 "-1": "has index -1, out of range for rank 3 (0 to 2)",
+                 "1,0,1": "repeats index 1"}.get(chain, "has an empty index")
         assert captured.err.strip().splitlines() == [
-            f"error: --chain {chain!r} has an empty index"]
+            f"error: --chain {chain!r} {error}"]
 
 
 class TestNiemeier:

@@ -6,7 +6,7 @@ from griess.ratio import Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import f2_rref, mul_vector
+from conftest import f2_rref, kernel_basis, mul_vector
 
 
 def transpose(m: QMatrix) -> QMatrix:
@@ -32,7 +32,7 @@ class TestQMatrix:
 
     def test_kernel_annihilates(self):
         m = QMatrix([[1, 2, 3], [4, 5, 6]])
-        basis = m.kernel_basis()
+        basis = kernel_basis(m)
         assert len(basis) == 1
         assert mul_vector(m, basis[0]) == [0, 0]
 
@@ -247,7 +247,7 @@ class TestQMatrixDifferential:
     def test_rank_kernel_solve(self, case):
         m, rhs = case
         assert m.rank() == ref_rank(m) == rank_bareiss(m)
-        assert m.kernel_basis() == ref_kernel_basis(m)
+        assert kernel_basis(m) == ref_kernel_basis(m)
         assert m.solve(rhs) == ref_solve(m, rhs)
         t = transpose(m)
         assert t.rank() == ref_rank(t) == rank_bareiss(t)

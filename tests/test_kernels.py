@@ -38,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 from griess import rootalgebra
 from griess.algebra import StructureAlgebra
 from griess import bplus as bplus_module, verify
-from griess.bplus import (BPlusAlgebra, BPlusStructure, PhiMap, build_bplus,
+from griess.bplus import (BPlusStructure, PhiMap, build_bplus,
                           verify_theorem_3_1)
 from griess.exactlin import QMatrix, SparseSolver
 from griess.niemeier import catalog_entry, lemma_4_2_subalgebra
@@ -50,13 +50,13 @@ from griess.rootsys import build
 
 from conftest import (algebra_A, algebra_T, basis_element,
                       basis_form, bplus, dot, encode_rows, gram_matrix,
-                      is_idempotent, phi, phi_kernel_basis, phi_matrix,
-                      reference, simple_roots, system)
+                      is_idempotent, kernel_basis, phi, phi_kernel_basis,
+                      phi_matrix, reference, simple_roots, system)
 
 SPECS = ("A1", "A2", "A3", "D4", "A1^2", "A2+A1")
 KINDS = {"A": lambda spec: algebra_A(spec).alg,
          "T": lambda spec: algebra_T(spec).alg,
-         "B+": lambda spec: bplus(spec).alg}
+         "B+": bplus}
 
 rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 12))
 nonzero = rationals.filter(lambda q: q != 0)
@@ -137,6 +137,8 @@ def bplus_rules(rs):
 
 
 RULES = {"A": root_algebra_rules, "T": root_algebra_rules, "B+": bplus_rules}
+BUILDERS = {"A": lambda rs: build_A(rs).alg, "T": lambda rs: build_T(rs).alg,
+            "B+": build_bplus}
 
 
 def root_algebra_rows(rs, t_only):
@@ -256,7 +258,7 @@ def test_each_table_source_is_called_once(kind, monkeypatch):
     if kind == "json":
         alg = StructureAlgebra.from_json(data)
     else:
-        alg = {"A": build_A, "T": build_T, "B+": build_bplus}[kind](rs).alg
+        alg = BUILDERS[kind](rs)
     assert not calls
     x = alg.element([1] * alg.dim)
     for i in range(alg.dim):
@@ -266,21 +268,19 @@ def test_each_table_source_is_called_once(kind, monkeypatch):
     assert calls == {"product": 1, "form": 1}
 
 
-@pytest.mark.parametrize("make", [build_A, build_T, build_bplus],
-                         ids=["A", "T", "B+"])
+@pytest.mark.parametrize("kind", ["A", "T", "B+"])
 @pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A2+A1"])
-def test_each_pair_entry_is_built_once(make, spec):
+def test_each_pair_entry_is_built_once(kind, spec):
     """The product tables of A, T and B+ hold row i's entry for j as the
     same object as row j's entry for i, one object per pair i <= j with a
     non-zero product, and every row has its j in increasing order."""
-    alg = make(build(spec)).alg
+    alg = BUILDERS[kind](build(spec))
     rows = alg.product_table[1]
     for i, row in enumerate(rows):
         assert list(row) == sorted(row), i
         for j, e in row.items():
             assert rows[j][i] is e, (i, j)
-    product, _ = (bplus_rules if make is build_bplus
-                  else root_algebra_rules)(build(spec))
+    product, _ = RULES[kind](build(spec))
     pairs = sum(1 for i in range(alg.dim) for j in range(i, alg.dim)
                 if product(i, j))
     assert len({id(e) for row in rows for e in row.values()}) == pairs
@@ -396,8 +396,8 @@ def image_of_basis(p, i):
     bp, N = p.codomain, p.codomain.rs.N
     r = i % N
     coeffs = {k: Q(v, 2) for k, v in bp._sq[r].items()}
-    coeffs[bp.num_sym + r] = -1 if i < N else 1
-    return bp.alg.element(coeffs)
+    coeffs[bp.ns + r] = -1 if i < N else 1
+    return bp.element(coeffs)
 
 
 @given(data=st.data())
@@ -785,6 +785,20 @@ def test_random_direct_sums_solve_and_round_trip(parts):
         assert len({id(t) for t in terms}) == len({tuple(t) for t in terms})
 
 
+@given(parts=st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_random_direct_sums_phi_rank(parts):
+    """On a direct sum of 1-3 components phi's rank is the sum over the
+    components c of l_c (l_c + 1) / 2 + N_c: it is 2N iff every component
+    is of type A, and dim B+ iff there is one component."""
+    rs = build("+".join(parts))
+    p = PhiMap(build_A(rs), build_bplus(rs))
+    assert p.rank == sum(c.rank * (c.rank + 1) // 2 + c.num_positive
+                         for c in rs.components)
+    assert (p.rank == 2 * rs.N) == all(c.family == "A" for c in rs.components)
+    assert (p.rank == p.codomain.dim) == (len(parts) == 1)
+
+
 # -- associativity of a span: structure constants against element triples ---
 
 def direct_associative_span(alg, elements):
@@ -822,7 +836,7 @@ def same_verdict(alg, elements):
 
 def chain_images(spec):
     p = phi(spec)
-    return p.codomain.alg, [p.apply(e) for e in
+    return p.codomain, [p.apply(e) for e in
                             coset_chain_decompose(p.domain).idempotents]
 
 
@@ -1052,18 +1066,11 @@ def test_theorem_3_1_matches_direct(spec):
     assert rep[:2] == (None, None)
 
 
-def root_operands(p) -> list:
-    """The operands P_r, M_r per root that verify_theorem_3_1 multiplies."""
-    B, N = p.codomain.alg, p.domain.rs.N
-    return [(B.operand(p.image({r: 1, N + r: 1})),
-             B.operand(p.image({r: -1, N + r: 1}))) for r in range(N)]
-
-
 def pair_products(p) -> list:
-    """BPlusStructure.pair_products on the per-root operands of phi, as
-    one {s: products} per root r."""
-    B, parts = p.codomain.alg, root_operands(p)
-    return [row for _, row in B.pair_products(parts, B.rank_one(parts))]
+    """BPlusStructure.pair_products of phi's codomain, as one
+    {s: products} per root r."""
+    B = p.codomain
+    return [row for _, row in B.pair_products(B.rank_one())]
 
 
 def kept_pairs(p) -> list:
@@ -1153,63 +1160,42 @@ def broken_phi(spec, what):
     bp = build_bplus(rs)
     if what == "A form":  # <t(0), t(s)> for a root s next to root 0
         return changed_domain(spec, [("form", 0, rs.neighbours[0][0][0])])
-    if what.startswith("kernel"):
-        # "kernel Cartan": (alpha_0, alpha_1) + 1 in the Cartan matrix the
-        # kernel reads; "kernel neighbours": x_0 x_s = x_0 for the first
-        # root s orthogonal to root 0, in root 0's neighbour list only;
-        # "kernel square": one coefficient of the last root's square that
-        # the kernel reads; "kernel Cartan and pairing": (alpha_0, alpha_1)
-        # + 1 in S and, for the first root r with c_r = (0, 1, ...),
-        # (alpha_0, r) + 1 in its pairings, so that c_r^T S c_s = 0 while
-        # c_s^T S c_r and p_r . c_s are not for the roots s orthogonal to r
-        # with c_s = (1, 0, ...).  The rows, forms, pairings and squares are
-        # otherwise those of the true B+, and phi reads the true squares.
-        S = [[int(dot(a, b)) for b in simple_roots(rs)]
-             for a in simple_roots(rs)]
-        nbrs = [list(nb) for nb in rs.neighbours]
-        sq = [dict(q) for q in bp._sq]
-        pcol = [list(col) for col in bp.alg._pcol]
-        if what.startswith("kernel Cartan"):
-            S[0][1] += 1
-        if what == "kernel Cartan and pairing":
-            r = next(r for r, c in enumerate(rs.simple_coeffs)
-                     if c[:2] == (0, 1))
-            col = dict(pcol[r])
-            col[0] = col.get(0, 0) + 1
-            pcol[r] = sorted(col.items())
-        elif what == "kernel square":
-            sq[-1][min(sq[-1])] += 1
-        elif what == "kernel neighbours":
-            nbrs[0].append((orthogonal_pair(spec)[1], 0))
-        roots = SimpleNamespace(simple_coeffs=rs.simple_coeffs,
-                                neighbours=nbrs)
-        alg = BPlusStructure(bp.alg.basis_labels, lambda: bp.alg.product_table,
-                             roots, S, pcol, sq)
-        return PhiMap(build_A(rs), BPlusAlgebra(rs, alg, bp.num_sym, bp._sq))
-    if what == "B+ product":
-        # s(0,0) s(0,1): one S^2 S^2 structure constant, both orderings
-        i, j = bp.alg._idx[0][0], bp.alg._idx[0][1]
-        product = with_changed_entry(
-            as_dicts(bp.alg.product_table), i, j,
-            plus_basis(min(bp.alg.basis_product(i, j))))
-        alg = StructureAlgebra(bp.alg.basis_labels,
-                               encode_rows(product, {}, bp.dim)[0],
-                               lambda b=bp.alg: b.form_table)
-        bp = BPlusAlgebra(rs, alg, bp.num_sym, bp._sq)
-    else:  # "alpha^2": one coefficient of the last root's square
-        sq = [dict(q) for q in bp._sq]
-        sq[-1][min(sq[-1])] += 1
-        bp = BPlusAlgebra(rs, bp.alg, bp.num_sym, sq)
-    return PhiMap(build_A(rs), bp)
+    if what == "alpha^2":
+        # one coefficient of the last root's square, in the one list that
+        # phi and the kernel read
+        bp._sq = [dict(q) for q in bp._sq]
+        bp._sq[-1][min(bp._sq[-1])] += 1
+        return PhiMap(build_A(rs), bp)
+    # "kernel Cartan": (alpha_0, alpha_1) + 1 in the Cartan matrix the
+    # kernel reads; "kernel neighbours": x_0 x_s = x_0 for the first root s
+    # orthogonal to root 0, in root 0's neighbour list only; "kernel Cartan
+    # and pairing": (alpha_0, alpha_1) + 1 in S and, for the first root r
+    # with c_r = (0, 1, ...), (alpha_0, r) + 1 in its pairings, so that
+    # c_r^T S c_s = 0 while c_s^T S c_r and p_r . c_s are not for the roots
+    # s orthogonal to r with c_s = (1, 0, ...).  The rows, forms, pairings,
+    # squares and root system are otherwise those of the true B+.
+    S = [[int(dot(a, b)) for b in simple_roots(rs)] for a in simple_roots(rs)]
+    pcol = [list(col) for col in bp._pcol]
+    if what.startswith("kernel Cartan"):
+        S[0][1] += 1
+    if what == "kernel Cartan and pairing":
+        r = next(r for r, c in enumerate(rs.simple_coeffs) if c[:2] == (0, 1))
+        col = dict(pcol[r])
+        col[0] = col.get(0, 0) + 1
+        pcol[r] = sorted(col.items())
+    alg = BPlusStructure(bp.basis_labels, lambda: bp.product_table, rs, S,
+                         pcol, bp._sq)
+    if what == "kernel neighbours":
+        alg._nbrs = [list(nb) for nb in rs.neighbours]
+        alg._nbrs[0].append((orthogonal_pair(spec)[1], 0))
+    return PhiMap(build_A(rs), alg)
 
 
-@pytest.mark.parametrize("what", ["B+ product", "kernel Cartan", "alpha^2",
-                                  "A form"])
+@pytest.mark.parametrize("what", ["kernel Cartan", "alpha^2", "A form"])
 @pytest.mark.parametrize("spec", ["A3", "D4"])
 def test_broken_inputs_fail_like_direct(spec, what):
-    """"B+ product" changes only the product table of a plain
-    StructureAlgebra; "kernel Cartan" changes only what B+'s kernel reads,
-    so its products and forms alike."""
+    """"kernel Cartan" changes only what B+'s kernel reads, so its products
+    and forms alike."""
     rep = verify_theorem_3_1(broken_phi(spec, what))
     assert rep != (None, None, bplus(spec).dim)
     assert rep == direct_theorem_3_1(broken_phi(spec, what))
@@ -1217,11 +1203,10 @@ def test_broken_inputs_fail_like_direct(spec, what):
         assert None not in rep[:2]
 
 
-@pytest.mark.parametrize("what", ["B+ product", "kernel Cartan",
+@pytest.mark.parametrize("what", ["kernel Cartan",
                                   "kernel Cartan and pairing",
-                                  "kernel neighbours", "kernel square",
-                                  "alpha^2", "A form", "orthogonal product",
-                                  "orthogonal form"])
+                                  "kernel neighbours", "alpha^2", "A form",
+                                  "orthogonal product", "orthogonal form"])
 @pytest.mark.parametrize("spec", ["A3", "D4", "A3+D4"])
 def test_skipped_pairs_fail_like_direct(spec, what):
     """Each broken input, and an entry of A added at the basis pair
@@ -1244,33 +1229,32 @@ def test_skipped_pairs_fail_like_direct(spec, what):
 
 @pytest.mark.parametrize("what", [None, "kernel Cartan",
                                   "kernel Cartan and pairing",
-                                  "kernel neighbours", "kernel square",
-                                  "alpha^2"])
+                                  "kernel neighbours", "alpha^2"])
 @pytest.mark.parametrize("spec", ["A3", "D4", "A3+D4"])
 def test_left_out_pairs_have_zero_products(spec, what):
     """Every kernel product of the operands of a root pair that
     pair_products leaves out is 0, also with the kernel's Cartan matrix,
-    its pairings, a neighbour list or one root's alpha^2, in phi or in the
-    kernel, changed; a changed alpha^2 keeps every pair of its root."""
+    its pairings, a neighbour list or one root's alpha^2 changed; a changed
+    alpha^2 keeps every pair of its root."""
     p = phi(spec) if what is None else broken_phi(spec, what)
-    B, parts = p.codomain.alg, root_operands(p)
+    B, parts = p.codomain, p.parts
     kept = kept_pairs(p)
     for r, ops in enumerate(parts):
         for s in set(range(r, len(parts))) - kept[r]:
             assert not any(v for x in ops for y in parts[s]
                            for v in B.bilinear(x, y)[0].values()), (r, s)
-    if what in ("alpha^2", "kernel square"):
+    if what == "alpha^2":
         assert all(len(parts) - 1 in k for k in kept)
 
 
 def over_basis(p, coords: dict) -> dict:
     """Products in the coordinates of pair_products over the basis of B+:
     (a, b) is sym(c_a, c_b) over S^2 and q is x_q."""
-    idx, coeffs = p.codomain.alg._idx, p.domain.rs.simple_coeffs
+    idx, coeffs = p.codomain._idx, p.domain.rs.simple_coeffs
     out = Counter()
     for key, v in coords.items():
         if isinstance(key, int):
-            out[p.codomain.num_sym + key] += v
+            out[p.codomain.ns + key] += v
             continue
         x, y = (coeffs[k] for k in key)
         for i, row in enumerate(idx):
@@ -1291,7 +1275,7 @@ def test_closed_form_products_are_the_kernels(spec, what):
     Cartan matrix, its pairings or a neighbour list changed; B+'s form
     rows are bilinear's forms of the basis elements."""
     p = phi(spec) if what is None else broken_phi(spec, what)
-    B, parts = p.codomain.alg, root_operands(p)
+    B, parts = p.codomain, p.parts
     # the true kernel's rows are compared with the rule by the basis tests
     for i in range(B.dim if what else 0):
         assert [basis_form(B, i, j) for j in range(B.dim)] == [
@@ -1309,12 +1293,12 @@ def test_closed_form_products_are_the_kernels(spec, what):
 def test_closed_form_decides_every_kept_pair(spec, monkeypatch):
     """On a true phi no root pair takes the kernel's products and forms,
     and no table of B+ is built."""
-    def fallback(phi, parts, r, s):
+    def fallback(phi, r, s):
         raise AssertionError(f"root pair ({r}, {s}) took the kernel")
     p = PhiMap(algebra_A(spec), build_bplus(system(spec)))
     monkeypatch.setattr(bplus_module, "_pair_mismatches", fallback)
     assert verify_theorem_3_1(p)[:2] == (None, None)
-    assert not {"product_table", "form_table"} & vars(p.codomain.alg).keys()
+    assert not {"product_table", "form_table"} & vars(p.codomain).keys()
 
 
 def test_entry_on_a_fourth_root_takes_the_kernel(monkeypatch):
@@ -1328,9 +1312,9 @@ def test_entry_on_a_fourth_root_takes_the_kernel(monkeypatch):
     p = changed_domain("A3", [("product", 0, s, k)])
     taken, kernel = [], bplus_module._pair_mismatches
 
-    def fallback(phi, parts, r, s):
+    def fallback(phi, r, s):
         taken.append((r, s))
-        return kernel(phi, parts, r, s)
+        return kernel(phi, r, s)
     monkeypatch.setattr(bplus_module, "_pair_mismatches", fallback)
     rep = verify_theorem_3_1(p)
     assert taken == [(0, s)]
@@ -1347,7 +1331,7 @@ def test_broken_kernel_fails_theorem_and_span():
     assert verify_theorem_3_1(p)[0] is not None
     images = [p.apply(e)
               for e in coset_chain_decompose(p.domain).idempotents]
-    assert p.codomain.alg.is_associative_span(images) is False
+    assert p.codomain.is_associative_span(images) is False
     # the same images on the true B+ span an associative subalgebra
     alg, true_images = chain_images("A3")
     assert [e.coeffs for e in images] == [e.coeffs for e in true_images]
@@ -1410,7 +1394,7 @@ def dense_kernel_and_radical(p):
     """(dim ker phi, dim radical, rank of both bases together) from the
     dense matrices."""
     kernel = phi_kernel_basis(p)
-    radical = gram_matrix(p.domain.alg).kernel_basis()
+    radical = kernel_basis(gram_matrix(p.domain.alg))
     return len(kernel), len(radical), QMatrix(kernel + radical).rank()
 
 
@@ -1463,7 +1447,7 @@ def test_p_block_radical_matches_sparse_and_dense(spec):
     p = phi(spec)
     block = p_block_radical(p.domain.alg, p.domain.rs.N)
     sparse = sparse_radical(p.domain.alg)
-    dense = gram_matrix(p.domain.alg).kernel_basis()
+    dense = kernel_basis(gram_matrix(p.domain.alg))
     assert len(block) == len(sparse) == len(dense)
     assert QMatrix(block + sparse + dense).rank() == len(block)
 
@@ -1531,7 +1515,7 @@ def rows_product(x, y):
 def test_kernel_matches_rows_on_basis_pairs(spec):
     """Products against the product table, forms against the reference
     rule <ab, cd> = (a,c)(b,d) + (a,d)(b,c), <x_r, x_s> = 2 [r = s]."""
-    alg = bplus(spec).alg
+    alg = bplus(spec)
     form = bplus_rules(system(spec))[1]
     for i in range(alg.dim):
         for j in range(i, alg.dim):
@@ -1542,7 +1526,7 @@ def test_kernel_matches_rows_on_basis_pairs(spec):
 
 @pytest.mark.parametrize("spec", ["A6", "D5", "E6"])
 def test_kernel_matches_rows_on_dense_elements(spec):
-    alg = bplus(spec).alg
+    alg = bplus(spec)
     form = bplus_rules(system(spec))[1]
     rng = random.Random(spec)
 

@@ -1,8 +1,11 @@
 import re
+import runpy
+from pathlib import Path
 
 import pytest
 
 from griess import niemeier
+from griess.algebra import DecompositionReport
 from griess.cli import run
 from griess.niemeier import (CO1_ORDER, F2QuadSpace, NiemeierEntry, Table2Row,
                              brute_force_lagrangians, catalog, catalog_entry,
@@ -10,7 +13,7 @@ from griess.niemeier import (CO1_ORDER, F2QuadSpace, NiemeierEntry, Table2Row,
                              table1_consistency, table2_consistency,
                              table2_rows)
 from griess.ratio import Q
-from griess.verify import run_target
+from griess.verify import closed_charges, run_target
 
 from conftest import polar, reference_lagrangians
 
@@ -224,3 +227,39 @@ def test_lemma_4_2_on_every_root_lattice_entry():
         [rep] = run_target("lemma4.2", e.name)
         assert rep.passed, (e.name, rep.clauses)
         assert rep.clauses[0][0] == f"dimension 24 + k = {24 + e.k}"
+
+
+REPORT_SCRIPT = (Path(__file__).resolve().parents[1] / "scripts"
+                 / "niemeier_report.py")
+
+
+@pytest.mark.parametrize("broken", [None, "charge", "dimension",
+                                    "associative"])
+def test_niemeier_report_fails_on_a_failing_entry(broken, monkeypatch,
+                                                  capsys):
+    """The report passes an entry whose span is associative, of dimension
+    24+k, with the closed-form charges on each component, and exits 0 if
+    all entries and both tables pass; one of them broken on A3^8 fails
+    that entry, names it, and exits 1.  The subalgebras are replaced by
+    their closed forms, so nothing is built."""
+    def closed(entry):
+        charges = [c for comp in entry.components
+                   for c in closed_charges(comp)]
+        checks = {"dimension": 24 + entry.k, "associative": True}
+        if entry.name == "A3^8" and broken == "charge":
+            charges[5] += 1
+        elif entry.name == "A3^8" and broken == "dimension":
+            checks["dimension"] -= 1
+        elif entry.name == "A3^8" and broken:
+            checks["associative"] = False
+        return DecompositionReport([], charges, entry.name, checks)
+    monkeypatch.setattr(niemeier, "lemma_4_2_subalgebra", closed)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(REPORT_SCRIPT), run_name="__main__")
+    out = capsys.readouterr().out
+    assert exc.value.code == (1 if broken else 0)
+    verdicts = re.findall(r"^  (\S+) +dimension .* (PASS|FAIL) ", out, re.M)
+    assert len(verdicts) == 23
+    assert [n for n, v in verdicts if v == "FAIL"] == (["A3^8"] if broken
+                                                       else [])
+    assert out.rstrip().endswith("FAIL: A3^8" if broken else "PASS")
