@@ -294,6 +294,27 @@ class StructureAlgebra:
                 return j
         return None
 
+    def first_idempotent_failure(self, elements: Sequence["AlgebraElement"]
+                                 ) -> tuple[int, int] | None:
+        """The first pair (i, j), i <= j in lexicographic order, with
+        e_i e_j != [i = j] e_i, or None.  With None, the n non-zero
+        elements are independent (e_i = sum over j != i of c_j e_j gives
+        e_i = e_i^2 = 0) and span a copy of Q^n, which is associative.
+        Each element is kept once as integer numerators x_i over its own
+        denominator d_i, so e_i e_j = out / (den d_i d_j), and the test is
+        out = x_i den d_i on the diagonal and out = 0 off it."""
+        scaled = [e._integer_coeffs() for e in elements]
+        for i, (x, d) in enumerate(scaled):
+            out, den = self.bilinear(x, x)
+            f = den * d
+            if (any(out.pop(k, 0) != v * f for k, v in x.items())
+                    or any(out.values())):
+                return i, i
+            for j in range(i + 1, len(scaled)):
+                if any(self.bilinear(x, scaled[j][0])[0].values()):
+                    return i, j
+        return None
+
     def operand(self, nums: dict) -> dict:
         """The integer coefficient dict of an element as it is kept for
         bilinear (AlgebraElement._integer_coeffs); a subclass may return a
@@ -426,6 +447,12 @@ class StructureAlgebra:
     def is_associative_span(self, elements: Sequence["AlgebraElement"],
                             ) -> bool:
         """True iff the span of the elements is closed and associative.
+
+        The library checks Lemma 4.2 by first_idempotent_failure; this
+        method stays as the tests' reference, and because the benchmark's
+        tracer (perfbench/tracing.py) wraps it by name.  It moves to
+        tests/conftest.py, with DependentError, once the benchmark no
+        longer names it.
 
         Raises DependentError, a ValueError, if the elements are not
         linearly independent: each is fed to a SparseSolver with a tag

@@ -17,7 +17,7 @@ from .niemeier import catalog, catalog_entry, lemma_4_2_subalgebra
 from .ratio import q_str
 from .rootalgebra import coset_chain_decompose, generalized_chain_decompose
 from .rootsys import spec_parts
-from .verify import System, resolve, run_target, TARGETS
+from .verify import System, charge_mismatch, resolve, run_target, TARGETS
 
 
 def _parse_chain(text: str, spec: str) -> list[list[int]]:
@@ -110,12 +110,16 @@ def _cmd_niemeier(args) -> int:
     entry = catalog_entry(args.name)
     rep = lemma_4_2_subalgebra(entry)
     payload = rep.to_json()
-    text = "\n".join(
-        [f"{entry.name}: associative subalgebra of dimension "
-         f"{rep.checks['dimension']} = 24 + {entry.k}",
-         f"  charges  {', '.join(q_str(c) for c in rep.charges)}"])
-    _emit(args, payload, text)
-    ok = rep.checks["associative"] and rep.checks["dimension"] == 24 + entry.k
+    lines = [f"{entry.name}: associative subalgebra of dimension "
+             f"{rep.checks['dimension']} = 24 + {entry.k}",
+             f"  charges  {', '.join(q_str(c) for c in rep.charges)}"]
+    bad = charge_mismatch(entry.components, rep.idempotents, rep.charges)
+    if bad:
+        payload["charge_mismatch"] = bad
+        lines.append(f"  charge mismatch  {bad}")
+    _emit(args, payload, "\n".join(lines))
+    ok = (rep.checks["associative"] and rep.checks["dimension"] == 24 + entry.k
+          and bad is None)
     return 0 if ok else 1
 
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .algebra import DecompositionReport, DependentError
+from .algebra import DecompositionReport
 from .bplus import PhiMap, build_bplus
 from .exactlin import f2_span
 from .ratio import Q, ZERO, q_parse, q_str
@@ -98,20 +98,18 @@ def lemma_4_2_subalgebra(entry: NiemeierEntry) -> DecompositionReport:
 
 def chain_image_subalgebra(phi: PhiMap, name: str) -> DecompositionReport:
     """The images in the weight-2 algebra of the default chain idempotents,
-    l+1 per component of rank l, with their charges; checks holds the
-    number of images and whether the non-zero ones are independent and
-    span an associative subalgebra, and under "dependent" the index of the
-    first image in the span of the non-zero ones before it.  verify names
-    a zero image by its charge, 0."""
+    l+1 per component of rank l, with their charges.  checks holds the
+    number of non-zero images, the dimension of their span, and whether
+    they are pairwise orthogonal idempotents, e_i e_j = [i = j] e_i, so
+    that the span is associative (first_idempotent_failure); on a failure,
+    "pair" holds the first failing pair of image indices.  verify names a
+    zero image by its charge, 0."""
     images = [phi.apply(e) for e in chain_idempotents(phi.domain)]
     nonzero = [k for k, e in enumerate(images) if not e.is_zero()]
-    checks = {"dimension": len(images)}
-    try:
-        checks["associative"] = phi.codomain.is_associative_span(
-            [images[k] for k in nonzero])
-    except DependentError as exc:
-        checks["associative"] = False
-        checks["dependent"] = nonzero[exc.index]
+    pair = phi.codomain.first_idempotent_failure([images[k] for k in nonzero])
+    checks = {"dimension": len(nonzero), "associative": pair is None}
+    if pair is not None:
+        checks["pair"] = tuple(nonzero[k] for k in pair)
     charges = [e.central_charge() for e in images]
     return DecompositionReport(
         images, charges, f"{name}: images in the weight-2 algebra", checks)

@@ -247,8 +247,10 @@ def generalized_chain_decompose(ra: RootAlgebra,
     for a, b in zip(sets, sets[1:]):
         if not a <= b:
             raise ValueError("chain subsets must be nested")
-    if any(i < 0 or i >= rs.l for s in sets for i in s):
-        raise ValueError("simple-root index out of range")
+    bad = next((i for s in chain for i in s if not 0 <= i < rs.l), None)
+    if bad is not None:
+        raise ValueError(f"index {bad}, out of range for rank {rs.l} "
+                         f"(0 to {rs.l - 1})")
     desc = "chain " + " c ".join("{" + ",".join(map(str, sorted(s))) + "}"
                                  for s in sets)
     return _chain_decompose(ra, [(sets, delta(ra))], desc)

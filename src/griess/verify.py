@@ -227,21 +227,28 @@ def _chain_steps(components: list) -> list:
             for step, c in enumerate(closed_charges(comp), 1)]
 
 
+def charge_mismatch(components: list, elements: list, charges: list,
+                    ) -> str | None:
+    """The first idempotent of the default chains whose charge differs
+    from its closed form, named with its component and its step, or a
+    wrong count of idempotents; None if all agree."""
+    want = _chain_steps(components)
+    if len(charges) != len(want):
+        return f"{len(charges)} idempotents, expected {len(want)}"
+    for k, (c, (w, where)) in enumerate(zip(charges, want)):
+        if c != w:
+            zero = " is zero" if elements[k].is_zero() else ""
+            return (f"idempotent {k} ({where}){zero}: "
+                    f"charge {q_str(c)} != {q_str(w)}")
+    return None
+
+
 def _add_charges_clause(rep: VerifyReport, components: list, elements: list,
                         charges: list, note: str = ""):
     """One clause: the charges of the default chains' idempotents equal
-    their closed forms; a failure names the first idempotent that differs,
-    its component and its step."""
-    want = _chain_steps(components)
-    k = next((k for k, (c, (w, _)) in enumerate(zip(charges, want))
-              if c != w), None)
-    bad = None
-    if len(charges) != len(want):
-        bad = f"{len(charges)} idempotents, expected {len(want)}"
-    elif k is not None:
-        (w, where), zero = want[k], elements[k].is_zero()
-        bad = (f"idempotent {k} ({where}){' is zero' if zero else ''}: "
-               f"charge {q_str(charges[k])} != {q_str(w)}")
+    their closed forms; a failure names the first idempotent that differs
+    (charge_mismatch)."""
+    bad = charge_mismatch(components, elements, charges)
     rep.add(f"charges match the closed forms "
             f"({', '.join(q_str(c) for c in charges[:6])}"
             f"{', ...' if len(charges) > 6 else ''}){note}", bad is None, bad)
@@ -381,21 +388,26 @@ def _cor_3_2(s: System, rep: VerifyReport):
 
 def _lemma_4_2(s: System, rep: VerifyReport):
     """Associative subalgebra of dimension 24+k for a rank-24 entry, on
-    the System's phi."""
+    the System's phi: the non-zero images count 24+k, their charges are
+    the closed forms, and they are pairwise orthogonal idempotents, which
+    makes them independent and their span Q^n; a failing pair is named by
+    both its idempotents, each with its component and step."""
     if s.name not in _catalog_specs():
         raise ValueError(f"{s.name!r} is not a catalog entry name")
     entry = catalog_entry(s.name)
     sub = chain_image_subalgebra(s.phi, entry.name)
     dim = sub.checks["dimension"]
     rep.add(f"dimension 24 + k = {24 + entry.k}", dim == 24 + entry.k,
-            f"{dim} idempotents")
+            f"{dim} non-zero images")
     _add_charges_clause(rep, entry.components, sub.idempotents, sub.charges)
-    k, bad = sub.checks.get("dependent"), None
-    if k is not None:
+    bad = None
+    if "pair" in sub.checks:
         steps = _chain_steps(entry.components)
-        where = f" ({steps[k][1]})" if k < len(steps) else ""
-        bad = f"idempotent {k}{where} lies in the span of the images before it"
-    rep.add("span is associative (exhaustive triples)",
+        i, j = sub.checks["pair"]
+        name = [f"idempotent {k} ({steps[k][1]})" for k in (i, j)]
+        want = f"idempotent {i}" if i == j else "0"
+        bad = f"{name[0]} times {name[1]} is not {want}"
+    rep.add("span is associative (e_i e_j = [i = j] e_i, so it is Q^n)",
             sub.checks["associative"], bad)
 
 

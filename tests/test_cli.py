@@ -206,12 +206,50 @@ class TestNiemeier:
         charges = out.splitlines()[1].split(None, 1)[1].split(", ")
         assert charges == ["1/2", "7/10", "4/5", "1", "1"] * 6
 
-    def test_sub_exits_1_on_a_failed_check(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "griess.algebra.StructureAlgebra.is_associative_span",
-            lambda alg, elements: False)
+    @pytest.mark.parametrize("replace", [
+        lambda images: images[-1].algebra.zero(),
+        lambda images: images[-2],
+        lambda images: images[-1] + images[-1]],
+        ids=["zero", "dependent", "twice"])
+    def test_sub_exits_1_on_a_failed_check(self, capsys, monkeypatch,
+                                           replace):
+        """The third image of A2^12 made 0 fails the dimension, a copy of
+        the second or twice itself the associativity (and the charges)."""
+        patch_image(monkeypatch, 3, replace)
         code, _ = run_captured(capsys, ["niemeier", "sub", "A2^12"])
         assert code == 1
+
+    @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+    def test_sub_exits_1_naming_a_wrong_charge(self, capsys, monkeypatch,
+                                               json_out):
+        """Charges that differ from verify.closed_charges fail `niemeier
+        sub`, which names the first mismatch, its component and its step."""
+        closed = verify.closed_charges
+
+        def off(comp):
+            out = closed(comp)
+            out[1] += 1
+            return out
+        monkeypatch.setattr(verify, "closed_charges", off)
+        code, out = run_captured(capsys, ["niemeier", "sub", "A2^12"]
+                                 + ["--json"] * json_out)
+        assert code == 1
+        bad = "idempotent 1 (component 0 A2, step 2): charge 7/10 != 17/10"
+        if json_out:
+            assert json.loads(out)["charge_mismatch"] == bad
+        else:
+            assert out.splitlines()[-1] == f"  charge mismatch  {bad}"
+
+
+def patch_image(monkeypatch, n, replace):
+    """PhiMap.apply with its n-th image replaced by replace(images so
+    far)."""
+    apply, images = PhiMap.apply, []
+
+    def patched(phi, a):
+        images.append(apply(phi, a))
+        return replace(images) if len(images) == n else images[-1]
+    monkeypatch.setattr(PhiMap, "apply", patched)
 
 
 class TestVerify:
@@ -353,29 +391,26 @@ class TestVerify:
 
     @pytest.mark.parametrize("replace,failed", [
         (lambda images: images[-1].algebra.zero(),
-         ("charges match the closed forms",
-          "idempotent 9 (component 1 D4, step 5) is zero: charge 0 != 1")),
+         [("dimension 24 + k = 30", "29 non-zero images"),
+          ("charges match the closed forms",
+           "idempotent 9 (component 1 D4, step 5) is zero: charge 0 != 1")]),
         (lambda images: images[-2],
-         ("span is associative", "idempotent 9 (component 1 D4, step 5) "
-          "lies in the span of the images before it"))],
+         [("span is associative", "idempotent 8 (component 1 D4, step 4) "
+           "times idempotent 9 (component 1 D4, step 5) is not 0")])],
         ids=["zero", "dependent"])
-    def test_bad_image_fails_one_clause(self, capsys, monkeypatch, replace,
-                                        failed):
-        """A zero image fails the charges clause, which names it, its
-        component and its step; a copy of the image before it (same charge)
-        fails the span clause, which names it likewise; nothing raises."""
-        apply, images = PhiMap.apply, []
-
-        def patched(phi, a):
-            images.append(apply(phi, a))
-            return replace(images) if len(images) == 10 else images[-1]
-        monkeypatch.setattr(PhiMap, "apply", patched)
+    def test_bad_image_fails_its_clauses(self, capsys, monkeypatch, replace,
+                                         failed):
+        """A zero image leaves the span one dimension short and fails the
+        charges clause, which names it, its component and its step; a copy
+        of the image before it (same charge) fails the span clause, which
+        names both idempotents of the pair likewise; nothing raises."""
+        patch_image(monkeypatch, 10, replace)
         code, out = run_captured(
             capsys, ["verify", "lemma4.2", "--spec", "D4^6", "--json"])
         assert code == 1
         [report] = json.loads(out)["reports"]
         assert [(c["description"].split(" (")[0], c["counterexample"])
-                for c in report["clauses"] if not c["passed"]] == [failed]
+                for c in report["clauses"] if not c["passed"]] == failed
 
     def test_wrong_charge_fails_one_clause(self, capsys, monkeypatch):
         closed = verify.closed_charges

@@ -7,7 +7,8 @@ two lookup directions against the plain expansion, from_json on tables written i
 the integer kernels behind element products and forms against the plain
 bilinear expansion over basis pairs, the map of Theorem 3.1 against the
 sum of its scaled basis images, the associativity check on structure
-constants against the triple products of elements, the identity solve
+constants against the triple products of elements, Lemma 4.2's pairwise
+idempotent certificate against that check, the identity solve
 against one dense solve of the whole system and against its one solver
 per union-find forest and the held equations contracted onto the trees,
 delta, epsilon and the JSON round trip on random direct sums, the JSON
@@ -24,6 +25,7 @@ run on the S^2(H) kernel, are compared with its product table and the
 reference form rule on basis pairs, dense elements and chain
 images."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -36,7 +38,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from griess import rootalgebra
-from griess.algebra import StructureAlgebra
+from griess.algebra import DependentError, StructureAlgebra
 from griess import bplus as bplus_module, verify
 from griess.bplus import (BPlusStructure, PhiMap, build_bplus,
                           verify_theorem_3_1)
@@ -44,8 +46,8 @@ from griess.exactlin import QMatrix, SparseSolver
 from griess.niemeier import catalog_entry, lemma_4_2_subalgebra
 from griess.ratio import Q, q_parse, q_str
 from griess.rootalgebra import (RootAlgebra, build_A, build_T,
-                                coset_chain_decompose, delta,
-                                generalized_chain_decompose)
+                                chain_idempotents, coset_chain_decompose,
+                                delta, generalized_chain_decompose)
 from griess.rootsys import build
 
 from conftest import (algebra_A, algebra_T, basis_element,
@@ -1032,6 +1034,75 @@ def test_broken_idempotent_fails_certificate_and_span(monkeypatch):
     [rep] = verify.run_target("thm2.7", "A3")
     assoc = [ok for d, ok, _ in rep.clauses if "is associative" in d]
     assert assoc == [False]
+
+
+# -- Lemma 4.2's certificate: integer pairwise products against the span ----
+
+def first_failing_pair(elements):
+    """The first pair i <= j with e_i e_j != [i = j] e_i, from element
+    products and equality."""
+    zero, n = elements[0].algebra.zero(), len(elements)
+    return next(((i, j) for i in range(n) for j in range(i, n)
+                 if elements[i] * elements[j]
+                 != (elements[i] if i == j else zero)), None)
+
+
+def span_verdict(alg, elements):
+    try:
+        return alg.is_associative_span(elements)
+    except DependentError:
+        return False
+
+
+@functools.cache
+def lemma_images(name):
+    rs = catalog_entry(name).root_system()
+    p = PhiMap(build_A(rs), build_bplus(rs))
+    return p.codomain, [p.apply(e) for e in chain_idempotents(p.domain)]
+
+
+def changed_coefficient(e):
+    k = min(e.coeffs)
+    return e.algebra.element({**e.coeffs, k: e.coeffs[k] + Q(1, 3)})
+
+
+BROKEN_IMAGES = {
+    None: lambda es: es,
+    "zero": lambda es: es[:-1] + [es[-1].algebra.zero()],
+    "duplicate": lambda es: es[:-1] + [es[-2]],
+    "2e_i": lambda es: es[:-1] + [es[0] + es[0]],
+    "e_i+e_j": lambda es: es[:-1] + [es[0] + es[1]],
+    "coefficient": lambda es: es[:-1] + [changed_coefficient(es[-1])]}
+
+
+@pytest.mark.parametrize("name,broken", [
+    *((n, None) for n in ("A1^24", "A2^12", "A3^8", "D4^6")),
+    *((n, b) for n in ("A3^8", "D4^6") for b in BROKEN_IMAGES if b)])
+def test_idempotent_certificate_matches_span(name, broken):
+    """first_idempotent_failure on the non-zero chain images, as Lemma 4.2
+    runs it, agrees with is_associative_span, a dependence counting as a
+    failure, and returns the first pair that fails by element products.
+    The last image is broken: made 0, which leaves the span, or a copy of
+    the one before it, 2 e_0, e_0 + e_1, all dependent, or changed in one
+    coefficient by 1/3, which leaves the span not closed."""
+    alg, images = lemma_images(name)
+    es = [e for e in BROKEN_IMAGES[broken](images) if not e.is_zero()]
+    pair = alg.first_idempotent_failure(es)
+    assert pair == first_failing_pair(es)
+    assert (pair is None) is span_verdict(alg, es) is (broken in (None,
+                                                                  "zero"))
+    if broken == "duplicate":
+        assert pair == (len(es) - 2, len(es) - 1)
+
+
+def test_idempotent_certificate_is_stronger_than_the_span():
+    """2 e_0 in place of e_0 spans the same associative algebra, but is not
+    an idempotent: the certificate fails on (0, 0), which is what Lemma
+    4.2 asks of the images of idempotents."""
+    alg, images = lemma_images("A3^8")
+    es = [images[0] + images[0], *images[1:]]
+    assert alg.is_associative_span(es) is True
+    assert alg.first_idempotent_failure(es) == (0, 0) == first_failing_pair(es)
 
 
 # -- Theorem 3.1: shared root-pair products against per-pair images ----------

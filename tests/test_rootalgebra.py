@@ -160,5 +160,8 @@ class TestGeneralizedChain:
             generalized_chain_decompose(algebra_A("A3"), [[0], [1]])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            generalized_chain_decompose(algebra_A("A2"), [[5]])
+        """The error names the first bad index and the rank, as --chain
+        does."""
+        with pytest.raises(ValueError, match=r"^index 5, out of range for "
+                           r"rank 2 \(0 to 1\)$"):
+            generalized_chain_decompose(algebra_A("A2"), [[0], [0, 5, -1]])
