@@ -381,8 +381,8 @@ class StructureAlgebra:
         out = [[ZERO] * len(elements) for _ in elements]
         for j, (g, gd) in enumerate(gram):
             for i, (xs, xd) in enumerate(scaled[:j + 1]):
-                out[i][j] = out[j][i] = Q(
-                    sum(xs[a] * g[a] for a in xs.keys() & g.keys()), xd * gd)
+                if num := sum(xs[a] * g[a] for a in xs.keys() & g.keys()):
+                    out[i][j] = out[j][i] = Q(num, xd * gd)
         return out
 
     def find_identity(self) -> "AlgebraElement | None":
@@ -635,17 +635,17 @@ class AlgebraElement:
 
 @dataclass
 class DecompositionReport:
-    """An ordered system of pairwise-orthogonal idempotents with charges."""
+    """Idempotents and charges as built, with what verify judges them by."""
 
     idempotents: list[AlgebraElement]
     charges: list
     chain_description: str
     checks: dict = field(default_factory=dict)
+    blocks: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "idempotents": [e.to_json() for e in self.idempotents],
             "charges": [q_str(c) for c in self.charges],
             "chain": self.chain_description,
-            "checks": dict(self.checks),
         }

@@ -102,8 +102,8 @@ def chain_image_subalgebra(phi: PhiMap, name: str) -> DecompositionReport:
     number of non-zero images, the dimension of their span, and whether
     they are pairwise orthogonal idempotents, e_i e_j = [i = j] e_i, so
     that the span is associative (first_idempotent_failure); on a failure,
-    "pair" holds the first failing pair of image indices.  verify names a
-    zero image by its charge, 0."""
+    "pair" holds the first failing pair of image indices, for verify's
+    lemma4.2.  chain_idempotents reads no table of A(Phi)."""
     images = [phi.apply(e) for e in chain_idempotents(phi.domain)]
     nonzero = [k for k, e in enumerate(images) if not e.is_zero()]
     pair = phi.codomain.first_idempotent_failure([images[k] for k in nonzero])

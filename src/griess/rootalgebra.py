@@ -16,7 +16,7 @@ and the complement of the component has the parafermion value 2l/(h+2).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .algebra import AlgebraElement, DecompositionReport, StructureAlgebra
@@ -28,6 +28,7 @@ class RootAlgebra:
     rs: RootSystem
     alg: StructureAlgebra
     t_only: bool
+    closed: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _make_algebra(rs: RootSystem, t_only: bool) -> StructureAlgebra:
@@ -92,12 +93,16 @@ def _closed_identity(ra: RootAlgebra, simple: Iterable[int],
     roots: 1/(2h+4) on each t(alpha) of each connected component of its
     diagram, h = 2|Phi+|/rank; with_u, that of the algebra, 1/(4h) on each
     t(alpha) and u(alpha).  A root's support is connected, and each edge
-    a - b is the root a + b, so merging supports finds the components."""
+    a - b is the root a + b, so merging supports finds the components.
+    Each is built once per algebra, kept in ra.closed by (simple, with_u)."""
     if with_u and ra.t_only:
         raise ValueError("delta lives in the full algebra, not T(Phi)")
+    key = frozenset(simple), with_u
+    if key in ra.closed:
+        return ra.closed[key]
     rs = ra.rs
     parts: list[tuple[frozenset, list]] = []  # (simple roots, positive roots)
-    for r in _sub_positive_roots(rs, frozenset(simple)):
+    for r in _sub_positive_roots(rs, key[0]):
         s = rs.supports[r]
         hit = [p for p in parts if p[0] & s]
         parts = [p for p in parts if not p[0] & s]
@@ -112,7 +117,8 @@ def _closed_identity(ra: RootAlgebra, simple: Iterable[int],
             coeffs[r] = c
             if with_u:
                 coeffs[rs.N + r] = c
-    return ra.alg.element(coeffs)
+    ra.closed[key] = ra.alg.element(coeffs)
+    return ra.closed[key]
 
 
 def delta(ra: RootAlgebra) -> AlgebraElement:
@@ -148,50 +154,17 @@ def _telescope(ra: RootAlgebra, chain: list, top: AlgebraElement,
 
 def _chain_decompose(ra: RootAlgebra, blocks: list, desc: str,
                      ) -> DecompositionReport:
-    """The idempotents of _telescope per block, checked by identity
-    certificates; B = supp delta_c is the basis of a block.
-    pairwise_products checks (a) eps_k t(alpha) = t(alpha) for alpha in
-    Phi_k, eps_k in span B; (b) delta_c b = b for b in B; (c) no product or
-    form row leaves its block, and blocks are disjoint.  pairwise_form
-    checks (c) and <e_i, e_j> = 0 inside a block, from one Gram-vector
-    product per idempotent; sum_to_identity that the e sum to delta.
-
-    Why e_i e_j = [i = j] e_i: Phi_k is closed, so T(Phi_k) is a
-    subalgebra, with identity eps_k by (a).  Identities are unique, so
-    eps_k^2 = eps_k and eps_j eps_k = eps_j for j <= k, as T(Phi_j) c
-    T(Phi_k); by (b) this holds with eps_(m+1) = delta_c.  For j < k,
-    e_j e_k = eps_j - eps_j - eps_(j-1) + eps_(j-1) = 0 and
-    e_k^2 = eps_k - 2 eps_(k-1) + eps_(k-1) = e_k; by (c) elements of
-    different blocks multiply and pair to 0.  Each check reads one sparse
-    row per basis vector instead of one dense product per pair.
-    """
-    alg = ra.alg
-    idems, charges = [], []
-    products = forms = True
-    seen: set = set()
+    """The idempotents of _telescope per block (chain, identity delta_c)
+    and their charges 8 <e, e>, with (chain, eps_1..eps_m, delta_c, Gram
+    matrix) per block, from which verify certifies them."""
+    idems, charges, built = [], [], []
     for chain, top in blocks:
-        block = top.coeffs.keys()
-        closed = (all(alg.neighbours(b) <= block for b in block)
-                  and not seen & block)
-        seen |= block
-        products &= closed and alg.first_unfixed_basis(top, block) is None
-        forms &= closed
         eps, mine = _telescope(ra, chain, top)
-        for s, e in zip(chain, eps):
-            roots = _sub_positive_roots(ra.rs, s)
-            products &= (e.coeffs.keys() <= block
-                         and alg.first_unfixed_basis(e, roots) is None)
-        gram = alg.form_matrix(mine)
-        forms &= all(gram[i][j] == 0 for i in range(len(mine))
-                     for j in range(i))
+        gram = ra.alg.form_matrix(mine)
         idems += mine
         charges += [8 * gram[i][i] for i in range(len(mine))]
-    total = alg.zero()
-    for e in idems:
-        total = total + e
-    return DecompositionReport(idems, charges, desc, {
-        "sum_to_identity": total == delta(ra),
-        "pairwise_products": products, "pairwise_form": forms})
+        built.append((chain, eps, top, gram))
+    return DecompositionReport(idems, charges, desc, blocks=built)
 
 
 def default_chains(rs: RootSystem) -> list[list[frozenset]]:
@@ -216,7 +189,7 @@ def _default_blocks(ra: RootAlgebra) -> list:
 
 
 def chain_idempotents(ra: RootAlgebra) -> list[AlgebraElement]:
-    """The idempotents of coset_chain_decompose, built without its checks."""
+    """The idempotents of coset_chain_decompose, without their charges."""
     return [e for chain, top in _default_blocks(ra)
             for e in _telescope(ra, chain, top)[1]]
 
@@ -226,8 +199,8 @@ def coset_chain_decompose(ra: RootAlgebra) -> DecompositionReport:
 
     Per component of rank l, one block of l+1 idempotents: the telescoping
     differences of the t-span identities along the chain, plus the final
-    complement inside the component identity.  Charges are reported;
-    verify compares them with their closed forms.
+    complement inside the component identity.  verify's thm2.7 judges the
+    idempotents and their charges.
     """
     descs = []
     for comp in ra.rs.components:
@@ -241,7 +214,7 @@ def coset_chain_decompose(ra: RootAlgebra) -> DecompositionReport:
 def generalized_chain_decompose(ra: RootAlgebra,
                                 chain: list[list[int]]) -> DecompositionReport:
     """Decompose along a user-supplied nested chain of simple-root subsets,
-    one block with identity delta; charges and checks are reported."""
+    one block with identity delta, with its charges; verify certifies it."""
     rs = ra.rs
     sets = [frozenset(s) for s in chain]
     for a, b in zip(sets, sets[1:]):

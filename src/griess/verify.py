@@ -7,13 +7,13 @@ does.
 
 A spec target is a clause writer fn(system, report) in WRITERS; the three
 spec-free targets take the max dimension in place of the system.  A
-System holds what the targets and the CLI build from one spec: it resolves
-a catalog name, runs the size guard before anything is built, and builds
-the root system, A(Phi), T(Phi), B+ and phi each once, on first use.
-run_target alone creates, names and times the reports.  `all` makes one
-System per spec for every target run on it, lemma4.2 included, so a
-report's elapsed time leaves out what an earlier target on the same spec
-built.
+System holds what the targets and the CLI build from one spec, to be judged
+only here: it resolves a catalog name, runs the size guard before anything
+is built, and builds the root system, A(Phi), T(Phi), B+, phi, the default
+chains and their images in B+ each once, on first use.  report alone
+creates, names and times a report.  `all` makes one System per spec for
+every target run on it, so a report's elapsed time leaves out what an
+earlier target on the same spec built.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
                        table1_consistency, table2_consistency)
 from .ratio import Q, ZERO, q_str
 from .rootalgebra import (build_A, build_T, coset_chain_decompose,
-                          default_chains, delta, epsilon, _closed_identity)
+                          default_chains, delta, epsilon, _closed_identity,
+                          _sub_positive_roots)
 from .rootsys import SimpleType, build, spec_parts
 
 DEFAULT_SPECS = ("A1", "A2", "A3", "D4", "E6", "A1^24", "A2^12", "A24")
@@ -134,6 +135,16 @@ class System:
     def phi(self):
         return PhiMap(self.A, self.bplus)
 
+    @functools.cached_property
+    def chain(self):
+        """A's identity decomposed along the default chains."""
+        return coset_chain_decompose(self.A)
+
+    @functools.cached_property
+    def images(self):
+        """Lemma 4.2's images in B+ of a catalog name's chains."""
+        return chain_image_subalgebra(self.phi, self.name)
+
 
 def _all_type_a(components: list[SimpleType]) -> bool:
     return all(c.family == "A" for c in components)
@@ -227,28 +238,19 @@ def _chain_steps(components: list) -> list:
             for step, c in enumerate(closed_charges(comp), 1)]
 
 
-def charge_mismatch(components: list, elements: list, charges: list,
-                    ) -> str | None:
-    """The first idempotent of the default chains whose charge differs
-    from its closed form, named with its component and its step, or a
-    wrong count of idempotents; None if all agree."""
-    want = _chain_steps(components)
-    if len(charges) != len(want):
-        return f"{len(charges)} idempotents, expected {len(want)}"
-    for k, (c, (w, where)) in enumerate(zip(charges, want)):
-        if c != w:
-            zero = " is zero" if elements[k].is_zero() else ""
-            return (f"idempotent {k} ({where}){zero}: "
-                    f"charge {q_str(c)} != {q_str(w)}")
-    return None
-
-
 def _add_charges_clause(rep: VerifyReport, components: list, elements: list,
                         charges: list, note: str = ""):
     """One clause: the charges of the default chains' idempotents equal
-    their closed forms; a failure names the first idempotent that differs
-    (charge_mismatch)."""
-    bad = charge_mismatch(components, elements, charges)
+    their closed forms; a failure names a wrong count of idempotents, or
+    the first idempotent that differs, with its component and its step."""
+    want = _chain_steps(components)
+    bad = next((f"idempotent {k} ({where})"
+                f"{' is zero' if elements[k].is_zero() else ''}: "
+                f"charge {q_str(c)} != {q_str(w)}"
+                for k, (c, (w, where)) in enumerate(zip(charges, want))
+                if c != w), None)
+    if len(charges) != len(want):
+        bad = f"{len(charges)} idempotents, expected {len(want)}"
     rep.add(f"charges match the closed forms "
             f"({', '.join(q_str(c) for c in charges[:6])}"
             f"{', ...' if len(charges) > 6 else ''}){note}", bad is None, bad)
@@ -291,18 +293,58 @@ def _lemma_2_6(s: System, rep: VerifyReport):
                 "the chain" + _extends([comp]), bad is None, bad)
 
 
-def _thm_2_7(s: System, rep: VerifyReport):
-    """Full chain decomposition: clauses (i)-(iii), charges, associativity."""
-    rs = s.rs
-    dec = coset_chain_decompose(s.A)
-    _add_charges_clause(rep, rs.components, dec.idempotents, dec.charges,
-                        _extends(rs.components))
-    for name in ("sum_to_identity", "pairwise_products", "pairwise_form"):
-        rep.add(name.replace("_", " "), dec.checks[name])
+def certify_chain(rep: VerifyReport, ra, dec):
+    """Four clauses certify a chain decomposition of A(Phi) from its
+    blocks, B = supp delta_c the basis of one.  pairwise products: (a)
+    eps_k t(alpha) = t(alpha) for alpha in Phi_k, eps_k in span B; (b)
+    delta_c b = b for b in B; (c) no product or form row leaves its block,
+    blocks are disjoint.  pairwise form: (c), and each block's Gram matrix
+    is diagonal.  Why e_i e_j = [i = j] e_i: Phi_k is closed, so T(Phi_k)
+    is a subalgebra, with identity eps_k by (a).  Identities are unique, so
+    eps_k^2 = eps_k and eps_j eps_k = eps_j for j <= k, as T(Phi_j) c
+    T(Phi_k); by (b) this holds with eps_(m+1) = delta_c.  For j < k, e_j
+    e_k = eps_j - eps_j - eps_(j-1) + eps_(j-1) = 0 and e_k^2 = eps_k - 2
+    eps_(k-1) + eps_(k-1) = e_k; by (c) elements of different blocks
+    multiply and pair to 0.  Each check reads one sparse row per basis
+    vector instead of one dense product per pair."""
+    alg, bad, seen, first = ra.alg, {}, set(), 0  # bad: first failures
+    for c, (chain, eps, top, gram) in enumerate(dec.blocks):
+        block = top.coeffs.keys()
+        if seen & block or any(not alg.neighbours(b) <= block for b in block):
+            bad = {**dict.fromkeys(("products", "form"), f"block {c} is not "
+                                   "closed, or meets an earlier block"), **bad}
+        seen |= block
+        for name, x, fixed in [("delta_c", top, block)] + [
+                (f"eps_{k}", e, _sub_positive_roots(ra.rs, s))
+                for k, (s, e) in enumerate(zip(chain, eps), 1)]:
+            if not x.coeffs.keys() <= block:
+                bad.setdefault("products", f"block {c}: {name} leaves it")
+            elif (j := alg.first_unfixed_basis(x, fixed)) is not None:
+                b = alg.basis_labels[j]
+                bad.setdefault("products", f"block {c}: {name} * {b} != {b}")
+        i, j = next(((i, j) for i in range(len(gram)) for j in range(i)
+                     if gram[i][j]), (0, 0))
+        if i:  # a pair has j < i, so i > 0
+            bad.setdefault("form", f"<e_{first + j}, e_{first + i}> = "
+                                   f"{q_str(gram[i][j])}")
+        first += len(gram)
+    total, d = sum(dec.idempotents, alg.zero()), delta(ra)
+    rep.add("sum to identity", total == d,
+            None if total == d else f"sum - delta = {total - d!r}")
+    rep.add("pairwise products", "products" not in bad, bad.get("products"))
+    rep.add("pairwise form", "form" not in bad, bad.get("form"))
     n = len(dec.idempotents)  # all non-zero
     rep.add(f"span of the {n} idempotents is associative (by the pairwise "
             f"products e_i e_j = [i = j] e_i it is Q^{n})",
-            dec.checks["pairwise_products"])
+            "products" not in bad, bad.get("products"))
+
+
+def _thm_2_7(s: System, rep: VerifyReport):
+    """The default chains: charges, certify_chain, and charges' sum."""
+    rs, dec = s.rs, s.chain
+    _add_charges_clause(rep, rs.components, dec.idempotents, dec.charges,
+                        _extends(rs.components))
+    certify_chain(rep, s.A, dec)
     total = sum(dec.charges, ZERO)
     rep.add(f"charges sum to c(delta) = l = {rs.l}", total == rs.l,
             q_str(total))
@@ -392,10 +434,8 @@ def _lemma_4_2(s: System, rep: VerifyReport):
     the closed forms, and they are pairwise orthogonal idempotents, which
     makes them independent and their span Q^n; a failing pair is named by
     both its idempotents, each with its component and step."""
-    if s.name not in _catalog_specs():
-        raise ValueError(f"{s.name!r} is not a catalog entry name")
     entry = catalog_entry(s.name)
-    sub = chain_image_subalgebra(s.phi, entry.name)
+    sub = s.images
     dim = sub.checks["dimension"]
     rep.add(f"dimension 24 + k = {24 + entry.k}", dim == 24 + entry.k,
             f"{dim} non-zero images")
@@ -449,22 +489,25 @@ def targets_for_spec(spec: str) -> list[str]:
     return out
 
 
+def report(target: str, arg) -> VerifyReport:
+    """target's report on arg, a System, or max_dim for SPEC_FREE, timed."""
+    rep = VerifyReport(target if target in SPEC_FREE
+                       else f"{target} [{arg.name}]")
+    t0 = time.perf_counter()
+    WRITERS[target](arg, rep)
+    rep.elapsed = time.perf_counter() - t0
+    return rep
+
+
 def run_target(target: str, spec: str | None = None, *,
                max_dim: int = 8, force: bool = False) -> list[VerifyReport]:
     """Run one named target; 'all' runs the applicable ones on each spec
     (default: DEFAULT_SPECS), on one System per spec, then SPEC_FREE."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; choose from {TARGETS}")
-
-    def report(t: str, arg) -> VerifyReport:
-        """t's report on arg: a System, or max_dim for SPEC_FREE."""
-        rep = VerifyReport(t if t in SPEC_FREE else f"{t} [{arg.name}]")
-        t0 = time.perf_counter()
-        WRITERS[t](arg, rep)
-        rep.elapsed = time.perf_counter() - t0
-        return rep
-
     if target in SPEC_FREE:
+        if spec is not None:
+            raise ValueError(f"target {target} takes no root-system spec")
         return [report(target, max_dim)]
     if target != "all":
         if spec is None:

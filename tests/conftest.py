@@ -1,22 +1,32 @@
 """Shared cached builders so expensive systems are constructed once, the
 reference encoder that turns tables given as rules into table sources, the
 basis elements of an algebra and the polar form of a GF(2) space, a
-reference root system built from rational coordinates by definition, and
+reference root system built from rational coordinates by definition,
 dense references by definition: basis forms, the Gram matrix, the matrix of
 phi and its kernel, and a level-by-level reference count of GF(2)
-Lagrangians."""
+Lagrangians, the verdicts of verify's certificate of a chain
+decomposition, and scripts/niemeier_report.py run on closed-form images."""
 
 import itertools
 import math
+import runpy
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+from griess import verify
+from griess.algebra import DecompositionReport, StructureAlgebra
 from griess.bplus import PhiMap, build_bplus
 from griess.exactlin import QMatrix, SparseSolver, f2_span
+from griess.niemeier import catalog_entry
 from griess.ratio import Q, ZERO
 from griess.rootalgebra import build_A, build_T
 from griess.rootsys import build, parse_spec
+from griess.verify import VerifyReport, certify_chain, closed_charges
+
+REPORT_SCRIPT = (Path(__file__).resolve().parents[1] / "scripts"
+                 / "niemeier_report.py")
 
 
 @lru_cache(maxsize=None)
@@ -42,6 +52,37 @@ def bplus(spec: str):
 @lru_cache(maxsize=None)
 def phi(spec: str):
     return PhiMap(algebra_A(spec), bplus(spec))
+
+
+def certificate(ra, dec) -> dict:
+    """{clause: passed} of verify.certify_chain on a chain decomposition of
+    A(Phi), each clause named by its text up to " (": sum to identity,
+    pairwise products, pairwise form, span of the n idempotents is
+    associative."""
+    rep = VerifyReport("certificate")
+    certify_chain(rep, ra, dec)
+    return {d.split(" (")[0]: ok for d, ok, _ in rep.clauses}
+
+
+def closed_images(name: str) -> DecompositionReport:
+    """What verify's lemma4.2 passes on the catalog entry name, made from
+    the closed forms with no root system: the charges of closed_charges,
+    24 + k non-zero images (stand-ins) and no failing pair."""
+    entry = catalog_entry(name)
+    charges = [c for comp in entry.components for c in closed_charges(comp)]
+    one = StructureAlgebra(["b"], lambda: (1, [{}]), lambda: (1, [{}]))
+    return DecompositionReport(
+        [one.element({0: 1})] * len(charges), charges, name,
+        {"dimension": 24 + entry.k, "associative": True})
+
+
+def run_report_script(monkeypatch, images) -> int:
+    """scripts/niemeier_report.py run in this process with each System's
+    Lemma 4.2 images replaced by images(system): its exit code."""
+    monkeypatch.setattr(verify.System, "images", property(images))
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(REPORT_SCRIPT), run_name="__main__")
+    return exc.value.code
 
 
 def encode_rows(product, form, dim: int) -> tuple:

@@ -6,12 +6,14 @@ import sys
 import pytest
 
 import griess
-from griess import verify
+from griess import rootalgebra, verify
 from griess.bplus import PhiMap
 from griess.cli import _build_parser, run
 from griess.niemeier import catalog
 from griess.rootsys import RootSystem, build, parse_spec
 from griess.verify import _two_n, check_size, run_target
+
+from conftest import closed_images, run_report_script
 
 
 def run_captured(capsys, argv):
@@ -109,7 +111,14 @@ class TestRoots:
         command, *flags = argv
         code, out = run_captured(capsys, [command, "A5^4D4", *flags])
         assert (code, events) == (0, ["guard", "build"])
-        assert run_captured(capsys, [command, "A5^4+D4", *flags]) == (0, out)
+        code, again = run_captured(capsys, [command, "A5^4+D4", *flags])
+        if command == "decompose":
+            # thm2.7's report names the system as it was given and is timed
+            out, again = json.loads(out), json.loads(again)
+            for data, name in ((out, "A5^4D4"), (again, "A5^4+D4")):
+                assert data["report"].pop("target") == f"thm2.7 [{name}]"
+                data["report"]["elapsed"] = 0
+        assert (code, again) == (0, out)
 
     def test_mixed_catalog_name_gets_a_report(self, capsys):
         code, out = run_captured(
@@ -137,13 +146,54 @@ class TestDecompose:
         data = json.loads(out)
         assert code == 0
         assert data["charges"] == ["1/2", "7/10", "4/5"]
-        assert data["checks"]["sum_to_identity"] is True
+        assert "checks" not in data
+        report = data["report"]
+        assert (report["target"], report["passed"]) == ("thm2.7 [A2]", True)
+        assert {"description": "sum to identity", "passed": True,
+                "counterexample": None} in report["clauses"]
 
     def test_explicit_chain(self, capsys):
+        """A user chain has no closed-form charges: its report is the
+        certificate's four clauses."""
         code, out = run_captured(
             capsys, ["decompose", "D4", "--chain", "0,1,2,3", "--json"])
         assert code == 0
-        assert len(json.loads(out)["charges"]) == 5
+        data = json.loads(out)
+        assert len(data["charges"]) == 5
+        assert data["report"]["target"] == "chain certificate [D4]"
+        assert [(c["description"].split(" (")[0], c["passed"])
+                for c in data["report"]["clauses"]] == [
+            ("sum to identity", True), ("pairwise products", True),
+            ("pairwise form", True),
+            ("span of the 5 idempotents is associative", True)]
+
+    @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+    def test_doubled_forms_fail_the_charges(self, capsys, monkeypatch,
+                                            json_out):
+        """A's form table read over 1 instead of 2 doubles every form and
+        charge; the certificate still holds, but decompose exits 1 by
+        thm2.7's charges clauses, which it names."""
+        make = rootalgebra.StructureAlgebra
+
+        def doubled(labels, product, form):
+            return make(labels, product, lambda: (1, form()[1]))
+        monkeypatch.setattr(rootalgebra, "StructureAlgebra", doubled)
+        code, out = run_captured(capsys, ["decompose", "A3"]
+                                 + ["--json"] * json_out)
+        assert code == 1
+        failed = [
+            ("charges match the closed forms (1, 7/5, 8/5, 2)",
+             "idempotent 0 (component 0 A3, step 1): charge 1 != 1/2"),
+            ("charges sum to c(delta) = l = 3", "6")]
+        if json_out:
+            assert [(c["description"], c["counterexample"])
+                    for c in json.loads(out)["report"]["clauses"]
+                    if not c["passed"]] == failed
+        else:
+            lines = out.splitlines()
+            assert lines[3].startswith("[FAIL] thm2.7 [A3] (6 clauses, ")
+            assert [line for line in lines if line.startswith("  FAIL")] == [
+                f"  FAIL {d}  [{x}]" for d, x in failed]
 
     @pytest.mark.parametrize("spec,l", [("D4", 4), ("E8", 8)])
     def test_d_and_e_default_chains(self, capsys, spec, l):
@@ -151,7 +201,8 @@ class TestDecompose:
         data = json.loads(out)
         assert code == 0
         assert len(data["charges"]) == l + 1
-        assert all(data["checks"].values())
+        assert data["report"]["target"] == f"thm2.7 [{spec}]"
+        assert data["report"]["passed"] is True
 
     def test_bad_chain(self):
         assert run(["decompose", "A2", "--chain", "0,0"]) == 2
@@ -190,8 +241,18 @@ class TestNiemeier:
         assert code == 0
         assert "36" in out
 
-    def test_sub_unknown(self):
+    def test_sub_unknown(self, capsys):
         assert run(["niemeier", "sub", "B2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'B2' is not a catalog entry name; "
+            "see `griess niemeier list`\n")
+
+    def test_sub_leech(self, capsys):
+        assert run(["niemeier", "sub", "Leech"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the Leech entry carries no "
+                                "root-system subalgebra\n")
 
     def test_sub_names_the_bad_name_and_the_catalog(self, capsys):
         assert run(["niemeier", "sub", "A2"]) == 2
@@ -212,12 +273,33 @@ class TestNiemeier:
         lambda images: images[-1] + images[-1]],
         ids=["zero", "dependent", "twice"])
     def test_sub_exits_1_on_a_failed_check(self, capsys, monkeypatch,
-                                           replace):
+                                           replace, request):
         """The third image of A2^12 made 0 fails the dimension, a copy of
-        the second or twice itself the associativity (and the charges)."""
+        the second or twice itself the associativity, and each the charges.
+        `niemeier sub`, `verify lemma4.2` and scripts/niemeier_report.py
+        fail A2^12 alone, with the same clauses and counterexamples; the
+        report's other entries are made from the closed forms."""
+        def failures(out):
+            return [line.strip() for line in out.splitlines()
+                    if line.strip().startswith("FAIL ")]
+        seen = []
+        for argv in (["niemeier", "sub", "A2^12"],
+                     ["verify", "lemma4.2", "--spec", "A2^12"]):
+            patch_image(monkeypatch, 3, replace)
+            code, out = run_captured(capsys, argv)
+            assert code == 1
+            seen.append(failures(out))
         patch_image(monkeypatch, 3, replace)
-        code, _ = run_captured(capsys, ["niemeier", "sub", "A2^12"])
-        assert code == 1
+        built = verify.System.images.func
+        assert run_report_script(monkeypatch, lambda s: (
+            built(s) if s.name == "A2^12" else closed_images(s.name))) == 1
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith("overall: FAIL: A2^12")
+        seen.append(failures(out))
+        assert seen[0] == seen[1] == seen[2]
+        assert [line.split()[1] for line in seen[0]] == {
+            "zero": ["dimension", "charges"], "dependent": ["charges", "span"],
+            "twice": ["charges", "span"]}[request.node.callspec.id]
 
     @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
     def test_sub_exits_1_naming_a_wrong_charge(self, capsys, monkeypatch,
@@ -236,9 +318,15 @@ class TestNiemeier:
         assert code == 1
         bad = "idempotent 1 (component 0 A2, step 2): charge 7/10 != 17/10"
         if json_out:
-            assert json.loads(out)["charge_mismatch"] == bad
+            data = json.loads(out)
+            assert "charge_mismatch" not in data and "checks" not in data
+            assert [c["counterexample"] for c in data["report"]["clauses"]
+                    if not c["passed"]] == [bad]
         else:
-            assert out.splitlines()[-1] == f"  charge mismatch  {bad}"
+            [line] = [line for line in out.splitlines()
+                      if line.startswith("  FAIL")]
+            assert line.startswith("  FAIL charges match the closed forms")
+            assert line.endswith(f"  [{bad}]")
 
 
 def patch_image(monkeypatch, n, replace):
@@ -316,8 +404,8 @@ class TestVerify:
         monkeypatch.setattr(RootSystem, "__init__", counted)
         reports = run_target("all", spec)
         assert len(builds) == 1
-        alone = [run_target(t, spec)[0] for t in
-                 (*verify.targets_for_spec(spec), *verify.SPEC_FREE)]
+        alone = [run_target(t, spec)[0] for t in verify.targets_for_spec(spec)]
+        alone += [run_target(t)[0] for t in verify.SPEC_FREE]
         assert [(r.target, r.clauses) for r in reports] == [
             (r.target, r.clauses) for r in alone]
 
@@ -372,6 +460,16 @@ class TestVerify:
 
     def test_spec_required(self, capsys):
         assert run(["verify", "thm2.7"]) == 2
+
+    @pytest.mark.parametrize("target", verify.SPEC_FREE)
+    def test_spec_free_target_refuses_a_spec(self, capsys, target):
+        """A spec-free target given --spec exits 2 in one line; `all
+        --spec` still runs the spec's targets (test_all_a1)."""
+        assert run(["verify", target, "--spec", "A2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: target {target} takes no "
+                                "root-system spec\n")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "lemma4.2", "--spec", "A24", "--chain", "0,99"],

@@ -51,7 +51,8 @@ from griess.rootalgebra import (RootAlgebra, build_A, build_T,
 from griess.rootsys import build
 
 from conftest import (algebra_A, algebra_T, basis_element,
-                      basis_form, bplus, dot, encode_rows, gram_matrix,
+                      basis_form, bplus, certificate, dot, encode_rows,
+                      gram_matrix,
                       is_idempotent, kernel_basis, phi, phi_kernel_basis,
                       phi_matrix, reference, simple_roots, system)
 
@@ -918,19 +919,27 @@ def test_first_unfixed_basis_sees_every_term():
     assert alg.first_unfixed_basis(alg.zero(), [2]) == 2
 
 
-# -- chain decomposition: identity certificates against direct checks --------
+# -- chain decomposition: verify's identity certificate against direct checks
 
 def direct_decomposition_checks(ra, idems, total):
-    """Every idempotent squared and every pair multiplied and paired."""
+    """Every idempotent squared and every pair multiplied and paired, keyed
+    by the certificate's clauses."""
     s = ra.alg.zero()
     for e in idems:
         s = s + e
     pairs = list(itertools.combinations(idems, 2))
-    return {"sum_to_identity": s == total,
-            "pairwise_products": (all(is_idempotent(e) for e in idems)
+    return {"sum to identity": s == total,
+            "pairwise products": (all(is_idempotent(e) for e in idems)
                                   and all((a * b).is_zero()
                                           for a, b in pairs)),
-            "pairwise_form": all(a.form(b) == 0 for a, b in pairs)}
+            "pairwise form": all(a.form(b) == 0 for a, b in pairs)}
+
+
+def certificate_and_span(ra, dec):
+    """certificate with its span clause popped: (the other three, span)."""
+    cert = certificate(ra, dec)
+    n = len(dec.idempotents)
+    return cert, cert.pop(f"span of the {n} idempotents is associative")
 
 
 def solved_t_identity(ra, roots):
@@ -972,9 +981,9 @@ def test_certificates_match_direct_checks(spec, chain):
     ra = algebra_A(spec)
     dec = (coset_chain_decompose(ra) if chain is None
            else generalized_chain_decompose(ra, chain))
-    assert dec.checks == direct_decomposition_checks(
-        ra, dec.idempotents, delta(ra))
-    assert all(dec.checks.values())
+    cert, span = certificate_and_span(ra, dec)
+    assert cert == direct_decomposition_checks(ra, dec.idempotents, delta(ra))
+    assert all(cert.values()) and span
 
 
 @pytest.mark.parametrize("spec,chain", CHAINS, ids=map(case_id, CHAINS))
@@ -1008,20 +1017,26 @@ def test_broken_epsilon_fails_both_checks(spec, chain, monkeypatch):
              or [range(i) for i in range(1, ra.rs.l + 1)]]
     break_closed_identity(monkeypatch, chain[len(chain) // 2])
     dec = rootalgebra._chain_decompose(ra, [(chain, delta(ra))], "")
-    assert dec.checks == direct_decomposition_checks(
-        ra, dec.idempotents, delta(ra))
-    assert not dec.checks["pairwise_products"]
+    cert, span = certificate_and_span(ra, dec)
+    assert cert == direct_decomposition_checks(ra, dec.idempotents, delta(ra))
+    assert not cert["pairwise products"] and not span
+    # the clause names the broken eps_k and a t it does not fix
+    rep = verify.VerifyReport("certificate")
+    verify.certify_chain(rep, ra, dec)
+    [products] = [x for d, _, x in rep.clauses if d == "pairwise products"]
+    assert products.startswith(f"block 0: eps_{len(chain) // 2 + 1} * t(")
 
 
 # -- thm2.7's associativity clause: the certificate against the triples ------
 
 @pytest.mark.parametrize("spec", [f"A{l}" for l in range(1, 9)] + ["D4", "E6"])
 def test_pairwise_products_certify_associative_span(spec):
-    """thm2.7 reads associativity from pairwise_products, e_i e_j =
-    [i = j] e_i; the exhaustive check on the default chains agrees."""
+    """thm2.7 reads associativity from the pairwise products clause,
+    e_i e_j = [i = j] e_i; the exhaustive check on the default chains
+    agrees."""
     ra = algebra_A(spec)
     dec = coset_chain_decompose(ra)
-    assert dec.checks["pairwise_products"] is True
+    assert certificate_and_span(ra, dec)[1] is True
     assert ra.alg.is_associative_span(dec.idempotents) is True
 
 
@@ -1029,7 +1044,7 @@ def test_broken_idempotent_fails_certificate_and_span(monkeypatch):
     break_closed_identity(monkeypatch, frozenset({0, 1}))
     ra = algebra_A("A3")
     dec = coset_chain_decompose(ra)
-    assert dec.checks["pairwise_products"] is False
+    assert certificate_and_span(ra, dec)[1] is False
     assert ra.alg.is_associative_span(dec.idempotents) is False
     [rep] = verify.run_target("thm2.7", "A3")
     assoc = [ok for d, ok, _ in rep.clauses if "is associative" in d]

@@ -1,11 +1,8 @@
 import re
-import runpy
-from pathlib import Path
 
 import pytest
 
-from griess import niemeier
-from griess.algebra import DecompositionReport
+from griess import niemeier, verify
 from griess.cli import run
 from griess.niemeier import (CO1_ORDER, F2QuadSpace, NiemeierEntry, Table2Row,
                              brute_force_lagrangians, catalog, catalog_entry,
@@ -13,9 +10,10 @@ from griess.niemeier import (CO1_ORDER, F2QuadSpace, NiemeierEntry, Table2Row,
                              table1_consistency, table2_consistency,
                              table2_rows)
 from griess.ratio import Q
-from griess.verify import closed_charges, run_target
+from griess.verify import run_target
 
-from conftest import polar, reference_lagrangians
+from conftest import (closed_images, polar, reference_lagrangians,
+                      run_report_script)
 
 
 class TestCatalog:
@@ -229,37 +227,46 @@ def test_lemma_4_2_on_every_root_lattice_entry():
         assert rep.clauses[0][0] == f"dimension 24 + k = {24 + e.k}"
 
 
-REPORT_SCRIPT = (Path(__file__).resolve().parents[1] / "scripts"
-                 / "niemeier_report.py")
+@pytest.mark.parametrize("broken,failure", [
+    (None, None),
+    ("charge", "charges match the closed forms (1/2, 7/10, 4/5, 1, 1/2, "
+     "17/10, ...)  [idempotent 5 (component 1 A3, step 2): charge 17/10 != "
+     "7/10]"),
+    ("dimension", "dimension 24 + k = 32  [31 non-zero images]"),
+    ("associative", "span is associative (e_i e_j = [i = j] e_i, so it is "
+     "Q^n)  [idempotent 0 (component 0 A3, step 1) times idempotent 1 "
+     "(component 0 A3, step 2) is not 0]")],
+    ids=["None", "charge", "dimension", "associative"])
+def test_niemeier_report_fails_on_a_failing_entry(broken, failure,
+                                                  monkeypatch, capsys):
+    """The report takes each entry's verdict from `niemeier sub`, which
+    exits by verify lemma4.2: it passes entries whose images have the
+    closed-form charges, number 24 + k and have no failing pair, and exits
+    0 if all entries and both tables pass; one of them broken on A3^8
+    fails that entry, names the failing clause, and exits 1.  The images
+    are made from the closed forms, so nothing is built."""
+    def images(system):
+        name = system.name
+        sub = closed_images(name)
+        if name == "A3^8" and broken == "charge":
+            sub.charges[5] += 1
+        elif name == "A3^8" and broken == "dimension":
+            sub.checks["dimension"] -= 1
+        elif name == "A3^8" and broken:
+            sub.checks.update(associative=False, pair=(0, 1))
+        return sub
 
-
-@pytest.mark.parametrize("broken", [None, "charge", "dimension",
-                                    "associative"])
-def test_niemeier_report_fails_on_a_failing_entry(broken, monkeypatch,
-                                                  capsys):
-    """The report passes an entry whose span is associative, of dimension
-    24+k, with the closed-form charges on each component, and exits 0 if
-    all entries and both tables pass; one of them broken on A3^8 fails
-    that entry, names it, and exits 1.  The subalgebras are replaced by
-    their closed forms, so nothing is built."""
-    def closed(entry):
-        charges = [c for comp in entry.components
-                   for c in closed_charges(comp)]
-        checks = {"dimension": 24 + entry.k, "associative": True}
-        if entry.name == "A3^8" and broken == "charge":
-            charges[5] += 1
-        elif entry.name == "A3^8" and broken == "dimension":
-            checks["dimension"] -= 1
-        elif entry.name == "A3^8" and broken:
-            checks["associative"] = False
-        return DecompositionReport([], charges, entry.name, checks)
-    monkeypatch.setattr(niemeier, "lemma_4_2_subalgebra", closed)
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(REPORT_SCRIPT), run_name="__main__")
+    def never(spec):
+        raise AssertionError(f"{spec} built")
+    monkeypatch.setattr(verify, "build", never)
+    code = run_report_script(monkeypatch, images)
     out = capsys.readouterr().out
-    assert exc.value.code == (1 if broken else 0)
-    verdicts = re.findall(r"^  (\S+) +dimension .* (PASS|FAIL) ", out, re.M)
+    assert code == (1 if broken else 0)
+    verdicts = re.findall(r"^\[(PASS|FAIL)\] lemma4\.2 \[(\S+)\] ", out,
+                          re.M)
     assert len(verdicts) == 23
-    assert [n for n, v in verdicts if v == "FAIL"] == (["A3^8"] if broken
+    assert [n for v, n in verdicts if v == "FAIL"] == (["A3^8"] if broken
                                                        else [])
+    assert re.findall(r"^  FAIL (.*)$", out, re.M) == (
+        [failure] if broken else [])
     assert out.rstrip().endswith("FAIL: A3^8" if broken else "PASS")

@@ -4,8 +4,8 @@ from griess.ratio import Q
 from griess.rootalgebra import (coset_chain_decompose, delta, epsilon,
                                 generalized_chain_decompose)
 
-from conftest import (algebra_A, algebra_T, basis_element, is_idempotent,
-                      reference, scaled)
+from conftest import (algebra_A, algebra_T, basis_element, certificate,
+                      is_idempotent, reference, scaled)
 
 
 def t(ra, i):
@@ -110,11 +110,13 @@ class TestDecomposition:
         assert dec.charges == [Q(1, 2), Q(1, 2)]
 
     def test_idempotent_system(self):
-        dec = coset_chain_decompose(algebra_A("A3"))
+        ra = algebra_A("A3")
+        dec = coset_chain_decompose(ra)
         assert all(is_idempotent(e) for e in dec.idempotents)
-        assert dec.checks == {"sum_to_identity": True,
-                              "pairwise_products": True,
-                              "pairwise_form": True}
+        assert certificate(ra, dec) == {
+            "sum to identity": True, "pairwise products": True,
+            "pairwise form": True,
+            "span of the 4 idempotents is associative": True}
 
     def test_semisimple_concatenates(self):
         dec = coset_chain_decompose(algebra_A("A1^2"))
@@ -123,13 +125,15 @@ class TestDecomposition:
     def test_d_and_e_default_chains(self):
         """D and E components run the A_(l-1) path, then the whole
         component, then the tail: l+1 idempotents."""
-        dec = coset_chain_decompose(algebra_A("D4"))
+        ra = algebra_A("D4")
+        dec = coset_chain_decompose(ra)
         assert dec.charges == [Q(1, 2), Q(7, 10), Q(4, 5), Q(1), Q(1)]
-        assert all(dec.checks.values())
-        dec = coset_chain_decompose(algebra_A("E8"))
+        assert all(certificate(ra, dec).values())
+        ra = algebra_A("E8")
+        dec = coset_chain_decompose(ra)
         assert len(dec.idempotents) == 9
         assert sum(dec.charges) == 8
-        assert all(dec.checks.values())
+        assert all(certificate(ra, dec).values())
 
     def test_charges_sum_to_rank(self):
         dec = coset_chain_decompose(algebra_A("A5"))
