@@ -42,15 +42,18 @@ S^2(H_c).  So it is onto B+ on an irreducible system, bijective exactly in
 type A, with kernel the radical of the root algebra's form otherwise; on a
 direct sum it misses the cross terms h_c h_c' (rank 48 < dim 324 on A1^24).
 B+ is one BPlusStructure; PhiMap reads the squares alpha^2 of its kernel.
+verify_theorem_3_1 checks this in one pass over the root pairs r, s, where
+the products and forms of the images of good roots are a few integers such
+as c_r^T S c_s, compared with A's entries coordinate by coordinate.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import add, mul, sub
+from itertools import compress
+from operator import add, mul
 
 from .algebra import AlgebraElement, StructureAlgebra
 from .exactlin import SparseSolver
@@ -187,25 +190,31 @@ class BPlusStructure(StructureAlgebra):
         return [sq == _square(c, self._idx)
                 for sq, c in zip(self._sq, self._coeffs)]
 
-    def pair_products(self, good: list):
+    def pair_mismatches(self, A: StructureAlgebra, good: list):
         """Per root r in turn, (r, {s: (products, forms)}) over the roots
         s >= r at which bilinear may give a non-zero product or form of
-        phi's operand P_r or M_r with P_s or M_s (PhiMap.parts).  Where both
-        roots are good (rank_one), bilinear's terms on X' = 4 c_r c_r^T and
-        Y' = 4 c_s c_s^T give, with k = c_r^T S c_s, k' = c_s^T S c_r and
-        p_s the pairings of s, in the coordinates (r, s) for sym(c_r, c_s),
-        so (r, r) for a_r^2, and q for x_q:
-            P_r P_s = 16 k sym(c_r, c_s)   (X'SY' = 16 k c_r c_s^T)
-            P_r M_s = 16 (p_s . c_r) k x_s   (q of P_r at s)
-            M_r P_s = 16 (p_r . c_s) k' x_r
-            M_r M_s = 16 x_g per (s, g) in r's neighbour list, which the
-                      kernel walks, plus 32 a_r^2 if r = s,
-        and the forms <P_r, P_s> = 8 k k', <P_r, M_s> = <M_r, P_s> = 0 and
-        <M_r, M_s> = 32 [r = s].  Pairs where all eight are 0 are left out;
-        a root that is not good keeps every pair, with None."""
+        phi's operands of r and s (PhiMap.parts), with the basis pairs that
+        fail as _pair_mismatches lists them.  For good roots (rank_one),
+        with k = c_r^T S c_s, k' = c_s^T S c_r and p_s the pairings of s:
+            P_r P_s = 16 k sym(c_r, c_s),     P_r M_s = 16 (p_s . c_r) k x_s,
+            M_r P_s = 16 (p_r . c_s) k' x_r,  M_r M_s = 16 x_g per (s, g) in
+            r's neighbour list, plus 32 a_r^2 if r = s; the forms are 8 k k'
+            and 32 [r = s] on P_r P_s and M_r M_s, else 0.  phi of A's entry,
+        sum_q (c_q + d_q) a_q^2 + 2 (d_q - c_q) x_q for t_q, u_q at c_q, d_q,
+        is summed in the same coordinates: a root g other than r, s needs a
+        good square and c_g = +-(c_r +- c_s), so a_g^2 = a_r^2 + a_s^2 +
+        e sym(c_r, c_s), e = +-2.  Pairs where all eight are 0 are left out;
+        one on a root that is not good, or with an entry on another, has None.
+        """
         l, N, coeffs, near = self._l, self.rs.N, self._coeffs, self._near
+        (aden, prows), (fden, frows) = A.product_table, A.form_table
         loose = [s for s in range(N) if not good[s]]
         cols = [[c[a] for c in coeffs] for a in range(l)]
+        # key(c) = sum_a c_a base^a is linear, and one-to-one on the
+        # differences of c_g and c_r +- c_s, whose entries lie in +-2 max c
+        base = 4 * max(map(max, coeffs)) + 1
+        key = [sum(v * base ** a for a, v in enumerate(c)) for c in coeffs]
+        third = {kq: q for q, kq in enumerate(key) if good[q]}
 
         def along(w, r):  # w . c_s over s >= r
             out = [0] * (N - r)
@@ -224,18 +233,47 @@ class BPlusStructure(StructureAlgebra):
                     right[a] += v * c[b]
             kl = along(left, r)  # c^T S c_s, and c_s^T S c in kr
             kr = kl if left == right else along(right, r)
-            mm = defaultdict(Counter, {r: Counter({(r, r): 32})})
+            nb: dict = {}  # s: the g of (s, g) in r's neighbour list
             for s, g in self._nbrs[r]:
-                mm[s][g] += 16
+                nb[s] = nb.get(s, ()) + (g,)
             row = dict.fromkeys(s for s in loose if s > r)
             for s in {*compress(range(r, N), kl), *compress(range(r, N), kr),
-                      *(s for s in mm if s >= r)}.difference(row):
+                      *(s for s in nb if s > r), r}.difference(row):
                 k, kt, cs = kl[s - r], kr[s - r], coeffs[s]
                 ps = sum(p * c[a] for a, p in self._pcol[s]) if k else 0
                 pr = sum(p * cs[a] for a, p in self._pcol[r]) if kt else 0
-                row[s] = (({(r, s): 16 * k}, {s: 16 * k * ps},
-                           {r: 16 * kt * pr}, mm.get(s, {})),
-                          (8 * k * kt, 0, 0, 32 * (s == r)))
+                ks, kd = key[r] + key[s], abs(key[r] - key[s])
+                g, e = (third[ks], 2) if ks in third else (third.get(kd), -2)
+                hs = nb.get(s, ())  # M_r M_s on x_r, x_s, x_g or another x
+                nr, ns, ng = hs.count(r), (s != r) * hs.count(s), hs.count(g)
+                prods, forms, other = [], [], False
+                for i, j, (_, s2, s3, m) in _basis_pairs(N, r, s):
+                    # the image's a_q^2 and x_q / 2 per q = r, s, g
+                    ar = as_ = ag = xr = xs = xg = 0
+                    for t, v in prows[i].get(j, ()):
+                        q, w = (t - N, v) if t >= N else (t, -v)
+                        if q == r:
+                            ar, xr = ar + v, xr + w
+                        elif q == s:
+                            as_, xs = as_ + v, xs + w
+                        elif q == g:
+                            ag, xg = ag + v, xg + w
+                        else:
+                            other = True
+                    if r == s:  # a_r^2, x_r
+                        ok = (ar == aden * (2 * k + 4 * m) and xr == aden * (
+                            s2 * k * ps + s3 * kt * pr + m * nr))
+                    else:  # sym(c_r, c_s); a_r^2 and a_s^2; x_r, x_s, x_g
+                        ok = (2 * aden * k == e * ag and ar == as_ == -ag
+                              and xr == aden * (s3 * kt * pr + m * nr)
+                              and xs == aden * (s2 * k * ps + m * ns)
+                              and xg == aden * m * ng)
+                    if not ok or len(hs) != nr + ns + ng:
+                        prods.append((i, j))
+                    if (k * kt + 4 * m * (r == s)) * fden != 2 * frows[i].get(
+                            j, 0):
+                        forms.append((i, j))
+                row[s] = None if other else (prods, forms)
             yield r, row
 
     def bilinear(self, x, y, form: bool = False) -> tuple:
@@ -406,10 +444,12 @@ class PhiMap:
 
     @functools.cached_property
     def rank(self) -> int:
-        """Exact rank, from the rows of parts."""
-        solver = SparseSolver(self.codomain.dim)
-        for row in chain.from_iterable(self.parts):
-            solver.add_equation(row, 0)
+        """Exact rank, from the rows of parts, M_r before P_r, each fed
+        while the rank is below dim: a full rank is final."""
+        solver, parts = SparseSolver(self.codomain.dim), self.parts
+        for row in [m for _, m in parts] + [p for p, _ in parts]:
+            if solver.rank < solver.n:
+                solver.add_equation(row, 0)
         return solver.rank
 
 
@@ -448,74 +488,29 @@ def _pair_mismatches(phi: PhiMap, r: int, s: int) -> tuple:
     return out, bad_forms
 
 
-def _closed_mismatches(A: StructureAlgebra, closed: tuple, r: int, s: int,
-                       coeffs: list, good: list):
-    """_pair_mismatches on the products and forms of
-    BPlusStructure.pair_products, with image = sum_q (c_q + d_q) a_q^2 +
-    2 (d_q - c_q) x_q for t_q, u_q at c_q, d_q in A's entry.  A root g other
-    than r, s needs a good square and c_g = +-(c_r +- c_s): a_g^2 = a_r^2 +
-    a_s^2 +- 2 sym(c_r, c_s).  None if an entry has another root."""
-    (prods, forms), cr, cs, N = closed, coeffs[r], coeffs[s], len(coeffs)
-    (aden, rows), (fden, frows) = A.product_table, A.form_table
-    signs = {tuple(map(add, cr, cs)): 2, tuple(map(sub, cr, cs)): -2,
-             tuple(map(sub, cs, cr)): -2}
-    square = {r: (((r, r), 1),), s: (((s, s), 1),)}
-    out, bad_forms = [], []
-    for i, j, pm in _basis_pairs(N, r, s):
-        diff: dict = {}  # aden times the signed products, minus 8 image
-        get = diff.get
-        for sign, p in zip(pm, prods):
-            for key, v in p.items():
-                diff[key] = get(key, 0) + sign * aden * v
-        for k, v in rows[i].get(j, ()):
-            q, v = k % N, 8 * v
-            if q not in square:
-                e = good[q] and signs.get(coeffs[q])
-                square[q] = e and (((r, r), 1), ((s, s), 1), ((r, s), e))
-            if not square[q]:
-                return None
-            for key, f in square[q]:
-                diff[key] = get(key, 0) - f * v
-            diff[q] = get(q, 0) + (-2 if k >= N else 2) * v
-        if any(diff.values()):
-            out.append((i, j))
-        if sum(map(mul, pm, forms)) * fden != 16 * frows[i].get(j, 0):
-            bad_forms.append((i, j))
-    return out, bad_forms
-
-
 def verify_theorem_3_1(phi: PhiMap) -> tuple:
     """The least basis pair i <= j with phi(b_i) phi(b_j) != phi(b_i b_j),
     the least with <phi(b_i), phi(b_j)> != <b_i, b_j> (None if there is
-    none) and phi.rank, in one pass over the root pairs.  It runs on
-    phi.parts, P_r = 2 a_r^2 and M_r = 4 x_r per root (_basis_pairs).  The
-    products and forms of a root pair are read in closed form
-    (pair_products) and compared with A's entries, products through phi in
-    the coordinates a_r^2, a_s^2, sym(c_r, c_s) and x_q, with no square
-    expanded over S^2; pairs on a root that is not good, or with an entry
-    of A on another root, take the operands' products and forms
-    (_pair_mismatches).  Where the products and forms of B+ are all 0, a
-    pair fails if A's product row holds an entry whose image is not 0, or
-    its form row an entry."""
+    none) and phi.rank, in one pass over the root pairs r <= s: a kept pair
+    by B.pair_mismatches, or by _pair_mismatches where that gives None; a
+    pair (r, s > r) left out, where B+'s products and forms are 0, by A's
+    rows of t_r and u_r (A's tables are symmetric)."""
     A, B, N = phi.domain.alg, phi.codomain, phi.domain.rs.N
-    good = B.rank_one()
-    products, forms, kept = [], [], []
-    for r, row in B.pair_products(good):
-        kept.append(set(row))
-        for s, closed in row.items():
-            bad = closed and _closed_mismatches(A, closed, r, s, B._coeffs,
-                                                good)
+    (_, prows), (_, frows) = A.product_table, A.form_table
+    products, forms = [], []
+    for r, row in B.pair_mismatches(A, B.rank_one()):
+        for s, bad in row.items():
             bad = bad or _pair_mismatches(phi, r, s)
             products += bad[0]
             forms += bad[1]
-    # the pairs left out: B+'s products and forms are 0
-    for i, (prow, frow) in enumerate(zip(A.product_table[1],
-                                         A.form_table[1])):
-        for j in prow.keys() | frow.keys():
-            if j >= i and max(i % N, j % N) not in kept[min(i % N, j % N)]:
-                if j in prow and phi.image(dict(prow[j])):
-                    products.append((i, j))
-                if j in frow:
-                    forms.append((i, j))
+        # the pairs (r, s > r) left out: B+'s products and forms are 0
+        for i in (r, N + r):
+            for j in prows[i].keys() | frows[i].keys():
+                if (s := j % N) > r and s not in row:
+                    pair = (i, j) if i < j else (j, i)
+                    if j in prows[i] and phi.image(dict(prows[i][j])):
+                        products.append(pair)
+                    if j in frows[i]:
+                        forms.append(pair)
     return (min(products, default=None), min(forms, default=None),
             phi.rank)

@@ -9,6 +9,7 @@ GF(2), and the consistency identities for the two data tables.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -62,29 +63,34 @@ def _data(name: str) -> dict:
         return json.load(f)
 
 
-def catalog() -> list[NiemeierEntry]:
-    """All 24 entries, with rank/Coxeter invariants verified at load."""
-    entries = []
+@functools.cache
+def _catalog() -> dict[str, NiemeierEntry]:
+    """All 24 entries by name, read and verified once per process."""
+    entries = {}
     for raw in _data("niemeier.json")["entries"]:
         comps = tuple(t for spec in raw["components"] for t in parse_spec(spec))
-        e = NiemeierEntry(raw["name"], comps, q_parse(raw["mass"]))
+        e = entries[raw["name"]] = NiemeierEntry(raw["name"], comps,
+                                                 q_parse(raw["mass"]))
         if comps:
             if sum(t.rank for t in comps) != 24:
                 raise ValueError(f"{e.name}: component ranks must sum to 24")
             if len({t.coxeter for t in comps}) != 1:
                 raise ValueError(f"{e.name}: Coxeter numbers must agree")
-        entries.append(e)
     if len(entries) != 24:
         raise ValueError("catalog must have 24 entries")
     return entries
 
 
+def catalog() -> list[NiemeierEntry]:
+    """All 24 entries, with rank/Coxeter invariants verified at load."""
+    return list(_catalog().values())
+
+
 def catalog_entry(name: str) -> NiemeierEntry:
-    for e in catalog():
-        if e.name == name:
-            return e
-    raise ValueError(f"{name!r} is not a catalog entry name; "
-                     "see `griess niemeier list`")
+    if (e := _catalog().get(name)) is None:
+        raise ValueError(f"{name!r} is not a catalog entry name; "
+                         "see `griess niemeier list`")
+    return e
 
 
 def lemma_4_2_subalgebra(entry: NiemeierEntry) -> DecompositionReport:

@@ -478,10 +478,9 @@ def targets_for_spec(spec: str) -> list[str]:
     """Verification targets applicable to one root-system spec."""
     out = ["lemma2.1", "prop2.2", "lemma2.3", "lemma2.4", "eq2.5",
            "lemma2.5", "lemma2.6", "thm2.7"]
-    # thm3.1 takes 0.6 s on A24 and 2.4 s on D24, but on a direct sum it and
-    # cor3.2's type-A clause check that phi is onto B+(Phi), which fails: no
-    # t or u maps onto the cross terms h_c h_c' of S^2(H).  The cutoff stays
-    # at 2N <= 160 until the claim is checked per component.
+    # thm3.1 takes 0.2 s on A24 and 0.75 s on D24, but on a direct sum it and
+    # cor3.2's type-A clause check that phi is onto B+(Phi), which fails: no t
+    # or u maps onto h_c h_c'.  2N <= 160 until that is checked per component.
     if _two_n(spec) <= 160:
         out += ["thm3.1", "cor3.2"]
     if spec in _catalog_specs():

@@ -1152,16 +1152,16 @@ def test_theorem_3_1_matches_direct(spec):
     assert rep[:2] == (None, None)
 
 
-def pair_products(p) -> list:
-    """BPlusStructure.pair_products of phi's codomain, as one
-    {s: products} per root r."""
+def pair_rows(p) -> list:
+    """BPlusStructure.pair_mismatches of phi's codomain against its
+    domain, as one {s: (products, forms) or None} per root r."""
     B = p.codomain
-    return [row for _, row in B.pair_products(B.rank_one())]
+    return [row for _, row in B.pair_mismatches(p.domain.alg, B.rank_one())]
 
 
 def kept_pairs(p) -> list:
-    """The roots s >= r per root r that pair_products keeps."""
-    return [set(row) for row in pair_products(p)]
+    """The roots s >= r per root r that pair_mismatches keeps."""
+    return [set(row) for row in pair_rows(p)]
 
 
 @pytest.mark.parametrize("spec", ["A3", "A5", "D4", "D5", "E6", "A1^24",
@@ -1244,8 +1244,12 @@ def broken_phi(spec, what):
     """phi on spec with one input changed, on freshly compiled algebras."""
     rs = system(spec)
     bp = build_bplus(rs)
+    (s, g), (s2, g2) = rs.neighbours[0][:2]
     if what == "A form":  # <t(0), t(s)> for a root s next to root 0
-        return changed_domain(spec, [("form", 0, rs.neighbours[0][0][0])])
+        return changed_domain(spec, [("form", 0, s)])
+    if what == "A product on s":  # t(s) + u(s) added to t(0) t(s): a_s^2
+        return changed_domain(spec, [("product", 0, s, s),
+                                     ("product", 0, s, rs.N + s)])
     if what == "alpha^2":
         # one coefficient of the last root's square, in the one list that
         # phi and the kernel read
@@ -1254,18 +1258,26 @@ def broken_phi(spec, what):
         return PhiMap(build_A(rs), bp)
     # "kernel Cartan": (alpha_0, alpha_1) + 1 in the Cartan matrix the
     # kernel reads; "kernel neighbours": x_0 x_s = x_0 for the first root s
-    # orthogonal to root 0, in root 0's neighbour list only; "kernel Cartan
-    # and pairing": (alpha_0, alpha_1) + 1 in S and, for the first root r
-    # with c_r = (0, 1, ...), (alpha_0, r) + 1 in its pairings, so that
-    # c_r^T S c_s = 0 while c_s^T S c_r and p_r . c_s are not for the roots
-    # s orthogonal to r with c_s = (1, 0, ...).  The rows, forms, pairings,
-    # squares and root system are otherwise those of the true B+.
+    # orthogonal to root 0, in root 0's neighbour list only; "kernel
+    # neighbour lists": in root 0's list only, its first neighbour s again
+    # (x_0 x_s = 2 x_g), (0, 0) (x_0 x_0 gains x_0) and (s2, k) for its
+    # second neighbour s2 and a root k other than 0, s2 and their third;
+    # "kernel Cartan and pairing": (alpha_0, alpha_1) + 1 in S and, for the
+    # first root r with c_r = (0, 1, ...), (alpha_0, r) + 1 in its
+    # pairings, so that c_r^T S c_s = 0 while c_s^T S c_r and p_r . c_s are
+    # not for the roots s orthogonal to r with c_s = (1, 0, ...); "kernel
+    # pairing": (alpha_0, r) + 1 in the pairings of the last root r with
+    # c_r = (1, ...) alone.  The rows, forms, pairings, squares and root
+    # system are otherwise those of the true B+.
     S = [[int(dot(a, b)) for b in simple_roots(rs)] for a in simple_roots(rs)]
     pcol = [list(col) for col in bp._pcol]
     if what.startswith("kernel Cartan"):
         S[0][1] += 1
-    if what == "kernel Cartan and pairing":
-        r = next(r for r, c in enumerate(rs.simple_coeffs) if c[:2] == (0, 1))
+    if what in ("kernel Cartan and pairing", "kernel pairing"):
+        coeffs = rs.simple_coeffs
+        r = (max(r for r, c in enumerate(coeffs) if c[0])
+             if what == "kernel pairing" else
+             next(r for r, c in enumerate(coeffs) if c[:2] == (0, 1)))
         col = dict(pcol[r])
         col[0] = col.get(0, 0) + 1
         pcol[r] = sorted(col.items())
@@ -1274,6 +1286,10 @@ def broken_phi(spec, what):
     if what == "kernel neighbours":
         alg._nbrs = [list(nb) for nb in rs.neighbours]
         alg._nbrs[0].append((orthogonal_pair(spec)[1], 0))
+    if what == "kernel neighbour lists":
+        k = next(q for q in range(rs.N) if q not in (0, s2, g2))
+        alg._nbrs = [list(nb) for nb in rs.neighbours]
+        alg._nbrs[0] += [(s, g), (0, 0), (s2, k)]
     return PhiMap(build_A(rs), alg)
 
 
@@ -1319,7 +1335,7 @@ def test_skipped_pairs_fail_like_direct(spec, what):
 @pytest.mark.parametrize("spec", ["A3", "D4", "A3+D4"])
 def test_left_out_pairs_have_zero_products(spec, what):
     """Every kernel product of the operands of a root pair that
-    pair_products leaves out is 0, also with the kernel's Cartan matrix,
+    pair_mismatches leaves out is 0, also with the kernel's Cartan matrix,
     its pairings, a neighbour list or one root's alpha^2 changed; a changed
     alpha^2 keeps every pair of its root."""
     p = phi(spec) if what is None else broken_phi(spec, what)
@@ -1333,46 +1349,67 @@ def test_left_out_pairs_have_zero_products(spec, what):
         assert all(len(parts) - 1 in k for k in kept)
 
 
-def over_basis(p, coords: dict) -> dict:
-    """Products in the coordinates of pair_products over the basis of B+:
-    (a, b) is sym(c_a, c_b) over S^2 and q is x_q."""
-    idx, coeffs = p.codomain._idx, p.domain.rs.simple_coeffs
-    out = Counter()
-    for key, v in coords.items():
-        if isinstance(key, int):
-            out[p.codomain.ns + key] += v
-            continue
-        x, y = (coeffs[k] for k in key)
-        for i, row in enumerate(idx):
-            for j in range(i, len(row)):
-                out[row[j]] += v * (x[i] * y[j] + (x[j] * y[i] if i < j
-                                                   else 0))
-    return {k: v for k, v in out.items() if v}
+def takes_the_kernel(p, good, r, s) -> bool:
+    """Whether root pair (r, s) has no closed form: a root that is not
+    good, or an entry of A at one of its basis pairs on a root q other than
+    r and s that is not good or whose c_q is not +-(c_r +- c_s)."""
+    coeffs = p.domain.rs.simple_coeffs
+    (_, rows), N = p.domain.alg.product_table, p.domain.rs.N
+    cr, cs = coeffs[r], coeffs[s]
+    thirds = {tuple(a + b for a, b in zip(cr, cs)),
+              tuple(a - b for a, b in zip(cr, cs)),
+              tuple(b - a for a, b in zip(cr, cs))}
+    return not (good[r] and good[s]) or any(
+        k % N not in (r, s) and not (good[k % N] and coeffs[k % N] in thirds)
+        for i, j, _ in bplus_module._basis_pairs(N, r, s)
+        for k, _ in rows[i].get(j, ()))
+
+
+def fourth_root(spec):
+    """phi on spec with b_k added to A's product t_0 t_s, s the first
+    neighbour of root 0 and k a root other than 0, s and their third."""
+    rs = system(spec)
+    s, g = rs.neighbours[0][0]
+    k = next(q for q in range(rs.N) if q not in (0, s, g))
+    return changed_domain(spec, [("product", 0, s, k)])
 
 
 @pytest.mark.parametrize("what", [None, "kernel Cartan",
                                   "kernel Cartan and pairing",
+                                  "kernel pairing", "kernel neighbours",
+                                  "kernel neighbour lists", "alpha^2",
+                                  "A form", "A product on s", "fourth root"])
+@pytest.mark.parametrize("spec", ["A3", "D4", "D5", "E6", "A2^12",
+                                  "A3+D4"])
+def test_closed_form_matches_the_kernel_per_pair(spec, what):
+    """Every kept root pair's closed-form compare gives the product and
+    form lists of the kernel's products and forms (_pair_mismatches), on
+    the true phi and on each broken input, and it takes the kernel exactly
+    where the pair has no closed form."""
+    p = (phi(spec) if what is None else fourth_root(spec)
+         if what == "fourth root" else broken_phi(spec, what))
+    good, fallbacks = p.codomain.rank_one(), 0
+    for r, row in enumerate(pair_rows(p)):
+        for s, bad in row.items():
+            assert (bad is None) == takes_the_kernel(p, good, r, s), (r, s)
+            if bad is None:
+                fallbacks += 1
+            else:
+                assert bad == bplus_module._pair_mismatches(p, r, s), (r, s)
+    assert (fallbacks > 0) == (what in ("alpha^2", "fourth root"))
+
+
+@pytest.mark.parametrize("what", ["kernel Cartan",
+                                  "kernel Cartan and pairing",
                                   "kernel neighbours"])
 @pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A3+D4"])
-def test_closed_form_products_are_the_kernels(spec, what):
-    """The four products and four forms pair_products gives in closed form
-    for each kept pair, the products read over the basis of B+, are
-    bilinear's products and forms of the operands, also with the kernel's
-    Cartan matrix, its pairings or a neighbour list changed; B+'s form
-    rows are bilinear's forms of the basis elements."""
-    p = phi(spec) if what is None else broken_phi(spec, what)
-    B, parts = p.codomain, p.parts
-    # the true kernel's rows are compared with the rule by the basis tests
-    for i in range(B.dim if what else 0):
+def test_broken_kernel_form_rows_are_its_forms(spec, what):
+    """B+'s form rows are bilinear's forms of the basis elements, also with
+    the kernel's Cartan matrix, its pairings or a neighbour list changed."""
+    B = broken_phi(spec, what).codomain
+    for i in range(B.dim):
         assert [basis_form(B, i, j) for j in range(B.dim)] == [
             Q(*B.bilinear({i: 1}, {j: 1}, True)) for j in range(B.dim)], i
-    for r, row in enumerate(pair_products(p)):
-        for s, (prods, forms) in row.items():
-            want = [B.bilinear(x, y)[0] for x in parts[r] for y in parts[s]]
-            assert [over_basis(p, c) for c in prods] == [
-                {k: v for k, v in w.items() if v} for w in want], (r, s)
-            assert list(forms) == [Q(*B.bilinear(x, y, True))
-                                   for x in parts[r] for y in parts[s]]
 
 
 @pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A2^12", "A3+D4"])
@@ -1392,10 +1429,7 @@ def test_entry_on_a_fourth_root_takes_the_kernel(monkeypatch):
     or c_r - c_s has no closed-form coordinates: that root pair, and only
     it, takes the kernel's products, and fails like the per-pair
     definition."""
-    rs = system("A3")
-    s, g = rs.neighbours[0][0]
-    k = next(q for q in range(rs.N) if q not in (0, s, g))
-    p = changed_domain("A3", [("product", 0, s, k)])
+    p, s = fourth_root("A3"), system("A3").neighbours[0][0][0]
     taken, kernel = [], bplus_module._pair_mismatches
 
     def fallback(phi, r, s):

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import pytest
@@ -54,6 +55,13 @@ class TestCatalog:
             entry.count
 
 
+def fresh_catalog(monkeypatch):
+    """The catalog parsed anew on its next read, by an empty cache in
+    place of the process's, which comes back after the test."""
+    monkeypatch.setattr(niemeier, "_catalog",
+                        functools.cache(niemeier._catalog.__wrapped__))
+
+
 def with_entry(monkeypatch, index, **changes):
     """niemeier.json as read by the catalog, with entry index changed."""
     read = niemeier._data
@@ -64,6 +72,23 @@ def with_entry(monkeypatch, index, **changes):
             out["entries"][index] = {**out["entries"][index], **changes}
         return out
     monkeypatch.setattr(niemeier, "_data", data)
+    fresh_catalog(monkeypatch)
+
+
+def test_catalog_is_parsed_once(monkeypatch):
+    """Twenty catalog_entry calls read niemeier.json once, and catalog()
+    gives a fresh list of the same entries each time."""
+    reads, read = [], niemeier._data
+    monkeypatch.setattr(niemeier, "_data",
+                        lambda name: reads.append(name) or read(name))
+    fresh_catalog(monkeypatch)
+    for _ in range(20):
+        assert catalog_entry("A1^24").name == "A1^24"
+    assert reads == ["niemeier.json"]
+    first = catalog()
+    first.clear()
+    assert catalog() is not first and len(catalog()) == 24
+    assert reads == ["niemeier.json"]
 
 
 @pytest.mark.parametrize("changes,message", [
