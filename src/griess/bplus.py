@@ -39,8 +39,9 @@ The linear map from the root algebra sends t(alpha) to alpha^2/2 - x_alpha
 and u(alpha) to alpha^2/2 + x_alpha, an isometric algebra homomorphism
 onto the sum of B+(Phi_c) over the components c, as alpha^2 lies in
 S^2(H_c).  So it is onto B+ on an irreducible system, bijective exactly in
-type A, with kernel the radical of the root algebra's form otherwise; on a
-direct sum it misses the cross terms h_c h_c' (rank 48 < dim 324 on A1^24).
+type A; on a direct sum it misses the cross terms h_c h_c' (rank 48 < dim
+324 on A1^24).  B+'s form is positive definite, as S is, so the kernel
+of an isometry is the radical of the root algebra's form (Corollary 3.2).
 B+ is one BPlusStructure; PhiMap reads the squares alpha^2 of its kernel.
 verify_theorem_3_1 checks this in one pass over the root pairs r, s, where
 the products and forms of the images of good roots are a few integers such
@@ -110,6 +111,7 @@ class BPlusStructure(StructureAlgebra):
         l = self._l = len(cartan)
         self._pair, self._idx = _sym_pairs(l)
         self.ns = len(self._pair)
+        self.cartan = cartan
         # the rows and the columns of S, as (c, value) where it is not 0
         self._near = [[(c, v) for c, v in enumerate(row) if v]
                       for row in cartan]

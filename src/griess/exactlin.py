@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals and over GF(2).
 
 SparseSolver, incremental, sparse and fraction-free, is the one eliminator
-over the rationals, with the one null-space routine.  QMatrix, a dense
+over the rationals.  QMatrix, a dense
 rational matrix kept as a reference for the tests, feeds it its rows for
 rref / rank / kernel / solve.  Over GF(2) vectors are bitmasks; f2_span
 lists a subspace for the singularity re-check of the Lagrangian count.
@@ -142,23 +142,6 @@ class SparseSolver:
         entry in a pivot column.  r is empty iff the vector lies in the
         span of the rows fed so far."""
         return self._reduce(row, 1)
-
-    def null_space(self) -> list[dict]:
-        """A basis of the v with row . v = 0 for every row fed, rhs aside,
-        as integer dicts, one per free column c (no pivot column) in
-        increasing order, positive at c and 0 at the other free columns.
-        The pivot rows are mutually reduced, so pivot row p with pivot
-        column pc reads p[pc] v[pc] + p[c] v[c] = 0; v[c] is the lcm of the
-        p[pc] over the rows p with an entry in column c."""
-        out = []
-        free = (c for c in range(self.n) if c not in self.pivot_rows)
-        for c in free:
-            rows = [(pc, self.pivot_rows[pc][0])
-                    for pc in sorted(self.holders.get(c, ()))]
-            m = math.lcm(*(row[pc] for pc, row in rows))
-            out.append({c: m, **{pc: -row[c] * (m // row[pc])
-                                 for pc, row in rows}})
-        return out
 
     def solution(self) -> list | None:
         """The unique solution if rank == n, else None."""

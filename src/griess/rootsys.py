@@ -148,7 +148,8 @@ def _neighbours(roots: list[tuple[int, ...]]) -> list[list[tuple[int, int]]]:
                 # (r_i, r_j) = +-1 makes r_i -+ r_j a root
                 g = index.get(ki - keys[j] if d > 0 else ki + keys[j])
                 if g is None:
-                    raise AssertionError("triple closure violated")
+                    raise ValueError(f"triple closure violated at 2r = "
+                                     f"{roots[i]}, 2r' = {roots[j]}")
                 out[i].append((j, g))
                 out[j].append((i, g))
     return out
@@ -214,11 +215,13 @@ class RootSystem:
 
     def _check_invariants(self, roots: list[tuple[int, ...]]):
         """Construction invariants; |Delta_1| = 2h-4 is a verify clause."""
-        if any(sum(c * c for c in r) != 8 for r in roots):  # (2r, 2r) = 8
-            raise AssertionError("root of squared length != 2")
+        for i, r in enumerate(roots):
+            if (n := sum(c * c for c in r)) != 8:  # (2r, 2r) = 8
+                raise ValueError(f"root {i}, 2r = {r}: (2r, 2r) = {n} != 8")
         for sl, comp in zip(self.component_root_slices, self.components):
             if 2 * len(sl) != comp.rank * comp.coxeter:
-                raise AssertionError("2N = lh violated")
+                raise ValueError(f"component {comp}: 2N = {2 * len(sl)} != "
+                                 f"lh = {comp.rank * comp.coxeter}")
 
     @functools.cached_property
     def supports(self) -> list[frozenset]:

@@ -10,7 +10,8 @@ spec-free targets take the max dimension in place of the system.  A
 System holds what the targets and the CLI build from one spec, to be judged
 only here: it resolves a catalog name, runs the size guard before anything
 is built, and builds the root system, A(Phi), T(Phi), B+, phi, the default
-chains and their images in B+ each once, on first use.  report alone
+chains and their images in B+ each once, on first use, and runs thm3.1's
+check once: cor3.2 cites thm3.1 on its System.  report alone
 creates, names and times a report.  `all` makes one System per spec for
 every target run on it, so a report's elapsed time leaves out what an
 earlier target on the same spec built.
@@ -23,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 from .bplus import PhiMap, build_bplus, verify_theorem_3_1
-from .exactlin import SparseSolver
 from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
                        F2QuadSpace, brute_force_lagrangians,
                        chain_image_subalgebra, lagrangian_extension_count,
@@ -134,6 +134,11 @@ class System:
     @functools.cached_property
     def phi(self):
         return PhiMap(self.A, self.bplus)
+
+    @functools.cached_property
+    def thm31(self):
+        """verify_theorem_3_1 on phi, which thm3.1 and cor3.2 read."""
+        return verify_theorem_3_1(self.phi)
 
     @functools.cached_property
     def chain(self):
@@ -352,7 +357,7 @@ def _thm_2_7(s: System, rep: VerifyReport):
 
 def _thm_3_1(s: System, rep: VerifyReport):
     """The map onto the weight-2 algebra: homomorphism, isometry, onto."""
-    product_pair, form_pair, rank = verify_theorem_3_1(s.phi)
+    product_pair, form_pair, rank = s.thm31
     rep.add("algebra homomorphism on all basis pairs", product_pair is None,
             product_pair and "product mismatch at basis pair (%d,%d)"
             % product_pair)
@@ -365,43 +370,33 @@ def _thm_3_1(s: System, rep: VerifyReport):
             rank == dim, str(2 * s.rs.N - rank))
 
 
-def _p_block(A, N: int) -> tuple[list, str | None]:
-    """The rows {b: <P_a, P_b>} of A's form on P_a = t_a + u_a, scaled by
-    the form table's denominator, and the first statement of the split into
-    the P and M blocks (M_a = u_a - t_a) that A's form rows break, or None:
-    <P_a, M_b> and <M_a, P_b> are 0, <M_a, M_b> is 0 for a != b,
-    <M_a, M_a> is not."""
-    den, rows = A.form_table
-    block = []
-    for a in range(N):
-        gp, gm = {}, {}  # P_a^T G and M_a^T G over den
-        for row, sign in ((rows[a], -1), (rows[N + a], 1)):
-            for k, v in row.items():
-                gp[k] = gp.get(k, 0) + v
-                gm[k] = gm.get(k, 0) + sign * v
-        prow = {}
-        for b in sorted({k % N for k in gp} | {a}):
-            # each must be 0 but <M_a, M_a>, which must not
-            for v, name, nonzero in (
-                    (gp.get(N + b, 0) - gp.get(b, 0), "P_%d, M_%d", False),
-                    (gm.get(b, 0) + gm.get(N + b, 0), "M_%d, P_%d", False),
-                    (gm.get(N + b, 0) - gm.get(b, 0), "M_%d, M_%d", a == b)):
-                if bool(v) != nonzero:
-                    return block, f"<{name % (a, b)}> = {q_str(Q(v, den))}"
-            if pp := gp.get(b, 0) + gp.get(N + b, 0):
-                prow[b] = pp
-        block.append(prow)
-    return block, None
+def _not_positive_definite(S: list) -> str | None:
+    """The first entry where the integer matrix S is not symmetric, or the
+    first leading minor that is not positive, or None (Sylvester).  The
+    k-th pivot of row i = p row i - f row k, pivot p > 0, has the sign of
+    minor k / minor k-1; a row with f = 0 is skipped, as on a direct sum."""
+    n = len(S)
+    for a in range(n):
+        for b in range(a):
+            if S[a][b] != S[b][a]:
+                return f"S[{b}][{a}] = {S[b][a]} != S[{a}][{b}] = {S[a][b]}"
+    m = [list(row) for row in S]
+    for k, top in enumerate(m):
+        if (p := top[k]) <= 0:
+            return f"leading minor {k + 1} of S is {'0' if p == 0 else '< 0'}"
+        for row in m[k + 1:]:
+            if f := row[k]:
+                row[k:] = [p * v - f * t for v, t in zip(row[k:], top[k:])]
+    return None
 
 
 def _cor_3_2(s: System, rep: VerifyReport):
     """Type A: bijective.  Otherwise: kernel = radical of the source form.
 
-    A's form rows are checked to split into the P and M blocks (_p_block),
-    the M block diagonal with no zero on it, so the radical is {sum c_a P_a :
-    c in the null space of the N x N P block}, fed to one SparseSolver.  Its
-    vectors map to 0, so it lies in the kernel, and the two have the same
-    dimension, 2N - rank phi: they are equal."""
+    phi is an isometry (thm3.1 on the System), so the kernel lies in the
+    radical.  B+'s form is positive definite when the Cartan matrix S that
+    its kernel reads is, so a radical vector v, with <phi v, phi v> =
+    <v, v> = 0, maps to 0: the radical lies in the kernel."""
     phi, N = s.phi, s.rs.N
     if _all_type_a(s.rs.components):
         rank = phi.rank
@@ -409,23 +404,14 @@ def _cor_3_2(s: System, rep: VerifyReport):
                 rank == 2 * N == phi.codomain.dim,
                 f"rank {rank}, 2N {2 * N}, dim {phi.codomain.dim}")
         return
-    block, bad = _p_block(phi.domain.alg, N)
-    rep.add("A's form splits into the P block and a diagonal M block with "
-            "no zero on it (P_a = t_a + u_a, M_a = u_a - t_a)", bad is None,
-            bad)
-    if bad is not None:
-        return
-    forms = SparseSolver(N)
-    for row in block:
-        forms.add_equation(row, 0)
-    radical = [{**v, **{N + a: c for a, c in v.items()}}
-               for v in forms.null_space()]
-    kernel = 2 * N - phi.rank
-    rep.add(f"kernel dimension {kernel} equals radical dimension",
-            kernel == len(radical), f"radical dim {len(radical)}")
-    bad = next((k for k, v in enumerate(radical) if phi.image(v)), None)
-    rep.add("phi maps the radical to 0, so kernel = radical", bad is None,
-            None if bad is None else f"radical vector {bad} does not map to 0")
+    bad = _not_positive_definite(phi.codomain.cartan)
+    rep.add("B+'s form is positive definite: the Cartan matrix S is "
+            "symmetric with positive leading minors", bad is None, bad)
+    _, form_pair, rank = s.thm31
+    rep.add(f"kernel = radical, of dimension 2N - rank = {2 * N - rank}, "
+            "by thm3.1's isometry", form_pair is None,
+            form_pair and "thm3.1: form mismatch at basis pair (%d,%d)"
+            % form_pair)
 
 
 def _lemma_4_2(s: System, rep: VerifyReport):
@@ -478,7 +464,7 @@ def targets_for_spec(spec: str) -> list[str]:
     """Verification targets applicable to one root-system spec."""
     out = ["lemma2.1", "prop2.2", "lemma2.3", "lemma2.4", "eq2.5",
            "lemma2.5", "lemma2.6", "thm2.7"]
-    # thm3.1 takes 0.2 s on A24 and 0.75 s on D24, but on a direct sum it and
+    # thm3.1 takes 0.3 s on A24 and 0.6 s on D24, but on a direct sum it and
     # cor3.2's type-A clause check that phi is onto B+(Phi), which fails: no t
     # or u maps onto h_c h_c'.  2N <= 160 until that is checked per component.
     if _two_n(spec) <= 160:

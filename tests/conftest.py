@@ -285,16 +285,34 @@ def phi_matrix(p) -> QMatrix:
                     for k in range(p.codomain.dim)])
 
 
+def null_space(solver: SparseSolver) -> list[dict]:
+    """A basis of the v with row . v = 0 for every row fed to solver, rhs
+    aside, as integer dicts, one per free column c (no pivot column) in
+    increasing order, positive at c and 0 at the other free columns.
+    The pivot rows are mutually reduced, so pivot row p with pivot
+    column pc reads p[pc] v[pc] + p[c] v[c] = 0; v[c] is the lcm of the
+    p[pc] over the rows p with an entry in column c."""
+    out = []
+    free = (c for c in range(solver.n) if c not in solver.pivot_rows)
+    for c in free:
+        rows = [(pc, solver.pivot_rows[pc][0])
+                for pc in sorted(solver.holders.get(c, ()))]
+        m = math.lcm(*(row[pc] for pc, row in rows))
+        out.append({c: m, **{pc: -row[c] * (m // row[pc])
+                             for pc, row in rows}})
+    return out
+
+
 def kernel_basis(m: QMatrix) -> list[list]:
     """Basis of the right null space of m; each v satisfies m v = 0
-    exactly and is 1 in its free column: SparseSolver.null_space of the
-    rows of m, scaled."""
+    exactly and is 1 in its free column: null_space of the rows of m fed
+    to a SparseSolver, scaled."""
     solver = SparseSolver(m.cols)
     for row in m.entries:
         solver.add_equation({j: v for j, v in enumerate(row) if v}, ZERO)
     free = [c for c in range(m.cols) if c not in solver.pivot_rows]
     return [[Q(v.get(j, 0), v[c]) for j in range(m.cols)]
-            for c, v in zip(free, solver.null_space())]
+            for c, v in zip(free, null_space(solver))]
 
 
 def phi_kernel_basis(p) -> list[list]:

@@ -1,6 +1,6 @@
 import pytest
 
-from griess import bplus as bplus_module
+from griess import bplus as bplus_module, verify as verify_module
 from griess.bplus import PhiMap, verify_theorem_3_1
 from griess.exactlin import QMatrix, SparseSolver
 from griess.ratio import Q
@@ -121,11 +121,10 @@ SHARED_REPORTS = {
              "rank 22 < dim 22"),
             ("kernel dimension = 2N - dim = 2", True, "2")],
         "cor3.2 [D4]": [
-            ("A's form splits into the P block and a diagonal M block with "
-             "no zero on it (P_a = t_a + u_a, M_a = u_a - t_a)", True, None),
-            ("kernel dimension 2 equals radical dimension", True,
-             "radical dim 2"),
-            ("phi maps the radical to 0, so kernel = radical", True, None)]},
+            ("B+'s form is positive definite: the Cartan matrix S is "
+             "symmetric with positive leading minors", True, None),
+            ("kernel = radical, of dimension 2N - rank = 2, by thm3.1's "
+             "isometry", True, None)]},
     "A2": {
         "thm3.1 [A2]": [
             ("algebra homomorphism on all basis pairs", True, None),
@@ -140,16 +139,23 @@ SHARED_REPORTS = {
 
 @pytest.mark.parametrize("spec", ["D4", "A2"])
 def test_phi_rank_solved_once_per_system(spec, monkeypatch):
-    """`verify all` on one spec builds phi's rank solver, of size dim B+,
-    once: thm3.1 and cor3.2 read the rank of the System's one phi."""
-    sizes = []
+    """`verify all` on one spec runs verify_theorem_3_1 once and builds
+    phi's rank solver, of size dim B+, once: thm3.1 and cor3.2 read the
+    System's one pass and the rank of its one phi."""
+    sizes, passes = [], []
 
     class Counted(SparseSolver):
         def __init__(self, n):
             sizes.append(n)
             super().__init__(n)
+
+    def counted(p):
+        passes.append(p)
+        return verify_theorem_3_1(p)
     monkeypatch.setattr(bplus_module, "SparseSolver", Counted)
+    monkeypatch.setattr(verify_module, "verify_theorem_3_1", counted)
     reports = {r.target: r.clauses for r in run_target("all", spec)
                if r.target.startswith(("thm3.1", "cor3.2"))}
     assert sizes == [bplus(spec).dim]
+    assert len(passes) == 1
     assert reports == SHARED_REPORTS[spec]

@@ -68,6 +68,23 @@ class TestRoots:
             f"error: system has 2N = {two_n} > 1600 basis vectors; "
             "pass --force to run anyway"]
 
+    @pytest.mark.parametrize("simple,error", [
+        ([(2, 0)], "root 0, 2r = (2, 0): (2r, 2r) = 4 != 8"),
+        ([(2, -2, 0), (0, -2, 2)], "triple closure violated at 2r = "
+         "(0, -2, 2), 2r' = (2, -2, 0)"),
+        ([(2, -2, 0), (2, 2, 0)], "component A2: 2N = 4 != lh = 6")])
+    def test_bad_simple_roots_exit_2_in_one_line(self, capsys, monkeypatch,
+                                                 simple, error):
+        """A bad simple root breaks a construction invariant: a root's
+        length, the closure of a non-orthogonal pair, or 2N = lh.  The build
+        raises ValueError naming the root or the component, and the CLI
+        exits 2 with one line of error, not a traceback."""
+        monkeypatch.setattr("griess.rootsys._simple_roots",
+                            lambda t: simple)
+        assert run(["roots", f"A{len(simple)}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {error}"]
 
     def test_size_guard_reads_catalog_names(self):
         """A catalog name such as A5^4D4 is no spec; the guard takes its 2N

@@ -18,9 +18,10 @@ idempotents and the exhaustive associativity check.  The check of
 Theorem 3.1, on closed-form products and forms per root pair, is
 compared with the per-pair products and forms of the images, also on the
 root pairs it leaves out, whose kernel products are checked to be 0; its
-closed forms are compared with the kernel's products and forms, and
-cor3.2's P-block radical and sparse radical with the dense kernel and
-radical, also on broken inputs.  B+'s element products and forms, which
+closed forms are compared with the kernel's products and forms.
+cor3.2's clauses, the positive-definite Cartan matrix and thm3.1's
+isometry, are compared with the dense kernel and radical, also on broken
+inputs.  B+'s element products and forms, which
 run on the S^2(H) kernel, are compared with its product table and the
 reference form rule on basis pairs, dense elements and chain
 images."""
@@ -53,8 +54,9 @@ from griess.rootsys import build
 from conftest import (algebra_A, algebra_T, basis_element,
                       basis_form, bplus, certificate, dot, encode_rows,
                       gram_matrix,
-                      is_idempotent, kernel_basis, phi, phi_kernel_basis,
-                      phi_matrix, reference, simple_roots, system)
+                      is_idempotent, kernel_basis, null_space, phi,
+                      phi_kernel_basis, phi_matrix, reference, simple_roots,
+                      system)
 
 SPECS = ("A1", "A2", "A3", "D4", "A1^2", "A2+A1")
 KINDS = {"A": lambda spec: algebra_A(spec).alg,
@@ -1519,29 +1521,22 @@ def dense_kernel_and_radical(p):
 
 
 def sparse_radical(alg) -> list:
-    """The radical as SparseSolver.null_space of the integer form rows,
-    written out as dense lists."""
+    """The radical as the null space of the integer form rows, written out
+    as dense lists."""
     solver = SparseSolver(alg.dim)
     for i in range(alg.dim):
         solver.add_equation(alg.form_table[1][i], 0)
     return [[v.get(c, 0) for c in range(alg.dim)]
-            for v in solver.null_space()]
+            for v in null_space(solver)]
 
 
-SPLIT = ("A's form splits into the P block and a diagonal M block with no "
-         "zero on it (P_a = t_a + u_a, M_a = u_a - t_a)")
+DEFINITE = ("B+'s form is positive definite: the Cartan matrix S is "
+            "symmetric with positive leading minors")
 
 
-def p_block_radical(alg, N) -> list:
-    """The radical from the P block of A's form (verify._p_block), written
-    out as dense lists over t and u."""
-    block, bad = verify._p_block(alg, N)
-    assert bad is None
-    solver = SparseSolver(N)
-    for row in block:
-        solver.add_equation(row, 0)
-    return [[v.get(c % N, 0) for c in range(2 * N)]
-            for v in solver.null_space()]
+def kernel_is_radical(kernel):
+    return (f"kernel = radical, of dimension 2N - rank = {kernel}, by "
+            "thm3.1's isometry")
 
 
 @pytest.mark.parametrize("spec", ["D4", "D5", "E6", "E7", "A3+D4", "D4^6"])
@@ -1550,74 +1545,63 @@ def test_sparse_cor_3_2_matches_dense(spec, monkeypatch):
     kernel, radical, joint = dense_kernel_and_radical(p)
     assert kernel == radical == joint
     [rep] = verify.run_target("cor3.2", with_phi(monkeypatch, p))
-    assert rep.clauses == [
-        (SPLIT, True, None),
-        (f"kernel dimension {kernel} equals radical dimension", True,
-         f"radical dim {radical}"),
-        ("phi maps the radical to 0, so kernel = radical", True, None)]
+    assert rep.clauses == [(DEFINITE, True, None),
+                           (kernel_is_radical(kernel), True, None)]
     sparse = sparse_radical(p.domain.alg)
     assert len(sparse) == radical
     assert QMatrix(sparse + phi_kernel_basis(p)).rank() == joint
 
 
-@pytest.mark.parametrize("spec", ["D4", "D5", "E6", "E7", "A3+D4", "D4^6"])
-def test_p_block_radical_matches_sparse_and_dense(spec):
-    """The radical from the N x N P block spans the radical of all 2N form
-    rows and the dense one."""
-    p = phi(spec)
-    block = p_block_radical(p.domain.alg, p.domain.rs.N)
-    sparse = sparse_radical(p.domain.alg)
-    dense = kernel_basis(gram_matrix(p.domain.alg))
-    assert len(block) == len(sparse) == len(dense)
-    assert QMatrix(block + sparse + dense).rank() == len(block)
+@pytest.mark.parametrize("S,bad", [
+    ([[2, 0], [-1, 2]], "S[0][1] = 0 != S[1][0] = -1"),
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "leading minor 3 of S is 0"),
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], None),
+    ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], None),
+    ([[-2]], "leading minor 1 of S is < 0"),
+    ([[2, -2], [-2, 1]], "leading minor 2 of S is < 0"),
+    ([[2, 0, -1], [0, 0, 0], [-1, 0, 2]], "leading minor 2 of S is 0")])
+def test_positive_definite_check(S, bad):
+    """A3 and D4 pass; a non-symmetric S names its first entry, the
+    affine A2 matrix its singular third minor."""
+    assert verify._not_positive_definite(S) == bad
 
 
-@pytest.mark.parametrize("changes,bad", [
-    ([("form", 0, 1)], "<P_0, M_1> = -1"),
-    ([("form", 0, 1), ("form", 12, 13)], "<M_0, M_1> = 2"),
-    ([("form", 0, 13)], "<P_0, M_1> = 1"),
-    ([("form", 0, 12)] * 4, "<M_0, M_0> = 0")])
-def test_block_check_fails_on_a_cross_term(changes, bad, monkeypatch):
+@pytest.mark.parametrize("changes,pair", [
+    ([("form", 0, 1)], (0, 1)),
+    ([("form", 0, 1), ("form", 12, 13)], (0, 1)),
+    ([("form", 0, 13)], (0, 13)),
+    ([("form", 0, 12)] * 4, (0, 12))])
+def test_block_check_fails_on_a_cross_term(changes, pair, monkeypatch):
     """On D4 (N = 12) <t_0, t_1> + 1 gives a P-M cross term; adding
     <u_0, u_1> + 1 too leaves the cross terms 0 but puts <M_0, M_1> off the
     diagonal; <t_0, u_1> + 1 gives the cross term of the other sign;
-    <t_0, u_0> + 4 makes <M_0, M_0> = 0.  cor3.2 then reports the split
-    clause alone."""
+    <t_0, u_0> + 4 makes <M_0, M_0> = 0.  Each breaks thm3.1's isometry
+    at the changed entry, which cor3.2's kernel = radical clause names."""
     p = changed_domain("D4", changes)
-    assert verify._p_block(p.domain.alg, p.domain.rs.N)[1] == bad
     [rep] = verify.run_target("cor3.2", with_phi(monkeypatch, p))
-    assert rep.clauses == [(SPLIT, False, bad)]
+    assert rep.clauses == [
+        (DEFINITE, True, None),
+        (kernel_is_radical(2), False,
+         "thm3.1: form mismatch at basis pair (%d,%d)" % pair)]
 
 
-def test_block_check_reads_both_sides_of_the_form():
-    """Rows t_0 and u_0 changed at t_1 by +1 and -1, and not rows t_1 and
-    u_1: P_0's row keeps its cross terms, and <M_0, P_1> is the first
-    entry off the split."""
-    alg = algebra_A("D4").alg
-    form = as_dicts(alg.form_table)
-
-    def changed(i):
-        row = dict(form(i))
-        if i in (0, 12):
-            row[1] = row.get(1, 0) + (1 if i == 0 else -1)
-        return row
-    A = StructureAlgebra(alg.basis_labels, lambda: alg.product_table,
-                         encode_rows({}, changed, alg.dim)[1])
-    assert verify._p_block(A, 12)[1] == "<M_0, P_1> = -2"
-
-
-@pytest.mark.parametrize("what,failing", [("A form", [0]), ("alpha^2", [2])])
+@pytest.mark.parametrize("what,failing", [("A form", [1]), ("alpha^2", [1]),
+                                          ("kernel Cartan", [0, 1])])
 def test_broken_inputs_fail_sparse_and_dense_cor_3_2(what, failing,
                                                      monkeypatch):
-    """One changed form entry of A changes the radical's dimension and
-    breaks the split of A's form into the P and M blocks, the first clause;
-    one changed alpha^2 keeps both dimensions but moves the kernel off the
-    radical, which only the last clause sees."""
+    """One changed form entry of A changes the radical's dimension, one
+    changed alpha^2 moves the kernel off the radical: each breaks thm3.1's
+    isometry, which the kernel = radical clause cites.  "kernel Cartan"
+    changes only the S that B+'s kernel reads: the dense kernel is still
+    the radical, but S is not symmetric, so B+'s form is no longer known
+    to be positive definite, and the isometry fails too."""
     p = broken_phi("D4", what)
     kernel, radical, joint = dense_kernel_and_radical(p)
-    assert not kernel == radical == joint
+    assert (kernel == radical == joint) == (what == "kernel Cartan")
     [rep] = verify.run_target("cor3.2", with_phi(monkeypatch, p))
     assert [k for k, (_, ok, _) in enumerate(rep.clauses) if not ok] == failing
+    if what == "kernel Cartan":
+        assert rep.clauses[0][2] == "S[0][1] = 0 != S[1][0] = -1"
 
 
 # -- B+ element products: the S^2(H) kernel against the product table -------
