@@ -25,13 +25,23 @@ Element products and forms scale their operands to integers and walk the
 rows of the sparser operand, so exact rationals are built only for the
 output coefficients.
 
-to_json and from_json pause the cyclic garbage collector.  They allocate a
-few containers per basis product, none of them in a reference cycle, and
-each collection those allocations trigger walks the growing JSON lists and
-rows again, for nothing: 5 full collections in one round trip of A(E8^2).
-The caller's collector state is restored on return and on an exception.
-to_json makes one [k, "value"] list per distinct term and shares it among
-the products that have it: 1,440 lists for the 81,120 terms of A(E8^2).
+to_json returns its table as tuples inside the outer "products" and "gram"
+lists: each entry (i, j, terms), its terms, each term (k, "value") and each
+gram row.  json.dumps writes a tuple as an array, so the text is the same
+as from lists.  One term tuple is made per distinct term and shared by the
+entries that have it: 1,440 for the 81,120 terms of A(E8^2).  A tuple
+cannot be changed, so neither can a shared term, and the cyclic garbage
+collector untracks a tuple once its items are untracked: a term or a gram
+row, of ints and strings, the first time a collection sees it, and an
+entry within a collection or two more.  As lists, the 56,000 containers of
+A(E8^2)'s table would be walked again by every later full collection, such
+as those that the json.loads of a round trip triggers; as tuples they
+leave the collector.
+
+to_json and from_json pause the collector while they run: the containers
+they allocate, none in a reference cycle, would trigger collections that
+walk the growing table again, for nothing.  The caller's collector state
+is restored on return and on an exception.
 """
 
 from __future__ import annotations
@@ -40,13 +50,14 @@ import contextlib
 import functools
 import gc
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import repeat, starmap
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactlin import SparseSolver
-from .ratio import ONE, Q, ZERO, q_parse, q_str
+from .ratio import ONE, Q, ZERO, q_str
 
 Sparse = dict  # index -> rational, no zero values stored
 
@@ -77,32 +88,38 @@ def _q_str(num: int, den: int) -> str:
 
 class _Strings(dict):
     """num -> q_str of num/den, and a term (k, num) -> the JSON term
-    [k, q_str of num/den], each made on its first lookup: few distinct
+    (k, q_str of num/den), each made on its first lookup: few distinct
     numerators occur, so to_json formats each once per table, and equal
-    terms share one list."""
+    terms share one tuple."""
 
     def __init__(self, den: int):
         super().__init__()
         self.den = den
 
-    def __missing__(self, key: int | tuple) -> str | list:
-        s = self[key] = ([key[0], self[key[1]]] if type(key) is tuple
+    def __missing__(self, key: int | tuple) -> str | tuple:
+        s = self[key] = ((key[0], self[key[1]]) if type(key) is tuple
                          else _q_str(key, self.den))
         return s
 
 
+_JSON_VALUE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _json_value(s: str) -> tuple[int, int]:
     """(numerator, denominator) in lowest terms of a coefficient string of
-    to_json, "p" or "p/q"."""
+    to_json: "p" or "p/q" in ASCII digits, p with an optional "-"."""
     if type(s) is not str:
         raise ValueError(f"{s!r} is not a string")
-    if s.lstrip("-").isdigit():
-        return int(s), 1
-    try:
-        v = q_parse(s)
-    except ZeroDivisionError:
-        raise ValueError(f"{s!r} has denominator 0") from None
-    return int(v.numerator), int(v.denominator)
+    if (m := _JSON_VALUE.fullmatch(s)) is None:
+        raise ValueError(f"{s!r} is not of the form p or p/q")
+    num, den = m.groups()
+    if den is None:
+        return int(num), 1
+    num, den = int(num), int(den)
+    if not den:
+        raise ValueError(f"{s!r} has denominator 0")
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _json_entry(terms: list, value: Callable) -> tuple:
@@ -509,18 +526,24 @@ class StructureAlgebra:
 
     @_gc_paused()
     def to_json(self) -> dict:
-        """The tables as JSON lists (from_json); equal terms share one list
-        [k, "value"], so treat the result as read-only."""
+        """The tables as {"basis": labels, "products": [(i, j, terms), ...],
+        "gram": [row, ...]} for from_json: an entry per pair i <= j with a
+        non-zero product, its terms ((k, "value"), ...) on increasing k,
+        and dim rows of dim values, each value "p" or "p/q" in lowest
+        terms.  Everything inside the two lists is a tuple and equal terms
+        are one tuple, so the table is immutable and the collector stops
+        tracking it (module docstring)."""
         (pden, prows), (fden, frows) = self.product_table, self.form_table
         pterm, ffmt = _Strings(pden).__getitem__, _Strings(fden)
         products, gram = [], []
         for i, (prow, frow) in enumerate(zip(prows, frows)):
             for j, terms in prow.items():
                 if j >= i:
-                    products.append([i, j, list(map(pterm, terms))])
-            gram.append(row := ["0"] * self.dim)
+                    products.append((i, j, tuple(map(pterm, terms))))
+            row = ["0"] * self.dim
             for j, v in frow.items():
                 row[j] = ffmt[v]
+            gram.append(tuple(row))
         return {"basis": list(self.basis_labels), "products": products,
                 "gram": gram}
 
@@ -536,8 +559,9 @@ class StructureAlgebra:
         zeros included.  Raises ValueError, naming the entry, for an entry
         that is not [i, j, terms], an index that is no int, such as true
         or 1.0, or lies outside the basis, a pair or term listed twice, a
-        value that is not a string or is bad, such as "1/0", or a gram that
-        is not dim x dim or not symmetric.
+        value that is not a string "p" or "p/q" in ASCII digits, p with an
+        optional "-", or has denominator 0, or a gram that is not dim x dim
+        or not symmetric.
         """
         n = len(data["basis"])
         value = functools.cache(_json_value)

@@ -192,7 +192,9 @@ def brute_force_lagrangians(space: F2QuadSpace) -> int:
     and its translate by w.  The polar form is taken from q itself, not
     from a bilinear formula, so the count tests the q it is given.  A q that is not quadratic can pass
     the polar test pairwise on a basis whose span holds a non-singular
-    vector, so every vector of each maximal subspace is re-checked.
+    vector, so every vector of each maximal subspace is re-checked: a
+    non-singular one raises ValueError, naming it and the subspace's basis
+    in binary.
     """
     if space.dim > BRUTE_FORCE_MAX_DIM:
         raise ValueError(
@@ -211,8 +213,11 @@ def brute_force_lagrangians(space: F2QuadSpace) -> int:
 
     def extend(basis: tuple[int, ...], candidates: int) -> int:
         if len(basis) == m:
-            if any(q[x] for x in f2_span(basis)):
-                raise AssertionError("non-singular vector in extension")
+            bad = next((x for x in f2_span(basis) if q[x]), None)
+            if bad is not None:
+                raise ValueError(
+                    f"non-singular vector {bad:0{dim}b} in the span of "
+                    + ", ".join(f"{b:0{dim}b}" for b in basis))
             return 1
         # the next pivot leaves room above it for the rows after it
         todo = candidates & (1 << (1 << (dim - m + len(basis) + 1))) - 1

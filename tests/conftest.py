@@ -8,6 +8,7 @@ Lagrangians, the verdicts of verify's certificate of a chain
 decomposition, and scripts/niemeier_report.py run on closed-form images."""
 
 import itertools
+import json
 import math
 import runpy
 from functools import lru_cache
@@ -120,6 +121,11 @@ def encode_rows(product, form, dim: int) -> tuple:
                      for row in rows]
 
     return product_table, form_table
+
+
+def json_document(alg) -> dict:
+    """alg.to_json() as a reader of its JSON gets it: lists, not tuples."""
+    return json.loads(json.dumps(alg.to_json()))
 
 
 def basis_element(alg, i: int):
@@ -340,7 +346,8 @@ def reference_lagrangians(space) -> int:
     isotropic r-space by every singular vector with none of its leading
     bits that passes the polar test q(u+v) - q(u) - q(v) = 0 against the
     basis, canonicalize by f2_rref and drop repeats through a set.  Every
-    vector of each distinct extension is re-checked to be singular."""
+    vector of each distinct extension is re-checked to be singular; a
+    non-singular one raises ValueError, as in brute_force_lagrangians."""
     q = [space.q(v) for v in range(1 << space.dim)]
     singular = [v for v in range(1, len(q)) if q[v] == 0]
     level: set[tuple[int, ...]] = {()}
@@ -356,8 +363,11 @@ def reference_lagrangians(space) -> int:
                 nb = f2_rref(basis + (v,))
                 if nb in nxt:
                     continue
-                if any(q[x] for x in f2_span(nb)):
-                    raise AssertionError("non-singular vector in extension")
+                bad = next((x for x in f2_span(nb) if q[x]), None)
+                if bad is not None:
+                    raise ValueError(
+                        f"non-singular vector {bad:0{space.dim}b} in the span "
+                        "of " + ", ".join(f"{b:0{space.dim}b}" for b in nb))
                 nxt.add(nb)
         level = nxt
     return len(level)

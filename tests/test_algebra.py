@@ -1,12 +1,13 @@
 import gc
+import re
 
 import pytest
 
 from griess.algebra import StructureAlgebra
 from griess.ratio import Q
 
-from conftest import (basis_element, basis_form, encode_rows, is_idempotent,
-                      radical_dimension, scaled)
+from conftest import (algebra_A, basis_element, basis_form, encode_rows,
+                      is_idempotent, json_document, radical_dimension, scaled)
 
 
 def two_dim_split():
@@ -115,7 +116,7 @@ class TestSerialization:
     def test_rationals_as_strings(self):
         alg = StructureAlgebra(["a"], *encode_rows(
             {(0, 0): {0: Q(1, 3)}}, {(0, 0): Q(7, 2)}, 1))
-        data = alg.to_json()
+        data = json_document(alg)
         assert data["products"] == [[0, 0, [[0, "1/3"]]]]
         assert data["gram"] == [["7/2"]]
 
@@ -170,13 +171,13 @@ class TestSerialization:
         (lambda d: set_gram(d, {(1, 1): {}}),
          r"gram\[1\]\[1\]: \{\} is not a string")])
     def test_malformed_tables_name_the_entry(self, change, message):
-        data = nonassociative_example().to_json()
+        data = json_document(nonassociative_example())
         change(data)
         with pytest.raises(ValueError, match=message):
             StructureAlgebra.from_json(data)
 
     def test_gram_mirrors_may_differ_in_spelling(self):
-        data = nonassociative_example().to_json()
+        data = json_document(nonassociative_example())
         set_gram(data, {(0, 1): "2/4", (1, 0): "1/2", (1, 1): "0/3"})
         alg = StructureAlgebra.from_json(data)
         assert basis_form(alg, 0, 1) == basis_form(alg, 1, 0) == Q(1, 2)
@@ -187,6 +188,49 @@ class TestSerialization:
                 "gram": [["1"]]}
         with pytest.raises(ValueError, match=r"products\[0\]: term on b_5"):
             StructureAlgebra.from_json(data)
+
+    @pytest.mark.parametrize("where", ["products", "gram"])
+    @pytest.mark.parametrize("s", ["1.5", "1e3", " 2", "2 ", "+2", "1_000",
+                                   "٣", "", "-", "--1", "1/-2", "1/2/3",
+                                   "0x1f", "inf", "1 / 2", "½"])
+    def test_values_other_than_p_or_p_q_rejected(self, where, s):
+        """from_json reads only what to_json writes: ASCII digits, an
+        optional "-", and at most one "/" before more digits."""
+        data = json_document(nonassociative_example())
+        if where == "products":
+            data["products"].append([1, 1, [[0, s]]])
+            entry = r"products\[2\]"
+        else:
+            set_gram(data, {(0, 1): s, (1, 0): s})
+            entry = r"gram\[0\]\[1\]"
+        with pytest.raises(ValueError, match=rf"{entry}: {re.escape(repr(s))}"
+                                             " is not of the form p or p/q"):
+            StructureAlgebra.from_json(data)
+
+    def test_to_json_is_immutable_and_untracked(self):
+        """to_json's entries, term sequences, terms and gram rows are
+        tuples, equal terms one object, and the collector untracks all of
+        them: nothing in the table can be changed in place or walked by a
+        later collection."""
+        data = algebra_A("D4").alg.to_json()
+        entries, rows = data["products"], data["gram"]
+        seqs = [terms for _, _, terms in entries]
+        terms = [t for seq in seqs for t in seq]
+        parts = entries + seqs + terms + rows
+        assert {type(x) for x in parts} == {tuple}
+        one = {}
+        assert all(one.setdefault(t, t) is t for t in terms)
+        assert len(one) < len(terms)
+        for x, value in ((entries[0], 1), (seqs[0], (0, "1")),
+                         (terms[0], "1"), (rows[0], "1")):
+            with pytest.raises(TypeError):
+                x[0] = value
+        # a collection untracks a tuple whose items are all untracked when
+        # it reaches it, which it may do before reaching the items: one
+        # collection per level of nesting (entry, terms, term)
+        for _ in range(3):
+            gc.collect()
+        assert not any(map(gc.is_tracked, parts))
 
 
 class TestCollectorPause:
