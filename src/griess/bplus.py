@@ -51,7 +51,7 @@ as c_r^T S c_s, compared with A's entries coordinate by coordinate.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress
 from operator import add, mul
@@ -125,6 +125,22 @@ class BPlusStructure(StructureAlgebra):
 
     def operand(self, nums: dict) -> _Operand:
         return _Operand(nums)
+
+    @functools.cached_property
+    def product_bound(self) -> tuple[int, int]:
+        """(K, 1) with K at least every numerator of the product table, from
+        the data the kernel reads, so that the table is not built, one
+        term per rule (module docstring): (ab)(cd) is four Cartan entries
+        times an s(., .) each, so at most 4 max |S| on one s(., .);
+        (ab) x_r = 2 (a, r)(b, r) x_r; x_r x_r = 2 a_r^2; and x_r x_s adds
+        x_g once per (s, g) in r's neighbour list."""
+        return max(4 * max(abs(v) for row in self.cartan for v in row),
+                   2 * max((p * p for col in self._pcol for _, p in col),
+                           default=0),
+                   2 * max((abs(v) for sq in self._sq for v in sq.values()),
+                           default=0),
+                   max((max(Counter(n).values()) for n in self._nbrs if n),
+                       default=0)), 1
 
     def _parts(self, x: dict) -> _Operand:
         """x as an _Operand with its kernel parts, filled on first use."""

@@ -107,7 +107,8 @@ def chain_image_subalgebra(phi: PhiMap, name: str) -> DecompositionReport:
     l+1 per component of rank l, with their charges.  checks holds the
     number of non-zero images, the dimension of their span, and whether
     they are pairwise orthogonal idempotents, e_i e_j = [i = j] e_i, so
-    that the span is associative (first_idempotent_failure); on a failure,
+    that the span is associative: first_idempotent_failure, one packed
+    product per non-zero image, with no table of B+ built.  On a failure,
     "pair" holds the first failing pair of image indices, for verify's
     lemma4.2.  chain_idempotents reads no table of A(Phi)."""
     images = [phi.apply(e) for e in chain_idempotents(phi.domain)]

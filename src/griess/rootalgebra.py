@@ -101,23 +101,28 @@ def _closed_identity(ra: RootAlgebra, simple: Iterable[int],
     if key in ra.closed:
         return ra.closed[key]
     rs = ra.rs
-    parts: list[tuple[frozenset, list]] = []  # (simple roots, positive roots)
-    for r in _sub_positive_roots(rs, key[0]):
-        s = rs.supports[r]
-        hit = [p for p in parts if p[0] & s]
-        parts = [p for p in parts if not p[0] & s]
-        parts.append((s.union(*(p[0] for p in hit)),
-                      [r] + [x for p in hit for x in p[1]]))
+    roots = _sub_positive_roots(rs, key[0])
+    comp = {a: {a} for a in key[0]}  # simple root -> its component, shared
+    for r in roots:
+        a, *rest = rs.supports[r]
+        for b in rest:
+            if comp[b] is not comp[a]:
+                comp[a] |= comp[b]
+                comp.update(dict.fromkeys(comp[b], comp[a]))
+    parts: dict = {}  # id of a component -> (its simple roots, its roots)
+    for r in roots:
+        s = comp[min(rs.supports[r])]
+        parts.setdefault(id(s), (s, []))[1].append(r)
     coeffs = {}
-    for s, roots in parts:
+    for s, rts in parts.values():
         # 1/(4h) = rank/(8|Phi+|) and 1/(2h+4) = rank/(4(|Phi+| + rank))
-        c = (Q(len(s), 8 * len(roots)) if with_u
-             else Q(len(s), 4 * (len(roots) + len(s))))
-        for r in roots:
+        c = (Q(len(s), 8 * len(rts)) if with_u
+             else Q(len(s), 4 * (len(rts) + len(s))))
+        for r in rts:
             coeffs[r] = c
             if with_u:
                 coeffs[rs.N + r] = c
-    ra.closed[key] = ra.alg.element(coeffs)
+    ra.closed[key] = AlgebraElement(ra.alg, coeffs)
     return ra.closed[key]
 
 

@@ -166,6 +166,13 @@ class TestSerialization:
          r"products\[2\]: term index True is not an integer"),
         (lambda d: d["products"].append([1, 1, [[0, "1"], [1.0, "1"]]]),
          r"products\[2\]: term index 1.0 is not an integer"),
+        # unhashable or unordered terms, named before they are hashed
+        (lambda d: d["products"].append([1, 1, [[0, [1]]]]),
+         r"products\[2\]: \[1\] is not a string"),
+        (lambda d: d["products"].append([1, 1, [[[0], "1"]]]),
+         r"products\[2\]: term index \[0\] is not an integer"),
+        (lambda d: d["products"].append([1, 1, [["0", "1"]]]),
+         r"products\[2\]: term index '0' is not an integer"),
         (lambda d: set_gram(d, {(0, 1): [1], (1, 0): [1]}),
          r"gram\[0\]\[1\]: \[1\] is not a string"),
         (lambda d: set_gram(d, {(1, 1): {}}),

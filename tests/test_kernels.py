@@ -1123,6 +1123,62 @@ def test_idempotent_certificate_is_stronger_than_the_span():
     assert alg.first_idempotent_failure(es) == (0, 0) == first_failing_pair(es)
 
 
+@pytest.mark.parametrize("spec", ["A1", "A3", "D4", "D5", "E6", "E7", "E8",
+                                  "A2+A1", "D4^2"])
+def test_bplus_product_bound_covers_its_table(spec):
+    """B+'s bound K, read from the data of its kernel, is at least the
+    largest numerator of its built product table, which the default bound
+    reads."""
+    B = bplus(spec)
+    K, den = B.product_bound
+    table = StructureAlgebra(B.basis_labels, lambda: B.product_table, None)
+    assert den == table.product_bound[1] == 1
+    assert K >= table.product_bound[0] > 1
+
+
+@pytest.mark.parametrize("broken", list(BROKEN_IMAGES) + ["scaled"])
+def test_packed_certificate_names_the_first_failing_pair(broken):
+    """The packed certificate against element products on the A6^4 images,
+    broken as in BROKEN_IMAGES, and with the last image changed by 10^-12
+    in one coefficient: its numerators are 10^12 times larger, and its
+    products with the other images cancel to a small remainder."""
+    alg, images = lemma_images("A6^4")
+    if broken == "scaled":
+        e, k = images[-1], max(images[-1].coeffs)
+        es = images[:-1] + [alg.element(
+            {**e.coeffs, k: e.coeffs[k] + Q(1, 10 ** 12)})]
+    else:
+        es = [e for e in BROKEN_IMAGES[broken](images) if not e.is_zero()]
+    pair = alg.first_idempotent_failure(es)
+    assert pair == first_failing_pair(es)
+    assert (pair is None) is (broken in (None, "zero"))
+
+
+# b b = 7 b, of which b/7 is an idempotent; for -b the digit of (0, 0),
+# 7 + 1 = 8, is the bound K |x|_1^2 + den d |x|_inf itself
+SEVEN = [{0: ((0, 7),)}]
+# b_0^2 = 2 b_0, b_1^2 = 2 b_1 and b_0 b_1 = 3 (b_0 + b_1), of which
+# e = (b_0 + b_1)/8 is an idempotent; e (64 e) has the digit 64 per
+# coefficient, beyond K |x|_1 + den d |x|_inf = 3 * 32 + 8
+PAIR = [{0: ((0, 2),), 1: ((0, 3), (1, 3))}, {0: ((0, 3), (1, 3)), 1: ((1, 2),)}]
+
+
+@pytest.mark.parametrize("rows,xs,pair", [
+    (SEVEN, [[-1]], (0, 0)), (SEVEN, [[Q(1, 7)]], None),
+    (SEVEN, [[-1], [Q(1, 7)]], (0, 0)), (SEVEN, [[Q(1, 7)], [-1]], (0, 1)),
+    (PAIR, [[Q(1, 8)] * 2, [8] * 2], (0, 1)),
+    (PAIR, [[Q(1, 8)] * 2], None)])
+def test_packed_certificate_at_its_bound(rows, xs, pair):
+    """Inputs whose first failing digit reaches the bound of the packed
+    certificate: a digit one bit narrower, a bound without the diagonal
+    term or with K = 1 or |x|_1 in place of |x|_1^2 carries it into the
+    next pair."""
+    alg = StructureAlgebra([f"b{i}" for i in range(len(rows))],
+                           lambda: (1, rows), None)
+    es = [alg.element(x) for x in xs]
+    assert alg.first_idempotent_failure(es) == pair == first_failing_pair(es)
+
+
 # -- Theorem 3.1: shared root-pair products against per-pair images ----------
 
 def direct_theorem_3_1(p):
