@@ -1,8 +1,8 @@
 """Exact rational scalars.
 
-gmpy2.mpq is used when available (it is several times faster than
-fractions.Fraction on the rank-24 computations); both are exact and always
-kept in lowest terms with a positive denominator.
+gmpy2.mpq is used when available; its speed against fractions.Fraction has
+not been measured, and the hot kernels run in Python ints.  Both are exact
+and always kept in lowest terms with a positive denominator.
 """
 
 from __future__ import annotations

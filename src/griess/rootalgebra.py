@@ -87,34 +87,43 @@ def build_T(rs: RootSystem) -> RootAlgebra:
     return RootAlgebra(rs, _make_algebra(rs, t_only=True), t_only=True)
 
 
+def connected_parts(rs: RootSystem, simple: frozenset) -> list:
+    """The connected parts of the diagram on the simple roots simple, as
+    (simple roots, positive roots) each, kept in rs.parts: a root's support
+    is connected, and each edge a - b is the root a + b, so merging supports
+    finds them."""
+    if simple not in rs.parts:
+        roots = _sub_positive_roots(rs, simple)
+        comp = {a: {a} for a in simple}  # simple root -> its part, shared
+        for r in roots:
+            a, *rest = rs.supports[r]
+            for b in rest:
+                if comp[b] is not comp[a]:
+                    comp[a] |= comp[b]
+                    comp.update(dict.fromkeys(comp[b], comp[a]))
+        parts: dict = {}  # id of a part -> (its simple roots, its roots)
+        for r in roots:
+            s = comp[min(rs.supports[r])]
+            parts.setdefault(id(s), (s, []))[1].append(r)
+        rs.parts[simple] = list(parts.values())
+    return rs.parts[simple]
+
+
 def _closed_identity(ra: RootAlgebra, simple: Iterable[int],
                      with_u: bool = False) -> AlgebraElement:
     """Closed-form identity of the t-span of the sub-system on the simple
-    roots: 1/(2h+4) on each t(alpha) of each connected component of its
+    roots: 1/(2h+4) on each t(alpha) of each connected part of its
     diagram, h = 2|Phi+|/rank; with_u, that of the algebra, 1/(4h) on each
-    t(alpha) and u(alpha).  A root's support is connected, and each edge
-    a - b is the root a + b, so merging supports finds the components.
-    Each is built once per algebra, kept in ra.closed by (simple, with_u)."""
+    t(alpha) and u(alpha).  Each is built once per algebra, kept in
+    ra.closed by (simple, with_u)."""
     if with_u and ra.t_only:
         raise ValueError("delta lives in the full algebra, not T(Phi)")
     key = frozenset(simple), with_u
     if key in ra.closed:
         return ra.closed[key]
     rs = ra.rs
-    roots = _sub_positive_roots(rs, key[0])
-    comp = {a: {a} for a in key[0]}  # simple root -> its component, shared
-    for r in roots:
-        a, *rest = rs.supports[r]
-        for b in rest:
-            if comp[b] is not comp[a]:
-                comp[a] |= comp[b]
-                comp.update(dict.fromkeys(comp[b], comp[a]))
-    parts: dict = {}  # id of a component -> (its simple roots, its roots)
-    for r in roots:
-        s = comp[min(rs.supports[r])]
-        parts.setdefault(id(s), (s, []))[1].append(r)
     coeffs = {}
-    for s, rts in parts.values():
+    for s, rts in connected_parts(rs, key[0]):
         # 1/(4h) = rank/(8|Phi+|) and 1/(2h+4) = rank/(4(|Phi+| + rank))
         c = (Q(len(s), 8 * len(rts)) if with_u
              else Q(len(s), 4 * (len(rts) + len(s))))
@@ -146,25 +155,26 @@ def _sub_positive_roots(rs: RootSystem, simple_indices: frozenset) -> list[int]:
     return [r for r, s in enumerate(rs.supports) if s <= simple_indices]
 
 
-def _telescope(ra: RootAlgebra, chain: list, top: AlgebraElement,
-               ) -> tuple[list, list]:
-    """The idempotents of one block (simple-root sets S_1 c ... c S_m, its
-    identity delta_c): with eps_k the closed-form identity of T(Phi_k),
-    Phi_k the positive roots on S_k, and eps_0 = 0, (eps_1..eps_m, the
-    e_k = eps_k - eps_(k-1) and the tail delta_c - eps_m, zeros left out)."""
+def _telescope(ra: RootAlgebra, chain: list, simple: Iterable[int],
+               ) -> tuple[list, AlgebraElement, list]:
+    """The idempotents of one block, S_1 c ... c S_m under delta_c, A's
+    identity on the simple roots simple: with eps_k the closed identity of
+    T on S_k, and eps_0 = 0, (eps_1..eps_m, delta_c, the e_k = eps_k -
+    eps_(k-1) and the tail delta_c - eps_m, zeros left out)."""
     eps = [_closed_identity(ra, s) for s in chain]
+    top = _closed_identity(ra, simple, with_u=True)
     diffs = [b - a for a, b in zip([ra.alg.zero(), *eps], [*eps, top])]
-    return eps, [e for e in diffs if not e.is_zero()]
+    return eps, top, [e for e in diffs if not e.is_zero()]
 
 
 def _chain_decompose(ra: RootAlgebra, blocks: list, desc: str,
                      ) -> DecompositionReport:
-    """The idempotents of _telescope per block (chain, identity delta_c)
-    and their charges 8 <e, e>, with (chain, eps_1..eps_m, delta_c, Gram
-    matrix) per block, from which verify certifies them."""
+    """The idempotents of _telescope per block (chain, simple roots of
+    delta_c) and their charges 8 <e, e>, with (chain, eps_1..eps_m,
+    delta_c, Gram matrix) per block, from which verify certifies them."""
     idems, charges, built = [], [], []
-    for chain, top in blocks:
-        eps, mine = _telescope(ra, chain, top)
+    for chain, simple in blocks:
+        eps, top, mine = _telescope(ra, chain, simple)
         gram = ra.alg.form_matrix(mine)
         idems += mine
         charges += [8 * gram[i][i] for i in range(len(mine))]
@@ -186,17 +196,10 @@ def default_chains(rs: RootSystem) -> list[list[frozenset]]:
     return out
 
 
-def _default_blocks(ra: RootAlgebra) -> list:
-    """(default chain, component identity) per component."""
-    rs = ra.rs
-    return [(chain, _closed_identity(ra, sl, with_u=True)) for chain, sl
-            in zip(default_chains(rs), rs.component_simple_slices)]
-
-
 def chain_idempotents(ra: RootAlgebra) -> list[AlgebraElement]:
     """The idempotents of coset_chain_decompose, without their charges."""
-    return [e for chain, top in _default_blocks(ra)
-            for e in _telescope(ra, chain, top)[1]]
+    return [e for chain in default_chains(ra.rs)
+            for e in _telescope(ra, chain, chain[-1])[2]]
 
 
 def coset_chain_decompose(ra: RootAlgebra) -> DecompositionReport:
@@ -204,8 +207,8 @@ def coset_chain_decompose(ra: RootAlgebra) -> DecompositionReport:
 
     Per component of rank l, one block of l+1 idempotents: the telescoping
     differences of the t-span identities along the chain, plus the final
-    complement inside the component identity.  verify's thm2.7 judges the
-    idempotents and their charges.
+    complement inside the identity on the chain's last set, the whole
+    component.  verify's thm2.7 judges the idempotents and their charges.
     """
     descs = []
     for comp in ra.rs.components:
@@ -213,7 +216,8 @@ def coset_chain_decompose(ra: RootAlgebra) -> DecompositionReport:
         if comp.family != "A":
             steps = f"A_1 c ... c A_{comp.rank - 1} c {comp}"
         descs.append(f"{comp}: {steps} chain + complement")
-    return _chain_decompose(ra, _default_blocks(ra), "; ".join(descs))
+    return _chain_decompose(ra, [(c, c[-1]) for c in default_chains(ra.rs)],
+                            "; ".join(descs))
 
 
 def generalized_chain_decompose(ra: RootAlgebra,
@@ -231,4 +235,4 @@ def generalized_chain_decompose(ra: RootAlgebra,
                          f"(0 to {rs.l - 1})")
     desc = "chain " + " c ".join("{" + ",".join(map(str, sorted(s))) + "}"
                                  for s in sets)
-    return _chain_decompose(ra, [(sets, delta(ra))], desc)
+    return _chain_decompose(ra, [(sets, range(rs.l))], desc)

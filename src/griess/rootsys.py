@@ -186,6 +186,7 @@ class RootSystem:
         self.neighbours: list[list[tuple[int, int]]] = []
         self.component_root_slices: list[range] = []
         self.component_simple_slices: list[range] = []
+        self.parts: dict = {}  # rootalgebra.connected_parts by simple roots
 
         # each distinct type is built once, in its own coordinates
         local = {comp: _component(comp) for comp in set(components)}

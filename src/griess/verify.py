@@ -11,10 +11,12 @@ System holds what the targets and the CLI build from one spec, to be judged
 only here: it resolves a catalog name, runs the size guard before anything
 is built, and builds the root system, A(Phi), T(Phi), B+, phi, the default
 chains and their images in B+ each once, on first use, and runs thm3.1's
-check once: cor3.2 cites thm3.1 on its System.  report alone
-creates, names and times a report.  `all` makes one System per spec for
-every target run on it, so a report's elapsed time leaves out what an
-earlier target on the same spec built.
+check once: cor3.2 cites thm3.1 on its System.  report alone creates,
+names and times a report.  `all` makes one System per spec for every
+target run on it, so a report's elapsed time leaves out what an earlier
+target on the same spec built.  Every charge claim reads closed_charges:
+thm2.7 and lemma4.2 per idempotent, lemma2.6 per path step, and lemma2.4
+and eq2.5 on the chain of all simple roots.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
                        chain_image_subalgebra, lagrangian_extension_count,
                        table1_consistency, table2_consistency)
 from .ratio import Q, ZERO, q_str
-from .rootalgebra import (build_A, build_T, coset_chain_decompose,
-                          default_chains, delta, epsilon, _closed_identity,
-                          _sub_positive_roots)
+from .rootalgebra import (build_A, build_T, connected_parts,
+                          coset_chain_decompose, default_chains, delta,
+                          epsilon, _closed_identity, _sub_positive_roots)
 from .rootsys import SimpleType, build, spec_parts
 
 DEFAULT_SPECS = ("A1", "A2", "A3", "D4", "E6", "A1^24", "A2^12", "A24")
@@ -142,7 +144,7 @@ class System:
 
     @functools.cached_property
     def chain(self):
-        """A's identity decomposed along the default chains."""
+        """The default chains' decomposition of A's identity, or a caller's."""
         return coset_chain_decompose(self.A)
 
     @functools.cached_property
@@ -198,57 +200,53 @@ def _lemma_2_3(s: System, rep: VerifyReport):
             None if e == solved else f"epsilon {e!r} vs solver {solved!r}")
 
 
+def closed_charges(rs, chain: list, rank: int, where: str = "chain") -> list:
+    """(closed charge, "where, step k") per non-zero idempotent of a block
+    S_1 c ... c S_m under an identity on rank simple roots.  c(S) = c(eps_S)
+    is Lemma 2.4's sum of lh/(h+2) = l n/(l+n), n = |Phi+|, over the parts
+    of S.  Step k has c(S_k) - c(S_(k-1)), c(S_0) = 0, dropped if S_k =
+    S_(k-1), as its idempotent is 0; the tail, step m+1, rank - c(S_m)."""
+    sets = [frozenset(), *map(frozenset, chain)]
+    c = [ZERO, *(sum((Q(len(p) * len(r), len(p) + len(r))
+                      for p, r in connected_parts(rs, s)), ZERO)
+                 for s in sets[1:]), rank]
+    return [(c[k] - c[k - 1], f"{where}, step {k}") for k in range(1, len(c))
+            if k == len(sets) or sets[k] != sets[k - 1]]
+
+
+def _default_steps(rs, chains: list) -> list:
+    """closed_charges along the default chains given, one per component."""
+    return [step for ci, (comp, chain) in enumerate(zip(rs.components, chains))
+            for step in closed_charges(rs, chain, comp.rank,
+                                       f"component {ci} {comp}")]
+
+
 def _lemma_2_4(s: System, rep: VerifyReport):
     """c(delta) = l and c(epsilon) = lh/(h+2), summed over components."""
     rs = s.rs
     cd = delta(s.A).central_charge()
     rep.add(f"c(delta) = l = {rs.l}", cd == rs.l, q_str(cd))
     ce = epsilon(s.T).central_charge()
-    expected = sum((Q(c.rank * c.coxeter, c.coxeter + 2)
-                    for c in rs.components), ZERO)
+    expected, _ = closed_charges(rs, [range(rs.l)], rs.l)[0]
     rep.add(f"c(epsilon) = sum of lh/(h+2) = {q_str(expected)}",
             ce == expected, q_str(ce))
 
 
 def _eq_2_5(s: System, rep: VerifyReport):
-    """c(delta - epsilon) = 2l/(h+2) summed over the components: the
-    paper's 2l/(l+3) in type A, where h = l + 1."""
+    """c(delta - epsilon) = 2l/(h+2) summed over the components, the tail
+    of the chain {all simple roots}: the paper's 2l/(l+3) in type A."""
     rs = s.rs
     c = (delta(s.A) - epsilon(s.A)).central_charge()
-    expected = sum((Q(2 * comp.rank, comp.coxeter + 2)
-                    for comp in rs.components), ZERO)
+    expected, _ = closed_charges(rs, [range(rs.l)], rs.l)[-1]
     rep.add(f"c(delta - epsilon) = sum of 2l/(h+2) = {q_str(expected)}"
             + _extends(rs.components), c == expected, q_str(c))
 
 
-def closed_charges(comp: SimpleType) -> list:
-    """The charges of the l+1 idempotents of one component's default chain
-    (rootalgebra.default_chains), in chain order: 1 - 6/((i+2)(i+3)) at
-    step i of the A_(l-1) path (Lemma 2.6); for D and E, the whole component
-    adds c(epsilon) of it less that of A_(l-1), lh/(h+2) - l(l-1)/(l+2)
-    (Lemma 2.4); the tail delta - epsilon has 2l/(h+2)."""
-    l, h = comp.rank, comp.coxeter
-    path = l if comp.family == "A" else l - 1
-    out = [1 - Q(6, (i + 2) * (i + 3)) for i in range(1, path + 1)]
-    if comp.family != "A":
-        out.append(Q(l * h, h + 2) - Q(l * (l - 1), l + 2))
-    return out + [Q(2 * l, h + 2)]
-
-
-def _chain_steps(components: list) -> list:
-    """(closed charge, "component i X, step s") per idempotent of the
-    default chains, in chain order."""
-    return [(c, f"component {ci} {comp}, step {step}")
-            for ci, comp in enumerate(components)
-            for step, c in enumerate(closed_charges(comp), 1)]
-
-
-def _add_charges_clause(rep: VerifyReport, components: list, elements: list,
+def _add_charges_clause(rep: VerifyReport, want: list, elements: list,
                         charges: list, note: str = ""):
-    """One clause: the charges of the default chains' idempotents equal
-    their closed forms; a failure names a wrong count of idempotents, or
-    the first idempotent that differs, with its component and its step."""
-    want = _chain_steps(components)
+    """One clause: a chain decomposition's charges equal want, their closed
+    forms; a failure names a wrong count of idempotents, or the first
+    idempotent that differs, with its block and its step."""
     bad = next((f"idempotent {k} ({where})"
                 f"{' is zero' if elements[k].is_zero() else ''}: "
                 f"charge {q_str(c)} != {q_str(w)}"
@@ -282,18 +280,17 @@ def _lemma_2_5(s: System, rep: VerifyReport):
 
 
 def _lemma_2_6(s: System, rep: VerifyReport):
-    """c(eps - eps') = 1 - 6/((i+2)(i+3)) along each component's default
-    chain, and on D and E its last step closes on the whole component."""
+    """c(eps - eps') along each component's default chain: closed_charges'
+    steps but the tail, 1 - 6/((i+2)(i+3)) on the path, then D's or E's."""
     rs = s.rs
     for ci, (comp, chain) in enumerate(zip(rs.components,
                                            default_chains(rs))):
         eps = [_closed_identity(s.A, c) for c in [(), *chain]]
-        bad = None
-        for i, expected in enumerate(closed_charges(comp)[:-1], 1):
-            c = (eps[i] - eps[i - 1]).central_charge()
-            if c != expected:
-                bad = f"step {i}: {q_str(c)} != {q_str(expected)}"
-                break
+        steps = closed_charges(rs, chain, comp.rank)[:-1]
+        bad = next((f"step {i}: {q_str(c)} != {q_str(w)}"
+                    for i, (w, _) in enumerate(steps, 1)
+                    if (c := (eps[i] - eps[i - 1]).central_charge()) != w),
+                   None)
         rep.add(f"component {ci} ({comp}): discrete-series charges along "
                 "the chain" + _extends([comp]), bad is None, bad)
 
@@ -345,10 +342,15 @@ def certify_chain(rep: VerifyReport, ra, dec):
 
 
 def _thm_2_7(s: System, rep: VerifyReport):
-    """The default chains: charges, certify_chain, and charges' sum."""
+    """The System's chain: charges, certify_chain, and charges' sum."""
     rs, dec = s.rs, s.chain
-    _add_charges_clause(rep, rs.components, dec.idempotents, dec.charges,
-                        _extends(rs.components))
+    chains = [chain for chain, *_ in dec.blocks]
+    if chains == default_chains(rs):
+        want, note = _default_steps(rs, chains), _extends(rs.components)
+    else:
+        want = closed_charges(rs, chains[0], rs.l)
+        note = " (extends the paper's statement to any nested chain)"
+    _add_charges_clause(rep, want, dec.idempotents, dec.charges, note)
     certify_chain(rep, s.A, dec)
     total = sum(dec.charges, ZERO)
     rep.add(f"charges sum to c(delta) = l = {rs.l}", total == rs.l,
@@ -421,14 +423,13 @@ def _lemma_4_2(s: System, rep: VerifyReport):
     makes them independent and their span Q^n; a failing pair is named by
     both its idempotents, each with its component and step."""
     entry = catalog_entry(s.name)
-    sub = s.images
+    sub, steps = s.images, _default_steps(s.rs, default_chains(s.rs))
     dim = sub.checks["dimension"]
     rep.add(f"dimension 24 + k = {24 + entry.k}", dim == 24 + entry.k,
             f"{dim} non-zero images")
-    _add_charges_clause(rep, entry.components, sub.idempotents, sub.charges)
+    _add_charges_clause(rep, steps, sub.idempotents, sub.charges)
     bad = None
     if "pair" in sub.checks:
-        steps = _chain_steps(entry.components)
         i, j = sub.checks["pair"]
         name = [f"idempotent {k} ({steps[k][1]})" for k in (i, j)]
         want = f"idempotent {i}" if i == j else "0"

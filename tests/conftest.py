@@ -22,9 +22,9 @@ from griess.bplus import PhiMap, build_bplus
 from griess.exactlin import QMatrix, SparseSolver, f2_span
 from griess.niemeier import catalog_entry
 from griess.ratio import Q, ZERO
-from griess.rootalgebra import build_A, build_T
+from griess.rootalgebra import build_A, build_T, default_chains
 from griess.rootsys import build, parse_spec
-from griess.verify import VerifyReport, certify_chain, closed_charges
+from griess.verify import VerifyReport, certify_chain
 
 REPORT_SCRIPT = (Path(__file__).resolve().parents[1] / "scripts"
                  / "niemeier_report.py")
@@ -67,10 +67,12 @@ def certificate(ra, dec) -> dict:
 
 def closed_images(name: str) -> DecompositionReport:
     """What verify's lemma4.2 passes on the catalog entry name, made from
-    the closed forms with no root system: the charges of closed_charges,
-    24 + k non-zero images (stand-ins) and no failing pair."""
+    the closed forms with no algebra: the charges of verify.closed_charges
+    on the entry's default chains, 24 + k non-zero images (stand-ins) and
+    no failing pair."""
     entry = catalog_entry(name)
-    charges = [c for comp in entry.components for c in closed_charges(comp)]
+    rs = system(verify.resolve(name))
+    charges = [c for c, _ in verify._default_steps(rs, default_chains(rs))]
     one = StructureAlgebra(["b"], lambda: (1, [{}]), lambda: (1, [{}]))
     return DecompositionReport(
         [one.element({0: 1})] * len(charges), charges, name,

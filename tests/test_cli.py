@@ -10,6 +10,7 @@ from griess import rootalgebra, verify
 from griess.bplus import PhiMap
 from griess.cli import _build_parser, run
 from griess.niemeier import catalog
+from griess.ratio import Q, q_str
 from griess.rootsys import RootSystem, build, parse_spec
 from griess.verify import _two_n, check_size, run_target
 
@@ -20,6 +21,13 @@ def run_captured(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def off_at_step_2(monkeypatch):
+    """verify.closed_charges made one too high at step 2 of every block."""
+    closed = verify.closed_charges
+    monkeypatch.setattr(verify, "closed_charges", lambda *args: [
+        (c + where.endswith(", step 2"), where) for c, where in closed(*args)])
 
 
 class TestRoots:
@@ -170,19 +178,49 @@ class TestDecompose:
                 "counterexample": None} in report["clauses"]
 
     def test_explicit_chain(self, capsys):
-        """A user chain has no closed-form charges: its report is the
-        certificate's four clauses."""
+        """thm2.7 judges a user chain as it does the default chains, with
+        the charges, the certificate's four clauses and the sum; on D4,
+        0,1,2,3 is the default chain, judged and named as such."""
         code, out = run_captured(
             capsys, ["decompose", "D4", "--chain", "0,1,2,3", "--json"])
         assert code == 0
         data = json.loads(out)
         assert len(data["charges"]) == 5
-        assert data["report"]["target"] == "chain certificate [D4]"
+        assert data["report"]["target"] == "thm2.7 [D4]"
         assert [(c["description"].split(" (")[0], c["passed"])
                 for c in data["report"]["clauses"]] == [
+            ("charges match the closed forms", True),
             ("sum to identity", True), ("pairwise products", True),
             ("pairwise form", True),
-            ("span of the 5 idempotents is associative", True)]
+            ("span of the 5 idempotents is associative", True),
+            ("charges sum to c(delta) = l = 4", True)]
+
+    @pytest.mark.parametrize("spec,chain,charges", [
+        ("D5", "4,3,2,1,0", "1/2, 1/2, 1, 1, 1, 1"),
+        ("E6", "5,4,3,2,1,0", "1/2, 7/10, 4/5, 6/7, 8/7, 8/7, ..."),
+        ("A2+A2", "0,2", "1/2, 1/2, 3")], ids=["D5", "E6", "A2+A2"])
+    def test_user_chain_charges_clause(self, capsys, monkeypatch, spec,
+                                       chain, charges):
+        """A user chain's report has the charges clause, which says that it
+        extends the paper's statement; A2+A2's {0,2} has two connected
+        parts.  With the closed form one too high at step 2 the clause
+        fails and names the chain's step 2."""
+        argv = ["decompose", spec, "--chain", chain, "--json"]
+        code, out = run_captured(capsys, argv)
+        assert code == 0
+        [first, *_] = json.loads(out)["report"]["clauses"]
+        assert first == {
+            "description": f"charges match the closed forms ({charges}) "
+            "(extends the paper's statement to any nested chain)",
+            "passed": True, "counterexample": None}
+        off_at_step_2(monkeypatch)
+        code, out = run_captured(capsys, argv)
+        assert code == 1
+        second = charges.split(", ")[1]
+        assert [c["counterexample"] for c in json.loads(out)["report"][
+            "clauses"] if not c["passed"]] == [
+            f"idempotent 1 (chain, step 2): charge {second} != "
+            f"{q_str(Q(second) + 1)}"]
 
     @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
     def test_doubled_forms_fail_the_charges(self, capsys, monkeypatch,
@@ -323,13 +361,7 @@ class TestNiemeier:
                                                json_out):
         """Charges that differ from verify.closed_charges fail `niemeier
         sub`, which names the first mismatch, its component and its step."""
-        closed = verify.closed_charges
-
-        def off(comp):
-            out = closed(comp)
-            out[1] += 1
-            return out
-        monkeypatch.setattr(verify, "closed_charges", off)
+        off_at_step_2(monkeypatch)
         code, out = run_captured(capsys, ["niemeier", "sub", "A2^12"]
                                  + ["--json"] * json_out)
         assert code == 1
@@ -528,13 +560,7 @@ class TestVerify:
                 for c in report["clauses"] if not c["passed"]] == failed
 
     def test_wrong_charge_fails_one_clause(self, capsys, monkeypatch):
-        closed = verify.closed_charges
-
-        def off(comp):
-            out = closed(comp)
-            out[1] += 1
-            return out
-        monkeypatch.setattr(verify, "closed_charges", off)
+        off_at_step_2(monkeypatch)
         code, out = run_captured(
             capsys, ["verify", "thm2.7", "--spec", "A2+A3", "--json"])
         assert code == 1
@@ -558,6 +584,43 @@ class TestVerify:
             "charges match the closed forms (1/2, 7/10, 4/5, 1, 1)")
         code, out = run_captured(capsys, ["verify", "eq2.5", "--spec", "D4"])
         assert "c(delta - epsilon) = sum of 2l/(h+2) = 1" + note in out
+
+    @pytest.mark.parametrize("spec", ["A3", "D4"])
+    def test_doubled_forms_fail_lemma_2_6_at_step_1(self, capsys,
+                                                    monkeypatch, spec):
+        """A's form read over 1 instead of 2 doubles every charge: lemma2.6
+        fails at step 1, against the closed form 1/2."""
+        make = rootalgebra.StructureAlgebra
+        monkeypatch.setattr(rootalgebra, "StructureAlgebra", lambda labels,
+                            product, form: make(labels, product,
+                                                lambda: (1, form()[1])))
+        code, out = run_captured(
+            capsys, ["verify", "lemma2.6", "--spec", spec, "--json"])
+        assert code == 1
+        [report] = json.loads(out)["reports"]
+        assert [c["counterexample"] for c in report["clauses"]
+                if not c["passed"]] == ["step 1: 1 != 1/2"]
+
+    @pytest.mark.parametrize("spec", ["A3", "D4"])
+    def test_perturbed_identity_fails_lemma_2_5(self, capsys, monkeypatch,
+                                                spec):
+        """One coefficient of the closed identity of {0, 1} changed: lemma2.5
+        fails at step 2, the step whose larger identity that is."""
+        closed = verify._closed_identity
+
+        def perturbed(ra, simple, with_u=False):
+            e = closed(ra, simple, with_u)
+            if frozenset(simple) != {0, 1}:
+                return e
+            return e + ra.alg.element({min(e.coeffs): Q(1, 7)})
+        monkeypatch.setattr(verify, "_closed_identity", perturbed)
+        code, out = run_captured(
+            capsys, ["verify", "lemma2.5", "--spec", spec, "--json"])
+        assert code == 1
+        [report] = json.loads(out)["reports"]
+        [bad] = [c["counterexample"] for c in report["clauses"]
+                 if not c["passed"]]
+        assert bad.startswith("step 2: ")
 
     def test_formula41_at_the_largest_dimension(self, capsys):
         code, out = run_captured(

@@ -11,7 +11,8 @@ constants against the triple products of elements, Lemma 4.2's pairwise
 idempotent certificate against that check, the identity solve
 against one dense solve of the whole system and against its one solver
 per union-find forest and the held equations contracted onto the trees,
-delta, epsilon and the JSON round trip on random direct sums, the JSON
+delta, epsilon, the JSON round trip and the charges of random chains,
+against their closed form, on random direct sums, the JSON
 form against recorded bytes and its own reading, and the identity certificates of the
 chain decomposition against the pairwise products and forms of its
 idempotents and the exhaustive associativity check.  The check of
@@ -26,8 +27,10 @@ run on the S^2(H) kernel, are compared with its product table and the
 reference form rule on basis pairs, dense elements and chain
 images."""
 
+import contextlib
 import functools
 import gc
+import io
 import hashlib
 import itertools
 import json
@@ -43,6 +46,7 @@ from griess.algebra import DependentError, StructureAlgebra
 from griess import bplus as bplus_module, verify
 from griess.bplus import (BPlusStructure, PhiMap, build_bplus,
                           verify_theorem_3_1)
+from griess.cli import run
 from griess.exactlin import QMatrix, SparseSolver
 from griess.niemeier import catalog_entry, lemma_4_2_subalgebra
 from griess.ratio import Q, q_parse, q_str
@@ -805,6 +809,29 @@ def test_random_direct_sums_phi_rank(parts):
     assert (p.rank == p.codomain.dim) == (len(parts) == 1)
 
 
+@given(parts=st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=3),
+       data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_random_chains_have_the_closed_charges(parts, data):
+    """On a direct sum of 1-3 components, the prefixes of a random order of
+    the simple roots cut at random points, so that a set may have several
+    connected parts: generalized_chain_decompose's charges are
+    verify.closed_charges', and `decompose --chain` on every prefix up to
+    the last cut exits 0 by thm2.7."""
+    spec = "+".join(parts)
+    rs = system(spec)
+    order = data.draw(st.permutations(range(rs.l)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, rs.l), min_size=1)))
+    chain = [frozenset(order[:c]) for c in cuts]
+    dec = generalized_chain_decompose(algebra_A(spec), chain)
+    assert dec.charges == [c for c, _ in verify.closed_charges(rs, chain,
+                                                               rs.l)]
+    argv = ["decompose", spec, "--json",
+            "--chain", ",".join(map(str, order[:cuts[-1]]))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0
+
+
 # -- associativity of a span: structure constants against element triples ---
 
 def direct_associative_span(alg, elements):
@@ -1019,7 +1046,7 @@ def test_broken_epsilon_fails_both_checks(spec, chain, monkeypatch):
     chain = [frozenset(s) for s in chain
              or [range(i) for i in range(1, ra.rs.l + 1)]]
     break_closed_identity(monkeypatch, chain[len(chain) // 2])
-    dec = rootalgebra._chain_decompose(ra, [(chain, delta(ra))], "")
+    dec = rootalgebra._chain_decompose(ra, [(chain, range(ra.rs.l))], "")
     cert, span = certificate_and_span(ra, dec)
     assert cert == direct_decomposition_checks(ra, dec.idempotents, delta(ra))
     assert not cert["pairwise products"] and not span

@@ -14,7 +14,7 @@ from griess.ratio import Q
 from griess.verify import run_target
 
 from conftest import (closed_images, polar, reference_lagrangians,
-                      run_report_script)
+                      run_report_script, system)
 
 
 class TestCatalog:
@@ -269,9 +269,10 @@ def test_niemeier_report_fails_on_a_failing_entry(broken, failure,
     closed-form charges, number 24 + k and have no failing pair, and exits
     0 if all entries and both tables pass; one of them broken on A3^8
     fails that entry, names the failing clause, and exits 1.  The images
-    are made from the closed forms, so nothing is built."""
-    def images(system):
-        name = system.name
+    are made from the closed forms, so no algebra is built; the closed
+    forms read each entry's root system, built once per session."""
+    def images(s):
+        name = s.name
         sub = closed_images(name)
         if name == "A3^8" and broken == "charge":
             sub.charges[5] += 1
@@ -281,9 +282,10 @@ def test_niemeier_report_fails_on_a_failing_entry(broken, failure,
             sub.checks.update(associative=False, pair=(0, 1))
         return sub
 
-    def never(spec):
-        raise AssertionError(f"{spec} built")
-    monkeypatch.setattr(verify, "build", never)
+    def never(rs):
+        raise AssertionError(f"an algebra of {rs.spec_string()} built")
+    monkeypatch.setattr(verify, "build", system)
+    monkeypatch.setattr(verify, "build_A", never)
     code = run_report_script(monkeypatch, images)
     out = capsys.readouterr().out
     assert code == (1 if broken else 0)

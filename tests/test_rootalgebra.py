@@ -1,5 +1,6 @@
 import pytest
 
+from griess import verify
 from griess.ratio import Q
 from griess.rootalgebra import (coset_chain_decompose, delta, epsilon,
                                 generalized_chain_decompose)
@@ -158,6 +159,22 @@ class TestGeneralizedChain:
         dec = generalized_chain_decompose(ra, [[0], [0, 1], [0, 1, 2, 3]])
         assert sum(dec.charges) == 4
         assert all(is_idempotent(e) for e in dec.idempotents)
+
+    @pytest.mark.parametrize("chain,charges,steps", [
+        ([[0], [0]], [Q(1, 2), Q(5, 2)], ["chain, step 1", "chain, step 3"]),
+        ([[]], [Q(3)], ["chain, step 2"])])
+    def test_zero_steps_dropped_and_judged(self, chain, charges, steps):
+        """A step that repeats the set before it, S_1 = {} included, has a
+        zero idempotent, which construction and the closed form both drop:
+        thm2.7 passes on A3 along such a chain, whose steps keep their
+        numbers, so the tail of [[0], [0]] is step 3."""
+        s = verify.System("A3")
+        s.chain = generalized_chain_decompose(s.A, chain)
+        assert s.chain.charges == charges
+        assert [where for _, where in verify.closed_charges(
+            s.rs, s.chain.blocks[0][0], 3)] == steps
+        rep = verify.report("thm2.7", s)
+        assert rep.passed, rep.clauses
 
     def test_rejects_non_nested(self):
         with pytest.raises(ValueError):
