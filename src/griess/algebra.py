@@ -670,9 +670,6 @@ class AlgebraElement:
                 del out[i]
         return AlgebraElement(self.algebra, out)
 
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {i: -c for i, c in self.coeffs.items()})
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Bilinear extension of the structure constants."""
         out, den = self._bilinear(other, form=False)

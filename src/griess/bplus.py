@@ -40,9 +40,12 @@ and u(alpha) to alpha^2/2 + x_alpha, an isometric algebra homomorphism
 onto the sum of B+(Phi_c) over the components c, as alpha^2 lies in
 S^2(H_c).  So it is onto B+ on an irreducible system, bijective exactly in
 type A; on a direct sum it misses the cross terms h_c h_c' (rank 48 < dim
-324 on A1^24).  B+'s form is positive definite, as S is, so the kernel
-of an isometry is the radical of the root algebra's form (Corollary 3.2).
-B+ is one BPlusStructure; PhiMap reads the squares alpha^2 of its kernel.
+324 on A1^24).  PhiMap.rank counts the image: the M_r = 4 x_r span the x
+block; if every alpha_r^2 = sym(c_r, c_r), the P_r = 2 alpha_r^2 span
+S^2(H_c), by induction on the length of the path root x+m+y from simple
+root a to b, x = alpha_a, y = alpha_b: (x+m+y)^2 - (m+y)^2 - (x+m)^2 + m^2
+= 2 s(a, b).  B+'s form is positive definite, as S is, so the kernel of an
+isometry is the radical of the root algebra's form (Corollary 3.2).
 verify_theorem_3_1 checks this in one pass over the root pairs r, s, where
 the products and forms of the images of good roots are a few integers such
 as c_r^T S c_s, compared with A's entries coordinate by coordinate.
@@ -57,7 +60,6 @@ from itertools import compress
 from operator import add, mul
 
 from .algebra import AlgebraElement, StructureAlgebra
-from .exactlin import SparseSolver
 from .ratio import Q
 from .rootalgebra import RootAlgebra
 from .rootsys import RootSystem
@@ -461,14 +463,28 @@ class PhiMap:
                  B.operand(self.image({r: -1, N + r: 1}))) for r in range(N)]
 
     @functools.cached_property
-    def rank(self) -> int:
-        """Exact rank, from the rows of parts, M_r before P_r, each fed
-        while the rank is below dim: a full rank is final."""
-        solver, parts = SparseSolver(self.codomain.dim), self.parts
-        for row in [m for _, m in parts] + [p for p, _ in parts]:
-            if solver.rank < solver.n:
-                solver.add_equation(row, 0)
-        return solver.rank
+    def uncounted(self) -> str | None:
+        """Why rank is None (module docstring): the first root whose alpha^2
+        is not sym(c, c), or the first pair with no path root."""
+        rs, good = self.domain.rs, self.codomain.rank_one()
+        if False in good:
+            return f"alpha^2 of root {good.index(False)} is not sym(c, c)"
+        edges = [e for e in rs.supports if len(e) == 2]  # of the diagram
+        paths = set()  # (a, b) per path root from a to b
+        for c, s in zip(rs.simple_coeffs, rs.supports):
+            deg = Counter(a for e in edges if e <= s for a in e)
+            if max(c) == 1 and all(d < 3 for d in deg.values()):
+                ends = [a for a in sorted(s) if deg[a] < 2]
+                paths.add((ends[0], ends[-1]))
+        gap = next(((a, b) for sl in rs.component_simple_slices for a in sl
+                    for b in range(a, sl.stop) if (a, b) not in paths), None)
+        return gap and "no path root from simple root %d to %d" % gap
+
+    @functools.cached_property
+    def rank(self) -> int | None:
+        """dim phi(A), counted (module docstring), or None if uncounted."""
+        return None if self.uncounted else self.domain.rs.N + sum(
+            c.rank * (c.rank + 1) // 2 for c in self.domain.rs.components)
 
 
 def _basis_pairs(N: int, r: int, s: int) -> list:

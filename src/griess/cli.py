@@ -15,7 +15,7 @@ import sys
 
 from .niemeier import catalog, catalog_entry
 from .ratio import q_str
-from .rootalgebra import generalized_chain_decompose
+from .rootalgebra import generalized_chain_decompose, out_of_range
 from .rootsys import spec_parts
 from .verify import System, VerifyReport, report, resolve, run_target, TARGETS
 
@@ -24,22 +24,21 @@ def _parse_chain(text: str, spec: str) -> list[list[int]]:
     """A growing chain given as simple-root indices: "0,1,2" means the
     nested subsets {0} c {0,1} c {0,1,2}.  The indices are checked against
     the rank of spec, read from its parts, before anything is built."""
-    l = sum(t.rank * mult for t, mult in spec_parts(resolve(spec)))
     indices = []
     for item in text.split(","):
-        i = int(item) if re.fullmatch(r"-?[0-9]+", item) else None
         if not item:
             error = "has an empty index"
-        elif i is None:
+        elif not re.fullmatch(r"-?[0-9]+", item):
             error = f"has index {item!r}, which is not an integer"
-        elif not 0 <= i < l:
-            error = f"has index {i}, out of range for rank {l} (0 to {l - 1})"
-        elif i in indices:
-            error = f"repeats index {i}"
+        elif int(item) in indices:
+            error = f"repeats index {int(item)}"
         else:
-            indices.append(i)
+            indices.append(int(item))
             continue
         raise ValueError(f"--chain {text!r} {error}")
+    l = sum(t.rank * mult for t, mult in spec_parts(resolve(spec)))
+    if error := out_of_range(indices, l):
+        raise ValueError(f"--chain {text!r} has {error}")
     return [indices[:i] for i in range(1, len(indices) + 1)]
 
 
@@ -112,8 +111,6 @@ def _cmd_niemeier(args) -> int:
         _emit(args, payload, "\n".join(lines))
         return 0
     entry = catalog_entry(args.name)
-    if entry.is_leech:
-        raise ValueError("the Leech entry carries no root-system subalgebra")
     system = System(entry.name)
     rep = report("lemma4.2", system)
     sub = system.images

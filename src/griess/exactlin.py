@@ -3,7 +3,7 @@
 SparseSolver, incremental, sparse and fraction-free, is the one eliminator
 over the rationals.  QMatrix, a dense
 rational matrix kept as a reference for the tests, feeds it its rows for
-rref / rank / kernel / solve.  Over GF(2) vectors are bitmasks; f2_span
+rref / rank / solve.  Over GF(2) vectors are bitmasks; f2_span
 lists a subspace for the singularity re-check of the Lagrangian count.
 """
 
@@ -30,12 +30,6 @@ class QMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("QMatrix is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def _eliminated(self, rhs: Sequence = ()) -> "SparseSolver | None":
         """The rows, with rhs if given, fed to a SparseSolver; None when

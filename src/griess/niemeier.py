@@ -95,8 +95,6 @@ def catalog_entry(name: str) -> NiemeierEntry:
 
 def lemma_4_2_subalgebra(entry: NiemeierEntry) -> DecompositionReport:
     """chain_image_subalgebra on the root system of a non-Leech entry."""
-    if entry.is_leech:
-        raise ValueError("the Leech entry carries no root-system subalgebra")
     rs = entry.root_system()
     return chain_image_subalgebra(PhiMap(build_A(rs), build_bplus(rs)),
                                   entry.name)

@@ -1,16 +1,8 @@
-"""Exact rational scalars.
-
-gmpy2.mpq is used when available; its speed against fractions.Fraction has
-not been measured, and the hot kernels run in Python ints.  Both are exact
-and always kept in lowest terms with a positive denominator.
+"""Exact rational scalars: fractions.Fraction, always kept in lowest terms
+with a positive denominator.  The hot kernels run in Python ints.
 """
 
-from __future__ import annotations
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 ZERO = Q(0)
 ONE = Q(1)

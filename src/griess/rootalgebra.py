@@ -220,6 +220,13 @@ def coset_chain_decompose(ra: RootAlgebra) -> DecompositionReport:
                             "; ".join(descs))
 
 
+def out_of_range(indices, l: int) -> str | None:
+    """The first simple-root index out of range for rank l, described."""
+    bad = next((i for i in indices if not 0 <= i < l), None)
+    return None if bad is None else (
+        f"index {bad}, out of range for rank {l} (0 to {l - 1})")
+
+
 def generalized_chain_decompose(ra: RootAlgebra,
                                 chain: list[list[int]]) -> DecompositionReport:
     """Decompose along a user-supplied nested chain of simple-root subsets,
@@ -229,10 +236,8 @@ def generalized_chain_decompose(ra: RootAlgebra,
     for a, b in zip(sets, sets[1:]):
         if not a <= b:
             raise ValueError("chain subsets must be nested")
-    bad = next((i for s in chain for i in s if not 0 <= i < rs.l), None)
-    if bad is not None:
-        raise ValueError(f"index {bad}, out of range for rank {rs.l} "
-                         f"(0 to {rs.l - 1})")
+    if error := out_of_range([i for s in chain for i in s], rs.l):
+        raise ValueError(error)
     desc = "chain " + " c ".join("{" + ",".join(map(str, sorted(s))) + "}"
                                  for s in sets)
     return _chain_decompose(ra, [(sets, range(rs.l))], desc)

@@ -81,7 +81,9 @@ def _catalog_specs() -> dict:
 
 def resolve(spec: str) -> str:
     """The spec of a non-Leech catalog name, such as A5^4+D4 for A5^4D4,
-    which is no spec; any other string is taken as a spec."""
+    which is no spec; any other string but Leech is taken as a spec."""
+    if spec == "Leech":
+        raise ValueError("the Leech entry carries no root-system subalgebra")
     return _catalog_specs().get(spec, spec)
 
 
@@ -365,11 +367,11 @@ def _thm_3_1(s: System, rep: VerifyReport):
             % product_pair)
     rep.add("isometry on all basis pairs", form_pair is None,
             form_pair and "form mismatch at basis pair (%d,%d)" % form_pair)
-    dim = s.phi.codomain.dim
+    dim, why = s.phi.codomain.dim, s.phi.uncounted
     rep.add("surjective (exact rank equals target dimension)", rank == dim,
-            f"rank {rank} < dim {dim}")
+            why or f"rank {rank} < dim {dim}")
     rep.add(f"kernel dimension = 2N - dim = {2 * s.rs.N - dim}",
-            rank == dim, str(2 * s.rs.N - rank))
+            rank == dim, why or str(2 * s.rs.N - rank))
 
 
 def _not_positive_definite(S: list) -> str | None:
@@ -399,21 +401,20 @@ def _cor_3_2(s: System, rep: VerifyReport):
     radical.  B+'s form is positive definite when the Cartan matrix S that
     its kernel reads is, so a radical vector v, with <phi v, phi v> =
     <v, v> = 0, maps to 0: the radical lies in the kernel."""
-    phi, N = s.phi, s.rs.N
+    phi, N, rank, why = s.phi, s.rs.N, s.phi.rank, s.phi.uncounted
     if _all_type_a(s.rs.components):
-        rank = phi.rank
-        rep.add(f"bijective: rank {rank} = 2N = dim target",
+        rep.add(f"bijective: rank {'?' if why else rank} = 2N = dim target",
                 rank == 2 * N == phi.codomain.dim,
-                f"rank {rank}, 2N {2 * N}, dim {phi.codomain.dim}")
+                why or f"rank {rank}, 2N {2 * N}, dim {phi.codomain.dim}")
         return
     bad = _not_positive_definite(phi.codomain.cartan)
     rep.add("B+'s form is positive definite: the Cartan matrix S is "
             "symmetric with positive leading minors", bad is None, bad)
-    _, form_pair, rank = s.thm31
-    rep.add(f"kernel = radical, of dimension 2N - rank = {2 * N - rank}, "
-            "by thm3.1's isometry", form_pair is None,
-            form_pair and "thm3.1: form mismatch at basis pair (%d,%d)"
-            % form_pair)
+    form_pair = s.thm31[1]
+    rep.add(f"kernel = radical, of dimension 2N - rank = "
+            f"{'?' if why else 2 * N - rank}, by thm3.1's isometry",
+            form_pair is None and not why, why or form_pair and (
+                "thm3.1: form mismatch at basis pair (%d,%d)" % form_pair))
 
 
 def _lemma_4_2(s: System, rep: VerifyReport):

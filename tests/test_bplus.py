@@ -1,6 +1,6 @@
 import pytest
 
-from griess import bplus as bplus_module, verify as verify_module
+from griess import verify as verify_module
 from griess.bplus import PhiMap, verify_theorem_3_1
 from griess.exactlin import QMatrix, SparseSolver
 from griess.ratio import Q
@@ -138,24 +138,32 @@ SHARED_REPORTS = {
 
 
 @pytest.mark.parametrize("spec", ["D4", "A2"])
-def test_phi_rank_solved_once_per_system(spec, monkeypatch):
-    """`verify all` on one spec runs verify_theorem_3_1 once and builds
-    phi's rank solver, of size dim B+, once: thm3.1 and cor3.2 read the
-    System's one pass and the rank of its one phi."""
-    sizes, passes = [], []
+def test_thm_3_1_runs_once_and_solves_nothing(spec, monkeypatch):
+    """`verify all` on one spec runs verify_theorem_3_1 once, and thm3.1
+    and cor3.2 build no SparseSolver: they read the System's one pass and
+    phi's counted rank.  prop2.2 still solves for the identity."""
+    built, passes, solving = [], [], {}
+    init, write = SparseSolver.__init__, verify_module.report
 
-    class Counted(SparseSolver):
-        def __init__(self, n):
-            sizes.append(n)
-            super().__init__(n)
+    def counted_init(self, n):
+        built.append(n)
+        init(self, n)
 
     def counted(p):
         passes.append(p)
         return verify_theorem_3_1(p)
-    monkeypatch.setattr(bplus_module, "SparseSolver", Counted)
+
+    def report(target, arg):
+        before = len(built)
+        rep = write(target, arg)
+        solving[target] = len(built) > before
+        return rep
+    monkeypatch.setattr(SparseSolver, "__init__", counted_init)
     monkeypatch.setattr(verify_module, "verify_theorem_3_1", counted)
+    monkeypatch.setattr(verify_module, "report", report)
     reports = {r.target: r.clauses for r in run_target("all", spec)
                if r.target.startswith(("thm3.1", "cor3.2"))}
-    assert sizes == [bplus(spec).dim]
+    assert solving["prop2.2"]
+    assert not solving["thm3.1"] and not solving["cor3.2"]
     assert len(passes) == 1
     assert reports == SHARED_REPORTS[spec]

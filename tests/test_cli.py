@@ -309,6 +309,24 @@ class TestNiemeier:
         assert captured.err == ("error: the Leech entry carries no "
                                 "root-system subalgebra\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["roots", "Leech"], ["algebra", "Leech"], ["decompose", "Leech"],
+        ["decompose", "Leech", "--chain", "0"],
+        ["verify", "thm2.7", "--spec", "Leech"],
+        ["verify", "all", "--spec", "Leech"], ["niemeier", "sub", "Leech"]])
+    def test_leech_refused_by_every_command(self, capsys, monkeypatch, argv):
+        """The catalog name Leech, which has no root system, is refused by
+        verify.resolve in one line, before any build, and not parsed as a
+        spec."""
+        def never(*args):
+            raise AssertionError("a root system was built for Leech")
+        monkeypatch.setattr("griess.verify.build", never)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the Leech entry carries no "
+                                "root-system subalgebra\n")
+
     def test_sub_names_the_bad_name_and_the_catalog(self, capsys):
         assert run(["niemeier", "sub", "A2"]) == 2
         captured = capsys.readouterr()

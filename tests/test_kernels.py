@@ -11,8 +11,10 @@ constants against the triple products of elements, Lemma 4.2's pairwise
 idempotent certificate against that check, the identity solve
 against one dense solve of the whole system and against its one solver
 per union-find forest and the held equations contracted onto the trees,
-delta, epsilon, the JSON round trip and the charges of random chains,
-against their closed form, on random direct sums, the JSON
+delta, epsilon, the JSON round trip, the charges of random chains and
+phi's counted rank, against their closed form and the dense rank, on
+random direct sums, the rank left uncounted by a broken square or a lost
+path root, the JSON
 form against recorded bytes and its own reading, and the identity certificates of the
 chain decomposition against the pairwise products and forms of its
 idempotents and the exhaustive associativity check.  The check of
@@ -798,13 +800,14 @@ def test_random_direct_sums_solve_and_round_trip(parts):
 @given(parts=st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=3))
 @settings(max_examples=20, deadline=None)
 def test_random_direct_sums_phi_rank(parts):
-    """On a direct sum of 1-3 components phi's rank is the sum over the
-    components c of l_c (l_c + 1) / 2 + N_c: it is 2N iff every component
-    is of type A, and dim B+ iff there is one component."""
+    """On a direct sum of 1-3 components phi's counted rank is the dense
+    rank and the sum over the components c of l_c (l_c + 1) / 2 + N_c: it
+    is 2N iff every component is of type A, and dim B+ iff there is one
+    component."""
     rs = build("+".join(parts))
     p = PhiMap(build_A(rs), build_bplus(rs))
-    assert p.rank == sum(c.rank * (c.rank + 1) // 2 + c.num_positive
-                         for c in rs.components)
+    assert p.rank == phi_matrix(p).rank() == sum(
+        c.rank * (c.rank + 1) // 2 + c.num_positive for c in rs.components)
     assert (p.rank == 2 * rs.N) == all(c.family == "A" for c in rs.components)
     assert (p.rank == p.codomain.dim) == (len(parts) == 1)
 
@@ -1383,12 +1386,22 @@ def broken_phi(spec, what):
 @pytest.mark.parametrize("spec", ["A3", "D4"])
 def test_broken_inputs_fail_like_direct(spec, what):
     """"kernel Cartan" changes only what B+'s kernel reads, so its products
-    and forms alike."""
+    and forms alike.  A changed alpha^2 leaves the rank uncounted."""
     rep = verify_theorem_3_1(broken_phi(spec, what))
     assert rep != (None, None, bplus(spec).dim)
-    assert rep == direct_theorem_3_1(broken_phi(spec, what))
+    assert_like_direct(rep, broken_phi(spec, what), what)
     if what == "kernel Cartan":
         assert None not in rep[:2]
+
+
+def assert_like_direct(rep, p, what):
+    """rep is direct_theorem_3_1's triple on p, but where alpha^2 is
+    changed: there the pair verdicts are its, and the rank is None."""
+    direct = direct_theorem_3_1(p)
+    if what == "alpha^2":
+        assert rep == (*direct[:2], None)
+    else:
+        assert rep == direct
 
 
 @pytest.mark.parametrize("what", ["kernel Cartan",
@@ -1407,7 +1420,7 @@ def test_skipped_pairs_fail_like_direct(spec, what):
     else:
         p = broken_phi(spec, what)
     rep = verify_theorem_3_1(p)
-    assert rep == direct_theorem_3_1(p)
+    assert_like_direct(rep, p, what)
     assert rep[:2] != (None, None)
     if what.startswith("orthogonal"):
         pair = (r, system(spec).N + s)
@@ -1686,6 +1699,44 @@ def test_broken_inputs_fail_sparse_and_dense_cor_3_2(what, failing,
     assert [k for k, (_, ok, _) in enumerate(rep.clauses) if not ok] == failing
     if what == "kernel Cartan":
         assert rep.clauses[0][2] == "S[0][1] = 0 != S[1][0] = -1"
+
+
+@pytest.mark.parametrize("spec,root,top", [("A3", 5, 1), ("D4", 11, 2)])
+def test_broken_square_leaves_the_rank_uncounted(spec, root, top,
+                                                 monkeypatch):
+    """alpha^2 of the last root changed, a path root on A3 and the highest
+    root on D4, which is none (its top coefficient is 2): phi's rank is
+    None, and thm3.1's surjective and kernel clauses and cor3.2's failing
+    clauses name the root instead of a rank."""
+    p = broken_phi(spec, "alpha^2")
+    assert max(p.domain.rs.simple_coeffs[root]) == top
+    why = f"alpha^2 of root {root} is not sym(c, c)"
+    assert (p.rank, p.uncounted) == (None, why)
+    name = with_phi(monkeypatch, p)
+    [thm] = verify.run_target("thm3.1", name)
+    assert [(ok, detail) for _, ok, detail in thm.clauses[2:]] == [
+        (False, why), (False, why)]
+    [cor] = verify.run_target("cor3.2", name)
+    failing = [detail for _, ok, detail in cor.clauses if not ok]
+    assert failing and all(detail == why for detail in failing)
+    assert not any("None" in text for text, _, _ in cor.clauses)
+
+
+@pytest.mark.parametrize("spec,root,coeffs,pair", [
+    ("A3", 5, (1, 2, 1), (0, 2)), ("D4", 8, (1, 2, 0, 1), (0, 3))])
+def test_missing_path_root_leaves_the_rank_uncounted(spec, root, coeffs,
+                                                     pair):
+    """The path root from simple root a to b read with coefficient 2 on
+    its middle simple root, by the root data and by B+'s squares alike:
+    every square is sym(c, c), but no root is a path from a to b.  On D4
+    the root alpha_0 + alpha_1 + alpha_2 + alpha_3 has coefficients 0 and
+    1 and contains both, but alpha_1 has three neighbours in it."""
+    rs = build(spec)
+    rs.simple_coeffs[root] = coeffs
+    p = PhiMap(build_A(rs), build_bplus(rs))
+    assert all(p.codomain.rank_one())
+    assert (p.rank, p.uncounted) == (
+        None, "no path root from simple root %d to %d" % pair)
 
 
 # -- B+ element products: the S^2(H) kernel against the product table -------
