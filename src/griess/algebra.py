@@ -454,8 +454,11 @@ class StructureAlgebra:
         (its coefficients summed per tree) and fed to a SparseSolver with
         one unknown per tree until its rank is the tree count m.  An
         identity is unique if it exists, so rank < m means none.  A check
-        over every b_j certifies the candidate whatever was skipped; no
-        closed form seeds the solve, which cross-checks delta and epsilon.
+        over every b_j certifies the candidate whatever was skipped.  No
+        closed form seeds the solve.  verify runs no solve: prop2.2 and
+        lemma2.3 certify delta and epsilon by that check alone, and this
+        solve stays as the independent reference of the tests and the
+        benchmark.
         """
         tree = [[a] for a in range(self.dim)]  # a's tree, as its members
         held: list = []

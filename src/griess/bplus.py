@@ -203,10 +203,12 @@ class BPlusStructure(StructureAlgebra):
             x.q[r] = v
         return v
 
+    @functools.cached_property
     def rank_one(self) -> list:
         """Per root r, whether a_r^2 = sym(c_r, c_r), c_r the simple-root
         coefficients the kernel reads, so that P_r = 2 a_r^2 of
-        PhiMap.parts has X' = 4 c_r c_r^T."""
+        PhiMap.parts has X' = 4 c_r c_r^T.  Built once per structure, for
+        verify_theorem_3_1's pass and PhiMap.uncounted's count alike."""
         return [sq == _square(c, self._idx)
                 for sq, c in zip(self._sq, self._coeffs)]
 
@@ -466,7 +468,7 @@ class PhiMap:
     def uncounted(self) -> str | None:
         """Why rank is None (module docstring): the first root whose alpha^2
         is not sym(c, c), or the first pair with no path root."""
-        rs, good = self.domain.rs, self.codomain.rank_one()
+        rs, good = self.domain.rs, self.codomain.rank_one
         if False in good:
             return f"alpha^2 of root {good.index(False)} is not sym(c, c)"
         edges = [e for e in rs.supports if len(e) == 2]  # of the diagram
@@ -532,7 +534,7 @@ def verify_theorem_3_1(phi: PhiMap) -> tuple:
     A, B, N = phi.domain.alg, phi.codomain, phi.domain.rs.N
     (_, prows), (_, frows) = A.product_table, A.form_table
     products, forms = [], []
-    for r, row in B.pair_mismatches(A, B.rank_one()):
+    for r, row in B.pair_mismatches(A, B.rank_one):
         for s, bad in row.items():
             bad = bad or _pair_mismatches(phi, r, s)
             products += bad[0]

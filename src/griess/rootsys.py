@@ -255,11 +255,12 @@ _COMP_RE = re.compile(r"^([ADE])(\d+)(?:[\^*](\d+))?$")
 def spec_parts(spec: str) -> list[tuple[SimpleType, int]]:
     """(simple type, multiplicity) per part of a spec, with no part
     expanded, so a huge multiplicity costs nothing."""
-    out = []
-    for part in spec.replace(" ", "").split("+"):
+    out, whole = [], spec.replace(" ", "")
+    for part in whole.split("+"):
         m = _COMP_RE.match(part)
         if not m:
-            raise ValueError(f"cannot parse root system spec {part!r}")
+            raise ValueError(f"cannot parse root system spec {spec!r}" + (
+                "" if part == whole else f" at part {part!r}"))
         out.append((SimpleType(m.group(1), int(m.group(2))),
                     int(m.group(3) or 1)))
     return out

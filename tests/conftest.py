@@ -125,6 +125,12 @@ def encode_rows(product, form, dim: int) -> tuple:
     return product_table, form_table
 
 
+def no_identity_algebra():
+    """One-dimensional zero multiplication: no identity exists."""
+    return StructureAlgebra(["n"], *encode_rows({(0, 0): {}},
+                                                {(0, 0): Q(1)}, 1))
+
+
 def json_document(alg) -> dict:
     """alg.to_json() as a reader of its JSON gets it: lists, not tuples."""
     return json.loads(json.dumps(alg.to_json()))

@@ -7,7 +7,8 @@ from griess.algebra import StructureAlgebra
 from griess.ratio import Q
 
 from conftest import (algebra_A, basis_element, basis_form, encode_rows,
-                      is_idempotent, json_document, radical_dimension, scaled)
+                      is_idempotent, json_document, no_identity_algebra,
+                      radical_dimension, scaled)
 
 
 def two_dim_split():
@@ -15,12 +16,6 @@ def two_dim_split():
     return StructureAlgebra(["a", "b"], *encode_rows(
         {(0, 0): {0: Q(1)}, (0, 1): {}, (1, 1): {1: Q(1)}},
         {(0, 0): Q(1), (0, 1): Q(0), (1, 1): Q(1)}, 2))
-
-
-def no_identity_algebra():
-    """One-dimensional zero multiplication: no identity exists."""
-    return StructureAlgebra(["n"], *encode_rows({(0, 0): {}},
-                                                {(0, 0): Q(1)}, 1))
 
 
 def nonassociative_example():

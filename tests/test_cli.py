@@ -14,7 +14,8 @@ from griess.ratio import Q, q_str
 from griess.rootsys import RootSystem, build, parse_spec
 from griess.verify import _two_n, check_size, run_target
 
-from conftest import closed_images, run_report_script
+from conftest import (basis_element, closed_images, no_identity_algebra,
+                      run_report_script)
 
 
 def run_captured(capsys, argv):
@@ -43,8 +44,15 @@ class TestRoots:
         assert data["N"] == 12 and data["coxeter"] == [6]
         assert len(data["positive_roots"]) == 12
 
-    def test_bad_spec(self, capsys):
-        assert run(["roots", "Z1"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["roots", "Z1"], ["roots", "A3+"], ["roots", "+A3"],
+        ["verify", "prop2.2", "--spec", "A3++D4"]])
+    def test_bad_spec(self, capsys, argv):
+        """A bad spec exits 2 with one line that names the whole spec."""
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"cannot parse root system spec {argv[-1]!r}" in err
 
     def test_size_guard(self):
         assert run(["roots", "A40"]) == 2
@@ -639,6 +647,46 @@ class TestVerify:
         [bad] = [c["counterexample"] for c in report["clauses"]
                  if not c["passed"]]
         assert bad.startswith("step 2: ")
+
+    @pytest.mark.parametrize("target,closed", [("prop2.2", "delta"),
+                                               ("lemma2.3", "epsilon")])
+    @pytest.mark.parametrize("spec", ["A3", "D4"])
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_identity_off_at_one_coefficient_fails(self, capsys, monkeypatch,
+                                                   target, closed, spec, at):
+        """delta or epsilon with one coefficient 1/7 off: the clause fails
+        and names the first basis vector it does not fix, by element
+        products; off at b_0, that is b_0 itself, since t(0)^2 != 0."""
+        exact, made = getattr(verify, closed), []
+
+        def off(ra):
+            k = 0 if at == "first" else ra.alg.dim - 1
+            made.append(exact(ra) + ra.alg.element({k: Q(1, 7)}))
+            return made[-1]
+        monkeypatch.setattr(verify, closed, off)
+        code, out = run_captured(
+            capsys, ["verify", target, "--spec", spec, "--json"])
+        assert code == 1
+        [x], alg = made, made[0].algebra
+        j = next(j for j in range(alg.dim)
+                 if x * basis_element(alg, j) != basis_element(alg, j))
+        assert at == "last" or j == 0
+        [report] = json.loads(out)["reports"]
+        assert [(c["passed"], c["counterexample"])
+                for c in report["clauses"]] == [
+            (False, f"basis vector {j} ({alg.basis_labels[j]}) is not fixed")]
+
+    @pytest.mark.parametrize("x", ["zero", "b_0"])
+    def test_identity_clause_fails_with_no_identity(self, x):
+        """On an algebra with no identity, the identity clause fails at its
+        first basis vector whatever the element."""
+        alg, rep = no_identity_algebra(), verify.VerifyReport("identity")
+        verify._add_identity_clause(
+            rep, alg, alg.zero() if x == "zero" else basis_element(alg, 0),
+            x, "N")
+        assert rep.clauses == [
+            (f"{x} fixes every basis vector of N, so it is N's identity (an "
+             "identity is unique)", False, "basis vector 0 (n) is not fixed")]
 
     def test_formula41_at_the_largest_dimension(self, capsys):
         code, out = run_captured(

@@ -1245,7 +1245,7 @@ def pair_rows(p) -> list:
     """BPlusStructure.pair_mismatches of phi's codomain against its
     domain, as one {s: (products, forms) or None} per root r."""
     B = p.codomain
-    return [row for _, row in B.pair_mismatches(p.domain.alg, B.rank_one())]
+    return [row for _, row in B.pair_mismatches(p.domain.alg, B.rank_one)]
 
 
 def kept_pairs(p) -> list:
@@ -1487,7 +1487,7 @@ def test_closed_form_matches_the_kernel_per_pair(spec, what):
     where the pair has no closed form."""
     p = (phi(spec) if what is None else fourth_root(spec)
          if what == "fourth root" else broken_phi(spec, what))
-    good, fallbacks = p.codomain.rank_one(), 0
+    good, fallbacks = p.codomain.rank_one, 0
     for r, row in enumerate(pair_rows(p)):
         for s, bad in row.items():
             assert (bad is None) == takes_the_kernel(p, good, r, s), (r, s)
@@ -1734,7 +1734,7 @@ def test_missing_path_root_leaves_the_rank_uncounted(spec, root, coeffs,
     rs = build(spec)
     rs.simple_coeffs[root] = coeffs
     p = PhiMap(build_A(rs), build_bplus(rs))
-    assert all(p.codomain.rank_one())
+    assert all(p.codomain.rank_one)
     assert (p.rank, p.uncounted) == (
         None, "no path root from simple root %d to %d" % pair)
 
