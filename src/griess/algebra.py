@@ -424,22 +424,21 @@ class StructureAlgebra:
                 | self.form_table[1][i].keys())
 
     def form_matrix(self, elements: Sequence["AlgebraElement"]) -> list[list]:
-        """<e_i, e_j> for every pair of the elements, from one Gram-vector
-        product G e_j per element and integer dot products."""
+        """<e_i, e_j> for every pair of the elements, from G e_j on the
+        supports of e_0..e_j (e_j's own along a chain), one form row met by
+        lookups per coordinate, and integer dot products."""
         scaled = [e._integer_coeffs() for e in elements]
         den, rows = self.form_table
-        gram = []  # G e_j = g / den
-        for xs, xd in scaled:
-            g: dict = {}
-            for b, c in xs.items():
-                for a, v in rows[b].items():
-                    g[a] = g.get(a, 0) + c * v
-            gram.append((g, den * xd))
         out = [[ZERO] * len(elements) for _ in elements]
-        for j, (g, gd) in enumerate(gram):
-            for i, (xs, xd) in enumerate(scaled[:j + 1]):
-                if num := sum(xs[a] * g[a] for a in xs.keys() & g.keys()):
-                    out[i][j] = out[j][i] = Q(num, xd * gd)
+        seen: set = set()
+        for j, (xs, xd) in enumerate(scaled):
+            seen |= xs.keys()
+            get = xs.get  # G e_j = g / (den xd)
+            g = {a: sum(map(mul, r.values(), map(get, r, repeat(0))))
+                 for a in seen for r in (rows[a],)}
+            for i, (ys, yd) in enumerate(scaled[:j + 1]):
+                if num := sum(map(mul, ys.values(), map(g.__getitem__, ys))):
+                    out[i][j] = out[j][i] = Q(num, yd * den * xd)
         return out
 
     def find_identity(self) -> "AlgebraElement | None":

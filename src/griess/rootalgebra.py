@@ -16,7 +16,7 @@ and the complement of the component has the parafermion value 2l/(h+2).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .algebra import AlgebraElement, DecompositionReport, StructureAlgebra
@@ -28,7 +28,6 @@ class RootAlgebra:
     rs: RootSystem
     alg: StructureAlgebra
     t_only: bool
-    closed: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _make_algebra(rs: RootSystem, t_only: bool) -> StructureAlgebra:
@@ -114,16 +113,12 @@ def _closed_identity(ra: RootAlgebra, simple: Iterable[int],
     """Closed-form identity of the t-span of the sub-system on the simple
     roots: 1/(2h+4) on each t(alpha) of each connected part of its
     diagram, h = 2|Phi+|/rank; with_u, that of the algebra, 1/(4h) on each
-    t(alpha) and u(alpha).  Each is built once per algebra, kept in
-    ra.closed by (simple, with_u)."""
+    t(alpha) and u(alpha)."""
     if with_u and ra.t_only:
         raise ValueError("delta lives in the full algebra, not T(Phi)")
-    key = frozenset(simple), with_u
-    if key in ra.closed:
-        return ra.closed[key]
     rs = ra.rs
     coeffs = {}
-    for s, rts in connected_parts(rs, key[0]):
+    for s, rts in connected_parts(rs, frozenset(simple)):
         # 1/(4h) = rank/(8|Phi+|) and 1/(2h+4) = rank/(4(|Phi+| + rank))
         c = (Q(len(s), 8 * len(rts)) if with_u
              else Q(len(s), 4 * (len(rts) + len(s))))
@@ -131,8 +126,7 @@ def _closed_identity(ra: RootAlgebra, simple: Iterable[int],
             coeffs[r] = c
             if with_u:
                 coeffs[rs.N + r] = c
-    ra.closed[key] = AlgebraElement(ra.alg, coeffs)
-    return ra.closed[key]
+    return AlgebraElement(ra.alg, coeffs)
 
 
 def delta(ra: RootAlgebra) -> AlgebraElement:

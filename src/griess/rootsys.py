@@ -249,20 +249,21 @@ class RootSystem:
         return f"RootSystem({self.spec_string()}, N={self.N})"
 
 
-_COMP_RE = re.compile(r"^([ADE])(\d+)(?:[\^*](\d+))?$")
+_COMP_RE = re.compile(r"([ADE])([0-9]+)(?:[\^*]([0-9]+))?")
 
 
 def spec_parts(spec: str) -> list[tuple[SimpleType, int]]:
     """(simple type, multiplicity) per part of a spec, with no part
-    expanded, so a huge multiplicity costs nothing."""
+    expanded, so a huge multiplicity costs nothing; a part that does not
+    parse or has multiplicity 0 is refused, naming the spec and the part."""
     out, whole = [], spec.replace(" ", "")
     for part in whole.split("+"):
-        m = _COMP_RE.match(part)
-        if not m:
+        m = _COMP_RE.fullmatch(part)
+        if not m or not int(m[3] or 1):
             raise ValueError(f"cannot parse root system spec {spec!r}" + (
-                "" if part == whole else f" at part {part!r}"))
-        out.append((SimpleType(m.group(1), int(m.group(2))),
-                    int(m.group(3) or 1)))
+                "" if part == whole else f" at part {part!r}")
+                + (": multiplicity 0" if m else ""))
+        out.append((SimpleType(m[1], int(m[2])), int(m[3] or 1)))
     return out
 
 

@@ -6,29 +6,33 @@ first counterexample when they fail; a report passes iff every clause
 does.
 
 A spec target is a clause writer fn(system, report) in WRITERS; the three
-spec-free targets take the max dimension in place of the system.  A
-System holds what the targets and the CLI build from one spec, to be judged
-only here: it resolves a catalog name, runs the size guard before anything
-is built, and builds the root system, A(Phi), T(Phi), B+, phi, the default
-chains and their images in B+ each once, on first use, and runs thm3.1's
-check once: cor3.2 cites thm3.1 on its System.  report alone creates,
-names and times a report.  `all` makes one System per spec for every
-target run on it, so a report's elapsed time leaves out what an earlier
-target on the same spec built.  Every charge claim reads closed_charges:
-thm2.7 and lemma4.2 per idempotent, lemma2.6 per path step, and lemma2.4
-and eq2.5 on the chain of all simple roots.
+spec-free targets take the max dimension in place of the system.  A System
+holds what the targets and the CLI build from one spec, to be judged only
+here: it resolves a catalog name, runs the size guard before anything is
+built, and builds the root system, A(Phi), T(Phi), B+, phi, the default
+chains and their images in B+ each once, on first use, and thm2.7's and
+thm3.1's checks once: cor3.2 cites thm3.1, lemma2.5 cites thm2.7, and
+lemma2.6 reads the System's chain.  That is an order of verification; the
+paper proves 2.7 from 2.5 and 2.6.  A target run alone pays for what it
+cites.  report alone creates, names and times a report.  `all` makes one
+System per spec for every target run on it, so a report's elapsed time
+leaves out what an earlier target on the same spec built.  Every charge
+claim reads closed_charges: thm2.7 and lemma4.2 per idempotent, lemma2.6
+per idempotent but each block's tail, and lemma2.4 and eq2.5 on the chain
+of all simple roots.
 
 Verification checks and does not construct: no target runs a solver.
 prop2.2 and lemma2.3 certify the closed forms delta and epsilon by their
 action on every basis vector, an identity being unique; thm3.1 and cor3.2
-read phi's rank counted from the root data, and lemma4.2 certifies its
-idempotents.  The library's exact identity solve stays as the
-independent reference of the tests and the benchmark.
+read phi's rank counted from the root data, and thm2.7 and lemma4.2
+certify their idempotents.  The library's exact identity solve stays as
+the independent reference of the tests and the benchmark.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +44,7 @@ from .niemeier import (BRUTE_FORCE_MAX_DIM, catalog, catalog_entry,
 from .ratio import Q, ZERO, q_str
 from .rootalgebra import (build_A, build_T, connected_parts,
                           coset_chain_decompose, default_chains, delta,
-                          epsilon, _closed_identity, _sub_positive_roots)
+                          epsilon, _sub_positive_roots)
 from .rootsys import SimpleType, build, spec_parts
 
 DEFAULT_SPECS = ("A1", "A2", "A3", "D4", "E6", "A1^24", "A2^12", "A24")
@@ -119,8 +123,9 @@ def check_max_dim(max_dim: int):
 
 
 class System:
-    """The objects of one spec, or catalog name, built once each on first
-    use; the size guard runs when the System is made, before any build."""
+    """The objects of one spec, or catalog name, and the checks that other
+    targets cite, each made once on first use; the size guard runs when the
+    System is made, before any build."""
 
     def __init__(self, spec: str, force: bool = False):
         self.name = spec
@@ -155,6 +160,24 @@ class System:
     def chain(self):
         """The default chains' decomposition of A's identity, or a caller's."""
         return coset_chain_decompose(self.A)
+
+    @functools.cached_property
+    def thm27(self) -> list:
+        """thm2.7's clauses on the chain (a caller's is set before this is
+        read): charges, certify_chain's four, the sum; lemma2.5 cites them."""
+        rep, rs, dec = VerifyReport("thm2.7"), self.rs, self.chain
+        chains = [chain for chain, *_ in dec.blocks]
+        if chains == default_chains(rs):
+            want, note = _default_steps(rs, chains), _extends(rs.components)
+        else:
+            want = closed_charges(rs, chains[0], rs.l)
+            note = " (extends the paper's statement to any nested chain)"
+        _add_charges_clause(rep, want, dec.idempotents, dec.charges, note)
+        certify_chain(rep, self.A, dec)
+        total = sum(dec.charges, ZERO)
+        rep.add(f"charges sum to c(delta) = l = {rs.l}", total == rs.l,
+                q_str(total))
+        return rep.clauses
 
     @functools.cached_property
     def images(self):
@@ -254,72 +277,67 @@ def _eq_2_5(s: System, rep: VerifyReport):
 
 
 def _add_charges_clause(rep: VerifyReport, want: list, elements: list,
-                        charges: list, note: str = ""):
-    """One clause: a chain decomposition's charges equal want, their closed
-    forms; a failure names a wrong count of idempotents, or the first
-    idempotent that differs, with its block and its step."""
-    bad = next((f"idempotent {k} ({where})"
-                f"{' is zero' if elements[k].is_zero() else ''}: "
-                f"charge {q_str(c)} != {q_str(w)}"
-                for k, (c, (w, where)) in enumerate(zip(charges, want))
-                if c != w), None)
+                        charges: list, note: str = "", ks=None):
+    """One clause: a chain decomposition's charges at the indices ks, all
+    by default, equal want, their closed forms; a failure names a wrong
+    count of idempotents, or the first idempotent that differs, with its
+    block and its step."""
+    ks = range(len(charges)) if ks is None else ks
     if len(charges) != len(want):
         bad = f"{len(charges)} idempotents, expected {len(want)}"
+    else:
+        bad = next((f"idempotent {k} ({want[k][1]})"
+                    f"{' is zero' if elements[k].is_zero() else ''}: "
+                    f"charge {q_str(charges[k])} != {q_str(want[k][0])}"
+                    for k in ks if charges[k] != want[k][0]), None)
     rep.add(f"charges match the closed forms "
-            f"({', '.join(q_str(c) for c in charges[:6])}"
-            f"{', ...' if len(charges) > 6 else ''}){note}", bad is None, bad)
+            f"({', '.join(q_str(charges[k]) for k in ks[:6])}"
+            f"{', ...' if len(ks) > 6 else ''}){note}", bad is None, bad)
 
 
 def _lemma_2_5(s: System, rep: VerifyReport):
-    """<eps - eps', eps'> = 0 along each component's default chain."""
-    rs = s.rs
-    for ci, (comp, chain) in enumerate(zip(rs.components,
-                                           default_chains(rs))):
-        eps = [_closed_identity(s.A, c) for c in [(), *chain]]
-        bad = None
-        for i in range(1, len(eps)):
-            v = (eps[i] - eps[i - 1]).form(eps[i - 1])
-            if v != 0:
-                bad = f"step {i}: pairing {q_str(v)}"
-                break
-            if not (eps[i] * eps[i - 1] == eps[i - 1]):
-                bad = f"step {i}: smaller identity not absorbed"
-                break
-        rep.add(f"component {ci} ({comp}): chain differences orthogonal "
-                "to the smaller identity" + _extends([comp]), bad is None,
-                bad)
+    """eps_i eps_(i-1) = eps_(i-1) and <eps_i - eps_(i-1), eps_(i-1)> = 0
+    along each default chain, each cited from a clause of thm2.7's
+    certificate on the System's chain, whose detail a failure carries."""
+    cited = {d: (ok, detail) for d, ok, detail in s.thm27}
+    note = _extends(s.rs.components)
+    for claim, why, clause in [
+            ("eps_i eps_(i-1) = eps_(i-1)", "eps_i fixes T(Phi_i), which "
+             "holds eps_(i-1)", "pairwise products"),
+            ("<eps_i - eps_(i-1), eps_(i-1)> = 0", "it is the sum of "
+             "<e_i, e_j> over j < i, and each block's Gram matrix is "
+             "diagonal", "pairwise form")]:
+        ok, detail = cited[clause]
+        rep.add(f"{claim} along each chain: {why} (thm2.7's {clause})"
+                + note, ok, None if ok else f"thm2.7: {detail}")
 
 
 def _lemma_2_6(s: System, rep: VerifyReport):
-    """c(eps - eps') along each component's default chain: closed_charges'
-    steps but the tail, 1 - 6/((i+2)(i+3)) on the path, then D's or E's."""
-    rs = s.rs
-    for ci, (comp, chain) in enumerate(zip(rs.components,
-                                           default_chains(rs))):
-        eps = [_closed_identity(s.A, c) for c in [(), *chain]]
-        steps = closed_charges(rs, chain, comp.rank)[:-1]
-        bad = next((f"step {i}: {q_str(c)} != {q_str(w)}"
-                    for i, (w, _) in enumerate(steps, 1)
-                    if (c := (eps[i] - eps[i - 1]).central_charge()) != w),
-                   None)
-        rep.add(f"component {ci} ({comp}): discrete-series charges along "
-                "the chain" + _extends([comp]), bad is None, bad)
+    """c(eps_i - eps_(i-1)) along each default chain, read from the
+    System's chain: closed_charges' steps but each block's tail, 1 -
+    6/((i+2)(i+3)) on the path, then D's or E's."""
+    rs, dec = s.rs, s.chain
+    ends = set(itertools.accumulate(len(gram) for *_, gram in dec.blocks))
+    ks = [k for k in range(len(dec.charges)) if k + 1 not in ends]
+    _add_charges_clause(rep, _default_steps(rs, default_chains(rs)),
+                        dec.idempotents, dec.charges, ", each block's tail "
+                        "left out" + _extends(rs.components), ks)
 
 
 def certify_chain(rep: VerifyReport, ra, dec):
     """Four clauses certify a chain decomposition of A(Phi) from its
     blocks, B = supp delta_c the basis of one.  pairwise products: (a)
-    eps_k t(alpha) = t(alpha) for alpha in Phi_k, eps_k in span B; (b)
-    delta_c b = b for b in B; (c) no product or form row leaves its block,
-    blocks are disjoint.  pairwise form: (c), and each block's Gram matrix
-    is diagonal.  Why e_i e_j = [i = j] e_i: Phi_k is closed, so T(Phi_k)
-    is a subalgebra, with identity eps_k by (a).  Identities are unique, so
-    eps_k^2 = eps_k and eps_j eps_k = eps_j for j <= k, as T(Phi_j) c
-    T(Phi_k); by (b) this holds with eps_(m+1) = delta_c.  For j < k, e_j
-    e_k = eps_j - eps_j - eps_(j-1) + eps_(j-1) = 0 and e_k^2 = eps_k - 2
-    eps_(k-1) + eps_(k-1) = e_k; by (c) elements of different blocks
-    multiply and pair to 0.  Each check reads one sparse row per basis
-    vector instead of one dense product per pair."""
+    eps_k t(alpha) = t(alpha) for alpha in Phi_k, eps_k in T(Phi_k) and
+    span B; (b) delta_c b = b for b in B; (c) no product or form row
+    leaves its block, blocks are disjoint.  pairwise form: (c), and each
+    block's Gram matrix is diagonal.  Why e_i e_j = [i = j] e_i: Phi_k is
+    closed, so T(Phi_k) is a subalgebra, with identity eps_k by (a).
+    Identities are unique, so eps_k^2 = eps_k and eps_j eps_k = eps_j for
+    j <= k, as T(Phi_j) c T(Phi_k); by (b) this holds with eps_(m+1) =
+    delta_c.  For j < k, e_j e_k = eps_j - eps_j - eps_(j-1) + eps_(j-1) =
+    0 and e_k^2 = eps_k - 2 eps_(k-1) + eps_(k-1) = e_k; by (c) elements
+    of different blocks multiply and pair to 0.  Each check reads one
+    sparse row per basis vector instead of one dense product per pair."""
     alg, bad, seen, first = ra.alg, {}, set(), 0  # bad: first failures
     for c, (chain, eps, top, gram) in enumerate(dec.blocks):
         block = top.coeffs.keys()
@@ -330,8 +348,9 @@ def certify_chain(rep: VerifyReport, ra, dec):
         for name, x, fixed in [("delta_c", top, block)] + [
                 (f"eps_{k}", e, _sub_positive_roots(ra.rs, s))
                 for k, (s, e) in enumerate(zip(chain, eps), 1)]:
-            if not x.coeffs.keys() <= block:
-                bad.setdefault("products", f"block {c}: {name} leaves it")
+            if not x.coeffs.keys() <= block & set(fixed):
+                bad.setdefault("products",
+                               f"block {c}: {name} leaves the span it fixes")
             elif (j := alg.first_unfixed_basis(x, fixed)) is not None:
                 b = alg.basis_labels[j]
                 bad.setdefault("products", f"block {c}: {name} * {b} != {b}")
@@ -350,22 +369,6 @@ def certify_chain(rep: VerifyReport, ra, dec):
     rep.add(f"span of the {n} idempotents is associative (by the pairwise "
             f"products e_i e_j = [i = j] e_i it is Q^{n})",
             "products" not in bad, bad.get("products"))
-
-
-def _thm_2_7(s: System, rep: VerifyReport):
-    """The System's chain: charges, certify_chain, and charges' sum."""
-    rs, dec = s.rs, s.chain
-    chains = [chain for chain, *_ in dec.blocks]
-    if chains == default_chains(rs):
-        want, note = _default_steps(rs, chains), _extends(rs.components)
-    else:
-        want = closed_charges(rs, chains[0], rs.l)
-        note = " (extends the paper's statement to any nested chain)"
-    _add_charges_clause(rep, want, dec.idempotents, dec.charges, note)
-    certify_chain(rep, s.A, dec)
-    total = sum(dec.charges, ZERO)
-    rep.add(f"charges sum to c(delta) = l = {rs.l}", total == rs.l,
-            q_str(total))
 
 
 def _thm_3_1(s: System, rep: VerifyReport):
@@ -462,8 +465,9 @@ def _formula_4_1(max_dim: int, rep: VerifyReport):
 WRITERS = {
     "lemma2.1": _lemma_2_1, "prop2.2": _prop_2_2, "lemma2.3": _lemma_2_3,
     "lemma2.4": _lemma_2_4, "eq2.5": _eq_2_5, "lemma2.5": _lemma_2_5,
-    "lemma2.6": _lemma_2_6, "thm2.7": _thm_2_7, "thm3.1": _thm_3_1,
-    "cor3.2": _cor_3_2, "lemma4.2": _lemma_4_2, "formula4.1": _formula_4_1,
+    "lemma2.6": _lemma_2_6, "thm2.7": lambda s, r: r.clauses.extend(s.thm27),
+    "thm3.1": _thm_3_1, "cor3.2": _cor_3_2, "lemma4.2": _lemma_4_2,
+    "formula4.1": _formula_4_1,
     "table1": lambda _, rep: rep.clauses.extend(table1_consistency()),
     "table2": lambda _, rep: rep.clauses.extend(table2_consistency()),
 }
@@ -475,9 +479,9 @@ def targets_for_spec(spec: str) -> list[str]:
     """Verification targets applicable to one root-system spec."""
     out = ["lemma2.1", "prop2.2", "lemma2.3", "lemma2.4", "eq2.5",
            "lemma2.5", "lemma2.6", "thm2.7"]
-    # thm3.1 takes 0.3 s on A24 and 0.6 s on D24, but on a direct sum it and
-    # cor3.2's type-A clause check that phi is onto B+(Phi), which fails: no t
-    # or u maps onto h_c h_c'.  2N <= 160 until that is checked per component.
+    # On a direct sum thm3.1 and cor3.2's type-A clause check that phi is
+    # onto B+(Phi), which fails: no t or u maps onto h_c h_c'.  2N <= 160
+    # until that is checked per component.
     if _two_n(spec) <= 160:
         out += ["thm3.1", "cor3.2"]
     if spec in _catalog_specs():

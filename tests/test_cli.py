@@ -44,15 +44,24 @@ class TestRoots:
         assert data["N"] == 12 and data["coxeter"] == [6]
         assert len(data["positive_roots"]) == 12
 
-    @pytest.mark.parametrize("argv", [
-        ["roots", "Z1"], ["roots", "A3+"], ["roots", "+A3"],
-        ["verify", "prop2.2", "--spec", "A3++D4"]])
-    def test_bad_spec(self, capsys, argv):
-        """A bad spec exits 2 with one line that names the whole spec."""
+    @pytest.mark.parametrize("argv,part", [
+        (["roots", "Z1"], None), (["roots", "A3+"], ""),
+        (["roots", "+A3"], ""),
+        (["verify", "prop2.2", "--spec", "A3++D4"], ""),
+        # a zero multiplicity, a trailing newline, a non-ASCII digit
+        (["roots", "A3^0+A2"], "A3^0"), (["roots", "A2^0"], None),
+        (["verify", "lemma2.1", "--spec", "A3^0+A2"], "A3^0"),
+        (["roots", "A2\n"], None), (["roots", "A\u0662"], None)])
+    def test_bad_spec(self, capsys, argv, part):
+        """A bad spec exits 2 with one line that names the whole spec and,
+        in a sum, the bad part."""
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"cannot parse root system spec {argv[-1]!r}" in err
+        assert (" at part " in err) is (part is not None)
+        if part is not None:
+            assert f" at part {part!r}" in err
 
     def test_size_guard(self):
         assert run(["roots", "A40"]) == 2
@@ -469,16 +478,24 @@ class TestVerify:
     @pytest.mark.parametrize("spec", ["A3", "D4", "A2^12"])
     def test_all_builds_each_spec_once(self, monkeypatch, spec):
         """verify all runs a spec's targets on one System, lemma4.2 on a
-        catalog name included: one root system built, and each report as
-        the target gives it alone, but for elapsed."""
+        catalog name included: one root system built, the chain certified
+        once for thm2.7 and lemma2.5, and each report as the target gives
+        it alone, but for elapsed."""
         init, builds = RootSystem.__init__, []
+        certify, certified = verify.certify_chain, []
 
         def counted(rs, components):
             builds.append(components)
             init(rs, components)
+
+        def counted_certify(rep, ra, dec):
+            certified.append(dec)
+            certify(rep, ra, dec)
         monkeypatch.setattr(RootSystem, "__init__", counted)
+        monkeypatch.setattr(verify, "certify_chain", counted_certify)
         reports = run_target("all", spec)
         assert len(builds) == 1
+        assert len(certified) == 1
         alone = [run_target(t, spec)[0] for t in verify.targets_for_spec(spec)]
         alone += [run_target(t)[0] for t in verify.SPEC_FREE]
         assert [(r.target, r.clauses) for r in reports] == [
@@ -595,6 +612,36 @@ class TestVerify:
                 if not c["passed"]] == [
             "idempotent 1 (component 0 A2, step 2): charge 7/10 != 17/10"]
 
+    def test_short_closed_forms_fail_the_count(self, capsys, monkeypatch):
+        """closed_charges one step short on every block: thm2.7 and lemma2.6
+        name the count of idempotents in their charges clause."""
+        closed = verify.closed_charges
+        monkeypatch.setattr(verify, "closed_charges",
+                            lambda *args: closed(*args)[:-1])
+        for target in ("thm2.7", "lemma2.6"):
+            code, out = run_captured(
+                capsys, ["verify", target, "--spec", "A2+A3", "--json"])
+            assert code == 1
+            [report] = json.loads(out)["reports"]
+            assert [c["counterexample"] for c in report["clauses"]
+                    if not c["passed"]] == ["7 idempotents, expected 5"]
+
+    def test_wrong_tail_fails_thm_2_7_only(self, capsys, monkeypatch):
+        """Each block's tail off in closed_charges: thm2.7 fails at the
+        first tail, and lemma2.6, which leaves the tails out, passes."""
+        closed = verify.closed_charges
+        monkeypatch.setattr(verify, "closed_charges", lambda *args: [
+            *closed(*args)[:-1], (99, closed(*args)[-1][1])])
+        code, out = run_captured(
+            capsys, ["verify", "thm2.7", "--spec", "A2+A3", "--json"])
+        assert code == 1
+        [report] = json.loads(out)["reports"]
+        assert [c["counterexample"] for c in report["clauses"]
+                if not c["passed"]] == [
+            "idempotent 2 (component 0 A2, step 3): charge 4/5 != 99"]
+        assert run(["verify", "lemma2.6", "--spec", "A2+A3"]) == 0
+        capsys.readouterr()
+
     def test_section_2_targets_on_d4(self, capsys):
         """eq2.5, lemma2.5, lemma2.6 and thm2.7 run and pass on D4, and
         each clause says that it extends the paper's type-A statement;
@@ -615,7 +662,7 @@ class TestVerify:
     def test_doubled_forms_fail_lemma_2_6_at_step_1(self, capsys,
                                                     monkeypatch, spec):
         """A's form read over 1 instead of 2 doubles every charge: lemma2.6
-        fails at step 1, against the closed form 1/2."""
+        fails at the first idempotent, against the closed form 1/2."""
         make = rootalgebra.StructureAlgebra
         monkeypatch.setattr(rootalgebra, "StructureAlgebra", lambda labels,
                             product, form: make(labels, product,
@@ -625,28 +672,37 @@ class TestVerify:
         assert code == 1
         [report] = json.loads(out)["reports"]
         assert [c["counterexample"] for c in report["clauses"]
-                if not c["passed"]] == ["step 1: 1 != 1/2"]
+                if not c["passed"]] == [
+            f"idempotent 0 (component 0 {spec}, step 1): charge 1 != 1/2"]
 
     @pytest.mark.parametrize("spec", ["A3", "D4"])
     def test_perturbed_identity_fails_lemma_2_5(self, capsys, monkeypatch,
                                                 spec):
-        """One coefficient of the closed identity of {0, 1} changed: lemma2.5
-        fails at step 2, the step whose larger identity that is."""
-        closed = verify._closed_identity
+        """One coefficient of the closed identity of {0, 1} changed:
+        thm2.7's pairwise products fail at eps_2, and lemma2.5 fails by
+        citing them."""
+        closed = rootalgebra._closed_identity
 
         def perturbed(ra, simple, with_u=False):
             e = closed(ra, simple, with_u)
-            if frozenset(simple) != {0, 1}:
+            if frozenset(simple) != {0, 1} or with_u:
                 return e
             return e + ra.alg.element({min(e.coeffs): Q(1, 7)})
-        monkeypatch.setattr(verify, "_closed_identity", perturbed)
-        code, out = run_captured(
-            capsys, ["verify", "lemma2.5", "--spec", spec, "--json"])
-        assert code == 1
-        [report] = json.loads(out)["reports"]
-        [bad] = [c["counterexample"] for c in report["clauses"]
-                 if not c["passed"]]
-        assert bad.startswith("step 2: ")
+        monkeypatch.setattr(rootalgebra, "_closed_identity", perturbed)
+        failed = {}
+        for target in ("thm2.7", "lemma2.5"):
+            code, out = run_captured(
+                capsys, ["verify", target, "--spec", spec, "--json"])
+            assert code == 1
+            [report] = json.loads(out)["reports"]
+            failed[target] = {c["description"].split(" (")[0]:
+                              c["counterexample"]
+                              for c in report["clauses"] if not c["passed"]}
+        products = failed["thm2.7"]["pairwise products"]
+        assert products.startswith("block 0: eps_2 * t(")
+        assert sorted(failed["lemma2.5"].values()) == sorted(
+            f"thm2.7: {failed['thm2.7'][clause]}"
+            for clause in ("pairwise products", "pairwise form"))
 
     @pytest.mark.parametrize("target,closed", [("prop2.2", "delta"),
                                                ("lemma2.3", "epsilon")])

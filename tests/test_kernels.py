@@ -281,6 +281,20 @@ def test_each_table_source_is_called_once(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["A", "T", "B+"])
+@pytest.mark.parametrize("spec", ["A3", "D4", "A2+A1"])
+def test_form_matrix_matches_pairwise_forms(kind, spec):
+    """form_matrix against one form per pair, on sparse elements whose
+    supports neither grow nor nest, a zero element among them."""
+    alg = BUILDERS[kind](build(spec))
+    rng = random.Random(f"{kind} {spec}")
+    elements = [alg.element({i: Q(rng.randint(-9, 9), rng.randint(1, 5))
+                             for i in rng.sample(range(alg.dim), k)})
+                for k in (alg.dim // 2, 3, 1, 0, alg.dim // 3)]
+    assert alg.form_matrix(elements) == [[x.form(y) for y in elements]
+                                         for x in elements]
+
+
+@pytest.mark.parametrize("kind", ["A", "T", "B+"])
 @pytest.mark.parametrize("spec", ["A3", "D4", "E6", "A2+A1"])
 def test_each_pair_entry_is_built_once(kind, spec):
     """The product tables of A, T and B+ hold row i's entry for j as the
@@ -1058,6 +1072,32 @@ def test_broken_epsilon_fails_both_checks(spec, chain, monkeypatch):
     verify.certify_chain(rep, ra, dec)
     [products] = [x for d, _, x in rep.clauses if d == "pairwise products"]
     assert products.startswith(f"block 0: eps_{len(chain) // 2 + 1} * t(")
+
+
+@pytest.mark.parametrize("spec", ["A3", "D4"])
+def test_epsilon_off_its_t_span_fails_pairwise_products(spec, monkeypatch):
+    """eps_1 plus t(alpha_2), orthogonal to alpha_0, still fixes T(Phi_1)
+    but is not its identity, so e_1 is no idempotent: the certificate
+    fails pairwise products on eps_1's support, as the direct checks do."""
+    closed = rootalgebra._closed_identity
+
+    def off(ra, simple, with_u=False):
+        e = closed(ra, simple, with_u)
+        if frozenset(simple) != {0} or with_u:
+            return e
+        return e + ra.alg.element(
+            {ra.rs.supports.index(frozenset({2})): Q(1, 7)})
+    monkeypatch.setattr(rootalgebra, "_closed_identity", off)
+    ra = algebra_A(spec)
+    dec = coset_chain_decompose(ra)
+    assert dec.idempotents[0].form(dec.idempotents[0]) != 0
+    cert, span = certificate_and_span(ra, dec)
+    assert cert == direct_decomposition_checks(ra, dec.idempotents, delta(ra))
+    assert not cert["pairwise products"] and not span
+    rep = verify.VerifyReport("certificate")
+    verify.certify_chain(rep, ra, dec)
+    [products] = [x for d, _, x in rep.clauses if d == "pairwise products"]
+    assert products == "block 0: eps_1 leaves the span it fixes"
 
 
 # -- thm2.7's associativity clause: the certificate against the triples ------

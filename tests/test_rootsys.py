@@ -17,7 +17,9 @@ class TestParseSpec:
         out = parse_spec("A2*12+E6")
         assert out == [SimpleType("A", 2)] * 12 + [SimpleType("E", 6)]
 
-    @pytest.mark.parametrize("bad", ["X9", "A0", "D3", "E9", "", "A2^", "A3+"])
+    @pytest.mark.parametrize("bad", ["X9", "A0", "D3", "E9", "", "A2^", "A3+",
+                                     "A2^0", "A3^0+A2", "A2\n", "A\u0662",
+                                     "A2^\u0663"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_spec(bad)
